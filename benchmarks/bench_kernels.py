@@ -1,10 +1,11 @@
-"""Compare the jitted kernels against the pure-numpy / pure-Python fallbacks.
-
-Run once normally and once with DICESIM_NO_NUMBA=1 to see the full matrix,
-or just run it as is: the vectorized numpy paths are importable either way,
-so a single invocation already prints a meaningful comparison.
+"""Time the numpy generator kernels and check them against scalar loops.
 
     python benchmarks/bench_kernels.py [N]
+
+Each kernel runs once untimed (the first call builds its cached jump
+tables), then the best of REPEAT timed calls is printed. Before timing,
+the first CHECK words of every sequence, and a long feedback jump, are
+compared with a plain `prng.xorshift_step` chain.
 """
 
 import sys
@@ -13,13 +14,16 @@ import time
 import numpy as np
 
 from dicesim import kernels
+from dicesim.prng import seed_shift, xorshift_step
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
 REPEAT = 3
+CHECK = 20_000
+TICK_STEPS = 1_200_048  # sysclk edges per roll tick in feedback mode
 
 
 def best_of(fn, *args):
-    fn(*args)  # warmup (compiles on first call when jitted)
+    fn(*args)
     best = float("inf")
     for _ in range(REPEAT):
         t0 = time.perf_counter()
@@ -28,31 +32,40 @@ def best_of(fn, *args):
     return best
 
 
+def check_against_scalar_chain():
+    n = min(N, CHECK)
+    x, feedback = 1, []
+    for _ in range(n):
+        x = xorshift_step(x)
+        feedback.append(x)
+    lcg, seed, stateless = 12345, 0, []
+    for _ in range(n):
+        lcg = (kernels.LCG_MULT * lcg + kernels.LCG_INC) & kernels.MASK32
+        seed = seed_shift(seed, lcg >> 16)
+        stateless.append(xorshift_step(seed))
+    words = np.arange(1, n + 1, dtype=np.uint32)
+    assert kernels.feedback_sequence(1, N)[:n].tolist() == feedback
+    assert kernels.stateless_sequence(12345, N)[:n].tolist() == stateless
+    assert kernels.xorshift_batch(words).tolist() == [xorshift_step(int(w)) for w in words]
+    assert kernels.advance_feedback(1, n) == feedback[-1]
+    print(f"kernels match the scalar chain on the first {n} words")
+
+
 def main():
-    print(f"numba active: {kernels.USING_NUMBA}  (set DICESIM_NO_NUMBA=1 to force the fallback)")
+    check_against_scalar_chain()
     print(f"N = {N}")
     words = np.arange(1, N + 1, dtype=np.uint32)
-
     rows = [
-        ("feedback_sequence", best_of(kernels.feedback_sequence, 1, N)),
-        ("feedback_sequence_py", best_of(kernels.feedback_sequence_py, 1, N)),
-        ("stateless_sequence", best_of(kernels.stateless_sequence, 12345, N)),
-        ("stateless_sequence_py", best_of(kernels.stateless_sequence_py, 12345, N)),
-        ("xorshift_batch", best_of(kernels.xorshift_batch, words)),
-        ("xorshift_batch_numpy", best_of(kernels.xorshift_batch_numpy, words)),
-        ("xorshift_inverse_batch", best_of(kernels.xorshift_inverse_batch, kernels.xorshift_batch(words))),
+        ("feedback_sequence", N, best_of(kernels.feedback_sequence, 1, N)),
+        ("stateless_sequence", N, best_of(kernels.stateless_sequence, 12345, N)),
+        ("xorshift_batch", N, best_of(kernels.xorshift_batch, words)),
+        ("xorshift_inverse_batch", N, best_of(kernels.xorshift_inverse_batch, words)),
+        (f"advance_feedback({TICK_STEPS})", 1, best_of(kernels.advance_feedback, 1, TICK_STEPS)),
     ]
-
-    width = max(len(name) for name, _ in rows)
+    width = max(len(name) for name, _, _ in rows)
     print(f"{'kernel':<{width}}  {'best (s)':>10}  {'Mwords/s':>9}")
-    for name, seconds in rows:
-        rate = N / seconds / 1e6
-        print(f"{name:<{width}}  {seconds:>10.4f}  {rate:>9.1f}")
-
-    # sanity: both paths must agree bit for bit
-    assert np.array_equal(kernels.feedback_sequence(1, 4096), kernels.feedback_sequence_py(1, 4096))
-    assert np.array_equal(kernels.xorshift_batch(words[:4096]), kernels.xorshift_batch_numpy(words[:4096]))
-    print("paths agree bit for bit")
+    for name, count, seconds in rows:
+        print(f"{name:<{width}}  {seconds:>10.6f}  {count / seconds / 1e6:>9.2f}")
 
 
 if __name__ == "__main__":

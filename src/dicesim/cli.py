@@ -12,8 +12,11 @@ validation error, 3 analysis failure (uniformity rejected, framing errors).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +44,28 @@ EXIT_ANALYSIS = 3
 DEFAULT_ROLL_SEED = 1
 
 
+@functools.cache
+def _new_file_mode() -> int:
+    # the mode a plain open() gives a new file: 0o666 less the umask, which
+    # can only be read by setting it
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _write_atomic(path: Path, text: str) -> None:
-    # temp file in the same directory, then rename over the target
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    # a temp file of its own in the target directory, so concurrent writers
+    # never share one, then a rename over the target; removed on any failure
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _fail(message: str, code: int) -> int:
@@ -154,8 +174,8 @@ def cmd_stats(args) -> int:
               f"over the 2^{report.domain_bits} domain")
         print(f"quotient {report.quotient}, remainder {report.remainder}, "
               f"worst-case ratio {report.ratio:.12f}")
-        for face, count in enumerate(report.counts, start=1):
-            print(f"face {face},{count}")
+        for face in range(1, report.dice_sides + 1):
+            print(f"face {face},{report.count(face)}")
         return EXIT_OK
     if not args.rolls or args.sides is None:
         return _fail("stats needs either --bias D or both --rolls FILE and --sides D", EXIT_USAGE)

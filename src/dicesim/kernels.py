@@ -1,21 +1,30 @@
-"""Hot numeric kernels: numba-jitted loops with pure numpy/Python fallbacks.
+"""Bulk generator kernels in numpy: jump-ahead and lane-parallel sequences.
 
-The jitted path is selected automatically when numba imports cleanly; set
-``DICESIM_NO_NUMBA=1`` to force the fallback path. ``USING_NUMBA`` reports
-which path the public names are bound to. The fallback variants
-(``*_numpy`` / ``*_py``) stay importable either way so tests and
-``benchmarks/bench_kernels.py`` can compare both paths in one process.
+The xorshift transform T (`prng.xorshift_step`) is linear over GF(2), so k
+steps are one 32x32 bit matrix T**k (Haramoto, Matsumoto, L'Ecuyer et al.
+2008, "Efficient jump ahead for F2-linear random number generators"). A
+matrix is held as four 256-entry lookup tables, one per input byte, built
+from the images of the 32 unit words under `prng.xorshift_step` (or
+`prng.xorshift_inverse` for the inverse). The tables of T**(2**i) are built
+on first use by squaring and cached, so a jump of k steps costs one table
+pass per set bit of k. Single steps over arrays apply `prng`'s shift triple
+directly, which is several times faster than a table pass.
 
-Sequential kernels (feedback trajectories, the LCG-fed stateless pipeline)
-share one core function that is either compiled or run as plain Python, so
-the two paths cannot drift apart.
+The synthetic ADC source is an LCG, affine mod 2**32, so it jumps the same
+way (Brown 1994, "Random number generation with arbitrary strides").
+
+A sequence of n words is cut into about sqrt(n) lanes: every lane start is
+reached by a jump, then all lanes step together as uint32 arrays.
 """
 
 from __future__ import annotations
 
-import os
+import functools
+import math
 
 import numpy as np
+
+from .prng import SHIFT_A, SHIFT_B, SHIFT_C, xorshift_inverse, xorshift_step
 
 MASK32 = 0xFFFFFFFF
 
@@ -24,176 +33,141 @@ MASK32 = 0xFFFFFFFF
 LCG_MULT = 1664525
 LCG_INC = 1013904223
 
-_FORCED_OFF = os.environ.get("DICESIM_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _FORCED_OFF:
-        raise ImportError("numba disabled by DICESIM_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    njit = None
-    USING_NUMBA = False
+_UNIT_BYTE, _UNIT_BIT = np.divmod(np.arange(32), 8)
+_UNIT_INDEX = 1 << _UNIT_BIT  # table entry of the unit word 1 << (8 * byte + bit)
 
 
 # ======================================================================
-#  single-source sequential cores (jitted when numba is active)
+#  GF(2)-linear maps of 32-bit words as byte lookup tables
 # ======================================================================
 
-def _feedback_sequence_core(seed, n, out):
-    # successive outputs of the free-running xorshift, starting from seed
-    x = seed & MASK32
-    for i in range(n):
-        x ^= x >> 7
-        x = (x ^ (x << 9)) & MASK32
-        x ^= x >> 13
-        out[i] = x
+def _tables(columns: np.ndarray) -> np.ndarray:
+    """Lookup tables of the linear map whose image of 1 << j is columns[j]."""
+    tables = np.zeros((4, 256), dtype=np.uint32)
+    for j in range(32):
+        byte, bit = divmod(j, 8)
+        tables[byte, 1 << bit:2 << bit] = tables[byte, :1 << bit] ^ columns[j]
+    tables.flags.writeable = False
+    return tables
 
 
-def _advance_feedback_core(x, steps):
-    x &= MASK32
-    for _ in range(steps):
-        x ^= x >> 7
-        x = (x ^ (x << 9)) & MASK32
-        x ^= x >> 13
+def _apply(tables: np.ndarray, x):
+    """Image of a uint32 word or array under the map held in tables."""
+    return (tables[0, x & 0xFF] ^ tables[1, (x >> 8) & 0xFF]
+            ^ tables[2, (x >> 16) & 0xFF] ^ tables[3, x >> 24])
+
+
+@functools.cache
+def _map_of(fn) -> np.ndarray:
+    """Tables of a scalar GF(2)-linear word function."""
+    return _tables(np.array([fn(1 << j) for j in range(32)], dtype=np.uint32))
+
+
+@functools.cache
+def _power(i: int) -> np.ndarray:
+    """Tables of T**(2**i). Callers ask for i in ascending order, so the
+    recursion reaches back one level at most."""
+    if i == 0:
+        return _map_of(xorshift_step)
+    half = _power(i - 1)
+    return _tables(_apply(half, half[_UNIT_BYTE, _UNIT_INDEX]))
+
+
+@functools.cache
+def _lcg_power(i: int) -> tuple[int, int]:
+    """(mult, inc) of the LCG applied 2**i times: x -> mult * x + inc mod 2**32."""
+    if i == 0:
+        return LCG_MULT, LCG_INC
+    mult, inc = _lcg_power(i - 1)
+    return (mult * mult) & MASK32, ((mult + 1) * inc) & MASK32
+
+
+def _xorshift_step(x: np.ndarray) -> np.ndarray:
+    x ^= x >> np.uint32(SHIFT_A)
+    x ^= x << np.uint32(SHIFT_B)
+    x ^= x >> np.uint32(SHIFT_C)
     return x
 
 
-def _stateless_sequence_core(lcg_state, n, out):
-    # as-built pipeline: shift an LCG noise sample into the seed register,
-    # output the xorshift of the register, once per step
-    x = lcg_state & MASK32
-    seed = 0
-    for i in range(n):
-        x = (LCG_MULT * x + LCG_INC) & MASK32
-        seed = ((seed << 16) & MASK32) | ((x >> 16) & 0xFFFF)
-        w = seed ^ (seed >> 7)
-        w = (w ^ (w << 9)) & MASK32
-        w ^= w >> 13
-        out[i] = w
+def _xorshift_jump(i: int, x: np.ndarray) -> np.ndarray:
+    return _apply(_power(i), x)
 
 
-def _xorshift_batch_core(words, out):
-    for i in range(words.shape[0]):
-        x = np.int64(words[i]) & MASK32
-        x ^= x >> 7
-        x = (x ^ (x << 9)) & MASK32
-        x ^= x >> 13
-        out[i] = x
-
-
-if USING_NUMBA:
-    _feedback_sequence_impl = njit(cache=True)(_feedback_sequence_core)
-    _advance_feedback_impl = njit(cache=True)(_advance_feedback_core)
-    _stateless_sequence_impl = njit(cache=True)(_stateless_sequence_core)
-    _xorshift_batch_impl = njit(cache=True)(_xorshift_batch_core)
-else:
-    _feedback_sequence_impl = _feedback_sequence_core
-    _advance_feedback_impl = _advance_feedback_core
-    _stateless_sequence_impl = _stateless_sequence_core
-    _xorshift_batch_impl = _xorshift_batch_core
-
-
-# ======================================================================
-#  pure numpy vectorized variants (always importable)
-# ======================================================================
-
-def xorshift_batch_numpy(words) -> np.ndarray:
-    """Vectorized xorshift of a uint32 array."""
-    x = np.asarray(words, dtype=np.uint32).copy()
-    x ^= x >> np.uint32(7)
-    x ^= x << np.uint32(9)
-    x ^= x >> np.uint32(13)
+def _lcg_step(x: np.ndarray) -> np.ndarray:
+    x *= np.uint32(LCG_MULT)
+    x += np.uint32(LCG_INC)
     return x
 
 
-def _unshift_right_vec(y: np.ndarray, k: int) -> np.ndarray:
-    x = np.zeros_like(y)
-    s = 0
-    while s < 32:
-        x ^= y >> np.uint32(s)
-        s += k
-    return x
+def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
+    mult, inc = _lcg_power(i)
+    return x * np.uint32(mult) + np.uint32(inc)
 
 
-def _unshift_left_vec(y: np.ndarray, k: int) -> np.ndarray:
-    x = np.zeros_like(y)
-    s = 0
-    while s < 32:
-        x ^= y << np.uint32(s)
-        s += k
-    return x
+def _orbit(first: int, n: int, jump, step) -> np.ndarray:
+    """The n states after first, f(first) .. f**n(first), as uint32.
 
-
-def xorshift_inverse_batch_numpy(words) -> np.ndarray:
-    """Vectorized exact inverse of xorshift_batch_numpy."""
-    y = np.asarray(words, dtype=np.uint32)
-    t2 = _unshift_right_vec(y, 13)
-    t1 = _unshift_left_vec(t2, 9)
-    return _unshift_right_vec(t1, 7)
-
-
-def feedback_sequence_py(seed: int, n: int) -> np.ndarray:
-    """Fallback feedback trajectory (plain Python loop; inherently sequential)."""
-    out = np.empty(n, dtype=np.uint32)
-    _feedback_sequence_core(seed, n, out)
-    return out
-
-
-def advance_feedback_py(x: int, steps: int) -> int:
-    """Fallback feedback fast-forward."""
-    return int(_advance_feedback_core(int(x), int(steps)))
-
-
-def stateless_sequence_py(lcg_seed: int, n: int) -> np.ndarray:
-    """Fallback LCG-fed stateless pipeline."""
-    out = np.empty(n, dtype=np.uint32)
-    _stateless_sequence_core(lcg_seed, n, out)
-    return out
+    jump(i, x) applies f**(2**i) to a uint32 array and step(x) applies f
+    to one in place. Lane j starts at f**(j * length)(first) and then steps
+    length times.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.uint32)
+    lanes = math.isqrt(n)
+    length = -(-n // lanes)
+    offsets = np.arange(lanes, dtype=np.int64) * length
+    x = np.full(lanes, first & MASK32, dtype=np.uint32)
+    for i in range(int(offsets[-1]).bit_length()):
+        hit = (offsets >> i) & 1 == 1
+        x[hit] = jump(i, x[hit])
+    out = np.empty((lanes, length), dtype=np.uint32)
+    for t in range(length):
+        x = step(x)
+        out[:, t] = x
+    return out.ravel()[:n]
 
 
 # ======================================================================
-#  public names bound to the selected path
+#  public kernels
 # ======================================================================
-
-def feedback_sequence(seed: int, n: int) -> np.ndarray:
-    """n successive outputs of the free-running xorshift, starting from seed."""
-    out = np.empty(n, dtype=np.uint32)
-    _feedback_sequence_impl(int(seed), int(n), out)
-    return out
-
-
-def advance_feedback(x: int, steps: int) -> int:
-    """Apply the xorshift transform steps times to one word."""
-    return int(_advance_feedback_impl(int(x), int(steps)))
-
-
-def stateless_sequence(lcg_seed: int, n: int) -> np.ndarray:
-    """n outputs of the as-built pipeline fed by the synthetic LCG source."""
-    out = np.empty(n, dtype=np.uint32)
-    _stateless_sequence_impl(int(lcg_seed), int(n), out)
-    return out
-
 
 def xorshift_batch(words) -> np.ndarray:
-    """Element-wise xorshift of a uint32 array (jitted loop or numpy path)."""
-    if USING_NUMBA:
-        arr = np.ascontiguousarray(words, dtype=np.uint32)
-        out = np.empty_like(arr)
-        _xorshift_batch_impl(arr, out)
-        return out
-    return xorshift_batch_numpy(words)
+    """Element-wise xorshift of a uint32 array."""
+    return _xorshift_step(np.array(words, dtype=np.uint32))
 
 
 def xorshift_inverse_batch(words) -> np.ndarray:
     """Element-wise exact inverse of xorshift_batch."""
-    return xorshift_inverse_batch_numpy(words)
+    return _apply(_map_of(xorshift_inverse), np.asarray(words, dtype=np.uint32))
 
 
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel (no-op on the fallback path)."""
-    feedback_sequence(1, 2)
-    advance_feedback(1, 2)
-    stateless_sequence(1, 2)
-    xorshift_batch(np.arange(4, dtype=np.uint32))
+def advance_feedback(x: int, steps: int) -> int:
+    """Apply the xorshift transform steps times to one word, in O(log steps)."""
+    steps = int(steps)
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative: {steps}")
+    word = np.uint32(int(x) & MASK32)
+    for i in range(steps.bit_length()):
+        tables = _power(i)
+        if steps >> i & 1:
+            word = _apply(tables, word)
+    return int(word)
+
+
+def feedback_sequence(seed: int, n: int) -> np.ndarray:
+    """n successive outputs of the free-running xorshift, starting from seed."""
+    return _orbit(int(seed), int(n), _xorshift_jump, _xorshift_step)
+
+
+def stateless_sequence(lcg_seed: int, n: int) -> np.ndarray:
+    """n outputs of the as-built pipeline fed by the synthetic LCG source.
+
+    Each step shifts the top 16 bits of the next LCG state into the seed
+    register (which starts at 0) and outputs the xorshift of the register.
+    """
+    states = _orbit(int(lcg_seed), int(n), _lcg_jump, _lcg_step)
+    register = states >> np.uint32(16)
+    states &= np.uint32(0xFFFF0000)
+    register[1:] |= states[:-1]
+    del states  # free the lane buffer before the transform's temporaries
+    return _xorshift_step(register)

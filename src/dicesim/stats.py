@@ -10,6 +10,7 @@ and the package needs no statistics library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +53,40 @@ def chi_square(hist: Histogram) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class BiasReport:
-    """Exact preimage counts of (word mod d) + 1 over the 2**bits domain."""
+    """Exact preimage counts of (word mod d) + 1 over the 2**bits domain.
+
+    Faces 1..remainder receive quotient + 1 preimages and the rest receive
+    quotient, so the report holds those two numbers, not one count per face.
+    """
 
     dice_sides: int
     domain_bits: int
     quotient: int
     remainder: int
-    counts: tuple[int, ...]
+
+    def count(self, face: int) -> int:
+        """Preimages of face (1..dice_sides)."""
+        return self.quotient + 1 if face <= self.remainder else self.quotient
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Every face's count, built on demand: one entry per face."""
+        return tuple(self.count(face) for face in range(1, self.dice_sides + 1))
 
     @property
     def max_count(self) -> int:
-        return max(self.counts)
+        return self.count(1)
 
     @property
     def min_count(self) -> int:
-        return min(self.counts)
+        return self.count(self.dice_sides)  # remainder < dice_sides
 
     @property
     def ratio(self) -> float:
-        """Worst-case probability ratio between any two faces."""
+        """Worst-case probability ratio between any two faces; inf when some
+        face has no preimage (dice_sides > 2**bits)."""
+        if self.min_count == 0:
+            return math.inf
         return self.max_count / self.min_count
 
 
@@ -84,10 +100,8 @@ def modulo_bias(dice_sides: int, domain_bits: int = 32) -> BiasReport:
         raise ValueError(f"dice_sides must be at least 1: {dice_sides}")
     if domain_bits < 1:
         raise ValueError(f"domain_bits must be at least 1: {domain_bits}")
-    domain = 1 << domain_bits
-    q, r = divmod(domain, dice_sides)
-    counts = tuple(q + 1 if face <= r else q for face in range(1, dice_sides + 1))
-    return BiasReport(dice_sides, domain_bits, q, r, counts)
+    q, r = divmod(1 << domain_bits, dice_sides)
+    return BiasReport(dice_sides, domain_bits, q, r)
 
 
 # ======================================================================

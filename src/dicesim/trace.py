@@ -2,8 +2,9 @@
 
 Trace format: one event per line, ``<t_us> <SIGNAL> <value>``, with ``#``
 comments and blank lines ignored. Signals are TILT, BTNU, BTND, RESET
-(binary levels) and ADC (a one-shot 16-bit sample). Timestamps must be
-non-decreasing; simultaneous events apply in file order.
+(binary levels) and ADC (a one-shot 16-bit sample). Timestamps and values
+are ASCII decimal digits. Timestamps must be non-decreasing; simultaneous
+events apply in file order.
 
 Replay semantics: switch levels hold between events and are sampled at tick
 boundaries, so pulses that fit between two polls of the same clock are
@@ -18,6 +19,7 @@ two runs produce byte-identical logs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -59,6 +61,16 @@ class TraceEvent:
     value: int
 
 
+# ASCII decimal only: int() would also take "+1", "1_000" and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str, line_no: int, field_name: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise TraceParseError(line_no, f"bad {field_name} {text!r} (expected ASCII decimal digits)")
+    return int(text)
+
+
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse trace text into an event list, enforcing order and ranges."""
     events: list[TraceEvent] = []
@@ -71,20 +83,14 @@ def parse_trace(text: str) -> list[TraceEvent]:
         if len(fields) != 3:
             raise TraceParseError(line_no, f"expected 3 fields (t_us SIGNAL value), got {len(fields)}")
         t_text, signal, v_text = fields
-        try:
-            t_us = int(t_text)
-        except ValueError:
-            raise TraceParseError(line_no, f"bad timestamp {t_text!r}") from None
+        t_us = _parse_int(t_text, line_no, "timestamp")
         if t_us < 0:
             raise TraceParseError(line_no, f"negative timestamp {t_us}")
         if t_us < last_t:
             raise TraceParseError(line_no, f"timestamp {t_us} goes backwards (previous {last_t})")
         if signal not in SIGNALS:
             raise TraceParseError(line_no, f"unknown signal {signal!r} (expected one of {', '.join(SIGNALS)})")
-        try:
-            value = int(v_text)
-        except ValueError:
-            raise TraceParseError(line_no, f"bad value {v_text!r}") from None
+        value = _parse_int(v_text, line_no, "value")
         if signal == "ADC":
             if not 0 <= value <= 0xFFFF:
                 raise TraceParseError(line_no, f"bad ADC value {value} (must be 0..65535)")

@@ -1,9 +1,11 @@
 """Exit codes, file outputs, and text contracts of the command line tool."""
 
 import json
+import os
 
 import pytest
 
+from dicesim import cli
 from dicesim.cli import main
 
 BOOT = "0 RESET 1\n1000 RESET 0\n1000 TILT 1\n"
@@ -143,6 +145,14 @@ def test_stats_bias_report(capsys):
     assert "remainder 16" in out
 
 
+def test_stats_bias_die_wider_than_domain(capsys):
+    code, out, err = _run(capsys, "stats", "--bias", "300", "--bits", "8")
+    assert code == 0
+    assert "quotient 0, remainder 256, worst-case ratio inf" in out
+    assert "face 256,1" in out
+    assert out.endswith("face 300,0\n")
+
+
 def test_stats_bias_validates_bits(capsys):
     code, out, err = _run(capsys, "stats", "--bias", "6", "--bits", "0")
     assert code == 2
@@ -257,3 +267,33 @@ def test_usage_errors_return_two(capsys):
 def test_help_returns_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+#  atomic writes
+# ----------------------------------------------------------------------
+
+def test_write_atomic_keeps_plain_file_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x\n", encoding="utf-8")
+    target = tmp_path / "out.txt"
+    cli._write_atomic(target, "hello\n")
+    assert target.read_text(encoding="utf-8") == "hello\n"
+    assert os.stat(target).st_mode == os.stat(plain).st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+
+def _fail_rename(src, dst):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize("text, patch", [("bad \ud800 surrogate\n", None), ("fine\n", _fail_rename)])
+def test_write_atomic_failure_leaves_no_temp_file(tmp_path, monkeypatch, text, patch):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n", encoding="utf-8")
+    if patch is not None:
+        monkeypatch.setattr(cli.os, "replace", patch)
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        cli._write_atomic(target, text)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text(encoding="utf-8") == "old\n"

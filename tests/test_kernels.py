@@ -1,19 +1,43 @@
-"""Jitted kernels versus the scalar reference path."""
+"""Numpy kernels versus scalar reference loops built on `prng`."""
 
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicesim import kernels
 from dicesim.prng import seed_shift, xorshift_step
 
+words32 = st.integers(min_value=0, max_value=kernels.MASK32)
+
+
+def feedback_reference(seed: int, n: int) -> list[int]:
+    """n successive xorshift outputs from seed, one scalar step at a time."""
+    out, x = [], seed
+    for _ in range(n):
+        x = xorshift_step(x)
+        out.append(x)
+    return out
+
+
+def lcg_step(state: int) -> int:
+    return (kernels.LCG_MULT * state + kernels.LCG_INC) & kernels.MASK32
+
+
+def stateless_reference(lcg_seed: int, n: int) -> list[int]:
+    """Run the LCG, shift its top 16 bits into the seed register, transform."""
+    out, lcg, seed = [], lcg_seed & kernels.MASK32, 0
+    for _ in range(n):
+        lcg = lcg_step(lcg)
+        seed = seed_shift(seed, (lcg >> 16) & 0xFFFF)
+        out.append(xorshift_step(seed))
+    return out
+
 
 def test_feedback_sequence_matches_scalar_chain():
-    seq = kernels.feedback_sequence(1, 512)
-    x = 1
-    for word in seq:
-        x = xorshift_step(x)
-        assert int(word) == x
+    assert kernels.feedback_sequence(1, 512).tolist() == feedback_reference(1, 512)
 
 
 def test_feedback_sequence_empty():
@@ -28,23 +52,15 @@ def test_advance_feedback_matches_sequence():
 
 
 def test_stateless_sequence_matches_scalar_pipeline():
-    # oracle: run LCG, shift top 16 bits into the seed register, transform
-    seq = kernels.stateless_sequence(12345, 256)
-    lcg = 12345
-    seed = 0
-    for word in seq:
-        lcg = (kernels.LCG_MULT * lcg + kernels.LCG_INC) & kernels.MASK32
-        seed = seed_shift(seed, (lcg >> 16) & 0xFFFF)
-        assert int(word) == xorshift_step(seed)
+    assert kernels.stateless_sequence(12345, 256).tolist() == stateless_reference(12345, 256)
 
 
 def test_batch_matches_scalar():
     rng = random.Random(99)
     words = np.array([rng.getrandbits(32) for _ in range(4_096)], dtype=np.uint32)
     out = kernels.xorshift_batch(words)
-    for x, y in zip(words[:256], out[:256]):
-        assert int(y) == xorshift_step(int(x))
-    assert np.array_equal(out, kernels.xorshift_batch_numpy(words))
+    assert out.dtype == np.uint32
+    assert out.tolist() == [xorshift_step(int(x)) for x in words]
 
 
 def test_inverse_batch_round_trip():
@@ -54,12 +70,12 @@ def test_inverse_batch_round_trip():
     assert np.array_equal(kernels.xorshift_batch(kernels.xorshift_inverse_batch(words)), words)
 
 
-def test_fallback_variants_agree_with_public_names():
-    assert np.array_equal(kernels.feedback_sequence(7, 1_000), kernels.feedback_sequence_py(7, 1_000))
-    assert np.array_equal(kernels.stateless_sequence(7, 1_000), kernels.stateless_sequence_py(7, 1_000))
-    assert kernels.advance_feedback(7, 321) == kernels.advance_feedback_py(7, 321)
+def test_kernels_agree_with_scalar_references():
+    assert kernels.feedback_sequence(7, 1_000).tolist() == feedback_reference(7, 1_000)
+    assert kernels.stateless_sequence(7, 1_000).tolist() == stateless_reference(7, 1_000)
+    assert kernels.advance_feedback(7, 321) == feedback_reference(7, 321)[-1]
     words = np.arange(1, 2_049, dtype=np.uint32)
-    assert np.array_equal(kernels.xorshift_batch(words), kernels.xorshift_batch_numpy(words))
+    assert kernels.xorshift_batch(words).tolist() == [xorshift_step(int(x)) for x in words]
 
 
 def test_lcg_matches_adc_source():
@@ -72,6 +88,47 @@ def test_lcg_matches_adc_source():
     assert first == (lcg >> 16) & 0xFFFF
 
 
-def test_warmup_is_idempotent():
-    kernels.warmup()
-    kernels.warmup()
+def test_advance_feedback_rejects_negative_steps():
+    with pytest.raises(ValueError, match="non-negative"):
+        kernels.advance_feedback(1, -1)
+
+
+# ----------------------------------------------------------------------
+#  properties: jump-ahead equals stepping
+# ----------------------------------------------------------------------
+
+@given(words32, st.integers(0, 1 << 70), st.integers(0, 1 << 70))
+def test_advance_feedback_composes(x, a, b):
+    assert kernels.advance_feedback(x, a + b) == kernels.advance_feedback(kernels.advance_feedback(x, a), b)
+
+
+@settings(max_examples=50)
+@given(words32, st.integers(0, 2_000))
+def test_advance_feedback_equals_step_chain(x, k):
+    expected = feedback_reference(x, k)[-1] if k else x
+    assert kernels.advance_feedback(x, k) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(words32, st.integers(0, 5_000))
+def test_feedback_sequence_equals_reference(seed, n):
+    out = kernels.feedback_sequence(seed, n)
+    assert out.dtype == np.uint32 and out.shape == (n,)
+    assert out.tolist() == feedback_reference(seed, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words32, st.integers(0, 5_000))
+def test_stateless_sequence_equals_reference(seed, n):
+    out = kernels.stateless_sequence(seed, n)
+    assert out.dtype == np.uint32 and out.shape == (n,)
+    assert out.tolist() == stateless_reference(seed, n)
+
+
+@given(words32, st.integers(0, 12))
+def test_lcg_jump_equals_stepping(x, i):
+    expected = x
+    for _ in range(1 << i):
+        expected = lcg_step(expected)
+    got = kernels._lcg_jump(i, np.array([x], dtype=np.uint32))
+    assert got.dtype == np.uint32 and int(got[0]) == expected

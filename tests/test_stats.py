@@ -89,6 +89,21 @@ def test_bias_report_ratio():
     assert report.ratio == 214_748_365 / 214_748_364
 
 
+def test_bias_report_more_faces_than_words():
+    report = modulo_bias(300, domain_bits=8)
+    assert (report.quotient, report.remainder) == (0, 256)
+    assert (report.max_count, report.min_count) == (1, 0)
+    assert report.ratio == math.inf
+    assert report.counts == _brute_force_bias(300, 8)
+
+
+def test_bias_report_billion_faces_needs_no_per_face_storage():
+    report = modulo_bias(10**9)
+    assert (report.quotient, report.remainder) == (4, (1 << 32) - 4 * 10**9)
+    assert report.ratio == 5 / 4
+    assert (report.count(1), report.count(10**9)) == (5, 4)
+
+
 def test_critical_value_spot_checks():
     assert critical_value(1, 0.05) == 3.84
     assert critical_value(1, 0.001) == 10.83

@@ -57,6 +57,14 @@ def test_parse_rejects_malformed_lines():
         parse_trace("5 ADC xyz")
 
 
+@pytest.mark.parametrize("text", ["1_000", "+2000", "\u0663\u0660\u0660\u0660"])
+@pytest.mark.parametrize("field", ["timestamp", "value"])
+def test_parse_accepts_ascii_decimal_only(text, field):
+    line = f"{text} TILT 1" if field == "timestamp" else f"5 ADC {text}"
+    with pytest.raises(TraceParseError, match=f"line 2: bad {field} "):
+        parse_trace("0 RESET 0\n" + line)
+
+
 def test_parse_allows_equal_timestamps():
     events = parse_trace("5 TILT 1\n5 BTNU 1")
     assert len(events) == 2
