@@ -13,7 +13,6 @@ from .device import (
     SUPPORTED_DICE,
     Device,
     DeviceConfig,
-    DeviceInputs,
     SyntheticAdc,
 )
 from .display import DisplayMux, bcd_select, glyph, pack_word, render_word
@@ -51,7 +50,6 @@ __all__ = [
     "SUPPORTED_DICE",
     "Device",
     "DeviceConfig",
-    "DeviceInputs",
     "SyntheticAdc",
     "DisplayMux",
     "bcd_select",

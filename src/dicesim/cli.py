@@ -25,6 +25,7 @@ from . import kernels, stats
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
 from .prng import FEEDBACK, MASK32, STATELESS
 from .trace import (
+    _INTEGER,
     ReplayConfig,
     TraceParseError,
     emit_log,
@@ -149,17 +150,18 @@ def cmd_rolls(args) -> int:
 
 def _read_rolls(path: Path) -> list[int]:
     rolls: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line_no == 1 and not line.lstrip("-").isdigit():
-                continue  # header
-            try:
-                rolls.append(int(line))
-            except ValueError:
-                raise ValueError(f"line {line_no}: bad roll value {line!r}") from None
+            if not line.isdigit():  # bytes.isdigit() is exactly [0-9]+, the fast common case
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                if not _INTEGER.fullmatch(line):
+                    if line_no == 1:
+                        continue  # header
+                    raise ValueError(f"line {line_no}: bad roll value {line!r}")
+            rolls.append(int(line))
     return rolls
 
 

@@ -23,7 +23,6 @@ from .prng import (
     seed_shift,
     xorshift_step,
 )
-from .timing import HZ10, RISING, S5, TickEvent
 
 # dselect -> (diceval, thou, huns, tens, ones display codes)
 DICE_TABLE = {
@@ -246,14 +245,6 @@ class DeviceConfig:
     intuitive_tilt: bool = False
 
 
-@dataclass
-class DeviceInputs:
-    tilt: int = 0
-    btn_up: int = 0
-    btn_down: int = 0
-    adc: int = 0
-
-
 @dataclass(frozen=True)
 class DeviceOutputs:
     onpin: int
@@ -263,7 +254,7 @@ class DeviceOutputs:
 
 
 class Device:
-    """Register file of the dice unit, stepped by clock-domain tick events.
+    """Register file of the dice unit, stepped by hz10_tick and s5_tick.
 
     The keep-awake block survives reset (no reset wiring there); everything
     else returns to its documented reset value. In FEEDBACK mode the rand
@@ -323,18 +314,6 @@ class Device:
     def s5_tick(self, rstn: bool = True) -> None:
         """One S5 rising edge: keep-awake toggler."""
         self.power = keepawake_update(self.power, self.selection.keepon, rstn)
-
-    def step(self, tick: TickEvent, inputs: DeviceInputs) -> None:
-        """Dispatch one scheduler event. Falling edges and the domains this
-        block does not consume are no-ops; unknown domains are rejected."""
-        if tick.domain not in ("HZ1000", "HZ1500", "HZ500", HZ10, S5):
-            raise ValueError(f"unknown clock domain: {tick.domain!r}")
-        if tick.edge != RISING:
-            return
-        if tick.domain == HZ10:
-            self.hz10_tick(inputs.tilt, inputs.btn_up, inputs.btn_down, inputs.adc, tick.sysclk_index)
-        elif tick.domain == S5:
-            self.s5_tick(rstn=True)
 
     def outputs(self, tilt_level: int = 0) -> DeviceOutputs:
         """Pin view: onpin = onsig, led1 mirrors the raw tilt input, led0 =

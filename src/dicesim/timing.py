@@ -6,17 +6,23 @@ domain 9.9996 Hz, not 10 Hz; frequency_of returns exact rationals so nothing
 downstream rounds it. HZ1500 is generated but nothing in the device consumes
 it.
 
-The Scheduler is event-driven: advance(n) covers n sysclk rising edges in one
-arithmetic step per domain and returns the toggles that occurred, bit-exact
-against counting every cycle (each divider toggles on the edge where its
-counter reaches half_period - 1 and clears, so the first toggle after reset
-lands on edge number half_period).
+Each divider toggles on the edge where its counter reaches half_period - 1
+and clears, so its first toggle after reset lands on edge number half_period
+and its rising edges sit at odd multiples of it. rising_edges streams those
+of the consumed domains lazily; replay walks that stream. The Scheduler is
+the oracle: advance(n) returns every toggle of n sysclk rising edges in one
+arithmetic step per domain, bit-exact against counting every cycle, and is
+the only place that still emits HZ1500 and falling edges.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
+from operator import itemgetter
 
 SYSCLK_HZ = 12_000_000
 
@@ -36,6 +42,8 @@ HALF_PERIODS = {
 
 # Simultaneous toggles are emitted in this fixed order.
 DOMAIN_ORDER = (HZ1000, HZ1500, HZ500, HZ10, S5)
+# Domains whose rising edges the board acts on, in DOMAIN_ORDER.
+CONSUMED = (HZ1000, HZ500, HZ10, S5)
 
 RISING = "rising"
 FALLING = "falling"
@@ -63,6 +71,14 @@ def frequency_of(name: str) -> Fraction:
     if name not in HALF_PERIODS:
         raise ValueError(f"unknown clock domain: {name!r}")
     return Fraction(SYSCLK_HZ, 2 * HALF_PERIODS[name])
+
+
+def rising_edges(origin: int) -> Iterator[tuple[int, str]]:
+    """Endless (abs_cycle, domain) rising edges of the CONSUMED domains after a
+    reset release at cycle origin, in Scheduler.advance order: heapq.merge
+    breaks ties by argument order, which is DOMAIN_ORDER."""
+    streams = [zip(count(origin + HALF_PERIODS[name], 2 * HALF_PERIODS[name]), repeat(name)) for name in CONSUMED]
+    return heapq.merge(*streams, key=itemgetter(0))
 
 
 class Scheduler:

@@ -34,9 +34,9 @@ from .device import (
     live_digits,
     set_digits,
 )
-from .display import DisplayMux, bcd_select, render_word
+from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import MODES, STATELESS
-from .timing import HZ10, HZ1000, HZ500, RISING, S5, Scheduler
+from .timing import HZ10, HZ1000, HZ500, RISING, TickEvent, rising_edges
 from .uart import UartChannel, payload_pack
 
 SIGNALS = ("TILT", "BTNU", "BTND", "RESET", "ADC")
@@ -131,153 +131,158 @@ class RunLog:
     final_state: dict = field(default_factory=dict)
 
 
+class Board:
+    """The whole board under replay: device, UART, synthetic ADC source, held
+    input levels, latched display word and run log, stepped by one stream of
+    rising edges. The stream restarts at each reset release; one lookahead
+    edge is held across trace events, so a span split by an event is unchanged.
+    """
+
+    def __init__(self, config: ReplayConfig, on_tick=None) -> None:
+        self.device = Device(DeviceConfig(config.prng_mode, config.intuitive_tilt))
+        self.uart = UartChannel()
+        self.adc = SyntheticAdc(config.adc_seed)
+        self.levels = {name: 0 for name in LEVEL_SIGNALS}
+        self.log = RunLog()
+        self.on_tick = on_tick
+        self.adc_pending = None
+        self.now = 0          # absolute cycles processed so far
+        self.word = None      # last display word
+        self.latched = None   # word latched by the last HZ500 edge since reset
+        self._release(0)
+        self.note_display(0)
+        self.log.uart_waveform.append((0, 1))
+
+    def _release(self, origin: int) -> None:
+        self.reset = 0
+        self.origin = origin  # absolute cycle of the last reset release
+        self._edges = rising_edges(origin)
+        self._next = next(self._edges)
+
+    def note_display(self, t_us: int) -> None:
+        dev = self.device
+        word = bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
+        if word != self.word:
+            self.word = word
+            self.log.display_words.append((t_us, word))
+
+    def run_to(self, cycle: int) -> None:
+        """Act on every rising edge at or before absolute cycle `cycle`."""
+        if cycle < self.now:
+            raise ValueError("replay cannot move backwards in time")
+        self.now = cycle
+        if self.reset:
+            return
+        dev, uart, log, edges, on_tick = self.device, self.uart, self.log, self._edges, self.on_tick
+        edge, domain = self._next
+        while edge <= cycle:
+            t_us = edge // CYCLES_PER_US
+            if domain == HZ1000:
+                tx_state = uart.edge(payload_pack(dev.roll.huns, dev.roll.tens))
+                if tx_state.ap_valid:
+                    log.uart_bytes.append((t_us, tx_state.shift_data))
+                if tx_state.tx_level != log.uart_waveform[-1][1]:
+                    log.uart_waveform.append((t_us, tx_state.tx_level))
+            elif domain == HZ500:
+                self.latched = self.word
+            elif domain == HZ10:
+                sample = self.adc_pending
+                if sample is None:
+                    sample = self.adc.next()
+                self.adc_pending = None
+                was_upright = dev.tilt.upright
+                levels = self.levels
+                dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample, sysclk_index=edge)
+                if dev.tilt.upright and not was_upright:
+                    log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
+                self.note_display(t_us)
+            else:
+                before = dev.power.onsig
+                dev.s5_tick(rstn=True)
+                if dev.power.onsig != before:
+                    log.onpin_edges.append((t_us, dev.power.onsig))
+            if on_tick is not None:
+                on_tick(t_us, TickEvent(edge - self.origin, domain, RISING), dev)
+            edge, domain = next(edges)
+        self._next = (edge, domain)
+
+    def apply(self, ev: TraceEvent) -> None:
+        """Apply one trace event at the current time."""
+        if ev.signal == "ADC":
+            self.adc_pending = ev.value
+        elif ev.signal == "RESET":
+            if ev.value == 1 and not self.reset:
+                self.reset = 1
+                self.device.reset()
+                self.uart.reset()
+                self.latched = None
+                self.adc_pending = None
+                self.note_display(ev.t_us)
+                if self.log.uart_waveform[-1][1] != 1:
+                    self.log.uart_waveform.append((ev.t_us, 1))
+            elif ev.value == 0 and self.reset:
+                self._release(ev.t_us * CYCLES_PER_US)
+        else:
+            self.levels[ev.signal] = ev.value
+
+    def snapshot(self) -> dict:
+        """Register snapshot at the current time, as state.json holds it."""
+        dev = self.device
+        return {
+            "t_us": self.now // CYCLES_PER_US,
+            "seed": dev.seed,
+            "prng": {"mode": dev.prng.mode, "rand_reg": dev.prng.rand_reg},
+            "rand": dev.rand,
+            "tilt": {"window": dev.tilt.window, "sumtilt": dev.tilt.sumtilt, "upright": dev.tilt.upright},
+            "selection": {
+                "setmode": dev.selection.setmode,
+                "dselect": dev.selection.dselect,
+                "diceval": dev.selection.diceval,
+                "set_digits": list(set_digits(dev.selection)),
+                "keepon": dev.selection.keepon,
+            },
+            "roll": {
+                "out": dev.roll.out,
+                "held_diceval": dev.roll.held_diceval,
+                "live": list(live_digits(dev.roll)),
+                "held": [dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held],
+            },
+            "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
+            "uart": {"fsm": self.uart.tx.fsm, "ready": self.uart.ready, "tx_level": self.uart.tx.tx_level},
+            "display": {
+                "word": self.word,
+                "render": render_word(self.word),
+                "digit_codes": list(unpack_word(self.latched)) if self.latched is not None else [DCODE] * 4,
+            },
+            "levels": dict(self.levels),
+            "reset": self.reset,
+        }
+
+
 def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick=None) -> RunLog:
-    """Replay a trace through the full device and collect the run log.
+    """Replay a trace through the full board and collect the run log.
 
     A settled roll is recorded at each false-to-true upright transition,
     capturing the held digits and the diceval that computed them. on_tick,
     when given, is called as on_tick(t_us, tick_event, device) after every
-    rising-edge dispatch (a probe hook for tests; it must not mutate).
+    rising edge the board acts on: HZ1000, HZ500, HZ10 and S5, never HZ1500
+    and never a falling edge (a probe hook for tests; it must not mutate).
     """
     cfg = config or ReplayConfig()
     if cfg.prng_mode not in MODES:
         raise ValueError(f"unknown PRNG mode: {cfg.prng_mode!r}")
     last_event_t = events[-1].t_us if events else 0
-    for prev, nxt in zip(events, events[1:]):
-        if nxt.t_us < prev.t_us:
-            raise ValueError("trace events are not time-ordered")
     duration_us = cfg.duration_us if cfg.duration_us is not None else last_event_t + US_PER_SECOND
     if duration_us < last_event_t:
         raise ValueError(f"duration {duration_us} us ends before the last trace event at {last_event_t} us")
 
-    sched = Scheduler()
-    dev = Device(DeviceConfig(cfg.prng_mode, cfg.intuitive_tilt))
-    uart = UartChannel()
-    mux = DisplayMux()
-    adc_src = SyntheticAdc(cfg.adc_seed)
-    log = RunLog()
-
-    levels = {name: 0 for name in LEVEL_SIGNALS}
-    state = {
-        "reset": 0,
-        "adc_pending": None,
-        "origin": 0,     # absolute cycle where the scheduler's index 0 sits
-        "now": 0,        # absolute cycles processed so far
-        "word": None,    # last display word
-        "tx": 1,         # last uart tx level
-    }
-
-    def display_word() -> int:
-        return bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
-
-    def note_display(t_us: int) -> None:
-        word = display_word()
-        if word != state["word"]:
-            state["word"] = word
-            log.display_words.append((t_us, word))
-
-    def dispatch(tick, abs_cycle: int) -> None:
-        t_us = abs_cycle // CYCLES_PER_US
-        if tick.edge != RISING:
-            return
-        if tick.domain == HZ10:
-            sample = state["adc_pending"]
-            if sample is None:
-                sample = adc_src.next()
-            state["adc_pending"] = None
-            was_upright = dev.tilt.upright
-            dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample, sysclk_index=abs_cycle)
-            if dev.tilt.upright and not was_upright:
-                log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
-            note_display(t_us)
-        elif tick.domain == S5:
-            before = dev.power.onsig
-            dev.s5_tick(rstn=True)
-            if dev.power.onsig != before:
-                log.onpin_edges.append((t_us, dev.power.onsig))
-        elif tick.domain == HZ1000:
-            tx_state = uart.edge(payload_pack(dev.roll.huns, dev.roll.tens))
-            if tx_state.ap_valid:
-                log.uart_bytes.append((t_us, tx_state.shift_data))
-            if tx_state.tx_level != state["tx"]:
-                state["tx"] = tx_state.tx_level
-                log.uart_waveform.append((t_us, tx_state.tx_level))
-        elif tick.domain == HZ500:
-            word = state["word"] if state["word"] is not None else display_word()
-            mux.step(word, dev.tilt.upright)
-        if on_tick is not None:
-            on_tick(t_us, tick, dev)
-
-    def run_to(target_cycle: int) -> None:
-        if target_cycle < state["now"]:
-            raise ValueError("replay cannot move backwards in time")
-        if state["reset"]:
-            state["now"] = target_cycle
-            return
-        span = target_cycle - state["now"]
-        if span:
-            for tick in sched.advance(span):
-                dispatch(tick, state["origin"] + tick.sysclk_index)
-            state["now"] = target_cycle
-
-    def apply_event(ev: TraceEvent) -> None:
-        if ev.signal == "ADC":
-            state["adc_pending"] = ev.value
-        elif ev.signal == "RESET":
-            if ev.value == 1 and not state["reset"]:
-                state["reset"] = 1
-                sched.reset()
-                dev.reset()
-                uart.reset()
-                mux.reset()
-                state["adc_pending"] = None
-                note_display(ev.t_us)
-                if state["tx"] != 1:
-                    state["tx"] = 1
-                    log.uart_waveform.append((ev.t_us, 1))
-            elif ev.value == 0 and state["reset"]:
-                state["reset"] = 0
-                state["origin"] = ev.t_us * CYCLES_PER_US
-        else:
-            levels[ev.signal] = ev.value
-
-    note_display(0)
-    log.uart_waveform.append((0, 1))
+    board = Board(cfg, on_tick)
     for ev in events:
-        run_to(ev.t_us * CYCLES_PER_US)
-        apply_event(ev)
-    run_to(duration_us * CYCLES_PER_US)
-
-    log.final_state = {
-        "t_us": duration_us,
-        "seed": dev.seed,
-        "prng": {"mode": dev.prng.mode, "rand_reg": dev.prng.rand_reg},
-        "rand": dev.rand,
-        "tilt": {"window": dev.tilt.window, "sumtilt": dev.tilt.sumtilt, "upright": dev.tilt.upright},
-        "selection": {
-            "setmode": dev.selection.setmode,
-            "dselect": dev.selection.dselect,
-            "diceval": dev.selection.diceval,
-            "set_digits": list(set_digits(dev.selection)),
-            "keepon": dev.selection.keepon,
-        },
-        "roll": {
-            "out": dev.roll.out,
-            "held_diceval": dev.roll.held_diceval,
-            "live": list(live_digits(dev.roll)),
-            "held": [dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held],
-        },
-        "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
-        "uart": {"fsm": uart.tx.fsm, "ready": uart.ready, "tx_level": uart.tx.tx_level},
-        "display": {
-            "word": state["word"],
-            "render": render_word(state["word"]) if state["word"] is not None else "",
-            "digit_codes": list(mux.digit_codes),
-        },
-        "levels": dict(levels),
-        "reset": state["reset"],
-    }
-    return log
+        board.run_to(ev.t_us * CYCLES_PER_US)
+        board.apply(ev)
+    board.run_to(duration_us * CYCLES_PER_US)
+    board.log.final_state = board.snapshot()
+    return board.log
 
 
 # ======================================================================

@@ -127,6 +127,15 @@ def test_stats_out_of_range_roll(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+def test_stats_rolls_are_ascii_decimal_only(tmp_path, capsys, text):
+    rolls = tmp_path / "rolls.csv"
+    _write_rolls(rolls, [1, 2] * 60 + [text])
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "20")
+    assert code == 2
+    assert f"line 122: bad roll value {text!r}" in err
+
+
 def test_stats_missing_file(capsys):
     code, out, err = _run(capsys, "stats", "--rolls", "/nonexistent/rolls.csv", "--sides", "6")
     assert code == 1

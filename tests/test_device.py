@@ -26,8 +26,6 @@ from dicesim.device import (
     tilt_update,
 )
 from dicesim.prng import FEEDBACK, xorshift_step
-from dicesim.timing import HZ10, RISING, S5, TickEvent
-from dicesim.device import DeviceInputs
 
 
 # ----------------------------------------------------------------------
@@ -313,17 +311,9 @@ def test_device_outputs_mapping():
     assert dev.outputs().dp == 1
 
 
-def test_device_step_dispatch():
+def test_device_tick_methods():
     dev = Device()
-    dev.step(TickEvent(600_024, HZ10, RISING), DeviceInputs(tilt=0, adc=0xBEEF))
+    dev.hz10_tick(0, 0, 0, 0xBEEF, sysclk_index=600_024)
     assert dev.seed == 0xBEEF
-    dev.step(TickEvent(30_001_200, S5, RISING), DeviceInputs())
+    dev.s5_tick()
     assert dev.power.onsig == 1
-    with pytest.raises(ValueError):
-        dev.step(TickEvent(0, "HZ60", RISING), DeviceInputs())
-
-
-def test_device_step_ignores_falling_edges():
-    dev = Device()
-    dev.step(TickEvent(1_200_048, HZ10, "falling"), DeviceInputs(adc=0xBEEF))
-    assert dev.seed == 0

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import dropwhile, islice, takewhile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicesim.timing import (
+    CONSUMED,
     DOMAIN_ORDER,
     FALLING,
     HALF_PERIODS,
@@ -17,7 +21,11 @@ from dicesim.timing import (
     S5,
     Scheduler,
     frequency_of,
+    rising_edges,
 )
+
+# spans reaching past the first S5 toggle, so every domain takes part
+SPANS = st.integers(0, HALF_PERIODS[S5] + 2_000_000)
 
 
 def _stepper_oracle(n):
@@ -116,3 +124,31 @@ def test_advance_validates():
     assert sched.advance(0) == []
     with pytest.raises(ValueError):
         sched.advance(-1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SPANS, SPANS)
+def test_advance_is_split_invariant(a, b):
+    split, whole = Scheduler(), Scheduler()
+    assert split.advance(a) + split.advance(b) == whole.advance(a + b)
+    assert split.levels() == whole.levels()
+    assert split.cycle == whole.cycle
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**12), SPANS, SPANS)
+def test_rising_edges_equal_scheduler_rising_events(origin, skip, span):
+    sched = Scheduler()
+    sched.advance(skip)
+    want = [(origin + e.sysclk_index, e.domain) for e in sched.advance(span)
+            if e.edge == RISING and e.domain in CONSUMED]
+    lo, hi = origin + skip, origin + skip + span
+    edges = dropwhile(lambda edge: edge[0] <= lo, rising_edges(origin))
+    assert list(takewhile(lambda edge: edge[0] <= hi, edges)) == want
+
+
+def test_rising_edges_tie_keeps_domain_order():
+    # HZ1000 and S5 rise together at 6000 * 25001 = 30001200 * 5 cycles
+    tie = 6_000 * 25_001
+    edges = dropwhile(lambda edge: edge[0] < tie, rising_edges(7))
+    assert list(islice(edges, 2)) == [(tie + 7, HZ1000), (tie + 7, S5)]

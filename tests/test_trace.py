@@ -1,10 +1,16 @@
 """Trace parsing, replay semantics, and log serialization."""
 
 import json
+from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dicesim.timing import HZ10, HZ1000, HZ1500, HZ500, RISING, S5
 from dicesim.trace import (
+    SIGNALS,
     ReplayConfig,
     TraceEvent,
     TraceParseError,
@@ -91,6 +97,17 @@ def test_replay_first_tick_time():
     assert seen == [51_002, 151_006]
 
 
+def test_on_tick_sees_consumed_rising_edges_only():
+    seen = Counter()
+
+    def probe(t_us, tick, dev):
+        assert tick.edge == RISING
+        seen[tick.domain] += 1
+
+    replay([], ReplayConfig(duration_us=1_000_000), on_tick=probe)
+    assert [seen[name] for name in (HZ1000, HZ500, HZ10, HZ1500, S5)] == [1000, 500, 10, 0, 0]
+
+
 def test_replay_adc_event_is_one_shot():
     trace = parse_trace("0 ADC 4660")
     states = []
@@ -139,6 +156,18 @@ def test_replay_reset_restarts_counting():
     assert seen == [51_002, 151_006, 251_010, 450_002, 550_006]
 
 
+def test_replay_edge_at_event_time_acts_first():
+    # the roll tick on the cycle where reset is asserted still happens
+    seen = []
+
+    def probe(t_us, tick, dev):
+        if tick.domain == "HZ10":
+            seen.append(t_us)
+
+    replay(parse_trace(BOOT + "51002 RESET 1\n"), ReplayConfig(duration_us=200_000), on_tick=probe)
+    assert seen == [51_002]
+
+
 def test_replay_reset_preserves_held_digits():
     text = BOOT + "2000000 RESET 1\n2100000 RESET 0\n"
     log = replay(parse_trace(text), ReplayConfig(duration_us=2_100_000))
@@ -146,6 +175,14 @@ def test_replay_reset_preserves_held_digits():
     assert held[2] in (1, 2)  # tens digit still carries the settled d2 roll
     assert log.final_state["roll"]["live"] == [0, 0, 0, 0]
     assert log.final_state["seed"] == 0
+
+
+def test_state_digit_codes_are_the_last_latched_word():
+    display = replay(parse_trace(BOOT), ReplayConfig(duration_us=2_000_000)).final_state["display"]
+    assert display["digit_codes"] == [(display["word"] >> shift) & 0xF for shift in (12, 8, 4, 0)]
+    text = BOOT + "2000000 RESET 1\n2100000 RESET 0\n"
+    log = replay(parse_trace(text), ReplayConfig(duration_us=2_100_500))
+    assert log.final_state["display"]["digit_codes"] == [0xD] * 4  # no HZ500 edge since the release
 
 
 def test_replay_uart_bytes_track_live_digits():
@@ -201,6 +238,8 @@ def test_replay_validates():
         replay([], ReplayConfig(prng_mode="turbo"))
     with pytest.raises(ValueError, match="ends before"):
         replay(parse_trace("5000 TILT 1"), ReplayConfig(duration_us=1_000))
+    with pytest.raises(ValueError, match="backwards"):
+        replay([TraceEvent(900, "TILT", 1), TraceEvent(800, "TILT", 0)])
 
 
 def test_emit_log_csv_and_jsonl_agree():
@@ -240,3 +279,33 @@ def test_emit_state_json_is_stable():
     assert state["selection"]["diceval"] == 2
     assert emit_state_json(log) == text
     assert list(state) == sorted(state)
+
+
+NOOP_DURATION_US = 3_000_000
+# arbitrary times, edge times of HZ1000 and HZ500, and roll ticks of the
+# power-on grid, so that events land on edges as well as between them
+TIMES = st.one_of(
+    st.integers(0, NOOP_DURATION_US),
+    st.integers(0, NOOP_DURATION_US // 500).map(lambda k: 500 * k),
+    st.integers(0, 29).map(lambda k: 50_002 * (2 * k + 1)),
+)
+RAW_EVENTS = st.lists(st.tuples(TIMES, st.sampled_from(SIGNALS), st.integers(0, 0xFFFF)), max_size=12)
+
+
+def _outputs(events, mode):
+    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=NOOP_DURATION_US))
+    return emit_log(log), emit_uart_csv(log), emit_uart_bits_csv(log), emit_state_json(log)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RAW_EVENTS, TIMES, st.sampled_from(("TILT", "BTNU", "BTND", "RESET")),
+       st.sampled_from(("stateless", "feedback")), st.data())
+def test_noop_event_leaves_outputs_unchanged(raw, t_us, signal, mode, data):
+    events = [TraceEvent(t, sig, v if sig == "ADC" else v & 1) for t, sig, v in sorted(raw, key=lambda e: e[0])]
+    times = [ev.t_us for ev in events]
+    at = data.draw(st.integers(bisect_left(times, t_us), bisect_right(times, t_us)))
+    # the value the signal holds at that point: RESET 0 while released, RESET 1
+    # while held in reset, or a switch level repeated
+    held = ([0] + [ev.value for ev in events[:at] if ev.signal == signal])[-1]
+    split = events[:at] + [TraceEvent(t_us, signal, held)] + events[at:]
+    assert _outputs(split, mode) == _outputs(events, mode)
