@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ EXIT_USAGE = 2
 EXIT_ANALYSIS = 3
 
 DEFAULT_ROLL_SEED = 1
+ROLLS_PER_CHUNK = 65_536
 
 
 @functools.cache
@@ -54,13 +57,13 @@ def _new_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    # a temp file of its own in the target directory, so concurrent writers
-    # never share one, then a rename over the target; removed on any failure
+def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    # a temp file of its own in the target directory, so concurrent writers never share
+    # one, then a rename over the target; removed on any failure, a chunk source's too
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
         os.replace(tmp, path)
     except BaseException:
@@ -133,14 +136,16 @@ def cmd_rolls(args) -> int:
         # as-built pipeline: the seed value seeds the synthetic ADC source
         words = kernels.stateless_sequence(seed, args.count)
     faces = (words % np.uint32(args.sides)) + np.uint32(1)
-    text = "roll\n" + "\n".join(str(int(v)) for v in faces) + "\n"
+    # formatted a chunk at a time, so the text never exists whole
+    chunks = itertools.chain(["roll\n"], ("".join(f"{v}\n" for v in faces[i:i + ROLLS_PER_CHUNK].tolist())
+                                          for i in range(0, len(faces), ROLLS_PER_CHUNK)))
     if args.out:
         try:
-            _write_atomic(Path(args.out), text)
+            _write_atomic(Path(args.out), chunks)
         except OSError as exc:
             return _fail(f"cannot write rolls: {exc}", EXIT_IO)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

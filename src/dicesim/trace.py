@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from io import StringIO
+from operator import itemgetter
 
 import csv
 
@@ -36,14 +38,16 @@ from .device import (
 )
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import MODES, STATELESS
-from .timing import HZ10, HZ1000, HZ500, RISING, TickEvent, rising_edges
-from .uart import UartChannel, payload_pack
+from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, RISING, TickEvent, rising_edges
+from .uart import FRAME_BITS, payload_pack, uart_frame
 
 SIGNALS = ("TILT", "BTNU", "BTND", "RESET", "ADC")
 LEVEL_SIGNALS = ("TILT", "BTNU", "BTND")
 
 CYCLES_PER_US = 12
 US_PER_SECOND = 1_000_000
+US_PER_BIT = 2 * HALF_PERIODS[HZ1000] // CYCLES_PER_US
+IDLE_FRAME = (0, 0, FRAME_BITS)  # no records left; its last state is IDLE with the line high
 
 
 class TraceParseError(ValueError):
@@ -132,15 +136,15 @@ class RunLog:
 
 
 class Board:
-    """The whole board under replay: device, UART, synthetic ADC source, held
-    input levels, latched display word and run log, stepped by one stream of
-    rising edges. The stream restarts at each reset release; one lookahead
-    edge is held across trace events, so a span split by an event is unchanged.
+    """The whole board under replay: device, synthetic ADC source, held input
+    levels, UART frame in flight and run log, stepped by one stream of rising
+    edges. The stream restarts at each reset release; one lookahead edge is
+    held across trace events, so a span split by an event is unchanged. The
+    HZ500 display latch is derived by snapshot().
     """
 
     def __init__(self, config: ReplayConfig, on_tick=None) -> None:
         self.device = Device(DeviceConfig(config.prng_mode, config.intuitive_tilt))
-        self.uart = UartChannel()
         self.adc = SyntheticAdc(config.adc_seed)
         self.levels = {name: 0 for name in LEVEL_SIGNALS}
         self.log = RunLog()
@@ -148,7 +152,7 @@ class Board:
         self.adc_pending = None
         self.now = 0          # absolute cycles processed so far
         self.word = None      # last display word
-        self.latched = None   # word latched by the last HZ500 edge since reset
+        self.frame = IDLE_FRAME  # (START t_us, byte, edges written) of the UART frame in flight
         self._release(0)
         self.note_display(0)
         self.log.uart_waveform.append((0, 1))
@@ -166,6 +170,17 @@ class Board:
             self.word = word
             self.log.display_words.append((t_us, word))
 
+    def write_frame(self, cycle: int) -> None:
+        """Write the frame in flight's records at edges up to `cycle`, each once: at
+        the next frame start, at RESET 1 and in snapshot(). t_us stays exact."""
+        t0, byte, done = self.frame
+        last = min((cycle // CYCLES_PER_US - t0) // US_PER_BIT, FRAME_BITS - 1)
+        self.log.uart_waveform += [(t0 + k * US_PER_BIT, level)
+                                   for k, level in uart_frame(byte)[1] if done <= k <= last]
+        if done <= FRAME_BITS - 1 <= last:
+            self.log.uart_bytes.append((t0 + (FRAME_BITS - 1) * US_PER_BIT, byte))
+        self.frame = (t0, byte, max(done, last + 1))
+
     def run_to(self, cycle: int) -> None:
         """Act on every rising edge at or before absolute cycle `cycle`."""
         if cycle < self.now:
@@ -173,18 +188,13 @@ class Board:
         self.now = cycle
         if self.reset:
             return
-        dev, uart, log, edges, on_tick = self.device, self.uart, self.log, self._edges, self.on_tick
+        dev, log, edges, on_tick = self.device, self.log, self._edges, self.on_tick
         edge, domain = self._next
         while edge <= cycle:
             t_us = edge // CYCLES_PER_US
             if domain == HZ1000:
-                tx_state = uart.edge(payload_pack(dev.roll.huns, dev.roll.tens))
-                if tx_state.ap_valid:
-                    log.uart_bytes.append((t_us, tx_state.shift_data))
-                if tx_state.tx_level != log.uart_waveform[-1][1]:
-                    log.uart_waveform.append((t_us, tx_state.tx_level))
-            elif domain == HZ500:
-                self.latched = self.word
+                self.write_frame(edge)
+                self.frame = (t_us, payload_pack(dev.roll.huns, dev.roll.tens), 0)
             elif domain == HZ10:
                 sample = self.adc_pending
                 if sample is None:
@@ -201,7 +211,7 @@ class Board:
                 dev.s5_tick(rstn=True)
                 if dev.power.onsig != before:
                     log.onpin_edges.append((t_us, dev.power.onsig))
-            if on_tick is not None:
+            if on_tick is not None and domain != HZ1000:
                 on_tick(t_us, TickEvent(edge - self.origin, domain, RISING), dev)
             edge, domain = next(edges)
         self._next = (edge, domain)
@@ -213,9 +223,9 @@ class Board:
         elif ev.signal == "RESET":
             if ev.value == 1 and not self.reset:
                 self.reset = 1
+                self.write_frame(self.now)
+                self.frame = IDLE_FRAME
                 self.device.reset()
-                self.uart.reset()
-                self.latched = None
                 self.adc_pending = None
                 self.note_display(ev.t_us)
                 if self.log.uart_waveform[-1][1] != 1:
@@ -227,7 +237,16 @@ class Board:
 
     def snapshot(self) -> dict:
         """Register snapshot at the current time, as state.json holds it."""
-        dev = self.device
+        self.write_frame(self.now)
+        _, byte, written = self.frame
+        dev, tx, ready, latched = self.device, uart_frame(byte)[0][written - 1], 0, None
+        if not self.reset:
+            ready = (self.now - self.origin + HALF_PERIODS[HZ1000]) // (2 * HALF_PERIODS[HZ1000]) % 2
+            since = self.now - self.origin - HALF_PERIODS[HZ500]  # cycles since the first HZ500 edge
+            if since >= 0:  # the word changes only on HZ10 edges, never on an HZ500 edge
+                t_latch = (self.now - since % (2 * HALF_PERIODS[HZ500])) // CYCLES_PER_US
+                words = self.log.display_words
+                latched = words[bisect_right(words, t_latch, key=itemgetter(0)) - 1][1]
         return {
             "t_us": self.now // CYCLES_PER_US,
             "seed": dev.seed,
@@ -248,11 +267,11 @@ class Board:
                 "held": [dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held],
             },
             "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
-            "uart": {"fsm": self.uart.tx.fsm, "ready": self.uart.ready, "tx_level": self.uart.tx.tx_level},
+            "uart": {"fsm": tx.fsm, "ready": ready, "tx_level": tx.tx_level},
             "display": {
                 "word": self.word,
                 "render": render_word(self.word),
-                "digit_codes": list(unpack_word(self.latched)) if self.latched is not None else [DCODE] * 4,
+                "digit_codes": list(unpack_word(latched)) if latched is not None else [DCODE] * 4,
             },
             "levels": dict(self.levels),
             "reset": self.reset,
@@ -265,8 +284,9 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick
     A settled roll is recorded at each false-to-true upright transition,
     capturing the held digits and the diceval that computed them. on_tick,
     when given, is called as on_tick(t_us, tick_event, device) after every
-    rising edge the board acts on: HZ1000, HZ500, HZ10 and S5, never HZ1500
-    and never a falling edge (a probe hook for tests; it must not mutate).
+    rising edge that steps the device: HZ10 and S5 only. UART frame starts,
+    HZ500, HZ1500 and falling edges never reach it (a probe hook for tests;
+    it must not mutate).
     """
     cfg = config or ReplayConfig()
     if cfg.prng_mode not in MODES:
@@ -319,25 +339,18 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
             writer.writerow([row.get(col, "") for col in LOG_COLUMNS])
         return buf.getvalue()
     if fmt == "jsonl":
-        lines = [json.dumps(row, separators=(",", ":")) for row in rows]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
     raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
 
 
 def emit_uart_csv(log: RunLog) -> str:
     """UART byte log as t_us,byte_hex lines."""
-    lines = ["t_us,byte_hex"]
-    for t_us, byte in log.uart_bytes:
-        lines.append(f"{t_us},{byte:02x}")
-    return "\n".join(lines) + "\n"
+    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in log.uart_bytes)
 
 
 def emit_uart_bits_csv(log: RunLog) -> str:
     """UART line-level waveform as t_us,level lines."""
-    lines = ["t_us,level"]
-    for t_us, level in log.uart_waveform:
-        lines.append(f"{t_us},{level}")
-    return "\n".join(lines) + "\n"
+    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in log.uart_waveform)
 
 
 def emit_state_json(log: RunLog) -> str:

@@ -7,11 +7,14 @@ HZ1000 edge, so at most one frame can start per 2 ms; a running frame ignores
 ready until it returns to IDLE.
 
 The payload is the two live rand digits packed as huns*16 + tens, which is
-why a transmitted roll of 16 reads as hex 0x16 on the wire.
+why a transmitted roll of 16 reads as hex 0x16 on the wire. Replay takes
+whole frames from uart_frame, a per-byte table built from tx_step;
+UartChannel steps the FSM edge by edge and is its reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 IDLE = "IDLE"
@@ -59,6 +62,18 @@ def tx_step(state: UartTxState, ap_ready: bool, data: int) -> UartTxState:
     if state.fsm == STOP:
         return UartTxState(IDLE, 0, state.shift_data, True, 1)
     raise ValueError(f"unknown transmitter state: {state.fsm!r}")
+
+
+@functools.cache
+def uart_frame(byte: int) -> tuple[tuple[UartTxState, ...], tuple[tuple[int, int], ...]]:
+    """States after each edge of a frame of byte from IDLE, from START (offset
+    0) to the STOP-to-IDLE edge that raises ap_valid, and the (offset, level)
+    where the line changes from idle high. Built lazily, at most 256 entries."""
+    states = [tx_step(UartTxState(), True, byte)]
+    while len(states) < FRAME_BITS:
+        states.append(tx_step(states[-1], True, byte))
+    levels = [1] + [state.tx_level for state in states]
+    return tuple(states), tuple((k, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k])
 
 
 def uart_ready_gate(ready: int, rstn: bool = True) -> int:

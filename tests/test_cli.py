@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dicesim import cli
+from dicesim import cli, kernels
 from dicesim.cli import main
 
 BOOT = "0 RESET 1\n1000 RESET 0\n1000 TILT 1\n"
@@ -51,6 +51,17 @@ def test_rolls_to_file(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "roll"
     assert len(lines) == 11
+
+
+def test_rolls_across_chunks_matches_faces(tmp_path, capsys):
+    # one roll past two whole chunks, written to a file and to stdout
+    count = 2 * cli.ROLLS_PER_CHUNK + 1
+    faces = kernels.feedback_sequence(1, count) % 12 + 1
+    want = "roll\n" + "".join(f"{v}\n" for v in faces.tolist())
+    out_file = tmp_path / "rolls.csv"
+    assert _run(capsys, "rolls", "--sides", "12", "--count", str(count), "--out", str(out_file))[0] == 0
+    assert out_file.read_text(encoding="utf-8") == want
+    assert _run(capsys, "rolls", "--sides", "12", "--count", str(count))[1] == want
 
 
 def test_rolls_stateless_mode(capsys):
@@ -296,13 +307,26 @@ def _fail_rename(src, dst):
     raise OSError("rename refused")
 
 
-@pytest.mark.parametrize("text, patch", [("bad \ud800 surrogate\n", None), ("fine\n", _fail_rename)])
+def _chunks_failing_partway():
+    yield "roll\n"
+    yield "3\n" * 10_000
+    raise OSError("chunk source failed")
+
+
+@pytest.mark.parametrize("text, patch", [("bad \ud800 surrogate\n", None), ("fine\n", _fail_rename),
+                                         pytest.param(None, None, id="chunks-fail-partway")])
 def test_write_atomic_failure_leaves_no_temp_file(tmp_path, monkeypatch, text, patch):
     target = tmp_path / "out.txt"
-    target.write_text("old\n", encoding="utf-8")
+    if text is None:
+        # chunks that raise after some were written, with no target yet
+        text, before = _chunks_failing_partway(), []
+    else:
+        target.write_text("old\n", encoding="utf-8")
+        before = ["out.txt"]
     if patch is not None:
         monkeypatch.setattr(cli.os, "replace", patch)
     with pytest.raises((OSError, UnicodeEncodeError)):
         cli._write_atomic(target, text)
-    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
-    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == before
+    if before:
+        assert target.read_text(encoding="utf-8") == "old\n"

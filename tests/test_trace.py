@@ -1,19 +1,25 @@
 """Trace parsing, replay semantics, and log serialization."""
 
+import csv
 import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicesim.timing import HZ10, HZ1000, HZ1500, HZ500, RISING, S5
+from dicesim.device import Device, DeviceConfig, live_digits, set_digits
+from dicesim.display import DCODE, bcd_select, render_word, unpack_word
+from dicesim.timing import HZ10, HZ1000, HZ1500, HZ500, RISING, S5, Scheduler
 from dicesim.trace import (
+    LOG_COLUMNS,
     SIGNALS,
     ReplayConfig,
     TraceEvent,
     TraceParseError,
+    _merged_records,
     emit_log,
     emit_state_json,
     emit_uart_bits_csv,
@@ -21,6 +27,7 @@ from dicesim.trace import (
     parse_trace,
     replay,
 )
+from dicesim.uart import UartChannel, payload_pack
 
 BOOT = """\
 # assert reset, release, set the unit face up
@@ -98,14 +105,16 @@ def test_replay_first_tick_time():
 
 
 def test_on_tick_sees_consumed_rising_edges_only():
+    # only the edges that step the device: UART frame starts are consumed but
+    # not shown, and HZ500 is not scheduled at all
     seen = Counter()
 
     def probe(t_us, tick, dev):
         assert tick.edge == RISING
         seen[tick.domain] += 1
 
-    replay([], ReplayConfig(duration_us=1_000_000), on_tick=probe)
-    assert [seen[name] for name in (HZ1000, HZ500, HZ10, HZ1500, S5)] == [1000, 500, 10, 0, 0]
+    replay([], ReplayConfig(duration_us=8_000_000), on_tick=probe)
+    assert [seen[name] for name in (HZ1000, HZ500, HZ10, HZ1500, S5)] == [0, 0, 80, 0, 2]
 
 
 def test_replay_adc_event_is_one_shot():
@@ -292,6 +301,11 @@ TIMES = st.one_of(
 RAW_EVENTS = st.lists(st.tuples(TIMES, st.sampled_from(SIGNALS), st.integers(0, 0xFFFF)), max_size=12)
 
 
+def _events(raw):
+    """Trace events, in time order, from (t_us, signal, value) tuples."""
+    return [TraceEvent(t, sig, v if sig == "ADC" else v & 1) for t, sig, v in sorted(raw, key=lambda e: e[0])]
+
+
 def _outputs(events, mode):
     log = replay(events, ReplayConfig(prng_mode=mode, duration_us=NOOP_DURATION_US))
     return emit_log(log), emit_uart_csv(log), emit_uart_bits_csv(log), emit_state_json(log)
@@ -301,7 +315,7 @@ def _outputs(events, mode):
 @given(RAW_EVENTS, TIMES, st.sampled_from(("TILT", "BTNU", "BTND", "RESET")),
        st.sampled_from(("stateless", "feedback")), st.data())
 def test_noop_event_leaves_outputs_unchanged(raw, t_us, signal, mode, data):
-    events = [TraceEvent(t, sig, v if sig == "ADC" else v & 1) for t, sig, v in sorted(raw, key=lambda e: e[0])]
+    events = _events(raw)
     times = [ev.t_us for ev in events]
     at = data.draw(st.integers(bisect_left(times, t_us), bisect_right(times, t_us)))
     # the value the signal holds at that point: RESET 0 while released, RESET 1
@@ -309,3 +323,117 @@ def test_noop_event_leaves_outputs_unchanged(raw, t_us, signal, mode, data):
     held = ([0] + [ev.value for ev in events[:at] if ev.signal == signal])[-1]
     split = events[:at] + [TraceEvent(t_us, signal, held)] + events[at:]
     assert _outputs(split, mode) == _outputs(events, mode)
+
+
+DIFF_SPAN_US = 1_200_000
+
+
+@st.composite
+def _reset_traces(draw):
+    """Events at arbitrary us with RESET 1/0 among them, so frames are cut
+    anywhere, and a duration either arbitrary or just past a roll tick of the
+    last release, where the word shown and the word latched differ."""
+    raw = draw(st.lists(st.tuples(st.integers(0, DIFF_SPAN_US), st.sampled_from(SIGNALS + ("RESET",)),
+                                  st.integers(0, 0xFFFF)), max_size=10))
+    events = _events(raw)
+    origin = held = 0
+    for ev in events:
+        if ev.signal == "RESET" and ev.value != held:
+            held, origin = ev.value, ev.t_us
+    last = events[-1].t_us if events else 0
+    after_tick = origin + 50_002 * (2 * draw(st.integers(0, 11)) + 1) + draw(st.integers(0, 2_500))
+    return events, draw(st.sampled_from((max(last, after_tick), last + draw(st.integers(0, 400_000)))))
+
+
+def _edge_by_edge(events, duration_us, ticks):
+    """uart_bytes, uart_waveform and the uart and display fields of state.json,
+    rebuilt edge by edge: UartChannel.edge on every HZ1000 rising edge of
+    Scheduler.advance, restarted at each reset release, and the display word
+    latched on every HZ500 rising edge. ticks holds (t_us, payload, word) as
+    on_tick saw them after each HZ10 edge."""
+    # a reset clears the live digits and setmode, as at power-on
+    fresh = Device(DeviceConfig())
+    reset_payload = payload_pack(fresh.roll.huns, fresh.roll.tens)
+    reset_word = bcd_select(fresh.selection.setmode, set_digits(fresh.selection), live_digits(fresh.roll))
+    spans, start, held = [], 0, 0  # (release, end, ended by RESET 1)
+    for ev in events:
+        if ev.signal == "RESET" and ev.value != held:
+            held = ev.value
+            if held:
+                spans.append((start, ev.t_us, True))
+            start = ev.t_us
+    if not held:
+        spans.append((start, duration_us, False))
+    ticks = iter(ticks)
+    uart_bytes, wave = [], [(0, 1)]
+    for start, end, cut in spans:
+        chan, payload, word, latched = UartChannel(), reset_payload, reset_word, None
+        for e in Scheduler().advance((end - start) * 12):
+            t_us = start + e.sysclk_index // 12
+            if e.edge != RISING:
+                continue
+            if e.domain == HZ10:
+                tick_t, payload, word = next(ticks)
+                assert tick_t == t_us
+            elif e.domain == HZ1000:
+                tx = chan.edge(payload)
+                if tx.ap_valid:
+                    uart_bytes.append((t_us, tx.shift_data))
+                if tx.tx_level != wave[-1][1]:
+                    wave.append((t_us, tx.tx_level))
+            elif e.domain == HZ500:
+                latched = word
+        if cut and wave[-1][1] != 1:
+            wave.append((end, 1))
+    assert next(ticks, None) is None
+    if held:
+        chan, word, latched = UartChannel(), reset_word, None
+    uart = {"fsm": chan.tx.fsm, "ready": chan.ready, "tx_level": chan.tx.tx_level}
+    codes = list(unpack_word(latched)) if latched is not None else [DCODE] * 4
+    return uart_bytes, wave, uart, {"word": word, "render": render_word(word), "digit_codes": codes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reset_traces(), st.sampled_from(("stateless", "feedback")))
+def test_frame_replay_equals_edge_by_edge_uart_and_latch(trace, mode):
+    events, duration_us = trace
+    ticks = []
+
+    def probe(t_us, tick, dev):
+        if tick.domain == HZ10:
+            word = bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
+            ticks.append((t_us, payload_pack(dev.roll.huns, dev.roll.tens), word))
+
+    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us), on_tick=probe)
+    state = log.final_state
+    assert (log.uart_bytes, log.uart_waveform, state["uart"], state["display"]) == \
+        _edge_by_edge(events, duration_us, ticks)
+
+
+FREE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+EVENT_LISTS = st.lists(st.tuples(st.integers(0, 10**12), st.sampled_from(SIGNALS), st.integers(0, 0xFFFF)),
+                       max_size=20).map(_events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(EVENT_LISTS, st.data())
+def test_trace_text_round_trips(events, data):
+    # comment lines, blank lines, trailing notes and any run of blanks or tabs
+    gap = st.sampled_from((" ", "\t", "  \t "))
+    lines = []
+    for ev in events:
+        lines += data.draw(st.lists(st.one_of(st.just(""), gap, FREE_TEXT.map(lambda t: "#" + t)), max_size=2))
+        note = data.draw(st.one_of(st.just(""), FREE_TEXT.map(lambda t: " #" + t)))
+        lines.append(data.draw(gap).join((str(ev.t_us), ev.signal, str(ev.value))) + note)
+    assert parse_trace("\n".join(lines)) == events
+
+
+@settings(max_examples=25, deadline=None)
+@given(RAW_EVENTS, st.sampled_from(("stateless", "feedback")))
+def test_emitted_log_parses_back_to_its_rows(raw, mode):
+    log = replay(_events(raw), ReplayConfig(prng_mode=mode, duration_us=NOOP_DURATION_US))
+    rows = _merged_records(log)
+    assert all(list(row) == [col for col in LOG_COLUMNS if col in row] for row in rows)
+    from_csv = list(csv.DictReader(StringIO(emit_log(log, "csv"))))
+    assert from_csv == [{col: str(row.get(col, "")) for col in LOG_COLUMNS} for row in rows]
+    assert [json.loads(line) for line in emit_log(log, "jsonl").splitlines()] == rows

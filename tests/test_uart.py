@@ -17,6 +17,7 @@ from dicesim.uart import (
     encode_frame,
     payload_pack,
     tx_step,
+    uart_frame,
     uart_ready_gate,
 )
 
@@ -103,6 +104,17 @@ def test_channel_emits_back_to_back_frames():
     frames, errors = decode_stream(waveform)
     assert [f.byte for f in frames] == [0x16] * 3
     assert errors == []
+
+
+def test_uart_frame_matches_channel_for_every_byte():
+    for byte in range(256):
+        chan = UartChannel()
+        chan.edge(byte)  # the idle priming edge
+        states, transitions = uart_frame(byte)
+        assert states == tuple(chan.edge(byte) for _ in range(FRAME_BITS))
+        assert states[-1].ap_valid and states[-1].shift_data == byte
+        levels = [1] + encode_frame(byte)
+        assert transitions == tuple((k, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k])
 
 
 def test_channel_reset():
