@@ -18,7 +18,7 @@ import itertools
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ EXIT_ANALYSIS = 3
 
 DEFAULT_ROLL_SEED = 1
 ROLLS_PER_CHUNK = 65_536
+ROLL_LINES_PER_READ = 4_096
 
 
 @functools.cache
@@ -153,21 +154,26 @@ def cmd_rolls(args) -> int:
 #  stats
 # ======================================================================
 
-def _read_rolls(path: Path) -> list[int]:
-    rolls: list[int] = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
+def _read_rolls(fh: Iterator[bytes]) -> Iterator[list[int]]:
+    """The rolls of a rolls CSV opened in binary mode, one list per
+    ROLL_LINES_PER_READ lines, so that no generator step is paid per roll.
+    Lines end at LF; only blanks, tabs and CR around a value are stripped."""
+    line_no = 0
+    while lines := list(itertools.islice(fh, ROLL_LINES_PER_READ)):
+        rolls: list[int] = []
+        for line_no, raw in enumerate(lines, start=line_no + 1):
+            line = raw.strip(b" \t\r\n")
             if not line.isdigit():  # bytes.isdigit() is exactly [0-9]+, the fast common case
-                line = line.decode("utf-8").strip()
+                line = line.decode("utf-8")
                 if not line:
                     continue
                 if not _INTEGER.fullmatch(line):
                     if line_no == 1:
                         continue  # header
+                    yield rolls  # tallied first, so an out-of-range roll above is reported instead
                     raise ValueError(f"line {line_no}: bad roll value {line!r}")
             rolls.append(int(line))
-    return rolls
+        yield rolls
 
 
 def cmd_stats(args) -> int:
@@ -186,15 +192,14 @@ def cmd_stats(args) -> int:
         return EXIT_OK
     if not args.rolls or args.sides is None:
         return _fail("stats needs either --bias D or both --rolls FILE and --sides D", EXIT_USAGE)
+    # tallied a chunk at a time, so the rolls never exist whole; of a bad line
+    # and an out-of-range roll, the earlier one in the file is reported
     try:
-        rolls = _read_rolls(Path(args.rolls))
+        with open(args.rolls, "rb") as fh:
+            hist = stats.tally(itertools.chain.from_iterable(_read_rolls(fh)), args.sides)
+        report = stats.uniformity_report(hist, float(args.alpha))
     except OSError as exc:
         return _fail(f"cannot read rolls: {exc}", EXIT_IO)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        hist = stats.tally(rolls, args.sides)
-        report = stats.uniformity_report(hist, float(args.alpha))
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     if args.out:

@@ -20,6 +20,7 @@ from .prng import (
     MODES,
     STATELESS,
     PrngState,
+    lcg_step,
     seed_shift,
     xorshift_step,
 )
@@ -231,7 +232,7 @@ class SyntheticAdc:
         self.state = seed & MASK32
 
     def next(self) -> int:
-        self.state = (kernels.LCG_MULT * self.state + kernels.LCG_INC) & MASK32
+        self.state = lcg_step(self.state)
         return (self.state >> 16) & 0xFFFF
 
 

@@ -7,11 +7,12 @@ matrix is held as four 256-entry lookup tables, one per input byte, built
 from the images of the 32 unit words under `prng.xorshift_step` (or
 `prng.xorshift_inverse` for the inverse). The tables of T**(2**i) are built
 on first use by squaring and cached, so a jump of k steps costs one table
-pass per set bit of k. Single steps over arrays apply `prng`'s shift triple
-directly, which is several times faster than a table pass.
+pass per set bit of k. Single steps over arrays call `prng.xorshift_step`
+itself, which is several times faster than a table pass.
 
-The synthetic ADC source is an LCG, affine mod 2**32, so it jumps the same
-way (Brown 1994, "Random number generation with arbitrary strides").
+The synthetic ADC source is an LCG (`prng.lcg_step`, which `SyntheticAdc`
+steps too), affine mod 2**32, so it jumps the same way (Brown 1994, "Random
+number generation with arbitrary strides").
 
 A sequence of n words is cut into about sqrt(n) lanes: every lane start is
 reached by a jump, then all lanes step together as uint32 arrays.
@@ -24,14 +25,7 @@ import math
 
 import numpy as np
 
-from .prng import SHIFT_A, SHIFT_B, SHIFT_C, xorshift_inverse, xorshift_step
-
-MASK32 = 0xFFFFFFFF
-
-# Synthetic ADC noise source: classic 32-bit linear congruential generator.
-# Samples are the top 16 bits of the state.
-LCG_MULT = 1664525
-LCG_INC = 1013904223
+from .prng import LCG_INC, LCG_MULT, MASK32, lcg_step, xorshift_inverse, xorshift_step
 
 _UNIT_BYTE, _UNIT_BIT = np.divmod(np.arange(32), 8)
 _UNIT_INDEX = 1 << _UNIT_BIT  # table entry of the unit word 1 << (8 * byte + bit)
@@ -82,21 +76,8 @@ def _lcg_power(i: int) -> tuple[int, int]:
     return (mult * mult) & MASK32, ((mult + 1) * inc) & MASK32
 
 
-def _xorshift_step(x: np.ndarray) -> np.ndarray:
-    x ^= x >> np.uint32(SHIFT_A)
-    x ^= x << np.uint32(SHIFT_B)
-    x ^= x >> np.uint32(SHIFT_C)
-    return x
-
-
 def _xorshift_jump(i: int, x: np.ndarray) -> np.ndarray:
     return _apply(_power(i), x)
-
-
-def _lcg_step(x: np.ndarray) -> np.ndarray:
-    x *= np.uint32(LCG_MULT)
-    x += np.uint32(LCG_INC)
-    return x
 
 
 def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
@@ -108,8 +89,8 @@ def _orbit(first: int, n: int, jump, step) -> np.ndarray:
     """The n states after first, f(first) .. f**n(first), as uint32.
 
     jump(i, x) applies f**(2**i) to a uint32 array and step(x) applies f
-    to one in place. Lane j starts at f**(j * length)(first) and then steps
-    length times.
+    to one, which it may update in place. Lane j starts at
+    f**(j * length)(first) and then steps length times.
     """
     if n == 0:
         return np.empty(0, dtype=np.uint32)
@@ -133,7 +114,7 @@ def _orbit(first: int, n: int, jump, step) -> np.ndarray:
 
 def xorshift_batch(words) -> np.ndarray:
     """Element-wise xorshift of a uint32 array."""
-    return _xorshift_step(np.array(words, dtype=np.uint32))
+    return xorshift_step(np.array(words, dtype=np.uint32))
 
 
 def xorshift_inverse_batch(words) -> np.ndarray:
@@ -156,7 +137,7 @@ def advance_feedback(x: int, steps: int) -> int:
 
 def feedback_sequence(seed: int, n: int) -> np.ndarray:
     """n successive outputs of the free-running xorshift, starting from seed."""
-    return _orbit(int(seed), int(n), _xorshift_jump, _xorshift_step)
+    return _orbit(int(seed), int(n), _xorshift_jump, xorshift_step)
 
 
 def stateless_sequence(lcg_seed: int, n: int) -> np.ndarray:
@@ -165,9 +146,9 @@ def stateless_sequence(lcg_seed: int, n: int) -> np.ndarray:
     Each step shifts the top 16 bits of the next LCG state into the seed
     register (which starts at 0) and outputs the xorshift of the register.
     """
-    states = _orbit(int(lcg_seed), int(n), _lcg_jump, _lcg_step)
+    states = _orbit(int(lcg_seed), int(n), _lcg_jump, lcg_step)
     register = states >> np.uint32(16)
     states &= np.uint32(0xFFFF0000)
     register[1:] |= states[:-1]
     del states  # free the lane buffer before the transform's temporaries
-    return _xorshift_step(register)
+    return xorshift_step(register)

@@ -1,4 +1,5 @@
-"""Xorshift word pipeline and the ADC-fed seed register.
+"""Xorshift word pipeline, the ADC-fed seed register and the LCG that stands
+in for the ADC.
 
 The dice hardware derives each roll from a 32-bit xorshift transform (shift
 triple 7 right, 9 left, 13 right) of a seed register that holds the last two
@@ -28,17 +29,30 @@ SHIFT_A = 7
 SHIFT_B = 9
 SHIFT_C = 13
 
+# Synthetic ADC noise source: classic 32-bit linear congruential generator.
+# Samples are the top 16 bits of the state.
+LCG_MULT = 1664525
+LCG_INC = 1013904223
+
 
 def xorshift_step(x: int) -> int:
     """One xorshift update of a 32-bit word.
 
     Total on 32-bit words; inputs are masked. Zero is the lone fixed point.
+    Also steps a uint32 numpy array element-wise, updating it in place on
+    the way, so callers pass an array they own.
     """
     x &= MASK32
     x ^= x >> SHIFT_A
     x = (x ^ (x << SHIFT_B)) & MASK32
     x ^= x >> SHIFT_C
     return x
+
+
+def lcg_step(x: int) -> int:
+    """One step of the synthetic ADC's LCG; also steps a uint32 numpy array
+    element-wise (the array wraps mod 2**32 by itself)."""
+    return (LCG_MULT * x + LCG_INC) & MASK32
 
 
 def _unshift_right(y: int, k: int) -> int:

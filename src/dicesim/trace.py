@@ -1,10 +1,11 @@
 """Stimulus traces and deterministic replay.
 
 Trace format: one event per line, ``<t_us> <SIGNAL> <value>``, with ``#``
-comments and blank lines ignored. Signals are TILT, BTNU, BTND, RESET
-(binary levels) and ADC (a one-shot 16-bit sample). Timestamps and values
-are ASCII decimal digits. Timestamps must be non-decreasing; simultaneous
-events apply in file order.
+comments and blank lines ignored. Lines end at LF only (one CR right before
+it is dropped), and fields are parted by ASCII blanks and tabs only. Signals
+are TILT, BTNU, BTND, RESET (binary levels) and ADC (a one-shot 16-bit
+sample). Timestamps and values are ASCII decimal digits. Timestamps must be
+non-decreasing; simultaneous events apply in file order.
 
 Replay semantics: switch levels hold between events and are sampled at tick
 boundaries, so pulses that fit between two polls of the same clock are
@@ -18,14 +19,13 @@ two runs produce byte-identical logs.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from io import StringIO
+from itertools import starmap
 from operator import itemgetter
-
-import csv
 
 from .device import (
     Device,
@@ -67,6 +67,8 @@ class TraceEvent:
 
 # ASCII decimal only: int() would also take "+1", "1_000" and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
+# Fields part at ASCII blanks and tabs: str.split() also parts at NBSP, form feeds...
+_BLANKS = re.compile(r"[ \t]+")
 
 
 def _parse_int(text: str, line_no: int, field_name: str) -> int:
@@ -79,11 +81,11 @@ def parse_trace(text: str) -> list[TraceEvent]:
     """Parse trace text into an event list, enforcing order and ranges."""
     events: list[TraceEvent] = []
     last_t = -1
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        fields = line.split()
+        fields = _BLANKS.split(line)
         if len(fields) != 3:
             raise TraceParseError(line_no, f"expected 3 fields (t_us SIGNAL value), got {len(fields)}")
         t_text, signal, v_text = fields
@@ -107,7 +109,7 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
 def load_trace(path) -> list[TraceEvent]:
     """Read and parse a trace file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # untranslated: parses like its text
         return parse_trace(fh.read())
 
 
@@ -309,38 +311,31 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick
 #  log serialization
 # ======================================================================
 
-_KIND_RANK = {"ROLL": 0, "UART": 1, "DISPLAY": 2, "ONPIN": 3}
 LOG_COLUMNS = ("record", "t_us", "dice_sides", "roll", "byte", "word", "level")
 
-
-def _merged_records(log: RunLog) -> list[dict]:
-    rows: list[dict] = []
-    for t_us, diceval, out in log.settled_rolls:
-        rows.append({"record": "ROLL", "t_us": t_us, "dice_sides": diceval, "roll": out})
-    for t_us, byte in log.uart_bytes:
-        rows.append({"record": "UART", "t_us": t_us, "byte": f"{byte:02x}"})
-    for t_us, word in log.display_words:
-        rows.append({"record": "DISPLAY", "t_us": t_us, "word": f"{word:04x}"})
-    for t_us, level in log.onpin_edges:
-        rows.append({"record": "ONPIN", "t_us": t_us, "level": level})
-    rows.sort(key=lambda r: (r["t_us"], _KIND_RANK[r["record"]]))
-    return rows
+# One row per record kind, in the order simultaneous records are written:
+# the RunLog list, then its csv and jsonl line templates over (t_us, ...).
+_RECORD_KINDS = (
+    ("settled_rolls", "ROLL,{0},{1},{2},,,\n", '{{"record":"ROLL","t_us":{0},"dice_sides":{1},"roll":{2}}}\n'),
+    ("uart_bytes", "UART,{0},,,{1:02x},,\n", '{{"record":"UART","t_us":{0},"byte":"{1:02x}"}}\n'),
+    ("display_words", "DISPLAY,{0},,,,{1:04x},\n", '{{"record":"DISPLAY","t_us":{0},"word":"{1:04x}"}}\n'),
+    ("onpin_edges", "ONPIN,{0},,,,,{1}\n", '{{"record":"ONPIN","t_us":{0},"level":{1}}}\n'),
+)
+_LOG_HEADERS = {"csv": ",".join(LOG_COLUMNS) + "\n", "jsonl": ""}
 
 
 def emit_log(log: RunLog, fmt: str = "csv") -> str:
     """Serialize the merged record stream; csv and jsonl carry identical
-    field values in identical order."""
-    rows = _merged_records(log)
-    if fmt == "csv":
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(LOG_COLUMNS)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in LOG_COLUMNS])
-        return buf.getvalue()
-    if fmt == "jsonl":
-        return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
-    raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
+    field values in identical order. Each RunLog list is already in time
+    order, and heapq.merge keeps simultaneous records in table order."""
+    if fmt not in _LOG_HEADERS:
+        raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
+    column = 1 if fmt == "csv" else 2
+    streams = []
+    for kind in _RECORD_KINDS:
+        records = getattr(log, kind[0])
+        streams.append(zip(map(itemgetter(0), records), starmap(kind[column].format, records)))
+    return _LOG_HEADERS[fmt] + "".join(map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0))))
 
 
 def emit_uart_csv(log: RunLog) -> str:

@@ -138,13 +138,42 @@ def test_stats_out_of_range_roll(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+# only blanks, tabs and CR are stripped: the last five are blanks to str.strip()
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "3\xa0", "5\x0c", "1\x0b", "1\x85", "\u20282"])
 def test_stats_rolls_are_ascii_decimal_only(tmp_path, capsys, text):
     rolls = tmp_path / "rolls.csv"
     _write_rolls(rolls, [1, 2] * 60 + [text])
     code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "20")
     assert code == 2
     assert f"line 122: bad roll value {text!r}" in err
+
+
+def test_stats_rolls_strip_blanks_tabs_and_cr(tmp_path, capsys):
+    rolls = tmp_path / "rolls.csv"
+    rolls.write_bytes(b"roll\r\n" + b" 1\t\r\n\t2 \r\n" * 60)
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2")
+    assert code == 0
+    assert "chi-square 0.0000" in out
+
+
+@pytest.mark.parametrize("gap", [0, 5000])  # in one read of the file, or in reads apart
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_stats_rolls_report_the_earlier_error(tmp_path, capsys, bad_first, gap):
+    # rolls are tallied as they are read, so whichever error comes first in the file is reported
+    rolls = tmp_path / "rolls.csv"
+    first, second = ("x", 9) if bad_first else (9, "x")
+    _write_rolls(rolls, [1, 2] * 60 + [first] + [1] * gap + [second])
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "6")
+    assert code == 2
+    assert ("line 122: bad roll value 'x'" if bad_first else "roll #120 out of range 1..6: 9") in err
+
+
+def test_stats_rolls_count_lines_across_reads(tmp_path, capsys):
+    rolls = tmp_path / "rolls.csv"
+    _write_rolls(rolls, [1, 2] * 5000 + ["x"])
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2")
+    assert code == 2
+    assert "line 10002: bad roll value 'x'" in err
 
 
 def test_stats_missing_file(capsys):

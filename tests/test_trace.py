@@ -17,13 +17,14 @@ from dicesim.trace import (
     LOG_COLUMNS,
     SIGNALS,
     ReplayConfig,
+    RunLog,
     TraceEvent,
     TraceParseError,
-    _merged_records,
     emit_log,
     emit_state_json,
     emit_uart_bits_csv,
     emit_uart_csv,
+    load_trace,
     parse_trace,
     replay,
 )
@@ -70,12 +71,33 @@ def test_parse_rejects_malformed_lines():
         parse_trace("5 ADC xyz")
 
 
-@pytest.mark.parametrize("text", ["1_000", "+2000", "\u0663\u0660\u0660\u0660"])
+# the last seven are line ends or blanks to str.splitlines()/str.split(), not
+# to the trace grammar
+@pytest.mark.parametrize("text", ["1_000", "+2000", "\u0663\u0660\u0660\u0660", "1\x0c", "1\x0b", "1\x1c",
+                                  "1\x85", "1\u2028", "1\xa0", "1\r"])
 @pytest.mark.parametrize("field", ["timestamp", "value"])
 def test_parse_accepts_ascii_decimal_only(text, field):
     line = f"{text} TILT 1" if field == "timestamp" else f"5 ADC {text}"
     with pytest.raises(TraceParseError, match=f"line 2: bad {field} "):
         parse_trace("0 RESET 0\n" + line)
+
+
+def test_parse_ends_lines_at_newline_only():
+    assert parse_trace("0 RESET 1\r\n1000 RESET 0\r\n\t1000\tTILT  1 \r\n") == parse_trace(BOOT)
+    with pytest.raises(TraceParseError, match="line 1: expected 3 fields"):
+        parse_trace("0 RESET 1\x0c1000 RESET 0")
+    with pytest.raises(TraceParseError, match="line 1: bad value"):
+        parse_trace("0 RESET 1\r\r\n")  # one CR is dropped, not two
+    # comments may hold any character but LF, and do not shift later line numbers
+    with pytest.raises(TraceParseError, match="line 3: bad TILT value"):
+        parse_trace("# a\x85b\u2028c\x0cd\r\n0 RESET 0 # \u2029\n5 TILT 2")
+
+
+def test_load_trace_reads_the_file_as_its_text(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"0 RESET 1\r\n1000 RESET 0\r1000 TILT 1\n")
+    with pytest.raises(TraceParseError, match="line 2: expected 3 fields"):
+        load_trace(path)
 
 
 def test_parse_allows_equal_timestamps():
@@ -410,7 +432,7 @@ def test_frame_replay_equals_edge_by_edge_uart_and_latch(trace, mode):
         _edge_by_edge(events, duration_us, ticks)
 
 
-FREE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+FREE_TEXT = st.text(st.characters(blacklist_characters="\n"), max_size=12)
 EVENT_LISTS = st.lists(st.tuples(st.integers(0, 10**12), st.sampled_from(SIGNALS), st.integers(0, 0xFFFF)),
                        max_size=20).map(_events)
 
@@ -428,12 +450,53 @@ def test_trace_text_round_trips(events, data):
     assert parse_trace("\n".join(lines)) == events
 
 
+KIND_ORDER = ("ROLL", "UART", "DISPLAY", "ONPIN")
+
+
 @settings(max_examples=25, deadline=None)
 @given(RAW_EVENTS, st.sampled_from(("stateless", "feedback")))
 def test_emitted_log_parses_back_to_its_rows(raw, mode):
     log = replay(_events(raw), ReplayConfig(prng_mode=mode, duration_us=NOOP_DURATION_US))
-    rows = _merged_records(log)
-    assert all(list(row) == [col for col in LOG_COLUMNS if col in row] for row in rows)
     from_csv = list(csv.DictReader(StringIO(emit_log(log, "csv"))))
+    rows = [json.loads(line) for line in emit_log(log, "jsonl").splitlines()]
+    # csv and jsonl carry the same fields in column order; jsonl leaves out the empty cells
+    assert [list(row) for row in rows] == [[col for col in LOG_COLUMNS if row[col]] for row in from_csv]
     assert from_csv == [{col: str(row.get(col, "")) for col in LOG_COLUMNS} for row in rows]
-    assert [json.loads(line) for line in emit_log(log, "jsonl").splitlines()] == rows
+    # each kind's rows are its RunLog list, in order
+    expected = {
+        "ROLL": [{"t_us": t, "dice_sides": sides, "roll": roll} for t, sides, roll in log.settled_rolls],
+        "UART": [{"t_us": t, "byte": f"{byte:02x}"} for t, byte in log.uart_bytes],
+        "DISPLAY": [{"t_us": t, "word": f"{word:04x}"} for t, word in log.display_words],
+        "ONPIN": [{"t_us": t, "level": level} for t, level in log.onpin_edges],
+    }
+    for kind, kind_rows in expected.items():
+        assert [{"record": kind, **row} for row in kind_rows] == [row for row in rows if row["record"] == kind]
+    # and the kinds interleave by time, simultaneous records in kind order
+    keys = [(row["t_us"], KIND_ORDER.index(row["record"])) for row in rows]
+    assert keys == sorted(keys)
+
+
+def test_emit_log_orders_simultaneous_records_by_kind():
+    log = RunLog(settled_rolls=[(5, 6, 3)], uart_bytes=[(5, 0x2A), (7, 0x05)],
+                 display_words=[(0, 0x1234), (5, 0xABCD), (5, 0x00EF)], onpin_edges=[(5, 1)])
+    assert emit_log(log, "csv") == (
+        "record,t_us,dice_sides,roll,byte,word,level\n"
+        "DISPLAY,0,,,,1234,\n"
+        "ROLL,5,6,3,,,\n"
+        "UART,5,,,2a,,\n"
+        "DISPLAY,5,,,,abcd,\n"
+        "DISPLAY,5,,,,00ef,\n"
+        "ONPIN,5,,,,,1\n"
+        "UART,7,,,05,,\n"
+    )
+    assert emit_log(log, "jsonl") == (
+        '{"record":"DISPLAY","t_us":0,"word":"1234"}\n'
+        '{"record":"ROLL","t_us":5,"dice_sides":6,"roll":3}\n'
+        '{"record":"UART","t_us":5,"byte":"2a"}\n'
+        '{"record":"DISPLAY","t_us":5,"word":"abcd"}\n'
+        '{"record":"DISPLAY","t_us":5,"word":"00ef"}\n'
+        '{"record":"ONPIN","t_us":5,"level":1}\n'
+        '{"record":"UART","t_us":7,"byte":"05"}\n'
+    )
+    with pytest.raises(ValueError, match="unknown log format"):
+        emit_log(log, "xml")
