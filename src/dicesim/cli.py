@@ -18,6 +18,7 @@ import itertools
 import os
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -154,26 +155,52 @@ def cmd_rolls(args) -> int:
 #  stats
 # ======================================================================
 
-def _read_rolls(fh: Iterator[bytes]) -> Iterator[list[int]]:
-    """The rolls of a rolls CSV opened in binary mode, one list per
-    ROLL_LINES_PER_READ lines, so that no generator step is paid per roll.
-    Lines end at LF; only blanks, tabs and CR around a value are stripped."""
+def _clean_read(lines: list[bytes]) -> Counter | None:
+    """Roll counts of a read that holds ASCII-decimal lines alone, else None.
+    The lines are counted as byte strings in C; only the distinct ones are
+    converted."""
+    faces: Counter = Counter()
+    for line, n in Counter(lines).items():
+        if not line.rstrip(b"\n").isdigit():  # bytes.isdigit() is exactly [0-9]+
+            return None
+        faces[int(line)] += n
+    return faces
+
+
+def _tally_rolls(fh: Iterator[bytes], sides: int) -> stats.Histogram:
+    """Histogram of a rolls CSV opened in binary mode, read ROLL_LINES_PER_READ
+    lines at a time. A clean read in range costs no Python step per roll; any
+    other read goes line by line, and only that path names a bad line or an
+    out-of-range roll. Lines end at LF; only blanks, tabs and CR around a
+    value are stripped."""
+    stats.tally((), sides)  # rejects a bad die before any read
+    total: Counter = Counter()
     line_no = 0
     while lines := list(itertools.islice(fh, ROLL_LINES_PER_READ)):
-        rolls: list[int] = []
-        for line_no, raw in enumerate(lines, start=line_no + 1):
-            line = raw.strip(b" \t\r\n")
-            if not line.isdigit():  # bytes.isdigit() is exactly [0-9]+, the fast common case
-                line = line.decode("utf-8")
-                if not line:
-                    continue
-                if not _INTEGER.fullmatch(line):
-                    if line_no == 1:
-                        continue  # header
-                    yield rolls  # tallied first, so an out-of-range roll above is reported instead
-                    raise ValueError(f"line {line_no}: bad roll value {line!r}")
-            rolls.append(int(line))
-        yield rolls
+        faces, error = _clean_read(lines), None
+        if faces is None or not all(1 <= face <= sides for face in faces):
+            rolls: list[int] = []
+            for n, raw in enumerate(lines, start=line_no + 1):
+                line = raw.strip(b" \t\r\n")
+                if not line.isdigit():
+                    line = line.decode("utf-8")
+                    if not line:
+                        continue
+                    if not _INTEGER.fullmatch(line):
+                        if n == 1:
+                            continue  # header
+                        error = f"line {n}: bad roll value {line!r}"
+                        break
+                rolls.append(int(line))
+            faces = Counter(rolls)
+            if not all(1 <= face <= sides for face in faces):
+                # raises, naming the first; it lies above any bad line of the read, so it is the earlier error
+                stats.tally(rolls, sides, start=total.total())
+        total.update(faces)
+        if error:
+            raise ValueError(error)
+        line_no += len(lines)
+    return stats.Histogram(sides, tuple(total[face] for face in range(1, sides + 1)), total.total())
 
 
 def cmd_stats(args) -> int:
@@ -192,11 +219,11 @@ def cmd_stats(args) -> int:
         return EXIT_OK
     if not args.rolls or args.sides is None:
         return _fail("stats needs either --bias D or both --rolls FILE and --sides D", EXIT_USAGE)
-    # tallied a chunk at a time, so the rolls never exist whole; of a bad line
+    # tallied a read at a time, so the rolls never exist whole; of a bad line
     # and an out-of-range roll, the earlier one in the file is reported
     try:
         with open(args.rolls, "rb") as fh:
-            hist = stats.tally(itertools.chain.from_iterable(_read_rolls(fh)), args.sides)
+            hist = _tally_rolls(fh, args.sides)
         report = stats.uniformity_report(hist, float(args.alpha))
     except OSError as exc:
         return _fail(f"cannot read rolls: {exc}", EXIT_IO)

@@ -107,20 +107,21 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     keep-awake and change nothing else. While not upright only setmode drops;
     the selector and dice table row hold.
     """
-    s = replace(state, btn_up_latch=1 if btn_up else 0, btn_down_latch=1 if btn_down else 0)
-    if upright:
-        if s.btn_up_latch and s.btn_down_latch:
-            s.keepon = False
-        elif s.btn_up_latch:
-            s.setmode = True
-            s.dselect = 0 if s.dselect == 7 else s.dselect + 1
-        elif s.btn_down_latch:
-            s.setmode = True
-            s.dselect = 7 if s.dselect == 0 else s.dselect - 1
-        (s.diceval, s.thou_set, s.huns_set, s.tens_set, s.ones_set) = dice_table(s.dselect)
-    else:
-        s.setmode = False
-    return s
+    up, down = (1 if btn_up else 0), (1 if btn_down else 0)
+    if not upright:
+        return SelectionState(False, state.dselect, state.diceval, state.thou_set, state.huns_set,
+                              state.tens_set, state.ones_set, state.keepon, up, down)
+    setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
+    if up and down:
+        keepon = False
+    elif up:
+        setmode = True
+        dselect = 0 if dselect == 7 else dselect + 1
+    elif down:
+        setmode = True
+        dselect = 7 if dselect == 0 else dselect - 1
+    # (diceval, thou_set, huns_set, tens_set, ones_set) in field order
+    return SelectionState(setmode, dselect, *dice_table(dselect), keepon, up, down)
 
 
 def set_digits(state: SelectionState) -> tuple[int, int, int, int]:
@@ -156,13 +157,8 @@ def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -
     the live digits copy the held ones, freezing the display.
     """
     if upright:
-        return replace(
-            state,
-            thou=state.thou_held,
-            huns=state.huns_held,
-            tens=state.tens_held,
-            ones=state.ones_held,
-        )
+        thou, huns, tens, ones = state.thou_held, state.huns_held, state.tens_held, state.ones_held
+        return RollState(state.out, state.held_diceval, thou, huns, tens, ones, thou, huns, tens, ones)
     if diceval <= 0:
         raise ValueError(f"diceval must be positive: {diceval}")
     out = ((rand_word & MASK32) % diceval) + 1

@@ -8,23 +8,18 @@ it.
 
 Each divider toggles on the edge where its counter reaches half_period - 1
 and clears, so its first toggle after reset lands on edge number half_period
-and its rising edges sit at odd multiples of it. rising_edges streams those
-that replay steps lazily: HZ10, S5 and HZ1000 one UART frame at a time. The
-Scheduler is the oracle: advance(n) returns every toggle of n sysclk rising
-edges in one arithmetic step per domain, bit-exact against counting every
-cycle, and is the only place that emits HZ500, HZ1500 and falling edges.
+and its rising edges sit at odd multiples of it. Replay (trace.Board) relies
+on that alone: it places the HZ10 and S5 edges that step the device, and the
+UART frame starts, arithmetically. The Scheduler is the oracle: advance(n)
+returns every toggle of n sysclk rising edges in one arithmetic step per
+domain, bit-exact against counting every cycle, and is the only place that
+emits HZ500, HZ1500 and falling edges.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
-from operator import itemgetter
-
-from .uart import FRAME_BITS
 
 SYSCLK_HZ = 12_000_000
 
@@ -44,8 +39,6 @@ HALF_PERIODS = {
 
 # Simultaneous toggles are emitted in this fixed order.
 DOMAIN_ORDER = (HZ1000, HZ1500, HZ500, HZ10, S5)
-# Domains in the replay stream, in DOMAIN_ORDER (HZ1000 at UART frame starts).
-CONSUMED = (HZ1000, HZ10, S5)
 
 RISING = "rising"
 FALLING = "falling"
@@ -73,18 +66,6 @@ def frequency_of(name: str) -> Fraction:
     if name not in HALF_PERIODS:
         raise ValueError(f"unknown clock domain: {name!r}")
     return Fraction(SYSCLK_HZ, 2 * HALF_PERIODS[name])
-
-
-def rising_edges(origin: int) -> Iterator[tuple[int, str]]:
-    """Endless (abs_cycle, domain) rising edges of the CONSUMED domains after a
-    reset release at cycle origin, in Scheduler.advance order: heapq.merge
-    breaks ties by argument order, which is DOMAIN_ORDER. The UART idles on the
-    first HZ1000 edge, then runs frames back to back: HZ1000 is given at frame
-    starts only, every FRAME_BITS-th rising edge from the second."""
-    half = HALF_PERIODS[HZ1000]
-    frames = zip(count(origin + 3 * half, FRAME_BITS * 2 * half), repeat(HZ1000))
-    ticks = [zip(count(origin + HALF_PERIODS[name], 2 * HALF_PERIODS[name]), repeat(name)) for name in (HZ10, S5)]
-    return heapq.merge(frames, *ticks, key=itemgetter(0))
 
 
 class Scheduler:

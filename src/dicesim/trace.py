@@ -24,7 +24,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import repeat, starmap
 from operator import itemgetter
 
 from .device import (
@@ -38,7 +38,7 @@ from .device import (
 )
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import MODES, STATELESS
-from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, RISING, TickEvent, rising_edges
+from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, RISING, S5, TickEvent
 from .uart import FRAME_BITS, payload_pack, uart_frame
 
 SIGNALS = ("TILT", "BTNU", "BTND", "RESET", "ADC")
@@ -47,7 +47,29 @@ LEVEL_SIGNALS = ("TILT", "BTNU", "BTND")
 CYCLES_PER_US = 12
 US_PER_SECOND = 1_000_000
 US_PER_BIT = 2 * HALF_PERIODS[HZ1000] // CYCLES_PER_US
+US_PER_FRAME = FRAME_BITS * US_PER_BIT
+STOP_US = (FRAME_BITS - 1) * US_PER_BIT  # the STOP-to-IDLE edge that completes a byte
 IDLE_FRAME = (0, 0, FRAME_BITS)  # no records left; its last state is IDLE with the line high
+
+# The device grid, in cycles after a reset release. Three facts make replay on
+# it alone exact; tests/test_timing.py::test_device_grid_moduli checks them.
+# 1. HALF_PERIODS[S5] == 50 * HALF_PERIODS[HZ10] = 50 H, so S5 rising edge i
+#    sits at H * (100 i + 50), an even multiple of H strictly between HZ10
+#    rising edges 50 i + 24 and 50 i + 25 (the odd multiples 100 i + 49 and
+#    100 i + 51): the two domains never tie.
+# 2. The first HZ1000 rising edge leaves the transmitter idle; from the second
+#    on, frames run back to back, so frame m starts at 18 000 + 120 000 m.
+#    Every HZ1000 edge is a multiple of 6 000, which is 0 mod 16, while an HZ10
+#    rising edge is an odd multiple of H = 600 024, which is 8 mod 16: no frame
+#    starts, and no UART bit is driven, on a device step.
+# 3. The live digits, and so the UART byte, change only at an HZ10 step
+#    (roll_update) or at RESET 1 (Device.reset); S5 steps write only the
+#    keep-awake outputs. Every frame that starts between two of those carries
+#    the same byte.
+HZ10_HALF = HALF_PERIODS[HZ10]
+S5_HALF = HALF_PERIODS[S5]
+FIRST_FRAME_CYCLES = 3 * HALF_PERIODS[HZ1000]
+FRAME_CYCLES = FRAME_BITS * 2 * HALF_PERIODS[HZ1000]
 
 
 class TraceParseError(ValueError):
@@ -139,10 +161,13 @@ class RunLog:
 
 class Board:
     """The whole board under replay: device, synthetic ADC source, held input
-    levels, UART frame in flight and run log, stepped by one stream of rising
-    edges. The stream restarts at each reset release; one lookahead edge is
-    held across trace events, so a span split by an event is unchanged. The
-    HZ500 display latch is derived by snapshot().
+    levels, UART frame in flight and run log. It steps only on the device
+    grid: two counters, the HZ10 and the S5 steps since the last reset
+    release, place the next edge of each domain arithmetically, and the
+    earlier of the two is taken, so a span split by a trace event is
+    unchanged. UART frames are written as runs of same-byte frames just
+    before each HZ10 step, at RESET 1 and in snapshot(); the HZ500 display
+    latch is derived by snapshot().
     """
 
     def __init__(self, config: ReplayConfig, on_tick=None) -> None:
@@ -162,8 +187,7 @@ class Board:
     def _release(self, origin: int) -> None:
         self.reset = 0
         self.origin = origin  # absolute cycle of the last reset release
-        self._edges = rising_edges(origin)
-        self._next = next(self._edges)
+        self.hz10_steps = self.s5_steps = self.frames = 0  # since the release
 
     def note_display(self, t_us: int) -> None:
         dev = self.device
@@ -173,50 +197,79 @@ class Board:
             self.log.display_words.append((t_us, word))
 
     def write_frame(self, cycle: int) -> None:
-        """Write the frame in flight's records at edges up to `cycle`, each once: at
-        the next frame start, at RESET 1 and in snapshot(). t_us stays exact."""
+        """Write the frame in flight's records at edges up to `cycle`, each once.
+        t_us stays exact."""
         t0, byte, done = self.frame
         last = min((cycle // CYCLES_PER_US - t0) // US_PER_BIT, FRAME_BITS - 1)
         self.log.uart_waveform += [(t0 + k * US_PER_BIT, level)
                                    for k, level in uart_frame(byte)[1] if done <= k <= last]
         if done <= FRAME_BITS - 1 <= last:
-            self.log.uart_bytes.append((t0 + (FRAME_BITS - 1) * US_PER_BIT, byte))
+            self.log.uart_bytes.append((t0 + STOP_US, byte))
         self.frame = (t0, byte, max(done, last + 1))
 
+    def write_uart(self, cycle: int) -> None:
+        """Write every UART record at an HZ1000 edge up to `cycle`: the rest of
+        the frame in flight, then each frame started since the last write. The
+        live digits have not changed since then, so those frames all carry the
+        same byte (fact 3), and all but the last are whole. Nothing is written
+        while reset is held."""
+        if self.reset:
+            return
+        self.write_frame(cycle)
+        started = (cycle - self.origin - FIRST_FRAME_CYCLES) // FRAME_CYCLES + 1
+        whole = started - self.frames - 1  # frames that end before the last one starts
+        if whole < 0:
+            return
+        log, roll = self.log, self.device.roll
+        byte = payload_pack(roll.huns, roll.tens)
+        t0 = (self.origin + FIRST_FRAME_CYCLES) // CYCLES_PER_US + US_PER_FRAME * self.frames
+        t_end = t0 + whole * US_PER_FRAME
+        changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+        log.uart_waveform += [(t + dt, level) for t in range(t0, t_end, US_PER_FRAME) for dt, level in changes]
+        log.uart_bytes += zip(range(t0 + STOP_US, t_end, US_PER_FRAME), repeat(byte))
+        self.frames = started
+        self.frame = (t_end, byte, 0)
+        self.write_frame(cycle)
+
     def run_to(self, cycle: int) -> None:
-        """Act on every rising edge at or before absolute cycle `cycle`."""
+        """Step the device on every HZ10 and S5 rising edge at or before
+        absolute cycle `cycle`."""
         if cycle < self.now:
             raise ValueError("replay cannot move backwards in time")
         self.now = cycle
         if self.reset:
             return
-        dev, log, edges, on_tick = self.device, self.log, self._edges, self.on_tick
-        edge, domain = self._next
-        while edge <= cycle:
+        dev, log, on_tick, origin, levels = self.device, self.log, self.on_tick, self.origin, self.levels
+        while True:
+            # the next rising edges sit at odd multiples of each half period
+            hz10 = origin + HZ10_HALF * (2 * self.hz10_steps + 1)
+            s5 = origin + S5_HALF * (2 * self.s5_steps + 1)
+            edge = min(hz10, s5)
+            if edge > cycle:
+                return
             t_us = edge // CYCLES_PER_US
-            if domain == HZ1000:
-                self.write_frame(edge)
-                self.frame = (t_us, payload_pack(dev.roll.huns, dev.roll.tens), 0)
-            elif domain == HZ10:
+            if edge == hz10:  # never an S5 edge too (fact 1)
+                self.write_uart(edge)  # no frame starts on this edge (fact 2): all carry the old digits
                 sample = self.adc_pending
                 if sample is None:
                     sample = self.adc.next()
                 self.adc_pending = None
                 was_upright = dev.tilt.upright
-                levels = self.levels
                 dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample, sysclk_index=edge)
                 if dev.tilt.upright and not was_upright:
                     log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
                 self.note_display(t_us)
-            else:
+                self.hz10_steps += 1
+                domain = HZ10
+            else:  # no frames to write first: S5 leaves the digits alone (fact 3)
                 before = dev.power.onsig
                 dev.s5_tick(rstn=True)
                 if dev.power.onsig != before:
                     log.onpin_edges.append((t_us, dev.power.onsig))
-            if on_tick is not None and domain != HZ1000:
-                on_tick(t_us, TickEvent(edge - self.origin, domain, RISING), dev)
-            edge, domain = next(edges)
-        self._next = (edge, domain)
+                self.s5_steps += 1
+                domain = S5
+            if on_tick is not None:
+                on_tick(t_us, TickEvent(edge - origin, domain, RISING), dev)
 
     def apply(self, ev: TraceEvent) -> None:
         """Apply one trace event at the current time."""
@@ -224,8 +277,8 @@ class Board:
             self.adc_pending = ev.value
         elif ev.signal == "RESET":
             if ev.value == 1 and not self.reset:
+                self.write_uart(self.now)  # a frame starting on this very cycle still drives its START bit
                 self.reset = 1
-                self.write_frame(self.now)
                 self.frame = IDLE_FRAME
                 self.device.reset()
                 self.adc_pending = None
@@ -239,7 +292,7 @@ class Board:
 
     def snapshot(self) -> dict:
         """Register snapshot at the current time, as state.json holds it."""
-        self.write_frame(self.now)
+        self.write_uart(self.now)
         _, byte, written = self.frame
         dev, tx, ready, latched = self.device, uart_frame(byte)[0][written - 1], 0, None
         if not self.reset:

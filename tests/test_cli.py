@@ -176,6 +176,21 @@ def test_stats_rolls_count_lines_across_reads(tmp_path, capsys):
     assert "line 10002: bad roll value 'x'" in err
 
 
+def test_stats_rolls_later_reads_keep_the_per_line_rules(tmp_path, capsys):
+    # reads of bare digits are counted whole; one that is not goes line by line
+    rolls = tmp_path / "rolls.csv"
+    _write_rolls(rolls, [1, 2] * 5000 + [9])
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2")
+    assert code == 2
+    assert "roll #10000 out of range 1..2: 9" in err
+    # a blank line, padding and leading zeros in a later read count as in the first
+    rolls.write_bytes(b"roll\n" + b"1\n2\n" * 5000 + b"\n 1\r\n2\t\n001\n002")
+    hist = tmp_path / "hist.csv"
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2", "--out", str(hist))
+    assert code == 0
+    assert [line.split(",")[:2] for line in hist.read_text().splitlines()[1:]] == [["1", "5002"], ["2", "5002"]]
+
+
 def test_stats_missing_file(capsys):
     code, out, err = _run(capsys, "stats", "--rolls", "/nonexistent/rolls.csv", "--sides", "6")
     assert code == 1

@@ -1,13 +1,14 @@
 """Clock divider bank: exact frequencies and event-driven scheduling."""
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
-from itertools import dropwhile, islice, takewhile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dicesim.device import Device
 from dicesim.timing import (
     DOMAIN_ORDER,
     FALLING,
@@ -19,9 +20,10 @@ from dicesim.timing import (
     RISING,
     S5,
     Scheduler,
+    TickEvent,
     frequency_of,
-    rising_edges,
 )
+from dicesim.trace import FIRST_FRAME_CYCLES, FRAME_CYCLES, ReplayConfig, TraceEvent, replay
 
 # spans reaching past the first S5 toggle, so every domain takes part
 SPANS = st.integers(0, HALF_PERIODS[S5] + 2_000_000)
@@ -134,30 +136,64 @@ def test_advance_is_split_invariant(a, b):
     assert split.cycle == whole.cycle
 
 
+# the same spans in us, so that replay can end or be split anywhere in them
+SPANS_US = st.integers(0, (HALF_PERIODS[S5] + 2_000_000) // 12)
+
+
+def _device_steps(events, duration_us):
+    """(t_us, tick) of every device step that on_tick sees, and the run log."""
+    steps = []
+    log = replay(events, ReplayConfig(duration_us=duration_us),
+                 on_tick=lambda t_us, tick, dev: steps.append((t_us, tick)))
+    return steps, log
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**12), SPANS, SPANS)
-def test_rising_edges_equal_scheduler_rising_events(origin, skip, span):
-    # the HZ10 and S5 rising edges, and every tenth HZ1000 rising edge from
-    # the second: the START edges of back-to-back UART frames
-    sched = Scheduler()
-    hz1000 = sum(e.domain == HZ1000 and e.edge == RISING for e in sched.advance(skip))
-    want = []
-    for e in sched.advance(span):
-        if e.edge != RISING or e.domain not in (HZ1000, HZ10, S5):
-            continue
-        if e.domain == HZ1000:
-            hz1000 += 1
-            if hz1000 < 2 or (hz1000 - 2) % 10:
-                continue
-        want.append((origin + e.sysclk_index, e.domain))
-    lo, hi = origin + skip, origin + skip + span
-    edges = dropwhile(lambda edge: edge[0] <= lo, rising_edges(origin))
-    assert list(takewhile(lambda edge: edge[0] <= hi, edges)) == want
+@given(st.integers(0, 10**9), SPANS_US, SPANS_US)
+@example(7, 1_000_000, 6_600_000)  # past S5 rising edges 0 and 1, split between them
+def test_rising_edges_equal_scheduler_rising_events(release, skip, span):
+    # replay steps the device on exactly the HZ10 and S5 rising edges of the
+    # divider bank, counted from the release, and a no-op event splitting the
+    # span changes none of them
+    events = [TraceEvent(0, "RESET", 1), TraceEvent(release, "RESET", 0), TraceEvent(release + skip, "TILT", 0)]
+    want = [(release + e.sysclk_index // 12, e) for e in Scheduler().advance((skip + span) * 12)
+            if e.edge == RISING and e.domain in (HZ10, S5)]
+    assert _device_steps(events, release + skip + span)[0] == want
 
 
 def test_rising_edges_tie_keeps_domain_order():
-    # the START edge of frame 3 750 (HZ1000 rising edge 2 + 10 * 3 750) and S5
-    # rise together at 18 000 + 120 000 * 3 750 = 30 001 200 * 15 cycles
+    # the START edge of frame 3 750 (18 000 + 120 000 * 3 750 cycles after the
+    # release) and S5 rising edge 7 (30 001 200 * 15) fall on one cycle; a run
+    # cut there takes both: the frame drives its START bit, then S5 steps
     tie = 450_018_000
-    edges = dropwhile(lambda edge: edge[0] < tie + 7, rising_edges(7))
-    assert list(islice(edges, 2)) == [(tie + 7, HZ1000), (tie + 7, S5)]
+    steps, log = _device_steps([TraceEvent(0, "RESET", 1), TraceEvent(7, "RESET", 0)], 7 + tie // 12)
+    assert log.uart_waveform[-1] == (7 + tie // 12, 0)
+    assert log.final_state["uart"]["fsm"] == "START"
+    assert steps[-1] == (7 + tie // 12, TickEvent(tie, S5, RISING))
+
+
+def test_device_grid_moduli():
+    h = HALF_PERIODS[HZ10]
+    # 1. S5 rising edge i sits at S5 * (2i + 1) = h * (100i + 50): an even
+    #    multiple of h, so never an HZ10 rising edge (odd multiples), and as a
+    #    polynomial in i it is h past HZ10 edge 50i + 24 and h before 50i + 25
+    assert HALF_PERIODS[S5] == 50 * h
+    assert HALF_PERIODS[S5] % (2 * h) == 0
+    assert (2 * HALF_PERIODS[S5], HALF_PERIODS[S5] - h) == (h * 100, h * (2 * 24 + 1))
+    assert (2 * HALF_PERIODS[S5], HALF_PERIODS[S5] + h) == (h * 100, h * (2 * 25 + 1))
+    # 2. frame m starts at 18 000 + 120 000 m, and every HZ1000 edge is a
+    #    multiple of 6 000: all 0 mod 16; an HZ10 rising edge (2k + 1) h is
+    #    8 (2k + 1) = 8 mod 16, so no UART edge ever falls on a device step
+    assert FIRST_FRAME_CYCLES == 3 * HALF_PERIODS[HZ1000]
+    assert FRAME_CYCLES == 20 * HALF_PERIODS[HZ1000]
+    assert HALF_PERIODS[HZ1000] % 16 == 0
+    assert h % 16 == 8
+    # 3. the digits change only at an HZ10 step or at reset: an S5 step writes
+    #    the keep-awake outputs alone
+    rng = random.Random(5)
+    dev = Device()
+    for _ in range(200):
+        dev.hz10_tick(rng.randrange(2), rng.randrange(2), rng.randrange(2), rng.randrange(1 << 16))
+        before = astuple(dev.roll), astuple(dev.selection)
+        dev.s5_tick()
+        assert (astuple(dev.roll), astuple(dev.selection)) == before

@@ -7,7 +7,7 @@ from collections import Counter
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicesim.device import Device, DeviceConfig, live_digits, set_digits
@@ -127,8 +127,8 @@ def test_replay_first_tick_time():
 
 
 def test_on_tick_sees_consumed_rising_edges_only():
-    # only the edges that step the device: UART frame starts are consumed but
-    # not shown, and HZ500 is not scheduled at all
+    # only the edges that step the device: UART frames are written in runs
+    # between them, and HZ500 is not scheduled at all
     seen = Counter()
 
     def probe(t_us, tick, dev):
@@ -417,6 +417,10 @@ def _edge_by_edge(events, duration_us, ticks):
 
 @settings(max_examples=60, deadline=None)
 @given(_reset_traces(), st.sampled_from(("stateless", "feedback")))
+# RESET 1 on the START edge of the first frame: that frame drives its START bit
+@example(([TraceEvent(1_500, "RESET", 1), TraceEvent(2_000, "RESET", 0)], 200_000), "stateless")
+# the run ends while reset is held: no frame is written after RESET 1
+@example(([TraceEvent(250_000, "RESET", 1)], 400_000), "stateless")
 def test_frame_replay_equals_edge_by_edge_uart_and_latch(trace, mode):
     events, duration_us = trace
     ticks = []
