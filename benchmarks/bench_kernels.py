@@ -5,7 +5,8 @@
 Each kernel runs once untimed (the first call builds its cached jump
 tables), then the best of REPEAT timed calls is printed. Before timing,
 the first CHECK words of every sequence, and a long feedback jump, are
-compared with a plain `prng.xorshift_step` chain.
+compared with a plain `prng.xorshift_step` chain, and each sequence made a
+chunk at a time, as `rolls` makes it, is compared with one whole call.
 """
 
 import sys
@@ -14,6 +15,7 @@ import time
 import numpy as np
 
 from dicesim import kernels
+from dicesim.cli import ROLLS_PER_CHUNK
 from dicesim.prng import seed_shift, xorshift_step
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
@@ -51,13 +53,29 @@ def check_against_scalar_chain():
     print(f"kernels match the scalar chain on the first {n} words")
 
 
+def chunked(sequence, seed, n):
+    """n words of sequence made ROLLS_PER_CHUNK at a time, each chunk continuing the last."""
+    return np.concatenate([sequence(seed, min(ROLLS_PER_CHUNK, n - start), start=start)
+                           for start in range(0, n, ROLLS_PER_CHUNK)])
+
+
+def check_chunked_continuation():
+    n = max(N, 2 * ROLLS_PER_CHUNK + 1)
+    for sequence, seed in ((kernels.feedback_sequence, 1), (kernels.stateless_sequence, 12345)):
+        assert np.array_equal(chunked(sequence, seed, n), sequence(seed, n))
+    print(f"sequences made {ROLLS_PER_CHUNK} words at a time equal one whole call over {n} words")
+
+
 def main():
     check_against_scalar_chain()
+    check_chunked_continuation()
     print(f"N = {N}")
     words = np.arange(1, N + 1, dtype=np.uint32)
     rows = [
         ("feedback_sequence", N, best_of(kernels.feedback_sequence, 1, N)),
         ("stateless_sequence", N, best_of(kernels.stateless_sequence, 12345, N)),
+        ("feedback_sequence chunked", N, best_of(chunked, kernels.feedback_sequence, 1, N)),
+        ("stateless_sequence chunked", N, best_of(chunked, kernels.stateless_sequence, 12345, N)),
         ("xorshift_batch", N, best_of(kernels.xorshift_batch, words)),
         ("xorshift_inverse_batch", N, best_of(kernels.xorshift_inverse_batch, words)),
         (f"advance_feedback({TICK_STEPS})", 1, best_of(kernels.advance_feedback, 1, TICK_STEPS)),

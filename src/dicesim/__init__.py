@@ -34,7 +34,6 @@ from .stats import (
     chi_square,
     critical_value,
     modulo_bias,
-    raw_histogram,
     tally,
     uniformity_report,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "chi_square",
     "critical_value",
     "modulo_bias",
-    "raw_histogram",
     "tally",
     "uniformity_report",
     "HALF_PERIODS",

@@ -48,6 +48,7 @@ EXIT_ANALYSIS = 3
 DEFAULT_ROLL_SEED = 1
 ROLLS_PER_CHUNK = 65_536
 ROLL_LINES_PER_READ = 4_096
+BIAS_FACES_PER_WRITE = 4_096
 
 
 @functools.cache
@@ -123,6 +124,17 @@ def cmd_simulate(args) -> int:
 #  rolls
 # ======================================================================
 
+def _roll_chunks(sequence, seed: int, count: int, sides: int) -> Iterator[str]:
+    """The rolls CSV, ROLLS_PER_CHUNK rolls at a time: each chunk of words
+    continues the sequence where the one before stopped, so neither the
+    words nor the text ever exist whole."""
+    lines = [f"{face}\n" for face in range(1, sides + 1)]  # indexed by word mod sides
+    yield "roll\n"
+    for start in range(0, count, ROLLS_PER_CHUNK):
+        words = sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start)
+        yield "".join(map(lines.__getitem__, (words % np.uint32(sides)).tolist()))
+
+
 def cmd_rolls(args) -> int:
     if args.sides not in SUPPORTED_DICE:
         supported = ", ".join(str(d) for d in SUPPORTED_DICE)
@@ -132,15 +144,9 @@ def cmd_rolls(args) -> int:
     seed = args.seed & MASK32
     if args.mode == FEEDBACK and seed == 0:
         return _fail("feedback mode needs a nonzero seed (zero never leaves the zero orbit)", EXIT_USAGE)
-    if args.mode == FEEDBACK:
-        words = kernels.feedback_sequence(seed, args.count)
-    else:
-        # as-built pipeline: the seed value seeds the synthetic ADC source
-        words = kernels.stateless_sequence(seed, args.count)
-    faces = (words % np.uint32(args.sides)) + np.uint32(1)
-    # formatted a chunk at a time, so the text never exists whole
-    chunks = itertools.chain(["roll\n"], ("".join(f"{v}\n" for v in faces[i:i + ROLLS_PER_CHUNK].tolist())
-                                          for i in range(0, len(faces), ROLLS_PER_CHUNK)))
+    # as-built pipeline in stateless mode: the seed value seeds the synthetic ADC source
+    sequence = kernels.feedback_sequence if args.mode == FEEDBACK else kernels.stateless_sequence
+    chunks = _roll_chunks(sequence, seed, args.count, args.sides)
     if args.out:
         try:
             _write_atomic(Path(args.out), chunks)
@@ -173,7 +179,9 @@ def _tally_rolls(fh: Iterator[bytes], sides: int) -> stats.Histogram:
     other read goes line by line, and only that path names a bad line or an
     out-of-range roll. Lines end at LF; only blanks, tabs and CR around a
     value are stripped."""
-    stats.tally((), sides)  # rejects a bad die before any read
+    if sides not in stats.VERDICT_SIDES:  # before any read, and before sides sizes the counts
+        raise ValueError(f"no verdict for a d{sides}: --sides must be in "
+                         f"{stats.VERDICT_SIDES.start}..{stats.VERDICT_SIDES.stop - 1}")
     total: Counter = Counter()
     line_no = 0
     while lines := list(itertools.islice(fh, ROLL_LINES_PER_READ)):
@@ -203,6 +211,16 @@ def _tally_rolls(fh: Iterator[bytes], sides: int) -> stats.Histogram:
     return stats.Histogram(sides, tuple(total[face] for face in range(1, sides + 1)), total.total())
 
 
+def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
+    """The face lines of a bias report, BIAS_FACES_PER_WRITE faces at a time:
+    faces 1..remainder have one count and the rest the other."""
+    for first, end, count in ((1, report.remainder + 1, report.quotient + 1),
+                              (report.remainder + 1, report.dice_sides + 1, report.quotient)):
+        line = f"face {{}},{count}\n".format
+        for low in range(first, end, BIAS_FACES_PER_WRITE):
+            yield "".join(map(line, range(low, min(low + BIAS_FACES_PER_WRITE, end))))
+
+
 def cmd_stats(args) -> int:
     if args.bias is not None:
         if args.bias < 1:
@@ -214,8 +232,7 @@ def cmd_stats(args) -> int:
               f"over the 2^{report.domain_bits} domain")
         print(f"quotient {report.quotient}, remainder {report.remainder}, "
               f"worst-case ratio {report.ratio:.12f}")
-        for face in range(1, report.dice_sides + 1):
-            print(f"face {face},{report.count(face)}")
+        sys.stdout.writelines(_bias_lines(report))
         return EXIT_OK
     if not args.rolls or args.sides is None:
         return _fail("stats needs either --bias D or both --rolls FILE and --sides D", EXIT_USAGE)

@@ -14,8 +14,11 @@ The synthetic ADC source is an LCG (`prng.lcg_step`, which `SyntheticAdc`
 steps too), affine mod 2**32, so it jumps the same way (Brown 1994, "Random
 number generation with arbitrary strides").
 
-A sequence of n words is cut into about sqrt(n) lanes: every lane start is
-reached by a jump, then all lanes step together as uint32 arrays.
+A sequence of n words is cut into about sqrt(n) lanes, MIN_LANES at least:
+every lane start is reached by a jump, then all lanes step together as
+uint32 arrays. A sequence may begin `start` words into the stream, so a
+long one is made a chunk at a time, each chunk continuing where the one
+before stopped.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ import math
 import numpy as np
 
 from .prng import LCG_INC, LCG_MULT, MASK32, lcg_step, xorshift_inverse, xorshift_step
+
+# Below this many lanes a step's cost is numpy's per-call overhead, not its
+# work, so shorter sequences take more lanes than sqrt(n) and fewer steps.
+MIN_LANES = 1_024
 
 _UNIT_BYTE, _UNIT_BIT = np.divmod(np.arange(32), 8)
 _UNIT_INDEX = 1 << _UNIT_BIT  # table entry of the unit word 1 << (8 * byte + bit)
@@ -85,18 +92,19 @@ def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
     return x * np.uint32(mult) + np.uint32(inc)
 
 
-def _orbit(first: int, n: int, jump, step) -> np.ndarray:
-    """The n states after first, f(first) .. f**n(first), as uint32.
+def _orbit(first: int, n: int, jump, step, start: int = 0) -> np.ndarray:
+    """The n states after the first start ones, f**(start+1)(first) ..
+    f**(start+n)(first), as uint32.
 
     jump(i, x) applies f**(2**i) to a uint32 array and step(x) applies f
     to one, which it may update in place. Lane j starts at
-    f**(j * length)(first) and then steps length times.
+    f**(start + j * length)(first) and then steps length times.
     """
     if n == 0:
         return np.empty(0, dtype=np.uint32)
-    lanes = math.isqrt(n)
+    lanes = min(n, max(math.isqrt(n), MIN_LANES))
     length = -(-n // lanes)
-    offsets = np.arange(lanes, dtype=np.int64) * length
+    offsets = start + np.arange(lanes, dtype=np.int64) * length
     x = np.full(lanes, first & MASK32, dtype=np.uint32)
     for i in range(int(offsets[-1]).bit_length()):
         hit = (offsets >> i) & 1 == 1
@@ -135,20 +143,25 @@ def advance_feedback(x: int, steps: int) -> int:
     return int(word)
 
 
-def feedback_sequence(seed: int, n: int) -> np.ndarray:
-    """n successive outputs of the free-running xorshift, starting from seed."""
-    return _orbit(int(seed), int(n), _xorshift_jump, xorshift_step)
+def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """n successive outputs of the free-running xorshift from seed, after
+    skipping its first start outputs."""
+    return _orbit(int(seed), int(n), _xorshift_jump, xorshift_step, int(start))
 
 
-def stateless_sequence(lcg_seed: int, n: int) -> np.ndarray:
-    """n outputs of the as-built pipeline fed by the synthetic LCG source.
+def stateless_sequence(lcg_seed: int, n: int, start: int = 0) -> np.ndarray:
+    """n outputs of the as-built pipeline fed by the synthetic LCG source,
+    after skipping its first start outputs.
 
     Each step shifts the top 16 bits of the next LCG state into the seed
     register (which starts at 0) and outputs the xorshift of the register.
     """
-    states = _orbit(int(lcg_seed), int(n), _lcg_jump, lcg_step)
+    n, start = int(n), int(start)
+    states = _orbit(int(lcg_seed), n, _lcg_jump, lcg_step, start)
     register = states >> np.uint32(16)
     states &= np.uint32(0xFFFF0000)
     register[1:] |= states[:-1]
+    if start and n:  # the first register's high half is the top of the state before it
+        register[0] |= _orbit(int(lcg_seed), 1, _lcg_jump, lcg_step, start - 1)[0] & np.uint32(0xFFFF0000)
     del states  # free the lane buffer before the transform's temporaries
     return xorshift_step(register)

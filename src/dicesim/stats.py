@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Histogram:
@@ -154,6 +152,9 @@ CHI2_CRITICAL = {
 
 ALPHAS = tuple(sorted(CHI2_CRITICAL, reverse=True))
 
+# Dice a verdict exists for: df = sides - 1 must be in the table.
+VERDICT_SIDES = range(2, len(CHI2_CRITICAL[0.05]) + 2)
+
 # Samples-per-face floor below which the verdict is refused.
 MIN_SAMPLES_PER_FACE = 10
 
@@ -196,17 +197,8 @@ def uniformity_report(hist: Histogram, alpha: float = 0.05) -> UniformityReport:
 
 
 # ======================================================================
-#  raw-word histogram and report formatting
+#  report formatting
 # ======================================================================
-
-def raw_histogram(words, bins: int = 256) -> np.ndarray:
-    """Bucket raw 32-bit words into equal bins (a power of two, at least 2)."""
-    if bins < 2 or bins & (bins - 1):
-        raise ValueError(f"bins must be a power of two, at least 2: {bins}")
-    shift = 32 - bins.bit_length() + 1
-    arr = np.asarray(words, dtype=np.uint32)
-    return np.bincount(arr >> np.uint32(shift), minlength=bins)
-
 
 def histogram_csv(hist: Histogram) -> str:
     """CSV form: face,count,expected (expected carries the exact mean)."""

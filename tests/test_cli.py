@@ -2,10 +2,11 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from dicesim import cli, kernels
+from dicesim import cli, kernels, stats
 from dicesim.cli import main
 
 BOOT = "0 RESET 1\n1000 RESET 0\n1000 TILT 1\n"
@@ -54,14 +55,36 @@ def test_rolls_to_file(tmp_path, capsys):
 
 
 def test_rolls_across_chunks_matches_faces(tmp_path, capsys):
-    # one roll past two whole chunks, written to a file and to stdout
-    count = 2 * cli.ROLLS_PER_CHUNK + 1
-    faces = kernels.feedback_sequence(1, count) % 12 + 1
-    want = "roll\n" + "".join(f"{v}\n" for v in faces.tolist())
-    out_file = tmp_path / "rolls.csv"
-    assert _run(capsys, "rolls", "--sides", "12", "--count", str(count), "--out", str(out_file))[0] == 0
-    assert out_file.read_text(encoding="utf-8") == want
-    assert _run(capsys, "rolls", "--sides", "12", "--count", str(count))[1] == want
+    # each chunk continues the sequence: at and around the chunk boundaries, in
+    # both modes, to a file and to stdout, the text is that of one whole call
+    chunk = cli.ROLLS_PER_CHUNK
+    for mode, sequence in (("feedback", kernels.feedback_sequence), ("stateless", kernels.stateless_sequence)):
+        for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            faces = sequence(0xC0FFEE, count) % 12 + 1
+            want = "roll\n" + "".join(f"{v}\n" for v in faces.tolist())
+            argv = ("rolls", "--sides", "12", "--count", str(count), "--mode", mode, "--seed", str(0xC0FFEE))
+            out_file = tmp_path / f"{mode}_{count}.csv"
+            assert _run(capsys, *argv, "--out", str(out_file))[0] == 0
+            assert out_file.read_text(encoding="utf-8") == want, (mode, count)
+            assert _run(capsys, *argv)[1] == want, (mode, count)
+
+
+@pytest.mark.parametrize("mode", ["feedback", "stateless"])
+def test_rolls_memory_does_not_grow_with_count(tmp_path, mode):
+    # generated and written a chunk at a time, so the traced peak is about one
+    # chunk's words and text whatever the count; 1 MB of slack covers allocator noise
+    def peak(count):
+        tracemalloc.start()
+        try:
+            assert main(["rolls", "--sides", "20", "--count", str(count), "--mode", mode,
+                         "--seed", "7", "--out", str(tmp_path / "rolls.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200_000)  # builds the cached jump tables
+    small, large = peak(200_000), peak(800_000)
+    assert large <= small + 1_000_000, (small, large)
 
 
 def test_rolls_stateless_mode(capsys):
@@ -196,6 +219,19 @@ def test_stats_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("sides", ["0", "1", "101", "1000000"])
+def test_stats_rejects_sides_without_a_verdict(tmp_path, capsys, sides):
+    # 2..100 is df 1..99, the critical-value table; any other die is refused
+    # before a line is read (the bad line is never named) or a count allocated
+    rolls = tmp_path / "rolls.csv"
+    _write_rolls(rolls, [1, "x"] * 1_000)
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", sides)
+    assert code == 2
+    assert out == ""
+    assert "--sides must be in 2..100" in err
+    assert _run(capsys, "stats", "--rolls", "/nonexistent/rolls.csv", "--sides", sides)[0] == 1
+
+
 def test_stats_requires_inputs(capsys):
     code, out, err = _run(capsys, "stats")
     assert code == 2
@@ -215,6 +251,15 @@ def test_stats_bias_die_wider_than_domain(capsys):
     assert "quotient 0, remainder 256, worst-case ratio inf" in out
     assert "face 256,1" in out
     assert out.endswith("face 300,0\n")
+
+
+def test_stats_bias_lines_across_writes(capsys):
+    # face lines go out BIAS_FACES_PER_WRITE at a time, split where the count changes
+    sides = 3 * cli.BIAS_FACES_PER_WRITE + 5
+    code, out, _ = _run(capsys, "stats", "--bias", str(sides), "--bits", "14")
+    assert code == 0
+    report = stats.modulo_bias(sides, 14)
+    assert out.splitlines()[2:] == [f"face {face},{report.count(face)}" for face in range(1, sides + 1)]
 
 
 def test_stats_bias_validates_bits(capsys):

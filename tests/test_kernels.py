@@ -125,6 +125,25 @@ def test_stateless_sequence_equals_reference(seed, n):
     assert out.tolist() == stateless_reference(seed, n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(words32, st.integers(0, 5_000), st.data())
+def test_sequences_cut_and_continued_equal_the_whole(seed, n, data):
+    # a sequence continued at start from where the first part stopped, as
+    # `rolls` makes it a chunk at a time
+    cut = data.draw(st.integers(0, n))
+    for sequence in (kernels.feedback_sequence, kernels.stateless_sequence):
+        parts = np.concatenate([sequence(seed, cut), sequence(seed, n - cut, start=cut)])
+        assert parts.dtype == np.uint32
+        assert parts.tolist() == sequence(seed, n).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(words32, st.integers(0, 1 << 62), st.integers(1, 300))
+def test_feedback_sequence_start_equals_jump(seed, start, n):
+    assert kernels.feedback_sequence(seed, n, start=start).tolist() == \
+        feedback_reference(kernels.advance_feedback(seed, start), n)
+
+
 @given(words32, st.integers(0, 12))
 def test_lcg_jump_equals_stepping(x, i):
     expected = x

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from dicesim.stats import (
@@ -15,7 +14,6 @@ from dicesim.stats import (
     critical_value,
     histogram_csv,
     modulo_bias,
-    raw_histogram,
     tally,
     uniformity_report,
 )
@@ -155,23 +153,6 @@ def test_uniformity_strict_inequality_at_the_boundary():
     assert not uniformity_report(hist, 0.05).passed
     stat, _ = chi_square(hist)
     assert stat > crit
-
-
-def test_raw_histogram_buckets_by_top_bits():
-    words = np.array([0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF], dtype=np.uint32)
-    hist = raw_histogram(words, bins=2)
-    assert hist.tolist() == [3, 2]
-    hist256 = raw_histogram(words, bins=256)
-    assert hist256[0] == 2
-    assert hist256[127] == 1
-    assert hist256[128] == 1
-    assert hist256[255] == 1
-
-
-def test_raw_histogram_validates_bins():
-    for bad in (0, 1, 3, 12):
-        with pytest.raises(ValueError):
-            raw_histogram(np.zeros(4, dtype=np.uint32), bins=bad)
 
 
 def test_histogram_csv_shape():
