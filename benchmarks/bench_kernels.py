@@ -7,21 +7,30 @@ tables), then the best of REPEAT timed calls is printed. Before timing,
 the first CHECK words of every sequence, and a long feedback jump, are
 compared with a plain `prng.xorshift_step` chain, and each sequence made a
 chunk at a time, as `rolls` makes it, is compared with one whole call.
+The text kernels are compared with a join of one line per roll and with a
+count of one `int` per line, on every supported die; then one rolls chunk
+is formatted, one read of a rolls file counted, and a ROLL_FILE_LINES-line
+rolls file tallied as `stats --rolls` reads it, with LF and CRLF line ends
+(a CRLF file is checked line by line).
 """
 
+import io
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
-from dicesim import kernels
-from dicesim.cli import ROLLS_PER_CHUNK
+from dicesim import cli, kernels
+from dicesim.cli import ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
+from dicesim.device import SUPPORTED_DICE
 from dicesim.prng import seed_shift, xorshift_step
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
 REPEAT = 3
 CHECK = 20_000
 TICK_STEPS = 1_200_048  # sysclk edges per roll tick in feedback mode
+ROLL_FILE_LINES = 250_000  # the rolls file of one perfbench rolls_stats call
 
 
 def best_of(fn, *args):
@@ -66,9 +75,41 @@ def check_chunked_continuation():
     print(f"sequences made {ROLLS_PER_CHUNK} words at a time equal one whole call over {n} words")
 
 
+def join_reference(words, sides):
+    return "".join(f"{w % sides + 1}\n" for w in words.tolist())
+
+
+def count_reference(block, sides):
+    faces = Counter(map(int, block.split()))
+    return [faces[face] for face in range(1, sides + 1)]
+
+
+def reads(text):
+    """text cut as `stats --rolls` reads it: ROLL_BYTES_PER_READ bytes completed to a line end."""
+    fh = io.BytesIO(text)
+    while block := fh.read(ROLL_BYTES_PER_READ):
+        yield block + (b"" if block.endswith(b"\n") else fh.readline())
+
+
+def check_text_kernels():
+    words = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)
+    for sides in SUPPORTED_DICE:
+        text = kernels.format_rolls(words, sides)
+        assert text == join_reference(words, sides), sides
+        for block in reads(text.encode("ascii")):
+            assert kernels.count_rolls(block, sides) == count_reference(block, sides), sides
+    print(f"text kernels match the per-roll join and the per-line count on d{SUPPORTED_DICE}")
+
+
+def rolls_file(line_end):
+    faces = kernels.feedback_sequence(1, ROLL_FILE_LINES) % 20 + 1
+    return ("roll" + line_end + line_end.join(map(str, faces.tolist())) + line_end).encode("ascii")
+
+
 def main():
     check_against_scalar_chain()
     check_chunked_continuation()
+    check_text_kernels()
     print(f"N = {N}")
     words = np.arange(1, N + 1, dtype=np.uint32)
     rows = [
@@ -80,6 +121,19 @@ def main():
         ("xorshift_inverse_batch", N, best_of(kernels.xorshift_inverse_batch, words)),
         (f"advance_feedback({TICK_STEPS})", 1, best_of(kernels.advance_feedback, 1, TICK_STEPS)),
     ]
+    chunk = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)
+    block = next(reads(kernels.format_rolls(chunk, 20).encode("ascii")))
+    lines = block.count(b"\n")
+    rows += [
+        ("format_rolls d20, one chunk", ROLLS_PER_CHUNK, best_of(kernels.format_rolls, chunk, 20)),
+        ("  per-roll join", ROLLS_PER_CHUNK, best_of(join_reference, chunk, 20)),
+        ("count_rolls d20, one read", lines, best_of(kernels.count_rolls, block, 20)),
+        ("  per-line count", lines, best_of(count_reference, block, 20)),
+    ]
+    for name, line_end in (("LF", "\n"), ("CRLF", "\r\n")):
+        text = rolls_file(line_end)
+        rows.append((f"stats --rolls tally, {name} file", ROLL_FILE_LINES,
+                     best_of(lambda: cli._tally_rolls(io.BytesIO(text), 20))))
     width = max(len(name) for name, _, _ in rows)
     print(f"{'kernel':<{width}}  {'best (s)':>10}  {'Mwords/s':>9}")
     for name, count, seconds in rows:

@@ -14,15 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
+import operator
 import os
 import sys
 import tempfile
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-
-import numpy as np
+from typing import BinaryIO
 
 from . import kernels, stats
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
@@ -47,7 +46,7 @@ EXIT_ANALYSIS = 3
 
 DEFAULT_ROLL_SEED = 1
 ROLLS_PER_CHUNK = 65_536
-ROLL_LINES_PER_READ = 4_096
+ROLL_BYTES_PER_READ = 65_536
 BIAS_FACES_PER_WRITE = 4_096
 
 
@@ -128,11 +127,9 @@ def _roll_chunks(sequence, seed: int, count: int, sides: int) -> Iterator[str]:
     """The rolls CSV, ROLLS_PER_CHUNK rolls at a time: each chunk of words
     continues the sequence where the one before stopped, so neither the
     words nor the text ever exist whole."""
-    lines = [f"{face}\n" for face in range(1, sides + 1)]  # indexed by word mod sides
     yield "roll\n"
     for start in range(0, count, ROLLS_PER_CHUNK):
-        words = sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start)
-        yield "".join(map(lines.__getitem__, (words % np.uint32(sides)).tolist()))
+        yield kernels.format_rolls(sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start), sides)
 
 
 def cmd_rolls(args) -> int:
@@ -161,54 +158,58 @@ def cmd_rolls(args) -> int:
 #  stats
 # ======================================================================
 
-def _clean_read(lines: list[bytes]) -> Counter | None:
-    """Roll counts of a read that holds ASCII-decimal lines alone, else None.
-    The lines are counted as byte strings in C; only the distinct ones are
-    converted."""
-    faces: Counter = Counter()
-    for line, n in Counter(lines).items():
-        if not line.rstrip(b"\n").isdigit():  # bytes.isdigit() is exactly [0-9]+
-            return None
-        faces[int(line)] += n
-    return faces
+def _count_lines(block: bytes, first_line: int, sides: int, rolls_before: int) -> list[int]:
+    """Counts of faces 1..sides in block, line by line, its lines numbered
+    from first_line. Raises ValueError naming a bad line or an out-of-range
+    roll, whichever comes first; a first line of the file that is not a
+    number is a header."""
+    rolls: list[int] = []
+    error = None
+    for n, line in enumerate(block.removesuffix(b"\n").split(b"\n"), start=first_line):
+        line = line.strip(b" \t\r")
+        if not line.isdigit():  # bytes.isdigit() is exactly [0-9]+
+            line = line.decode("utf-8")
+            if not line:
+                continue
+            if not _INTEGER.fullmatch(line):
+                if n == 1:
+                    continue  # header
+                error = f"line {n}: bad roll value {line!r}"
+                break
+        rolls.append(int(line))
+    faces = Counter(rolls)
+    if not all(1 <= face <= sides for face in faces):
+        # raises, naming the first; it lies above any bad line, so it is the earlier error
+        stats.tally(rolls, sides, start=rolls_before)
+    if error:
+        raise ValueError(error)
+    return [faces[face] for face in range(1, sides + 1)]
 
 
-def _tally_rolls(fh: Iterator[bytes], sides: int) -> stats.Histogram:
-    """Histogram of a rolls CSV opened in binary mode, read ROLL_LINES_PER_READ
-    lines at a time. A clean read in range costs no Python step per roll; any
-    other read goes line by line, and only that path names a bad line or an
-    out-of-range roll. Lines end at LF; only blanks, tabs and CR around a
+def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
+    """Histogram of a rolls CSV opened in binary mode. After the first line,
+    which may be a header, the file is read ROLL_BYTES_PER_READ bytes at a
+    time, each read completed to the end of its last line. A read of bare
+    rolls is counted by `kernels.count_rolls` with no Python step per roll;
+    any other read goes line by line, and only that path names a bad line or
+    an out-of-range roll. Lines end at LF; only blanks, tabs and CR around a
     value are stripped."""
     if sides not in stats.VERDICT_SIDES:  # before any read, and before sides sizes the counts
         raise ValueError(f"no verdict for a d{sides}: --sides must be in "
                          f"{stats.VERDICT_SIDES.start}..{stats.VERDICT_SIDES.stop - 1}")
-    total: Counter = Counter()
+    counts = [0] * sides
     line_no = 0
-    while lines := list(itertools.islice(fh, ROLL_LINES_PER_READ)):
-        faces, error = _clean_read(lines), None
-        if faces is None or not all(1 <= face <= sides for face in faces):
-            rolls: list[int] = []
-            for n, raw in enumerate(lines, start=line_no + 1):
-                line = raw.strip(b" \t\r\n")
-                if not line.isdigit():
-                    line = line.decode("utf-8")
-                    if not line:
-                        continue
-                    if not _INTEGER.fullmatch(line):
-                        if n == 1:
-                            continue  # header
-                        error = f"line {n}: bad roll value {line!r}"
-                        break
-                rolls.append(int(line))
-            faces = Counter(rolls)
-            if not all(1 <= face <= sides for face in faces):
-                # raises, naming the first; it lies above any bad line of the read, so it is the earlier error
-                stats.tally(rolls, sides, start=total.total())
-        total.update(faces)
-        if error:
-            raise ValueError(error)
-        line_no += len(lines)
-    return stats.Histogram(sides, tuple(total[face] for face in range(1, sides + 1)), total.total())
+    block = fh.readline()
+    while block:
+        faces = kernels.count_rolls(block, sides)
+        if faces is None:
+            faces = _count_lines(block, line_no + 1, sides, sum(counts))
+        counts = list(map(operator.add, counts, faces))
+        line_no += block.count(b"\n")  # only the file's last line may lack a LF
+        block = fh.read(ROLL_BYTES_PER_READ)
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+    return stats.Histogram(sides, tuple(counts), sum(counts))
 
 
 def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
@@ -368,7 +369,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader left: Python flushes stdout again at exit, so point it
+        # at devnull to end without a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,11 @@ every lane start is reached by a jump, then all lanes step together as
 uint32 arrays. A sequence may begin `start` words into the stream, so a
 long one is made a chunk at a time, each chunk continuing where the one
 before stopped.
+
+The text of a rolls CSV is made and read here too, a block at a time with
+no Python step per roll: `format_rolls` gathers each face's line from a
+table of NUL-padded uint32 words, and `count_rolls` counts a block of bare
+1- to 3-digit lines by digit arithmetic at its LFs.
 """
 
 from __future__ import annotations
@@ -165,3 +170,58 @@ def stateless_sequence(lcg_seed: int, n: int, start: int = 0) -> np.ndarray:
         register[0] |= _orbit(int(lcg_seed), 1, _lcg_jump, lcg_step, start - 1)[0] & np.uint32(0xFFFF0000)
     del states  # free the lane buffer before the transform's temporaries
     return xorshift_step(register)
+
+
+# ======================================================================
+#  rolls CSV text
+# ======================================================================
+
+_LINE_BYTES = np.dtype(np.uint32).itemsize
+_DIGITS = b"0123456789"
+
+
+@functools.cache
+def _line_table(sides: int) -> np.ndarray:
+    """The lines "1\n" .. f"{sides}\n", each NUL-padded to one uint32 word."""
+    if sides < 1 or len(f"{sides}\n") > _LINE_BYTES:
+        raise ValueError(f"no line table for a d{sides}: faces must fit {_LINE_BYTES - 1} digits")
+    text = b"".join(f"{face}\n".encode().ljust(_LINE_BYTES, b"\0") for face in range(1, sides + 1))
+    return np.frombuffer(text, dtype=np.uint32)  # read-only: it views the bytes
+
+
+def format_rolls(words, sides: int) -> str:
+    """The rolls CSV lines of words: face (word mod sides) + 1, one per line."""
+    table = _line_table(sides)
+    faces = np.asarray(words, dtype=np.uint32) % np.uint32(sides)
+    return table[faces].tobytes().translate(None, b"\0").decode("ascii")
+
+
+@functools.cache
+def _place_values() -> np.ndarray:
+    """Value of a digit byte at each of a line's last three places, by
+    [place, byte]; any other byte (the LF) is 0. Built on first use, so
+    the commands that count no rolls never pay for it."""
+    table = np.zeros((3, 256), dtype=np.int32)
+    table[:, _DIGITS[0]:_DIGITS[-1] + 1] = np.outer((1, 10, 100), np.arange(10))
+    return table
+
+
+def count_rolls(block: bytes, sides: int) -> list[int] | None:
+    """Counts of faces 1..sides in block, when every line of it ends at a LF
+    and is 1 to 3 ASCII digits of a value in 1..sides; else None."""
+    if not block.endswith(b"\n") or block.translate(None, _DIGITS + b"\n"):
+        return None
+    # two LFs ahead: every line's last three places lie in the array, and
+    # the place before a line's digits is a LF, which counts as 0
+    text = np.frombuffer(b"\n\n" + block, dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    length = np.diff(ends)[1:] - 1
+    ends = ends[2:]
+    if length.min() < 1 or length.max() > 3:
+        return None
+    place = _place_values()
+    value = (place[0, text[ends - 1]] + place[1, text[ends - 2]]
+             + np.where(length == 3, place[2, text[ends - 3]], 0))
+    if value.min() < 1 or value.max() > sides:
+        return None
+    return np.bincount(value, minlength=sides + 1)[1:].tolist()

@@ -1,10 +1,18 @@
 """Exit codes, file outputs, and text contracts of the command line tool."""
 
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dicesim import cli, kernels, stats
 from dicesim.cli import main
@@ -85,6 +93,37 @@ def test_rolls_memory_does_not_grow_with_count(tmp_path, mode):
     peak(200_000)  # builds the cached jump tables
     small, large = peak(200_000), peak(800_000)
     assert large <= small + 1_000_000, (small, large)
+
+
+def _dicesim(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return [sys.executable, "-m", "dicesim", *argv], env
+
+
+def test_rolls_into_a_closed_pipe_ends_quietly():
+    # `dicesim rolls ... | head -1`: the reader leaves long before the last
+    # chunk, and the writer ends with EXIT_IO and nothing on stderr
+    argv, env = _dicesim("rolls", "--sides", "6", "--count", "300000")
+    rolls = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = subprocess.run(["head", "-1"], stdin=rolls.stdout, capture_output=True, timeout=60)
+    rolls.stdout.close()
+    err = rolls.stderr.read()
+    assert rolls.wait(timeout=60) == cli.EXIT_IO
+    assert (head.stdout, err) == (b"roll\n", b"")
+
+
+def test_short_output_into_a_closed_pipe_ends_quietly():
+    # output that fits the stdout buffer meets the closed pipe at main's
+    # flush, not at interpreter exit
+    argv, env = _dicesim("rolls", "--sides", "6", "--count", "3")
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        rolls = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (rolls.returncode, rolls.stderr) == (cli.EXIT_IO, b"")
 
 
 def test_rolls_stateless_mode(capsys):
@@ -179,7 +218,8 @@ def test_stats_rolls_strip_blanks_tabs_and_cr(tmp_path, capsys):
     assert "chi-square 0.0000" in out
 
 
-@pytest.mark.parametrize("gap", [0, 5000])  # in one read of the file, or in reads apart
+# a gap of ROLL_BYTES_PER_READ two-byte lines puts the errors reads apart
+@pytest.mark.parametrize("gap", [0, cli.ROLL_BYTES_PER_READ])
 @pytest.mark.parametrize("bad_first", [True, False])
 def test_stats_rolls_report_the_earlier_error(tmp_path, capsys, bad_first, gap):
     # rolls are tallied as they are read, so whichever error comes first in the file is reported
@@ -191,27 +231,88 @@ def test_stats_rolls_report_the_earlier_error(tmp_path, capsys, bad_first, gap):
     assert ("line 122: bad roll value 'x'" if bad_first else "roll #120 out of range 1..6: 9") in err
 
 
+PAIRS = cli.ROLL_BYTES_PER_READ  # "1\n2\n" pairs: four reads of the file
+
+
 def test_stats_rolls_count_lines_across_reads(tmp_path, capsys):
     rolls = tmp_path / "rolls.csv"
-    _write_rolls(rolls, [1, 2] * 5000 + ["x"])
+    _write_rolls(rolls, [1, 2] * PAIRS + ["x"])
     code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2")
     assert code == 2
-    assert "line 10002: bad roll value 'x'" in err
+    assert f"line {2 * PAIRS + 2}: bad roll value 'x'" in err
 
 
 def test_stats_rolls_later_reads_keep_the_per_line_rules(tmp_path, capsys):
     # reads of bare digits are counted whole; one that is not goes line by line
     rolls = tmp_path / "rolls.csv"
-    _write_rolls(rolls, [1, 2] * 5000 + [9])
+    _write_rolls(rolls, [1, 2] * PAIRS + [9])
     code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2")
     assert code == 2
-    assert "roll #10000 out of range 1..2: 9" in err
+    assert f"roll #{2 * PAIRS} out of range 1..2: 9" in err
     # a blank line, padding and leading zeros in a later read count as in the first
-    rolls.write_bytes(b"roll\n" + b"1\n2\n" * 5000 + b"\n 1\r\n2\t\n001\n002")
+    rolls.write_bytes(b"roll\n" + b"1\n2\n" * PAIRS + b"\n 1\r\n2\t\n001\n002")
     hist = tmp_path / "hist.csv"
     code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2", "--out", str(hist))
     assert code == 0
-    assert [line.split(",")[:2] for line in hist.read_text().splitlines()[1:]] == [["1", "5002"], ["2", "5002"]]
+    assert [line.split(",")[:2] for line in hist.read_text().splitlines()[1:]] == \
+        [["1", str(PAIRS + 2)], ["2", str(PAIRS + 2)]]
+
+
+@st.composite
+def rolls_files(draw):
+    """A d(sides) rolls file: bare rolls with up to three odd lines among them,
+    an optional header, LF or CRLF ends, with or without a final line end."""
+    sides = draw(st.sampled_from((2, 6, 20, 100)))
+    lines = draw(st.lists(st.integers(1, sides).map(str), max_size=300))
+    odd = ["", "0", "007", "0100", "1000", "12345", str(sides + 1), " 3", "4\t", "x", "-1"]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(odd)))
+    if draw(st.booleans()):
+        lines.insert(0, "roll")
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return sides, text.encode()
+
+
+def _stats_result(path, sides):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["stats", "--rolls", str(path), "--sides", str(sides)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rolls_files(), st.integers(1, 64))
+def test_stats_rolls_fast_path_equals_per_line_path(tmp_path, file, read_bytes):
+    # whole-file reads and reads of a few bytes, so lines straddle read
+    # boundaries, give what every read checked line by line gives
+    sides, text = file
+    path = tmp_path / "rolls.csv"
+    path.write_bytes(text)
+    with mock.patch.object(kernels, "count_rolls", lambda block, sides: None):
+        want = _stats_result(path, sides)
+    assert _stats_result(path, sides) == want
+    with mock.patch.object(cli, "ROLL_BYTES_PER_READ", read_bytes):
+        assert _stats_result(path, sides) == want
+
+
+def test_stats_rolls_memory_does_not_grow_with_the_file(tmp_path):
+    # read a bounded block at a time, so the traced peak is about one read's
+    # worth whatever the file's length; 1 MB of slack covers allocator noise
+    def peak(count):
+        rolls = tmp_path / f"rolls_{count}.csv"
+        assert main(["rolls", "--sides", "20", "--count", str(count), "--out", str(rolls)]) == 0
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["stats", "--rolls", str(rolls), "--sides", "20"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)
+    small, large = peak(200_000), peak(800_000)
+    assert large <= small + 1_000_000, (small, large)
 
 
 def test_stats_missing_file(capsys):

@@ -1,6 +1,8 @@
 """Numpy kernels versus scalar reference loops built on `prng`."""
 
 import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicesim import kernels
+from dicesim.cli import ROLLS_PER_CHUNK
+from dicesim.device import SUPPORTED_DICE
 from dicesim.prng import seed_shift, xorshift_step
 
 words32 = st.integers(min_value=0, max_value=kernels.MASK32)
@@ -151,3 +155,46 @@ def test_lcg_jump_equals_stepping(x, i):
         expected = lcg_step(expected)
     got = kernels._lcg_jump(i, np.array([x], dtype=np.uint32))
     assert got.dtype == np.uint32 and int(got[0]) == expected
+
+
+# ----------------------------------------------------------------------
+#  rolls CSV text against per-line references
+# ----------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUPPORTED_DICE), words32,
+       st.one_of(st.integers(0, 300), st.integers(ROLLS_PER_CHUNK - 2, ROLLS_PER_CHUNK + 2)))
+def test_format_rolls_equals_per_roll_join(sides, seed, n):
+    words = np.random.default_rng(seed).integers(0, 1 << 32, n, dtype=np.uint32)
+    words[:3] = (0, kernels.MASK32, sides - 1)[:n]  # the extreme words and the widest face
+    assert kernels.format_rolls(words, sides) == "".join(f"{w % sides + 1}\n" for w in words.tolist())
+
+
+@pytest.mark.parametrize("sides", [0, 1000])
+def test_format_rolls_needs_faces_that_fit_a_word(sides):
+    with pytest.raises(ValueError, match="no line table"):
+        kernels.format_rolls(np.arange(4, dtype=np.uint32), sides)
+
+
+def count_reference(block: bytes, sides: int):
+    """Counts when every line ends at a LF and is 1 to 3 digits in 1..sides, else None."""
+    lines = block.split(b"\n")
+    if lines.pop() != b"" or not all(re.fullmatch(rb"[0-9]{1,3}", line) for line in lines):
+        return None
+    faces = Counter(map(int, lines))
+    if not lines or not all(1 <= face <= sides for face in faces):
+        return None
+    return [faces[face] for face in range(1, sides + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 6, 20, 100)), st.data())
+def test_count_rolls_equals_per_line_reference(sides, data):
+    odd = ["", "0", "00", "007", "0100", "1000", "12345", str(sides + 1), " 3", "4\r", "x", "-1", "+2"]
+    lines = data.draw(st.lists(st.integers(1, sides).map(str), max_size=200))
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(odd)))
+    block = "".join(f"{line}\n" for line in lines).encode()
+    if data.draw(st.booleans()):
+        block = block.removesuffix(b"\n")  # no final LF
+    assert kernels.count_rolls(block, sides) == count_reference(block, sides)
