@@ -8,10 +8,13 @@ the first CHECK words of every sequence, and a long feedback jump, are
 compared with a plain `prng.xorshift_step` chain, and each sequence made a
 chunk at a time, as `rolls` makes it, is compared with one whole call.
 The text kernels are compared with a join of one line per roll and with a
-count of one `int` per line, on every supported die; then one rolls chunk
-is formatted, one read of a rolls file counted, and a ROLL_FILE_LINES-line
+count of one `int` per line, on every supported die, and the bias
+report's face lines with one f-string per face; then one rolls chunk is
+formatted, one read of a rolls file counted, and a ROLL_FILE_LINES-line
 rolls file tallied as `stats --rolls` reads it, with LF and CRLF line ends
-(a CRLF file is checked line by line).
+(a CRLF file is checked line by line). Last, one BIAS_FACES_PER_WRITE-face
+write of a bias report is formatted, and the face lines of a whole
+BIAS_SIDES-sided report as `stats --bias` writes them.
 """
 
 import io
@@ -22,15 +25,17 @@ from collections import Counter
 import numpy as np
 
 from dicesim import cli, kernels
-from dicesim.cli import ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
+from dicesim.cli import BIAS_FACES_PER_WRITE, ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
 from dicesim.device import SUPPORTED_DICE
 from dicesim.prng import seed_shift, xorshift_step
+from dicesim.stats import modulo_bias
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
 REPEAT = 3
 CHECK = 20_000
 TICK_STEPS = 1_200_048  # sysclk edges per roll tick in feedback mode
 ROLL_FILE_LINES = 250_000  # the rolls file of one perfbench rolls_stats call
+BIAS_SIDES = 100_500  # about the die of one perfbench rolls_stats bias call
 
 
 def best_of(fn, *args):
@@ -84,6 +89,14 @@ def count_reference(block, sides):
     return [faces[face] for face in range(1, sides + 1)]
 
 
+def faces_reference(low, high, count):
+    return "".join(f"face {n},{count}\n" for n in range(low, high))
+
+
+def report_reference(report):
+    return "".join(f"face {n},{report.count(n)}\n" for n in range(1, report.dice_sides + 1))
+
+
 def reads(text):
     """text cut as `stats --rolls` reads it: ROLL_BYTES_PER_READ bytes completed to a line end."""
     fh = io.BytesIO(text)
@@ -98,7 +111,11 @@ def check_text_kernels():
         assert text == join_reference(words, sides), sides
         for block in reads(text.encode("ascii")):
             assert kernels.count_rolls(block, sides) == count_reference(block, sides), sides
-    print(f"text kernels match the per-roll join and the per-line count on d{SUPPORTED_DICE}")
+    for low, high, count in ((1, 20_000, 7), (95, 1_005, 2**64 // 3), (999_000, 1_001_000, 0)):
+        assert kernels.format_faces(low, high, count) == faces_reference(low, high, count)
+    report = modulo_bias(BIAS_SIDES)
+    assert "".join(cli._bias_lines(report)) == report_reference(report)
+    print(f"text kernels match the per-roll join, the per-line count and the per-face format on d{SUPPORTED_DICE}")
 
 
 def rolls_file(line_end):
@@ -134,6 +151,14 @@ def main():
         text = rolls_file(line_end)
         rows.append((f"stats --rolls tally, {name} file", ROLL_FILE_LINES,
                      best_of(lambda: cli._tally_rolls(io.BytesIO(text), 20))))
+    low, report = BIAS_SIDES - BIAS_FACES_PER_WRITE, modulo_bias(BIAS_SIDES)
+    rows += [
+        ("format_faces, one write", BIAS_FACES_PER_WRITE,
+         best_of(kernels.format_faces, low, BIAS_SIDES, 42_735)),
+        ("  per-face format", BIAS_FACES_PER_WRITE, best_of(faces_reference, low, BIAS_SIDES, 42_735)),
+        (f"stats --bias {BIAS_SIDES} face lines", BIAS_SIDES, best_of(lambda: "".join(cli._bias_lines(report)))),
+        ("  per-face format", BIAS_SIDES, best_of(report_reference, report)),
+    ]
     width = max(len(name) for name, _, _ in rows)
     print(f"{'kernel':<{width}}  {'best (s)':>10}  {'Mwords/s':>9}")
     for name, count, seconds in rows:

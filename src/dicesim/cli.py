@@ -217,9 +217,8 @@ def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
     faces 1..remainder have one count and the rest the other."""
     for first, end, count in ((1, report.remainder + 1, report.quotient + 1),
                               (report.remainder + 1, report.dice_sides + 1, report.quotient)):
-        line = f"face {{}},{count}\n".format
         for low in range(first, end, BIAS_FACES_PER_WRITE):
-            yield "".join(map(line, range(low, min(low + BIAS_FACES_PER_WRITE, end))))
+            yield kernels.format_faces(low, min(low + BIAS_FACES_PER_WRITE, end), count)
 
 
 def cmd_stats(args) -> int:

@@ -23,7 +23,9 @@ before stopped.
 The text of a rolls CSV is made and read here too, a block at a time with
 no Python step per roll: `format_rolls` gathers each face's line from a
 table of NUL-padded uint32 words, and `count_rolls` counts a block of bare
-1- to 3-digit lines by digit arithmetic at its LFs.
+1- to 3-digit lines by digit arithmetic at its LFs. The face lines of a
+bias report are written the same way: `format_faces` fills the digit
+columns of a run of faces one place at a time.
 """
 
 from __future__ import annotations
@@ -225,3 +227,31 @@ def count_rolls(block: bytes, sides: int) -> list[int] | None:
     if value.min() < 1 or value.max() > sides:
         return None
     return np.bincount(value, minlength=sides + 1)[1:].tolist()
+
+
+# ======================================================================
+#  bias report text
+# ======================================================================
+
+_FACE = np.frombuffer(b"face ", dtype=np.uint8)
+
+
+def format_faces(low: int, high: int, count: int) -> str:
+    """The bias report lines f"face {n},{count}\\n" for n in low..high-1,
+    low >= 0. Each run of faces of one digit width is an array of lines
+    whose digit columns are filled one place at a time."""
+    suffix = np.frombuffer(f",{count}\n".encode("ascii"), dtype=np.uint8)
+    runs = []
+    while low < high:
+        width = len(str(low))
+        end = min(high, 10 ** width)
+        lines = np.empty((end - low, _FACE.size + width + suffix.size), dtype=np.uint8)
+        lines[:, :_FACE.size] = _FACE
+        lines[:, _FACE.size + width:] = suffix
+        faces = np.arange(low, end, dtype=np.int64)
+        for place in range(_FACE.size + width - 1, _FACE.size - 1, -1):
+            faces, digit = np.divmod(faces, 10)
+            lines[:, place] = digit + _DIGITS[0]
+        runs.append(lines.tobytes())
+        low = end
+    return b"".join(runs).decode("ascii")

@@ -261,7 +261,7 @@ def test_stats_rolls_later_reads_keep_the_per_line_rules(tmp_path, capsys):
 @st.composite
 def rolls_files(draw):
     """A d(sides) rolls file: bare rolls with up to three odd lines among them,
-    an optional header, LF or CRLF ends, with or without a final line end."""
+    an optional header, LF, CRLF or mixed ends, with or without a final line end."""
     sides = draw(st.sampled_from((2, 6, 20, 100)))
     lines = draw(st.lists(st.integers(1, sides).map(str), max_size=300))
     odd = ["", "0", "007", "0100", "1000", "12345", str(sides + 1), " 3", "4\t", "x", "-1"]
@@ -269,8 +269,10 @@ def rolls_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(odd)))
     if draw(st.booleans()):
         lines.insert(0, "roll")
-    end = draw(st.sampled_from(("\n", "\r\n")))
-    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    ends = draw(st.sampled_from((["\n"], ["\r\n"], ["\n", "\r\n"])))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")  # no final line end
     return sides, text.encode()
 
 
@@ -360,6 +362,17 @@ def test_stats_bias_lines_across_writes(capsys):
     code, out, _ = _run(capsys, "stats", "--bias", str(sides), "--bits", "14")
     assert code == 0
     report = stats.modulo_bias(sides, 14)
+    assert out.splitlines()[2:] == [f"face {face},{report.count(face)}" for face in range(1, sides + 1)]
+
+
+def test_stats_bias_count_split_and_write_inside_one_width(capsys):
+    # faces 1 000..8 000 are one width, and inside it the count changes
+    # after face 1 216 (2**24 mod 8 000) and a write ends at face 4 096
+    sides = 8_000
+    code, out, _ = _run(capsys, "stats", "--bias", str(sides), "--bits", "24")
+    assert code == 0
+    report = stats.modulo_bias(sides, 24)
+    assert 1_000 <= report.remainder < cli.BIAS_FACES_PER_WRITE < sides
     assert out.splitlines()[2:] == [f"face {face},{report.count(face)}" for face in range(1, sides + 1)]
 
 

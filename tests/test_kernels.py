@@ -198,3 +198,13 @@ def test_count_rolls_equals_per_line_reference(sides, data):
     if data.draw(st.booleans()):
         block = block.removesuffix(b"\n")  # no final LF
     assert kernels.count_rolls(block, sides) == count_reference(block, sides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 20), st.integers(90, 110), st.integers(999_990, 1_000_010),
+                 st.integers(0, 10**12)),
+       st.integers(0, 30), st.sampled_from((0, 1, 214_748_364, 2**64 // 3)))
+def test_format_faces_equals_per_face_format(low, length, count):
+    # runs that cross the 9/10, 99/100 and 999 999/1 000 000 widths, and empty ones
+    for high in (low + length, low - length):
+        assert kernels.format_faces(low, high, count) == "".join(f"face {n},{count}\n" for n in range(low, high))
