@@ -4,8 +4,8 @@
 
 Each kernel runs once untimed (the first call builds its cached jump
 tables), then the best of REPEAT timed calls is printed. Before timing,
-the first CHECK words of every sequence, and a long feedback jump, are
-compared with a plain `prng.xorshift_step` chain, and each sequence made a
+the first CHECK words of every sequence, and a long `prng.xorshift_jump`,
+are compared with a plain `prng.xorshift_step` chain, and each sequence made a
 chunk at a time, as `rolls` makes it, is compared with one whole call.
 The text kernels are compared with a join of one line per roll and with a
 count of one `int` per line, on every supported die, and the bias
@@ -14,7 +14,9 @@ formatted, one read of a rolls file counted, and a ROLL_FILE_LINES-line
 rolls file tallied as `stats --rolls` reads it, with LF and CRLF line ends
 (a CRLF file is checked line by line). Last, one BIAS_FACES_PER_WRITE-face
 write of a bias report is formatted, and the face lines of a whole
-BIAS_SIDES-sided report as `stats --bias` writes them.
+BIAS_SIDES-sided report as `stats --bias` writes them. The scalar jump
+of one feedback-mode roll tick, which replay makes in `prng` without
+numpy, is timed beside the kernels.
 """
 
 import io
@@ -26,14 +28,13 @@ import numpy as np
 
 from dicesim import cli, kernels
 from dicesim.cli import BIAS_FACES_PER_WRITE, ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
-from dicesim.device import SUPPORTED_DICE
-from dicesim.prng import seed_shift, xorshift_step
+from dicesim.device import SUPPORTED_DICE, TICK_STEPS
+from dicesim.prng import seed_shift, xorshift_jump, xorshift_step
 from dicesim.stats import modulo_bias
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
 REPEAT = 3
 CHECK = 20_000
-TICK_STEPS = 1_200_048  # sysclk edges per roll tick in feedback mode
 ROLL_FILE_LINES = 250_000  # the rolls file of one perfbench rolls_stats call
 BIAS_SIDES = 100_500  # about the die of one perfbench rolls_stats bias call
 
@@ -63,7 +64,7 @@ def check_against_scalar_chain():
     assert kernels.feedback_sequence(1, N)[:n].tolist() == feedback
     assert kernels.stateless_sequence(12345, N)[:n].tolist() == stateless
     assert kernels.xorshift_batch(words).tolist() == [xorshift_step(int(w)) for w in words]
-    assert kernels.advance_feedback(1, n) == feedback[-1]
+    assert xorshift_jump(1, n) == feedback[-1]
     print(f"kernels match the scalar chain on the first {n} words")
 
 
@@ -136,7 +137,7 @@ def main():
         ("stateless_sequence chunked", N, best_of(chunked, kernels.stateless_sequence, 12345, N)),
         ("xorshift_batch", N, best_of(kernels.xorshift_batch, words)),
         ("xorshift_inverse_batch", N, best_of(kernels.xorshift_inverse_batch, words)),
-        (f"advance_feedback({TICK_STEPS})", 1, best_of(kernels.advance_feedback, 1, TICK_STEPS)),
+        (f"xorshift_jump({TICK_STEPS}), one tick", 1, best_of(xorshift_jump, 1, TICK_STEPS)),
     ]
     chunk = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)
     block = next(reads(kernels.format_rolls(chunk, 20).encode("ascii")))

@@ -20,11 +20,9 @@ from .prng import (
     FEEDBACK,
     MASK32,
     STATELESS,
-    PrngState,
-    feedback_state,
-    next_rand,
     seed_shift,
     xorshift_inverse,
+    xorshift_jump,
     xorshift_step,
 )
 from .stats import (
@@ -58,11 +56,9 @@ __all__ = [
     "FEEDBACK",
     "MASK32",
     "STATELESS",
-    "PrngState",
-    "feedback_state",
-    "next_rand",
     "seed_shift",
     "xorshift_inverse",
+    "xorshift_jump",
     "xorshift_step",
     "BiasReport",
     "Histogram",

@@ -13,17 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import kernels
-from .prng import (
-    FEEDBACK,
-    MASK32,
-    MODES,
-    STATELESS,
-    PrngState,
-    lcg_step,
-    seed_shift,
-    xorshift_step,
-)
+from .prng import MASK32, MODES, STATELESS, lcg_step, seed_shift, xorshift_jump, xorshift_step
+from .timing import HALF_PERIODS, HZ10
 
 # dselect -> (diceval, thou, huns, tens, ones display codes)
 DICE_TABLE = {
@@ -44,6 +35,9 @@ WINDOW_MASK = (1 << WINDOW_BITS) - 1
 UPRIGHT_THRESHOLD = 7
 
 DEFAULT_ADC_SEED = 12345
+
+# sysclk edges per HZ10 period: the feedback register's steps between two ticks
+TICK_STEPS = 2 * HALF_PERIODS[HZ10]
 
 
 def dice_table(dselect: int) -> tuple[int, int, int, int, int]:
@@ -254,9 +248,10 @@ class Device:
     """Register file of the dice unit, stepped by hz10_tick and s5_tick.
 
     The keep-awake block survives reset (no reset wiring there); everything
-    else returns to its documented reset value. In FEEDBACK mode the rand
-    register advances once per sysclk rising edge between ticks, latching
-    from the first nonzero seed value it observes.
+    else returns to its documented reset value. Each hz10_tick is one HZ10
+    period after the one before. In FEEDBACK mode the rand register latches
+    the xorshift of the first nonzero seed value it observes, then
+    free-runs on the system clock: TICK_STEPS steps per tick.
     """
 
     def __init__(self, config: DeviceConfig | None = None) -> None:
@@ -269,11 +264,10 @@ class Device:
 
     def _clear_registers(self) -> None:
         self.seed = 0
-        self.prng = PrngState(self.config.prng_mode, 0)
+        self.rand_reg = 0  # the FEEDBACK register; idle in STATELESS
         self.tilt = TiltState()
         self.selection = SelectionState()
         self.rand = 0
-        self._rand_cycle = 0
 
     def reset(self) -> None:
         """Asynchronous reset: clears everything except keep-awake and the
@@ -282,28 +276,19 @@ class Device:
         self._clear_registers()
         self.roll = replace(held, thou=0, huns=0, tens=0, ones=0)
 
-    def _rand_for_tick(self, sysclk_index: int) -> int:
+    def _rand_for_tick(self) -> int:
         if self.config.prng_mode == STATELESS:
             return xorshift_step(self.seed)
-        if self.prng.rand_reg == 0:
-            if self.seed == 0:
-                self._rand_cycle = sysclk_index
-                return 0
-            # first nonzero seed observed: latch and take one step
-            self.prng = PrngState(FEEDBACK, xorshift_step(self.seed))
-            self._rand_cycle = sysclk_index
-            return self.prng.rand_reg
-        steps = sysclk_index - self._rand_cycle
-        if steps < 0:
-            raise ValueError(f"sysclk index moved backwards: {sysclk_index} < {self._rand_cycle}")
-        self.prng = PrngState(FEEDBACK, kernels.advance_feedback(self.prng.rand_reg, steps))
-        self._rand_cycle = sysclk_index
-        return self.prng.rand_reg
+        if self.rand_reg:
+            self.rand_reg = xorshift_jump(self.rand_reg, TICK_STEPS)
+        else:  # zero until the first nonzero seed, which it latches stepped once
+            self.rand_reg = xorshift_step(self.seed)
+        return self.rand_reg
 
-    def hz10_tick(self, tilt: int, btn_up: int, btn_down: int, adc: int, sysclk_index: int = 0) -> None:
+    def hz10_tick(self, tilt: int, btn_up: int, btn_down: int, adc: int) -> None:
         """One HZ10 rising edge: seed shift, PRNG, debounce, selection, roll."""
         self.seed = seed_shift(self.seed, adc)
-        self.rand = self._rand_for_tick(sysclk_index)
+        self.rand = self._rand_for_tick()
         self.tilt = tilt_update(self.tilt, tilt, self.config.intuitive_tilt)
         self.selection = selection_update(self.selection, self.tilt.upright, btn_up, btn_down)
         self.roll = roll_update(self.roll, self.rand, self.selection.diceval, self.tilt.upright)

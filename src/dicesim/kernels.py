@@ -2,13 +2,14 @@
 
 The xorshift transform T (`prng.xorshift_step`) is linear over GF(2), so k
 steps are one 32x32 bit matrix T**k (Haramoto, Matsumoto, L'Ecuyer et al.
-2008, "Efficient jump ahead for F2-linear random number generators"). A
-matrix is held as four 256-entry lookup tables, one per input byte, built
-from the images of the 32 unit words under `prng.xorshift_step` (or
-`prng.xorshift_inverse` for the inverse). The tables of T**(2**i) are built
-on first use by squaring and cached, so a jump of k steps costs one table
-pass per set bit of k. Single steps over arrays call `prng.xorshift_step`
-itself, which is several times faster than a table pass.
+2008, "Efficient jump ahead for F2-linear random number generators"). `prng`
+builds and caches the byte lookup tables of T**(2**i) and of the inverse,
+each one uint32 buffer; here they are viewed in place as (4, 256) arrays,
+so a jump of an array by k steps costs one table pass per set bit of k.
+The device's own register jumps one HZ10 period per tick in `prng` and
+never reaches this module. Single steps over arrays call
+`prng.xorshift_step` itself, which is several times faster than a table
+pass.
 
 The synthetic ADC source is an LCG (`prng.lcg_step`, which `SyntheticAdc`
 steps too), affine mod 2**32, so it jumps the same way (Brown 1994, "Random
@@ -35,26 +36,20 @@ import math
 
 import numpy as np
 
-from .prng import LCG_INC, LCG_MULT, MASK32, lcg_step, xorshift_inverse, xorshift_step
+from .prng import LCG_INC, LCG_MULT, MASK32, inverse_tables, lcg_step, power_tables, xorshift_step
 
 # Below this many lanes a step's cost is numpy's per-call overhead, not its
 # work, so shorter sequences take more lanes than sqrt(n) and fewer steps.
 MIN_LANES = 1_024
-
-_UNIT_BYTE, _UNIT_BIT = np.divmod(np.arange(32), 8)
-_UNIT_INDEX = 1 << _UNIT_BIT  # table entry of the unit word 1 << (8 * byte + bit)
 
 
 # ======================================================================
 #  GF(2)-linear maps of 32-bit words as byte lookup tables
 # ======================================================================
 
-def _tables(columns: np.ndarray) -> np.ndarray:
-    """Lookup tables of the linear map whose image of 1 << j is columns[j]."""
-    tables = np.zeros((4, 256), dtype=np.uint32)
-    for j in range(32):
-        byte, bit = divmod(j, 8)
-        tables[byte, 1 << bit:2 << bit] = tables[byte, :1 << bit] ^ columns[j]
+def _view(buffer) -> np.ndarray:
+    """A `prng` table buffer as a read-only (4, 256) uint32 array, not copied."""
+    tables = np.frombuffer(buffer, dtype=np.uint32).reshape(4, 256)
     tables.flags.writeable = False
     return tables
 
@@ -63,22 +58,6 @@ def _apply(tables: np.ndarray, x):
     """Image of a uint32 word or array under the map held in tables."""
     return (tables[0, x & 0xFF] ^ tables[1, (x >> 8) & 0xFF]
             ^ tables[2, (x >> 16) & 0xFF] ^ tables[3, x >> 24])
-
-
-@functools.cache
-def _map_of(fn) -> np.ndarray:
-    """Tables of a scalar GF(2)-linear word function."""
-    return _tables(np.array([fn(1 << j) for j in range(32)], dtype=np.uint32))
-
-
-@functools.cache
-def _power(i: int) -> np.ndarray:
-    """Tables of T**(2**i). Callers ask for i in ascending order, so the
-    recursion reaches back one level at most."""
-    if i == 0:
-        return _map_of(xorshift_step)
-    half = _power(i - 1)
-    return _tables(_apply(half, half[_UNIT_BYTE, _UNIT_INDEX]))
 
 
 @functools.cache
@@ -91,7 +70,7 @@ def _lcg_power(i: int) -> tuple[int, int]:
 
 
 def _xorshift_jump(i: int, x: np.ndarray) -> np.ndarray:
-    return _apply(_power(i), x)
+    return _apply(_view(power_tables(i)), x)
 
 
 def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
@@ -134,20 +113,7 @@ def xorshift_batch(words) -> np.ndarray:
 
 def xorshift_inverse_batch(words) -> np.ndarray:
     """Element-wise exact inverse of xorshift_batch."""
-    return _apply(_map_of(xorshift_inverse), np.asarray(words, dtype=np.uint32))
-
-
-def advance_feedback(x: int, steps: int) -> int:
-    """Apply the xorshift transform steps times to one word, in O(log steps)."""
-    steps = int(steps)
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative: {steps}")
-    word = np.uint32(int(x) & MASK32)
-    for i in range(steps.bit_length()):
-        tables = _power(i)
-        if steps >> i & 1:
-            word = _apply(tables, word)
-    return int(word)
+    return _apply(_view(inverse_tables()), np.asarray(words, dtype=np.uint32))
 
 
 def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:

@@ -11,12 +11,23 @@ as-built wiring and the conventional xorshift construction differ:
   as-built behavior and the default for device simulation.
 * FEEDBACK: the previous output word is fed back as the next input, giving a
   free-running generator. This is the conventional construction and the
-  default for the statistics tooling.
+  default for the statistics tooling. On the device the register free-runs
+  on the system clock and each roll tick samples it, so each tick is one
+  HZ10 period of steps after the one before.
+
+The transform T is linear over GF(2), so k steps are one 32x32 bit matrix
+T**k (Haramoto, Matsumoto, L'Ecuyer et al. 2008, "Efficient jump ahead for
+F2-linear random number generators"). A matrix is held as four 256-entry
+lookup tables, one per input byte, in one 1 024-entry uint32 buffer. The
+tables of T**(2**i) are built on first use by squaring and cached, so
+`xorshift_jump` costs one table pass per set bit of its step count.
+`kernels` views the same buffers for its array jumps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from array import array
 
 MASK32 = 0xFFFFFFFF
 
@@ -98,40 +109,50 @@ def seed_shift(seed: int, adc_sample: int) -> int:
     return ((seed << 16) & MASK32) | adc_sample
 
 
-@dataclass
-class PrngState:
-    """Generator state: mode plus the feedback register (idle in STATELESS)."""
+# ======================================================================
+#  GF(2)-linear maps of 32-bit words as byte lookup tables
+# ======================================================================
 
-    mode: str = STATELESS
-    rand_reg: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown PRNG mode: {self.mode!r}")
-        self.rand_reg &= MASK32
-
-    @property
-    def degenerate(self) -> bool:
-        """True when FEEDBACK mode sits on the all-zero orbit."""
-        return self.mode == FEEDBACK and self.rand_reg == 0
+def _byte_tables(columns) -> array:
+    """Tables of the linear map whose image of 1 << j is columns[j]: entry
+    256 * byte + v is the image of v << (8 * byte)."""
+    tables = array("I")
+    for byte in range(4):
+        table = [0]
+        for column in columns[8 * byte:8 * byte + 8]:
+            table += [v ^ column for v in table]
+        tables.extend(table)
+    return tables
 
 
-def feedback_state(seed: int) -> PrngState:
-    """FEEDBACK-mode state from an explicit seed. Zero is rejected."""
-    if seed & MASK32 == 0:
-        raise ValueError("feedback seed must be nonzero (zero never leaves the zero orbit)")
-    return PrngState(FEEDBACK, seed & MASK32)
+def _apply(tables: array, x: int) -> int:
+    """Image of a 32-bit word under the map held in tables."""
+    return (tables[x & 0xFF] ^ tables[256 | (x >> 8) & 0xFF]
+            ^ tables[512 | (x >> 16) & 0xFF] ^ tables[768 | x >> 24])
 
 
-def next_rand(state: PrngState, seed_value: int = 0) -> tuple[PrngState, int]:
-    """Produce the next 32-bit output word.
+@functools.cache
+def power_tables(i: int) -> array:
+    """Tables of T**(2**i): level 0 from xorshift_step, each level above by
+    squaring the one below."""
+    if i == 0:
+        return _byte_tables([xorshift_step(1 << j) for j in range(32)])
+    half = power_tables(i - 1)
+    return _byte_tables([_apply(half, half[256 * (j // 8) + (1 << j % 8)]) for j in range(32)])
 
-    STATELESS: output is a pure function of seed_value, state is returned
-    unchanged (repeated calls with the same seed give the same word).
-    FEEDBACK: rand_reg steps once and the new register value is the output;
-    seed_value is ignored.
-    """
-    if state.mode == STATELESS:
-        return state, xorshift_step(seed_value)
-    word = xorshift_step(state.rand_reg)
-    return PrngState(FEEDBACK, word), word
+
+@functools.cache
+def inverse_tables() -> array:
+    """Tables of the inverse transform, T**-1."""
+    return _byte_tables([xorshift_inverse(1 << j) for j in range(32)])
+
+
+def xorshift_jump(x: int, steps: int) -> int:
+    """Apply the xorshift transform steps times to one word, in O(log steps)."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative: {steps}")
+    x &= MASK32
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            x = _apply(power_tables(i), x)
+    return x

@@ -130,9 +130,16 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
 
 def load_trace(path) -> list[TraceEvent]:
-    """Read and parse a trace file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:  # untranslated: parses like its text
-        return parse_trace(fh.read())
+    """Read and parse a trace file; bytes that are not UTF-8 are a parse
+    error on the line that holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(line_no, f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+    return parse_trace(text)
 
 
 # ======================================================================
@@ -255,7 +262,7 @@ class Board:
                     sample = self.adc.next()
                 self.adc_pending = None
                 was_upright = dev.tilt.upright
-                dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample, sysclk_index=edge)
+                dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample)
                 if dev.tilt.upright and not was_upright:
                     log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
                 self.note_display(t_us)
@@ -305,7 +312,7 @@ class Board:
         return {
             "t_us": self.now // CYCLES_PER_US,
             "seed": dev.seed,
-            "prng": {"mode": dev.prng.mode, "rand_reg": dev.prng.rand_reg},
+            "prng": {"mode": dev.config.prng_mode, "rand_reg": dev.rand_reg},
             "rand": dev.rand,
             "tilt": {"window": dev.tilt.window, "sumtilt": dev.tilt.sumtilt, "upright": dev.tilt.upright},
             "selection": {

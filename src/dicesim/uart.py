@@ -76,13 +76,6 @@ def uart_frame(byte: int) -> tuple[tuple[UartTxState, ...], tuple[tuple[int, int
     return tuple(states), tuple((k, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k])
 
 
-def uart_ready_gate(ready: int, rstn: bool = True) -> int:
-    """Ready toggler: flips every HZ1000 edge, clears while reset is low."""
-    if not rstn:
-        return 0
-    return ready ^ 1
-
-
 def encode_frame(byte: int) -> list[int]:
     """Ten-bit frame for one byte: start, data LSB first, stop."""
     if not 0 <= byte <= 0xFF:
@@ -161,5 +154,5 @@ class UartChannel:
     def edge(self, data: int) -> UartTxState:
         """One HZ1000 rising edge; the FSM samples ready before it toggles."""
         self.tx = tx_step(self.tx, bool(self.ready), data)
-        self.ready = uart_ready_gate(self.ready)
+        self.ready ^= 1
         return self.tx

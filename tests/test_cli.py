@@ -468,6 +468,18 @@ def test_simulate_malformed_trace(tmp_path, capsys):
     assert "malformed trace" in err
 
 
+def test_simulate_trace_that_is_not_utf8(tmp_path):
+    # a byte that is not UTF-8 is a malformed line, reported by its number
+    trace = tmp_path / "bytes.trace"
+    trace.write_bytes(b"0 RESET 1\n\xff\xfe 5\n")
+    argv, env = _dicesim("simulate", "--trace", str(trace), "--out", str(tmp_path / "run"))
+    run = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert run.returncode == cli.EXIT_USAGE
+    assert run.stderr == b"error: malformed trace: line 2: byte 0xff is not UTF-8 text\n"
+    assert b"Traceback" not in run.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_duration_before_last_event(tmp_path, capsys):
     trace = tmp_path / "late.trace"
     trace.write_text("500000 TILT 1\n")

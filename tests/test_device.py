@@ -26,6 +26,7 @@ from dicesim.device import (
     tilt_update,
 )
 from dicesim.prng import FEEDBACK, xorshift_step
+from dicesim.timing import HALF_PERIODS, HZ10
 
 
 # ----------------------------------------------------------------------
@@ -237,32 +238,33 @@ def test_adc_matches_lcg_oracle():
 
 def test_device_stateless_rand_tracks_seed():
     dev = Device()
-    dev.hz10_tick(0, 0, 0, 0x1234, 0)
+    dev.hz10_tick(0, 0, 0, 0x1234)
     assert dev.seed == 0x1234
     assert dev.rand == xorshift_step(0x1234)
-    dev.hz10_tick(0, 0, 0, 0x5678, 1_200_048)
+    dev.hz10_tick(0, 0, 0, 0x5678)
     assert dev.seed == 0x12345678
     assert dev.rand == xorshift_step(0x12345678)
 
 
 def test_device_feedback_latches_then_free_runs():
-    from dicesim import kernels
-
     dev = Device(DeviceConfig(prng_mode=FEEDBACK))
-    dev.hz10_tick(0, 0, 0, 0x0001, 600_024)
+    dev.hz10_tick(0, 0, 0, 0x0001)
     first = dev.rand
-    assert first == xorshift_step(0x0001)
-    # 1 200 048 sysclk edges later the register has stepped that many times
-    dev.hz10_tick(0, 0, 0, 0x0002, 600_024 + 1_200_048)
-    assert dev.rand == kernels.advance_feedback(first, 1_200_048)
+    assert first == dev.rand_reg == xorshift_step(0x0001)
+    # one HZ10 period of sysclk edges later the register has stepped that many times
+    dev.hz10_tick(0, 0, 0, 0x0002)
+    expected = first
+    for _ in range(2 * HALF_PERIODS[HZ10]):
+        expected = xorshift_step(expected)
+    assert dev.rand == dev.rand_reg == expected
 
 
 def test_device_feedback_zero_seed_stays_degenerate():
     dev = Device(DeviceConfig(prng_mode=FEEDBACK))
-    dev.hz10_tick(0, 0, 0, 0, 600_024)
+    dev.hz10_tick(0, 0, 0, 0)
     assert dev.rand == 0
-    dev.hz10_tick(0, 0, 0, 0, 1_800_072)
-    assert dev.rand == 0
+    dev.hz10_tick(0, 0, 0, 0)
+    assert dev.rand == dev.rand_reg == 0
 
 
 def test_device_settle_records_last_roll():
@@ -270,11 +272,11 @@ def test_device_settle_records_last_roll():
     adc = SyntheticAdc()
     # roll face-down for 20 ticks, then settle and hold
     for k in range(20):
-        dev.hz10_tick(0, 0, 0, adc.next(), k)
+        dev.hz10_tick(0, 0, 0, adc.next())
     last_out = dev.roll.out
     assert 1 <= last_out <= 2
     for k in range(20, 40):
-        dev.hz10_tick(1, 0, 0, adc.next(), k)
+        dev.hz10_tick(1, 0, 0, adc.next())
     assert dev.tilt.upright
     assert dev.roll.out == last_out
     assert dev.roll.held_diceval == 2
@@ -284,7 +286,7 @@ def test_device_reset_keeps_power_and_held_digits():
     dev = Device()
     adc = SyntheticAdc()
     for k in range(10):
-        dev.hz10_tick(0, 0, 0, adc.next(), k)
+        dev.hz10_tick(0, 0, 0, adc.next())
     dev.s5_tick()
     held = (dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held)
     power = (dev.power.onsig, dev.power.clk5)
@@ -313,7 +315,7 @@ def test_device_outputs_mapping():
 
 def test_device_tick_methods():
     dev = Device()
-    dev.hz10_tick(0, 0, 0, 0xBEEF, sysclk_index=600_024)
+    dev.hz10_tick(0, 0, 0, 0xBEEF)
     assert dev.seed == 0xBEEF
     dev.s5_tick()
     assert dev.power.onsig == 1

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicesim import kernels
+from dicesim import kernels, prng
 from dicesim.cli import ROLLS_PER_CHUNK
 from dicesim.device import SUPPORTED_DICE
-from dicesim.prng import seed_shift, xorshift_step
+from dicesim.prng import seed_shift, xorshift_jump, xorshift_step
 
 words32 = st.integers(min_value=0, max_value=kernels.MASK32)
 
@@ -48,11 +48,14 @@ def test_feedback_sequence_empty():
     assert kernels.feedback_sequence(1, 0).shape == (0,)
 
 
+# the advance_feedback tests check the device register's scalar jump,
+# prng.xorshift_jump, which shares its byte tables with the array jumps here
+
 def test_advance_feedback_matches_sequence():
     seq = kernels.feedback_sequence(0xDEADBEEF, 64)
     for k in (1, 2, 17, 64):
-        assert kernels.advance_feedback(0xDEADBEEF, k) == int(seq[k - 1])
-    assert kernels.advance_feedback(0x1234, 0) == 0x1234
+        assert xorshift_jump(0xDEADBEEF, k) == int(seq[k - 1])
+    assert xorshift_jump(0x1234, 0) == 0x1234
 
 
 def test_stateless_sequence_matches_scalar_pipeline():
@@ -77,7 +80,7 @@ def test_inverse_batch_round_trip():
 def test_kernels_agree_with_scalar_references():
     assert kernels.feedback_sequence(7, 1_000).tolist() == feedback_reference(7, 1_000)
     assert kernels.stateless_sequence(7, 1_000).tolist() == stateless_reference(7, 1_000)
-    assert kernels.advance_feedback(7, 321) == feedback_reference(7, 321)[-1]
+    assert xorshift_jump(7, 321) == feedback_reference(7, 321)[-1]
     words = np.arange(1, 2_049, dtype=np.uint32)
     assert kernels.xorshift_batch(words).tolist() == [xorshift_step(int(x)) for x in words]
 
@@ -92,9 +95,18 @@ def test_lcg_matches_adc_source():
     assert first == (lcg >> 16) & 0xFFFF
 
 
+def test_jump_tables_are_prng_buffers_viewed_in_place():
+    # one copy of each table: the arrays read prng's buffers and cannot write them
+    for buffer in (prng.power_tables(3), prng.inverse_tables()):
+        tables = kernels._view(buffer)
+        assert tables.shape == (4, 256) and not tables.flags.writeable
+        assert np.shares_memory(tables, np.frombuffer(buffer, dtype=np.uint32))
+        assert tables.ravel().tolist() == buffer.tolist()
+
+
 def test_advance_feedback_rejects_negative_steps():
     with pytest.raises(ValueError, match="non-negative"):
-        kernels.advance_feedback(1, -1)
+        xorshift_jump(1, -1)
 
 
 # ----------------------------------------------------------------------
@@ -103,14 +115,14 @@ def test_advance_feedback_rejects_negative_steps():
 
 @given(words32, st.integers(0, 1 << 70), st.integers(0, 1 << 70))
 def test_advance_feedback_composes(x, a, b):
-    assert kernels.advance_feedback(x, a + b) == kernels.advance_feedback(kernels.advance_feedback(x, a), b)
+    assert xorshift_jump(x, a + b) == xorshift_jump(xorshift_jump(x, a), b)
 
 
 @settings(max_examples=50)
 @given(words32, st.integers(0, 2_000))
 def test_advance_feedback_equals_step_chain(x, k):
     expected = feedback_reference(x, k)[-1] if k else x
-    assert kernels.advance_feedback(x, k) == expected
+    assert xorshift_jump(x, k) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,7 +157,7 @@ def test_sequences_cut_and_continued_equal_the_whole(seed, n, data):
 @given(words32, st.integers(0, 1 << 62), st.integers(1, 300))
 def test_feedback_sequence_start_equals_jump(seed, start, n):
     assert kernels.feedback_sequence(seed, n, start=start).tolist() == \
-        feedback_reference(kernels.advance_feedback(seed, start), n)
+        feedback_reference(xorshift_jump(seed, start), n)
 
 
 @given(words32, st.integers(0, 12))

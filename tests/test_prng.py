@@ -4,17 +4,8 @@ import random
 
 import pytest
 
-from dicesim.prng import (
-    FEEDBACK,
-    MASK32,
-    PrngState,
-    STATELESS,
-    feedback_state,
-    next_rand,
-    seed_shift,
-    xorshift_inverse,
-    xorshift_step,
-)
+from dicesim.device import Device, DeviceConfig
+from dicesim.prng import MASK32, seed_shift, xorshift_inverse, xorshift_step
 
 
 def _oracle_step(x):
@@ -98,37 +89,6 @@ def test_seed_shift_rejects_out_of_range():
         seed_shift(0, 0x10000)
 
 
-def test_stateless_mode_is_pure():
-    state = PrngState(STATELESS)
-    s1, w1 = next_rand(state, 0x1234)
-    s2, w2 = next_rand(s1, 0x1234)
-    assert w1 == w2 == xorshift_step(0x1234)
-    assert s2 == state
-
-
-def test_feedback_mode_chains():
-    state = feedback_state(1)
-    expected = 1
-    for _ in range(100):
-        state, word = next_rand(state)
-        expected = xorshift_step(expected)
-        assert word == expected
-        assert state.rand_reg == expected
-
-
-def test_feedback_rejects_zero_seed():
-    with pytest.raises(ValueError):
-        feedback_state(0)
-    with pytest.raises(ValueError):
-        feedback_state(1 << 32)  # masks to zero
-
-
-def test_degenerate_flag():
-    assert PrngState(FEEDBACK, 0).degenerate
-    assert not PrngState(FEEDBACK, 1).degenerate
-    assert not PrngState(STATELESS, 0).degenerate
-
-
 def test_state_validates_mode():
-    with pytest.raises(ValueError):
-        PrngState("turbo")
+    with pytest.raises(ValueError, match="unknown PRNG mode"):
+        Device(DeviceConfig(prng_mode="turbo"))

@@ -2,17 +2,23 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from io import StringIO
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dicesim
 from dicesim.device import Device, DeviceConfig, live_digits, set_digits
 from dicesim.display import DCODE, bcd_select, render_word, unpack_word
-from dicesim.timing import HZ10, HZ1000, HZ1500, HZ500, RISING, S5, Scheduler
+from dicesim.timing import HALF_PERIODS, HZ10, HZ1000, HZ1500, HZ500, RISING, S5, Scheduler
 from dicesim.trace import (
     LOG_COLUMNS,
     SIGNALS,
@@ -69,6 +75,18 @@ def test_parse_rejects_malformed_lines():
         parse_trace("5 ADC 65536")
     with pytest.raises(TraceParseError, match="bad value"):
         parse_trace("5 ADC xyz")
+
+
+@pytest.mark.parametrize("data, line_no", [
+    (b"\xff 0 TILT 1\n", 1),
+    (b"0 RESET 1\r\n\n# caf\xc3\xa9 \xc3\n", 3),  # a comment may hold UTF-8, not a cut sequence
+])
+def test_load_trace_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line_no):
+    path = tmp_path / "bytes.trace"
+    path.write_bytes(data)
+    with pytest.raises(TraceParseError, match=f"^line {line_no}: byte 0x.. is not UTF-8 text$") as info:
+        load_trace(path)
+    assert info.value.line_no == line_no
 
 
 # the last seven are line ends or blanks to str.splitlines()/str.split(), not
@@ -262,6 +280,82 @@ def test_replay_feedback_mode_runs():
     reg = log.final_state["prng"]["rand_reg"]
     assert reg != 0  # a nonzero register can never reach the zero orbit
     assert log.final_state["prng"]["mode"] == "feedback"
+
+
+def _shift_stage(k):
+    """x ^= x >> k (k > 0) or x ^= x << -k (k < 0) as a GF(2) bit matrix."""
+    return np.eye(32, dtype=np.int64) + np.eye(32, k=k, dtype=np.int64)
+
+
+def _gf2_power(m, k):
+    """m**k over GF(2), by squaring."""
+    result = np.eye(32, dtype=np.int64)
+    while k:
+        if k & 1:
+            result = result @ m % 2
+        m = m @ m % 2
+        k >>= 1
+    return result
+
+
+def _gf2_apply(m, word):
+    bits = (word >> np.arange(32)) & 1  # bit 0 = LSB
+    return int(((m @ bits % 2) << np.arange(32)).sum())
+
+
+# HZ10 ticks in order: ADC 0 before each of the first three, a latch at the
+# fourth, free-running ticks, a reset, one more zero-sample tick, a re-latch
+FEEDBACK_TRACE = """\
+0 RESET 1
+1000 RESET 0
+1000 ADC 0
+60000 ADC 0
+160000 ADC 0
+260000 ADC 4660
+700000 RESET 1
+710000 RESET 0
+710000 ADC 0
+800000 ADC 48879
+"""
+
+
+def test_feedback_register_matches_bit_matrix_oracle():
+    # T as the product of its three shift stages, built from nothing in prng
+    step = _shift_stage(13) @ _shift_stage(-9) @ _shift_stage(7) % 2
+    tick = _gf2_power(step, 2 * HALF_PERIODS[HZ10])
+    assert _gf2_apply(step, 1) == 0x201
+    ticks = []
+
+    def on_tick(t_us, event, dev):
+        if event.domain == HZ10:
+            ticks.append((event.sysclk_index, dev.seed, dev.rand))
+
+    log = replay(parse_trace(FEEDBACK_TRACE), ReplayConfig(prng_mode="feedback", duration_us=1_300_000),
+                 on_tick=on_tick)
+    expected, reg = [], 0
+    for since_release, seed, _ in ticks:
+        if since_release == HALF_PERIODS[HZ10]:  # the first tick after a release
+            reg = 0
+        reg = _gf2_apply(tick, reg) if reg else _gf2_apply(step, seed)
+        expected.append(reg)
+    assert [rand for _, _, rand in ticks] == expected
+    assert [reg == 0 for reg in expected] == [True] * 3 + [False] * 4 + [True] + [False] * 5
+    assert log.final_state["prng"] == {"mode": "feedback", "rand_reg": expected[-1]}
+
+
+def test_replay_is_numpy_free():
+    code = (
+        "import sys\n"
+        "from dicesim.trace import ReplayConfig, parse_trace, replay\n"
+        f"events = parse_trace({BOOT!r})\n"
+        "for mode in ('stateless', 'feedback'):\n"
+        "    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=3_000_000))\n"
+        "assert log.final_state['prng']['rand_reg'] != 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dicesim.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()
 
 
 def test_replay_validates():

@@ -18,7 +18,6 @@ from dicesim.uart import (
     payload_pack,
     tx_step,
     uart_frame,
-    uart_ready_gate,
 )
 
 
@@ -80,9 +79,17 @@ def test_ap_valid_single_period():
 
 
 def test_ready_gate():
-    assert uart_ready_gate(0) == 1
-    assert uart_ready_gate(1) == 0
-    assert uart_ready_gate(1, rstn=False) == 0
+    # ready toggles on every edge, and reset clears it
+    chan = UartChannel()
+    levels = []
+    for _ in range(4):
+        chan.edge(0x16)
+        levels.append(chan.ready)
+    assert levels == [1, 0, 1, 0]
+    chan.edge(0x16)
+    assert chan.ready == 1
+    chan.reset()
+    assert chan.ready == 0
 
 
 def test_channel_emits_back_to_back_frames():
