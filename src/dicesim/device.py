@@ -236,14 +236,6 @@ class DeviceConfig:
     intuitive_tilt: bool = False
 
 
-@dataclass(frozen=True)
-class DeviceOutputs:
-    onpin: int
-    led1: int
-    led0: int
-    dp: int
-
-
 class Device:
     """Register file of the dice unit, stepped by hz10_tick and s5_tick.
 
@@ -296,13 +288,3 @@ class Device:
     def s5_tick(self, rstn: bool = True) -> None:
         """One S5 rising edge: keep-awake toggler."""
         self.power = keepawake_update(self.power, self.selection.keepon, rstn)
-
-    def outputs(self, tilt_level: int = 0) -> DeviceOutputs:
-        """Pin view: onpin = onsig, led1 mirrors the raw tilt input, led0 =
-        clk5, dp = upright (active-low; the colon is lit when not upright)."""
-        return DeviceOutputs(
-            onpin=self.power.onsig,
-            led1=1 if tilt_level else 0,
-            led0=self.power.clk5,
-            dp=1 if self.tilt.upright else 0,
-        )

@@ -24,7 +24,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
+from itertools import starmap
 from operator import itemgetter
 
 from .device import (
@@ -39,7 +39,7 @@ from .device import (
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import MODES, STATELESS
 from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, RISING, S5, TickEvent
-from .uart import FRAME_BITS, payload_pack, uart_frame
+from .uart import FRAME_BITS, UartTxState, payload_pack, uart_frame
 
 SIGNALS = ("TILT", "BTNU", "BTND", "RESET", "ADC")
 LEVEL_SIGNALS = ("TILT", "BTNU", "BTND")
@@ -49,7 +49,6 @@ US_PER_SECOND = 1_000_000
 US_PER_BIT = 2 * HALF_PERIODS[HZ1000] // CYCLES_PER_US
 US_PER_FRAME = FRAME_BITS * US_PER_BIT
 STOP_US = (FRAME_BITS - 1) * US_PER_BIT  # the STOP-to-IDLE edge that completes a byte
-IDLE_FRAME = (0, 0, FRAME_BITS)  # no records left; its last state is IDLE with the line high
 
 # The device grid, in cycles after a reset release. Three facts make replay on
 # it alone exact; tests/test_timing.py::test_device_grid_moduli checks them.
@@ -64,8 +63,9 @@ IDLE_FRAME = (0, 0, FRAME_BITS)  # no records left; its last state is IDLE with 
 #    starts, and no UART bit is driven, on a device step.
 # 3. The live digits, and so the UART byte, change only at an HZ10 step
 #    (roll_update) or at RESET 1 (Device.reset); S5 steps write only the
-#    keep-awake outputs. Every frame that starts between two of those carries
-#    the same byte.
+#    keep-awake outputs. So the UART is a list of runs of same-byte frames:
+#    one opens at each release and at each HZ10 step that changes the byte,
+#    from the next frame START on, and RESET 1 cuts the frame in flight.
 HZ10_HALF = HALF_PERIODS[HZ10]
 S5_HALF = HALF_PERIODS[S5]
 FIRST_FRAME_CYCLES = 3 * HALF_PERIODS[HZ1000]
@@ -156,25 +156,57 @@ class ReplayConfig:
 
 @dataclass
 class RunLog:
-    """Everything a replay records. Lists hold (t_us, ...) tuples."""
+    """Everything a replay records, each list in time order. The UART is kept
+    as runs: (t_us, byte) in uart_runs opens a run of back-to-back frames of
+    byte, the first starting at t_us, that lasts until the next entry or
+    end_us; (t_us, None) is a RESET 1, which cuts the frame in flight and
+    drives the line high. uart_bytes and uart_waveform expand the runs."""
 
     settled_rolls: list = field(default_factory=list)   # (t_us, diceval, out)
-    uart_bytes: list = field(default_factory=list)      # (t_us, byte)
     display_words: list = field(default_factory=list)   # (t_us, word)
     onpin_edges: list = field(default_factory=list)     # (t_us, level)
-    uart_waveform: list = field(default_factory=list)   # (t_us, tx level)
+    uart_runs: list = field(default_factory=list)       # (START t_us, byte), or (t_us, None) at RESET 1
+    end_us: int = 0
     final_state: dict = field(default_factory=dict)
+
+    def _runs(self):
+        """(START t_us, byte, last us sent, cut by RESET 1) of each run."""
+        runs = self.uart_runs
+        # the last run ends with the replay: an end that is not a cut
+        for (t0, byte), (t_next, next_byte) in zip(runs, runs[1:] + [(self.end_us + 1, 0)]):
+            if byte is not None:
+                yield t0, byte, t_next if next_byte is None else t_next - 1, next_byte is None
+
+    @property
+    def uart_bytes(self) -> list:
+        """(t_us, byte) at the STOP-to-IDLE edge of every frame that completes."""
+        return [(t, byte) for t0, byte, last, _ in self._runs()
+                for t in range(t0 + STOP_US, last + 1, US_PER_FRAME)]
+
+    @property
+    def uart_waveform(self) -> list:
+        """(t_us, tx level) at every change of the line, which idles high."""
+        wave = [(0, 1)]
+        for t0, byte, last, cut in self._runs():
+            changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+            t = last - (last - t0) % US_PER_FRAME  # the START of the run's last frame, the only one cut
+            wave += [(s + dt, level) for s in range(t0, t, US_PER_FRAME) for dt, level in changes]
+            wave += [(t + dt, level) for dt, level in changes if dt <= last - t]
+            if cut and wave[-1][1] != 1:
+                wave.append((last, 1))
+        return wave
 
 
 class Board:
     """The whole board under replay: device, synthetic ADC source, held input
-    levels, UART frame in flight and run log. It steps only on the device
-    grid: two counters, the HZ10 and the S5 steps since the last reset
-    release, place the next edge of each domain arithmetically, and the
-    earlier of the two is taken, so a span split by a trace event is
-    unchanged. UART frames are written as runs of same-byte frames just
-    before each HZ10 step, at RESET 1 and in snapshot(); the HZ500 display
-    latch is derived by snapshot().
+    levels and run log. It steps only on the device grid: two counters, the
+    HZ10 and the S5 steps since the last reset release, place the next edge
+    of each domain arithmetically, and the earlier of the two is taken, so a
+    span split by a trace event is unchanged. The UART is noted as runs of
+    same-byte frames, the way display words are noted: a run opens at each
+    release and at each HZ10 step that changes the live byte, and RESET 1
+    notes a cut. snapshot() derives the frame in flight and the HZ500
+    display latch.
     """
 
     def __init__(self, config: ReplayConfig, on_tick=None) -> None:
@@ -186,15 +218,14 @@ class Board:
         self.adc_pending = None
         self.now = 0          # absolute cycles processed so far
         self.word = None      # last display word
-        self.frame = IDLE_FRAME  # (START t_us, byte, edges written) of the UART frame in flight
         self._release(0)
         self.note_display(0)
-        self.log.uart_waveform.append((0, 1))
 
     def _release(self, origin: int) -> None:
         self.reset = 0
         self.origin = origin  # absolute cycle of the last reset release
-        self.hz10_steps = self.s5_steps = self.frames = 0  # since the release
+        self.hz10_steps = self.s5_steps = 0  # since the release
+        self.note_uart(origin)
 
     def note_display(self, t_us: int) -> None:
         dev = self.device
@@ -203,40 +234,22 @@ class Board:
             self.word = word
             self.log.display_words.append((t_us, word))
 
-    def write_frame(self, cycle: int) -> None:
-        """Write the frame in flight's records at edges up to `cycle`, each once.
-        t_us stays exact."""
-        t0, byte, done = self.frame
-        last = min((cycle // CYCLES_PER_US - t0) // US_PER_BIT, FRAME_BITS - 1)
-        self.log.uart_waveform += [(t0 + k * US_PER_BIT, level)
-                                   for k, level in uart_frame(byte)[1] if done <= k <= last]
-        if done <= FRAME_BITS - 1 <= last:
-            self.log.uart_bytes.append((t0 + STOP_US, byte))
-        self.frame = (t0, byte, max(done, last + 1))
-
-    def write_uart(self, cycle: int) -> None:
-        """Write every UART record at an HZ1000 edge up to `cycle`: the rest of
-        the frame in flight, then each frame started since the last write. The
-        live digits have not changed since then, so those frames all carry the
-        same byte (fact 3), and all but the last are whole. Nothing is written
-        while reset is held."""
-        if self.reset:
-            return
-        self.write_frame(cycle)
-        started = (cycle - self.origin - FIRST_FRAME_CYCLES) // FRAME_CYCLES + 1
-        whole = started - self.frames - 1  # frames that end before the last one starts
-        if whole < 0:
-            return
-        log, roll = self.log, self.device.roll
+    def note_uart(self, cycle: int) -> None:
+        """Open a run if the live byte differs from the last run's: the frames
+        from the first START at or after absolute cycle `cycle` carry it. After
+        RESET 1 the last entry is a cut, so each release opens one."""
+        roll, runs = self.device.roll, self.log.uart_runs
         byte = payload_pack(roll.huns, roll.tens)
-        t0 = (self.origin + FIRST_FRAME_CYCLES) // CYCLES_PER_US + US_PER_FRAME * self.frames
-        t_end = t0 + whole * US_PER_FRAME
-        changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
-        log.uart_waveform += [(t + dt, level) for t in range(t0, t_end, US_PER_FRAME) for dt, level in changes]
-        log.uart_bytes += zip(range(t0 + STOP_US, t_end, US_PER_FRAME), repeat(byte))
-        self.frames = started
-        self.frame = (t_end, byte, 0)
-        self.write_frame(cycle)
+        if not runs or runs[-1][1] != byte:
+            ahead = (self.origin + FIRST_FRAME_CYCLES - cycle) % FRAME_CYCLES
+            runs.append(((cycle + ahead) // CYCLES_PER_US, byte))
+
+    def end_runs(self, t_us: int) -> None:
+        """Drop the runs whose first frame would start after t_us: RESET 1 or
+        the end of the replay comes first, and cuts the frame in flight."""
+        runs = self.log.uart_runs
+        while runs and runs[-1][0] > t_us:
+            runs.pop()
 
     def run_to(self, cycle: int) -> None:
         """Step the device on every HZ10 and S5 rising edge at or before
@@ -256,7 +269,6 @@ class Board:
                 return
             t_us = edge // CYCLES_PER_US
             if edge == hz10:  # never an S5 edge too (fact 1)
-                self.write_uart(edge)  # no frame starts on this edge (fact 2): all carry the old digits
                 sample = self.adc_pending
                 if sample is None:
                     sample = self.adc.next()
@@ -266,9 +278,10 @@ class Board:
                 if dev.tilt.upright and not was_upright:
                     log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
                 self.note_display(t_us)
+                self.note_uart(edge)  # no frame starts on this edge (fact 2)
                 self.hz10_steps += 1
                 domain = HZ10
-            else:  # no frames to write first: S5 leaves the digits alone (fact 3)
+            else:  # S5 leaves the digits alone (fact 3)
                 before = dev.power.onsig
                 dev.s5_tick(rstn=True)
                 if dev.power.onsig != before:
@@ -284,14 +297,12 @@ class Board:
             self.adc_pending = ev.value
         elif ev.signal == "RESET":
             if ev.value == 1 and not self.reset:
-                self.write_uart(self.now)  # a frame starting on this very cycle still drives its START bit
+                self.end_runs(ev.t_us)  # a frame starting on this very cycle still drives its START bit
+                self.log.uart_runs.append((ev.t_us, None))
                 self.reset = 1
-                self.frame = IDLE_FRAME
                 self.device.reset()
                 self.adc_pending = None
                 self.note_display(ev.t_us)
-                if self.log.uart_waveform[-1][1] != 1:
-                    self.log.uart_waveform.append((ev.t_us, 1))
             elif ev.value == 0 and self.reset:
                 self._release(ev.t_us * CYCLES_PER_US)
         else:
@@ -299,11 +310,15 @@ class Board:
 
     def snapshot(self) -> dict:
         """Register snapshot at the current time, as state.json holds it."""
-        self.write_uart(self.now)
-        _, byte, written = self.frame
-        dev, tx, ready, latched = self.device, uart_frame(byte)[0][written - 1], 0, None
+        dev, tx, ready, latched = self.device, UartTxState(), 0, None  # idle until a frame starts
         if not self.reset:
             ready = (self.now - self.origin + HALF_PERIODS[HZ1000]) // (2 * HALF_PERIODS[HZ1000]) % 2
+            since = self.now - self.origin - FIRST_FRAME_CYCLES  # cycles since the first frame started
+            if since >= 0:  # the frame in flight belongs to the last run that started by its START
+                start = (self.now - since % FRAME_CYCLES) // CYCLES_PER_US
+                runs = self.log.uart_runs
+                byte = runs[bisect_right(runs, start, key=itemgetter(0)) - 1][1]
+                tx = uart_frame(byte)[0][min(self.now // CYCLES_PER_US - start, STOP_US) // US_PER_BIT]
             since = self.now - self.origin - HALF_PERIODS[HZ500]  # cycles since the first HZ500 edge
             if since >= 0:  # the word changes only on HZ10 edges, never on an HZ500 edge
                 t_latch = (self.now - since % (2 * HALF_PERIODS[HZ500])) // CYCLES_PER_US
@@ -363,6 +378,8 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick
         board.run_to(ev.t_us * CYCLES_PER_US)
         board.apply(ev)
     board.run_to(duration_us * CYCLES_PER_US)
+    board.end_runs(duration_us)
+    board.log.end_us = duration_us
     board.log.final_state = board.snapshot()
     return board.log
 

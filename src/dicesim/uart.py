@@ -7,9 +7,9 @@ HZ1000 edge, so at most one frame can start per 2 ms; a running frame ignores
 ready until it returns to IDLE.
 
 The payload is the two live rand digits packed as huns*16 + tens, which is
-why a transmitted roll of 16 reads as hex 0x16 on the wire. Replay takes
-whole frames from uart_frame, a per-byte table built from tx_step;
-UartChannel steps the FSM edge by edge and is its reference.
+why a transmitted roll of 16 reads as hex 0x16 on the wire. The replay log
+expands its runs of same-byte frames from uart_frame, a per-byte table built
+from tx_step; UartChannel steps the FSM edge by edge and is its reference.
 """
 
 from __future__ import annotations

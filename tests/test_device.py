@@ -301,16 +301,7 @@ def test_device_reset_keeps_power_and_held_digits():
 
 def test_device_power_on_output_low():
     dev = Device()
-    assert dev.outputs().onpin == 0
-
-
-def test_device_outputs_mapping():
-    dev = Device()
-    out = dev.outputs(tilt_level=1)
-    assert out.led1 == 1
-    assert out.dp == 0  # not upright: dp low, colon lit
-    dev.tilt.upright = True
-    assert dev.outputs().dp == 1
+    assert dev.power.onsig == 0
 
 
 def test_device_tick_methods():

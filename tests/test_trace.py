@@ -145,8 +145,8 @@ def test_replay_first_tick_time():
 
 
 def test_on_tick_sees_consumed_rising_edges_only():
-    # only the edges that step the device: UART frames are written in runs
-    # between them, and HZ500 is not scheduled at all
+    # only the edges that step the device: UART frames are expanded from
+    # runs when the log is written, and HZ500 is not scheduled at all
     seen = Counter()
 
     def probe(t_us, tick, dev):
@@ -256,6 +256,14 @@ def test_replay_waveform_starts_idle_high():
     assert log.uart_waveform[0] == (0, 1)
     levels = [lv for _, lv in log.uart_waveform]
     assert all(a != b for a, b in zip(levels, levels[1:]))
+
+
+def test_uart_log_holds_runs_not_frames():
+    # face up and idle, the board sends one byte for good: a run ten times
+    # longer sends ten times the frames from the same number of UART runs
+    short, long = (replay(parse_trace(BOOT), ReplayConfig(duration_us=s * 1_000_000)) for s in (60, 600))
+    assert len(short.uart_runs) == len(long.uart_runs)
+    assert len(long.uart_bytes) // len(short.uart_bytes) == 10
 
 
 def test_replay_is_deterministic():
@@ -515,6 +523,14 @@ def _edge_by_edge(events, duration_us, ticks):
 @example(([TraceEvent(1_500, "RESET", 1), TraceEvent(2_000, "RESET", 0)], 200_000), "stateless")
 # the run ends while reset is held: no frame is written after RESET 1
 @example(([TraceEvent(250_000, "RESET", 1)], 400_000), "stateless")
+# the HZ10 step at 50 002 us changes the byte; the frame from 41 500 us, still
+# in flight, is cut at 50 200 us, before the next frame starts at 51 500 us,
+# and the line goes high there
+@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "stateless")
+@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "feedback")
+# and the run that ends there leaves that frame in STOP
+@example(([], 50_200), "stateless")
+@example(([], 50_200), "feedback")
 def test_frame_replay_equals_edge_by_edge_uart_and_latch(trace, mode):
     events, duration_us = trace
     ticks = []
@@ -575,26 +591,27 @@ def test_emitted_log_parses_back_to_its_rows(raw, mode):
 
 
 def test_emit_log_orders_simultaneous_records_by_kind():
-    log = RunLog(settled_rolls=[(5, 6, 3)], uart_bytes=[(5, 0x2A), (7, 0x05)],
-                 display_words=[(0, 0x1234), (5, 0xABCD), (5, 0x00EF)], onpin_edges=[(5, 1)])
+    # two runs of one whole frame each: their bytes complete at 9 000 and 19 000 us
+    log = RunLog(settled_rolls=[(9_000, 6, 3)], uart_runs=[(0, 0x2A), (10_000, 0x05)], end_us=19_000,
+                 display_words=[(0, 0x1234), (9_000, 0xABCD), (9_000, 0x00EF)], onpin_edges=[(9_000, 1)])
     assert emit_log(log, "csv") == (
         "record,t_us,dice_sides,roll,byte,word,level\n"
         "DISPLAY,0,,,,1234,\n"
-        "ROLL,5,6,3,,,\n"
-        "UART,5,,,2a,,\n"
-        "DISPLAY,5,,,,abcd,\n"
-        "DISPLAY,5,,,,00ef,\n"
-        "ONPIN,5,,,,,1\n"
-        "UART,7,,,05,,\n"
+        "ROLL,9000,6,3,,,\n"
+        "UART,9000,,,2a,,\n"
+        "DISPLAY,9000,,,,abcd,\n"
+        "DISPLAY,9000,,,,00ef,\n"
+        "ONPIN,9000,,,,,1\n"
+        "UART,19000,,,05,,\n"
     )
     assert emit_log(log, "jsonl") == (
         '{"record":"DISPLAY","t_us":0,"word":"1234"}\n'
-        '{"record":"ROLL","t_us":5,"dice_sides":6,"roll":3}\n'
-        '{"record":"UART","t_us":5,"byte":"2a"}\n'
-        '{"record":"DISPLAY","t_us":5,"word":"abcd"}\n'
-        '{"record":"DISPLAY","t_us":5,"word":"00ef"}\n'
-        '{"record":"ONPIN","t_us":5,"level":1}\n'
-        '{"record":"UART","t_us":7,"byte":"05"}\n'
+        '{"record":"ROLL","t_us":9000,"dice_sides":6,"roll":3}\n'
+        '{"record":"UART","t_us":9000,"byte":"2a"}\n'
+        '{"record":"DISPLAY","t_us":9000,"word":"abcd"}\n'
+        '{"record":"DISPLAY","t_us":9000,"word":"00ef"}\n'
+        '{"record":"ONPIN","t_us":9000,"level":1}\n'
+        '{"record":"UART","t_us":19000,"byte":"05"}\n'
     )
     with pytest.raises(ValueError, match="unknown log format"):
         emit_log(log, "xml")
