@@ -111,9 +111,10 @@ def cmd_simulate(args) -> int:
             _write_atomic(out_dir / "uart_bits.csv", emit_uart_bits_csv(log))
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
+    uart_bytes = sum(len(times) for _, times in log.uart_byte_runs())
     print(
         f"replayed {len(events)} events: {len(log.settled_rolls)} settled rolls, "
-        f"{len(log.uart_bytes)} uart bytes, {len(log.display_words)} display words, "
+        f"{uart_bytes} uart bytes, {len(log.display_words)} display words, "
         f"{len(log.onpin_edges)} onpin edges -> {out_dir}"
     )
     return EXIT_OK

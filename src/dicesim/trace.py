@@ -22,9 +22,11 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain
+from math import inf
 from operator import itemgetter
 
 from .device import (
@@ -160,7 +162,9 @@ class RunLog:
     as runs: (t_us, byte) in uart_runs opens a run of back-to-back frames of
     byte, the first starting at t_us, that lasts until the next entry or
     end_us; (t_us, None) is a RESET 1, which cuts the frame in flight and
-    drives the line high. uart_bytes and uart_waveform expand the runs."""
+    drives the line high. uart_byte_runs and uart_wave_runs give each run's
+    times as ranges; the writers format a run at a time from them, and
+    uart_bytes and uart_waveform expand them a record at a time."""
 
     settled_rolls: list = field(default_factory=list)   # (t_us, diceval, out)
     display_words: list = field(default_factory=list)   # (t_us, word)
@@ -177,23 +181,37 @@ class RunLog:
             if byte is not None:
                 yield t0, byte, t_next if next_byte is None else t_next - 1, next_byte is None
 
+    def uart_byte_runs(self):
+        """(byte, times of the STOP-to-IDLE edges of its frames that complete)
+        of each run, the times as a range."""
+        for t0, byte, last, _ in self._runs():
+            yield byte, range(t0 + STOP_US, last + 1, US_PER_FRAME)
+
+    def uart_wave_runs(self):
+        """(changes, starts, tail) of each run: the (offset, tx level) changes
+        of one of its frames, the START times of its whole frames as a range,
+        and the (t_us, tx level) changes of its last frame, the only one cut,
+        up to the cut or the end, then the line going high at a cut."""
+        for t0, byte, last, cut in self._runs():
+            changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+            t = last - (last - t0) % US_PER_FRAME  # the START of the run's last frame
+            tail = [(t + dt, level) for dt, level in changes if dt <= last - t]
+            if cut and tail[-1][1] != 1:  # tail holds at least the START edge
+                tail.append((last, 1))
+            yield changes, range(t0, t, US_PER_FRAME), tail
+
     @property
     def uart_bytes(self) -> list:
         """(t_us, byte) at the STOP-to-IDLE edge of every frame that completes."""
-        return [(t, byte) for t0, byte, last, _ in self._runs()
-                for t in range(t0 + STOP_US, last + 1, US_PER_FRAME)]
+        return [(t, byte) for byte, times in self.uart_byte_runs() for t in times]
 
     @property
     def uart_waveform(self) -> list:
         """(t_us, tx level) at every change of the line, which idles high."""
         wave = [(0, 1)]
-        for t0, byte, last, cut in self._runs():
-            changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
-            t = last - (last - t0) % US_PER_FRAME  # the START of the run's last frame, the only one cut
-            wave += [(s + dt, level) for s in range(t0, t, US_PER_FRAME) for dt, level in changes]
-            wave += [(t + dt, level) for dt, level in changes if dt <= last - t]
-            if cut and wave[-1][1] != 1:
-                wave.append((last, 1))
+        for changes, starts, tail in self.uart_wave_runs():
+            wave += [(s + dt, level) for s in starts for dt, level in changes]
+            wave += tail
         return wave
 
 
@@ -398,31 +416,57 @@ _RECORD_KINDS = (
     ("display_words", "DISPLAY,{0},,,,{1:04x},\n", '{{"record":"DISPLAY","t_us":{0},"word":"{1:04x}"}}\n'),
     ("onpin_edges", "ONPIN,{0},,,,,{1}\n", '{{"record":"ONPIN","t_us":{0},"level":{1}}}\n'),
 )
+_UART_ROW = 1  # the row log.uart_byte_runs fill, a run at a time
 _LOG_HEADERS = {"csv": ",".join(LOG_COLUMNS) + "\n", "jsonl": ""}
 
 
 def emit_log(log: RunLog, fmt: str = "csv") -> str:
     """Serialize the merged record stream; csv and jsonl carry identical
     field values in identical order. Each RunLog list is already in time
-    order, and heapq.merge keeps simultaneous records in table order."""
+    order, and heapq.merge keeps simultaneous ROLL, DISPLAY and ONPIN
+    records in table order. Before each of them, the UART times that sort
+    before it (before its t_us for a ROLL, up to it for the others) are
+    written as one block, with one % template for the run they belong to."""
     if fmt not in _LOG_HEADERS:
         raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
     column = 1 if fmt == "csv" else 2
     streams = []
-    for kind in _RECORD_KINDS:
-        records = getattr(log, kind[0])
-        streams.append(zip(map(itemgetter(0), records), starmap(kind[column].format, records)))
-    return _LOG_HEADERS[fmt] + "".join(map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0))))
+    for row, kind in enumerate(_RECORD_KINDS):
+        if row != _UART_ROW:  # (t_us, bound, line): the UART times below bound go first
+            after = int(row > _UART_ROW)
+            streams.append([(rec[0], rec[0] + after, kind[column].format(*rec)) for rec in getattr(log, kind[0])])
+    line = _RECORD_KINDS[_UART_ROW][column]
+    pending = deque((line.format("%d", byte), times) for byte, times in log.uart_byte_runs())
+    chunks = [_LOG_HEADERS[fmt]]
+    for _, bound, text in chain(heapq.merge(*streams, key=itemgetter(0)), [(None, inf, "")]):
+        while pending:
+            template, times = pending[0]
+            k = bisect_left(times, bound)
+            chunks.append((template * k) % tuple(times[:k]))
+            if k < len(times):
+                pending[0] = template, times[k:]
+                break
+            pending.popleft()
+        chunks.append(text)
+    return "".join(chunks)
 
 
 def emit_uart_csv(log: RunLog) -> str:
-    """UART byte log as t_us,byte_hex lines."""
-    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in log.uart_bytes)
+    """UART byte log as t_us,byte_hex lines, one % template per run."""
+    return "t_us,byte_hex\n" + "".join(
+        (f"%d,{byte:02x}\n" * len(times)) % tuple(times) for byte, times in log.uart_byte_runs())
 
 
 def emit_uart_bits_csv(log: RunLog) -> str:
-    """UART line-level waveform as t_us,level lines."""
-    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in log.uart_waveform)
+    """UART line-level waveform as t_us,level lines: a run's whole frames
+    take one % template over their change times, frame by frame."""
+    chunks = ["t_us,level\n0,1\n"]  # the line idles high from 0 us
+    for changes, starts, tail in log.uart_wave_runs():
+        template = "".join(f"%d,{level}\n" for _, level in changes) * len(starts)
+        times = [range(starts.start + dt, starts.stop, US_PER_FRAME) for dt, _ in changes]
+        chunks.append(template % tuple(chain.from_iterable(zip(*times))))
+        chunks += [f"{t_us},{level}\n" for t_us, level in tail]
+    return "".join(chunks)
 
 
 def emit_state_json(log: RunLog) -> str:

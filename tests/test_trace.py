@@ -1,6 +1,7 @@
 """Trace parsing, replay semantics, and log serialization."""
 
 import csv
+import heapq
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from io import StringIO
+from itertools import starmap
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,12 @@ from dicesim.device import Device, DeviceConfig, live_digits, set_digits
 from dicesim.display import DCODE, bcd_select, render_word, unpack_word
 from dicesim.timing import HALF_PERIODS, HZ10, HZ1000, HZ1500, HZ500, RISING, S5, Scheduler
 from dicesim.trace import (
+    _RECORD_KINDS,
     LOG_COLUMNS,
     SIGNALS,
+    STOP_US,
+    US_PER_BIT,
+    US_PER_FRAME,
     ReplayConfig,
     RunLog,
     TraceEvent,
@@ -34,7 +41,7 @@ from dicesim.trace import (
     parse_trace,
     replay,
 )
-from dicesim.uart import UartChannel, payload_pack
+from dicesim.uart import UartChannel, payload_pack, uart_frame
 
 BOOT = """\
 # assert reset, release, set the unit face up
@@ -354,10 +361,11 @@ def test_feedback_register_matches_bit_matrix_oracle():
 def test_replay_is_numpy_free():
     code = (
         "import sys\n"
-        "from dicesim.trace import ReplayConfig, parse_trace, replay\n"
+        "from dicesim.trace import ReplayConfig, emit_log, emit_uart_bits_csv, emit_uart_csv, parse_trace, replay\n"
         f"events = parse_trace({BOOT!r})\n"
         "for mode in ('stateless', 'feedback'):\n"
         "    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=3_000_000))\n"
+        "    assert all((emit_log(log, 'csv'), emit_log(log, 'jsonl'), emit_uart_csv(log), emit_uart_bits_csv(log)))\n"
         "assert log.final_state['prng']['rand_reg'] != 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
@@ -591,9 +599,12 @@ def test_emitted_log_parses_back_to_its_rows(raw, mode):
 
 
 def test_emit_log_orders_simultaneous_records_by_kind():
-    # two runs of one whole frame each: their bytes complete at 9 000 and 19 000 us
-    log = RunLog(settled_rolls=[(9_000, 6, 3)], uart_runs=[(0, 0x2A), (10_000, 0x05)], end_us=19_000,
-                 display_words=[(0, 0x1234), (9_000, 0xABCD), (9_000, 0x00EF)], onpin_edges=[(9_000, 1)])
+    # a run of one whole frame, its byte complete at 9 000 us, then a run of
+    # three whole frames, complete at 19 000, 29 000 and 39 000 us; the ROLL
+    # and the DISPLAY at 29 000 us split the second run on both sides of its tie
+    log = RunLog(settled_rolls=[(9_000, 6, 3), (29_000, 20, 17)], uart_runs=[(0, 0x2A), (10_000, 0x05)],
+                 end_us=39_000, display_words=[(0, 0x1234), (9_000, 0xABCD), (9_000, 0x00EF), (29_000, 0x0BAD)],
+                 onpin_edges=[(9_000, 1)])
     assert emit_log(log, "csv") == (
         "record,t_us,dice_sides,roll,byte,word,level\n"
         "DISPLAY,0,,,,1234,\n"
@@ -603,6 +614,10 @@ def test_emit_log_orders_simultaneous_records_by_kind():
         "DISPLAY,9000,,,,00ef,\n"
         "ONPIN,9000,,,,,1\n"
         "UART,19000,,,05,,\n"
+        "ROLL,29000,20,17,,,\n"
+        "UART,29000,,,05,,\n"
+        "DISPLAY,29000,,,,0bad,\n"
+        "UART,39000,,,05,,\n"
     )
     assert emit_log(log, "jsonl") == (
         '{"record":"DISPLAY","t_us":0,"word":"1234"}\n'
@@ -612,6 +627,114 @@ def test_emit_log_orders_simultaneous_records_by_kind():
         '{"record":"DISPLAY","t_us":9000,"word":"00ef"}\n'
         '{"record":"ONPIN","t_us":9000,"level":1}\n'
         '{"record":"UART","t_us":19000,"byte":"05"}\n'
+        '{"record":"ROLL","t_us":29000,"dice_sides":20,"roll":17}\n'
+        '{"record":"UART","t_us":29000,"byte":"05"}\n'
+        '{"record":"DISPLAY","t_us":29000,"word":"0bad"}\n'
+        '{"record":"UART","t_us":39000,"byte":"05"}\n'
     )
     with pytest.raises(ValueError, match="unknown log format"):
         emit_log(log, "xml")
+
+
+# Per-record references for the UART writers: each run expanded a frame and a
+# line at a time, one str.format or f-string per line, and every log record
+# merged by heapq.merge. The writers format a run at a time and must match.
+
+
+def _uart_bytes_by_record(log):
+    return [(t, byte) for t0, byte, last, _ in log._runs() for t in range(t0 + STOP_US, last + 1, US_PER_FRAME)]
+
+
+def _uart_waveform_by_record(log):
+    wave = [(0, 1)]
+    for t0, byte, last, cut in log._runs():
+        changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+        t = last - (last - t0) % US_PER_FRAME
+        wave += [(s + dt, level) for s in range(t0, t, US_PER_FRAME) for dt, level in changes]
+        wave += [(t + dt, level) for dt, level in changes if dt <= last - t]
+        if cut and wave[-1][1] != 1:
+            wave.append((last, 1))
+    return wave
+
+
+def _log_by_record(log, fmt):
+    column = 1 if fmt == "csv" else 2
+    streams = []
+    for kind in _RECORD_KINDS:
+        records = _uart_bytes_by_record(log) if kind[0] == "uart_bytes" else getattr(log, kind[0])
+        streams.append(zip(map(itemgetter(0), records), starmap(kind[column].format, records)))
+    header = ",".join(LOG_COLUMNS) + "\n" if fmt == "csv" else ""
+    return header + "".join(map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0))))
+
+
+def _uart_csv_by_record(log):
+    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in _uart_bytes_by_record(log))
+
+
+def _uart_bits_by_record(log):
+    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in _uart_waveform_by_record(log))
+
+
+# where RESET 1 or the end falls after the START of a release's last frame:
+# on that START edge, on its STOP edge or next to it, or anywhere in the frame
+CUT_OFFSETS = st.one_of(st.sampled_from((0, 1, STOP_US - 1, STOP_US, STOP_US + 1, US_PER_FRAME - 1)),
+                        st.integers(0, US_PER_FRAME - 1))
+
+
+@st.composite
+def _run_logs(draw):
+    """A RunLog drawn directly. Each release holds runs on its own frame
+    grid; RESET 1 cuts its last frame at a CUT_OFFSETS point, or the end does
+    for the last release, and a release may hold only that one cut frame.
+    The first run may start at 0 us. Records of the three other kinds fall
+    before, on and just after the STOP times of the frames, or anywhere."""
+    runs = [(0, None)] if draw(st.booleans()) else []  # held in reset from 0 us
+    start = draw(st.sampled_from((0, 1_500)))
+    releases = draw(st.integers(1, 3))
+    for release in range(releases):
+        frames = 0
+        for _ in range(draw(st.integers(1, 3))):
+            runs.append((start + US_PER_FRAME * frames, draw(st.integers(0, 0xFF))))
+            frames += draw(st.integers(1, 4))
+        cut = runs[-1][0] + US_PER_FRAME * draw(st.integers(0, 2)) + draw(CUT_OFFSETS)
+        ended = release == releases - 1 and draw(st.booleans())  # the end, not RESET 1, cuts it
+        if not ended:
+            runs.append((cut, None))
+        start = cut + draw(st.integers(1, 3_000))
+    log = RunLog(uart_runs=runs, end_us=cut if ended else cut + draw(st.sampled_from((0, 1, 20_000))))
+    stops = [t for t, _ in _uart_bytes_by_record(log)] or [0]
+    times = st.lists(st.one_of(st.tuples(st.sampled_from(stops), st.sampled_from((-1, 0, 1))).map(sum),
+                               st.integers(0, log.end_us)), max_size=6).map(sorted)
+    log.settled_rolls = [(t, draw(st.integers(2, 100)), draw(st.integers(0, 99))) for t in draw(times)]
+    log.display_words = [(t, draw(st.integers(0, 0xFFFF))) for t in draw(times)]
+    log.onpin_edges = [(t, draw(st.integers(0, 1))) for t in draw(times)]
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_logs())
+# a first run at 0 us whose only frame RESET 1 cuts on its START edge, with a
+# record of each kind at that instant
+@example(RunLog(uart_runs=[(0, 0x3C), (0, None)], end_us=0, settled_rolls=[(0, 6, 1)],
+                display_words=[(0, 0x1234)], onpin_edges=[(0, 1)]))
+# a record of each kind on, before and after the STOP time of the middle frame
+@example(RunLog(uart_runs=[(1_500, 0x16)], end_us=31_500, settled_rolls=[(20_500, 6, 1)],
+                display_words=[(20_499, 1), (20_500, 2), (20_501, 3)], onpin_edges=[(20_500, 1)]))
+def test_uart_writers_equal_per_record_joins(log):
+    assert log.uart_bytes == _uart_bytes_by_record(log)
+    assert log.uart_waveform == _uart_waveform_by_record(log)
+    assert emit_uart_csv(log) == _uart_csv_by_record(log)
+    assert emit_uart_bits_csv(log) == _uart_bits_by_record(log)
+    for fmt in ("csv", "jsonl"):
+        assert emit_log(log, fmt) == _log_by_record(log, fmt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reset_traces(), st.sampled_from(("stateless", "feedback")))
+def test_uart_views_are_the_written_rows(trace, mode):
+    events, duration_us = trace
+    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us))
+    rows = list(csv.DictReader(StringIO(emit_uart_csv(log))))
+    assert log.uart_bytes == [(int(row["t_us"]), int(row["byte_hex"], 16)) for row in rows]
+    rows = list(csv.DictReader(StringIO(emit_uart_bits_csv(log))))
+    assert log.uart_waveform == [(int(row["t_us"]), int(row["level"])) for row in rows]
