@@ -5,8 +5,10 @@
 Each kernel runs once untimed (the first call builds its cached jump
 tables), then the best of REPEAT timed calls is printed. Before timing,
 the first CHECK words of every sequence, and a long `prng.xorshift_jump`,
-are compared with a plain `prng.xorshift_step` chain, and each sequence made a
-chunk at a time, as `rolls` makes it, is compared with one whole call.
+are compared with a plain `prng.xorshift_step` chain; `xorshift_batch` and
+`xorshift_inverse_batch` of CHECK words with the scalar `prng.xorshift_step`
+and `prng.xorshift_inverse` of each; and each sequence made a chunk at a
+time, as `rolls` makes it, with one whole call.
 The text kernels are compared with a join of one line per roll and with a
 count of one `int` per line, on every supported die, and the bias
 report's face lines with one f-string per face; then one rolls chunk is
@@ -29,7 +31,7 @@ import numpy as np
 from dicesim import cli, kernels
 from dicesim.cli import BIAS_FACES_PER_WRITE, ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
 from dicesim.device import SUPPORTED_DICE, TICK_STEPS
-from dicesim.prng import seed_shift, xorshift_jump, xorshift_step
+from dicesim.prng import seed_shift, xorshift_inverse, xorshift_jump, xorshift_step
 from dicesim.stats import modulo_bias
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
@@ -64,8 +66,9 @@ def check_against_scalar_chain():
     assert kernels.feedback_sequence(1, N)[:n].tolist() == feedback
     assert kernels.stateless_sequence(12345, N)[:n].tolist() == stateless
     assert kernels.xorshift_batch(words).tolist() == [xorshift_step(int(w)) for w in words]
+    assert kernels.xorshift_inverse_batch(words).tolist() == [xorshift_inverse(int(w)) for w in words]
     assert xorshift_jump(1, n) == feedback[-1]
-    print(f"kernels match the scalar chain on the first {n} words")
+    print(f"kernels match the scalar chain and the scalar inverse on the first {n} words")
 
 
 def chunked(sequence, seed, n):

@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -59,18 +59,28 @@ def _new_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
-    # a temp file of its own in the target directory, so concurrent writers never share
-    # one, then a rename over the target; removed on any failure, a chunk source's too
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
+    """Write each path's text, made by its function, as one set: each to a
+    temp file of its own in the path's directory, so concurrent writers
+    never share one, then, once every one is whole, a rename of each over
+    its path. On any failure before that, a chunk source's too, every temp
+    file is removed. Only one text is made at a time."""
+    written: list[tuple[str, Path]] = []
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.writelines((text,) if isinstance(text, str) else text)
-        os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
-        os.replace(tmp, path)
+        for path, make_text in files.items():
+            fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+            written.append((tmp, path))
+            with open(fd, "w", encoding="utf-8") as fh:
+                text = make_text()
+                fh.writelines((text,) if isinstance(text, str) else text)
+                del text  # before the next text is made
+            os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
+        for tmp, path in written:
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
@@ -104,11 +114,14 @@ def cmd_simulate(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         log_name = "log.csv" if args.format == "csv" else "log.jsonl"
-        _write_atomic(out_dir / log_name, emit_log(log, args.format))
-        _write_atomic(out_dir / "uart.csv", emit_uart_csv(log))
-        _write_atomic(out_dir / "state.json", emit_state_json(log))
+        outputs = {
+            out_dir / log_name: lambda: emit_log(log, args.format),
+            out_dir / "uart.csv": lambda: emit_uart_csv(log),
+            out_dir / "state.json": lambda: emit_state_json(log),
+        }
         if args.uart_bits:
-            _write_atomic(out_dir / "uart_bits.csv", emit_uart_bits_csv(log))
+            outputs[out_dir / "uart_bits.csv"] = lambda: emit_uart_bits_csv(log)
+        _write_atomic(outputs)
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
     uart_bytes = sum(len(times) for _, times in log.uart_byte_runs())
@@ -147,7 +160,7 @@ def cmd_rolls(args) -> int:
     chunks = _roll_chunks(sequence, seed, args.count, args.sides)
     if args.out:
         try:
-            _write_atomic(Path(args.out), chunks)
+            _write_atomic({Path(args.out): lambda: chunks})
         except OSError as exc:
             return _fail(f"cannot write rolls: {exc}", EXIT_IO)
     else:
@@ -169,7 +182,7 @@ def _count_lines(block: bytes, first_line: int, sides: int, rolls_before: int) -
     for n, line in enumerate(block.removesuffix(b"\n").split(b"\n"), start=first_line):
         line = line.strip(b" \t\r")
         if not line.isdigit():  # bytes.isdigit() is exactly [0-9]+
-            line = line.decode("utf-8")
+            line = line.decode("utf-8", "backslashreplace")  # a byte that is not UTF-8 shows as \xe9
             if not line:
                 continue
             if not _INTEGER.fullmatch(line):
@@ -249,7 +262,7 @@ def cmd_stats(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if args.out:
         try:
-            _write_atomic(Path(args.out), stats.histogram_csv(hist))
+            _write_atomic({Path(args.out): lambda: stats.histogram_csv(hist)})
         except OSError as exc:
             return _fail(f"cannot write histogram: {exc}", EXIT_IO)
     sys.stdout.write(stats.ascii_chart(hist))

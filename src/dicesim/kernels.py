@@ -1,25 +1,24 @@
-"""Bulk generator kernels in numpy: jump-ahead and lane-parallel sequences.
+"""Bulk generator kernels in numpy: jump-ahead and sequences by doubling.
 
 The xorshift transform T (`prng.xorshift_step`) is linear over GF(2), so k
 steps are one 32x32 bit matrix T**k (Haramoto, Matsumoto, L'Ecuyer et al.
 2008, "Efficient jump ahead for F2-linear random number generators"). `prng`
-builds and caches the byte lookup tables of T**(2**i) and of the inverse,
-each one uint32 buffer; here they are viewed in place as (4, 256) arrays,
-so a jump of an array by k steps costs one table pass per set bit of k.
-The device's own register jumps one HZ10 period per tick in `prng` and
-never reaches this module. Single steps over arrays call
-`prng.xorshift_step` itself, which is several times faster than a table
-pass.
+builds and caches the byte lookup tables of T**(2**i), each one uint32
+buffer; here each level's buffer is viewed in place as a flat array, and
+`prng.apply_tables` maps a whole uint32 array through it in one pass. The
+device's own register jumps one HZ10 period per tick in `prng` and never
+reaches this module. Element-wise steps and inverses of arrays call
+`prng.xorshift_step` and `prng.xorshift_inverse` themselves.
 
 The synthetic ADC source is an LCG (`prng.lcg_step`, which `SyntheticAdc`
 steps too), affine mod 2**32, so it jumps the same way (Brown 1994, "Random
 number generation with arbitrary strides").
 
-A sequence of n words is cut into about sqrt(n) lanes, MIN_LANES at least:
-every lane start is reached by a jump, then all lanes step together as
-uint32 arrays. A sequence may begin `start` words into the stream, so a
-long one is made a chunk at a time, each chunk continuing where the one
-before stopped.
+A sequence is filled by doubling: its first word is reached by one jump per
+set bit of its offset in the stream, then the jump by 2**i maps the 2**i
+words made so far onto the next 2**i. A sequence may begin `start` words
+into the stream, so a long one is made a chunk at a time, each chunk
+continuing where the one before stopped.
 
 The text of a rolls CSV is made and read here too, a block at a time with
 no Python step per roll: `format_rolls` gathers each face's line from a
@@ -32,32 +31,22 @@ columns of a run of faces one place at a time.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .prng import LCG_INC, LCG_MULT, MASK32, inverse_tables, lcg_step, power_tables, xorshift_step
-
-# Below this many lanes a step's cost is numpy's per-call overhead, not its
-# work, so shorter sequences take more lanes than sqrt(n) and fewer steps.
-MIN_LANES = 1_024
+from .prng import LCG_INC, LCG_MULT, MASK32, apply_tables, power_tables, xorshift_inverse, xorshift_step
 
 
 # ======================================================================
-#  GF(2)-linear maps of 32-bit words as byte lookup tables
+#  jumps by 2**i steps of a uint32 array
 # ======================================================================
 
-def _view(buffer) -> np.ndarray:
-    """A `prng` table buffer as a read-only (4, 256) uint32 array, not copied."""
-    tables = np.frombuffer(buffer, dtype=np.uint32).reshape(4, 256)
+@functools.cache
+def _tables(i: int) -> np.ndarray:
+    """`prng`'s tables of T**(2**i) as a read-only flat uint32 array, not copied."""
+    tables = np.frombuffer(power_tables(i), dtype=np.uint32)
     tables.flags.writeable = False
     return tables
-
-
-def _apply(tables: np.ndarray, x):
-    """Image of a uint32 word or array under the map held in tables."""
-    return (tables[0, x & 0xFF] ^ tables[1, (x >> 8) & 0xFF]
-            ^ tables[2, (x >> 16) & 0xFF] ^ tables[3, x >> 24])
 
 
 @functools.cache
@@ -70,7 +59,7 @@ def _lcg_power(i: int) -> tuple[int, int]:
 
 
 def _xorshift_jump(i: int, x: np.ndarray) -> np.ndarray:
-    return _apply(_view(power_tables(i)), x)
+    return apply_tables(_tables(i), x)
 
 
 def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
@@ -78,28 +67,23 @@ def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
     return x * np.uint32(mult) + np.uint32(inc)
 
 
-def _orbit(first: int, n: int, jump, step, start: int = 0) -> np.ndarray:
-    """The n states after the first start ones, f**(start+1)(first) ..
-    f**(start+n)(first), as uint32.
+def _orbit(first: int, n: int, jump, start: int) -> np.ndarray:
+    """The n states f**start(first) .. f**(start+n-1)(first), as uint32.
 
-    jump(i, x) applies f**(2**i) to a uint32 array and step(x) applies f
-    to one, which it may update in place. Lane j starts at
-    f**(start + j * length)(first) and then steps length times.
+    jump(i, x) applies f**(2**i) to a uint32 array. Once the first 2**i
+    states are made, one jump by 2**i makes the next 2**i from them.
     """
-    if n == 0:
-        return np.empty(0, dtype=np.uint32)
-    lanes = min(n, max(math.isqrt(n), MIN_LANES))
-    length = -(-n // lanes)
-    offsets = start + np.arange(lanes, dtype=np.int64) * length
-    x = np.full(lanes, first & MASK32, dtype=np.uint32)
-    for i in range(int(offsets[-1]).bit_length()):
-        hit = (offsets >> i) & 1 == 1
-        x[hit] = jump(i, x[hit])
-    out = np.empty((lanes, length), dtype=np.uint32)
-    for t in range(length):
-        x = step(x)
-        out[:, t] = x
-    return out.ravel()[:n]
+    out = np.empty(n, dtype=np.uint32)
+    out[:1] = first & MASK32
+    for i in range(start.bit_length()):
+        if start >> i & 1:
+            out[:1] = jump(i, out[:1])
+    made, i = min(n, 1), 0
+    while made < n:
+        more = min(made, n - made)
+        out[made:made + more] = jump(i, out[:more])
+        made, i = made + more, i + 1
+    return out
 
 
 # ======================================================================
@@ -113,13 +97,13 @@ def xorshift_batch(words) -> np.ndarray:
 
 def xorshift_inverse_batch(words) -> np.ndarray:
     """Element-wise exact inverse of xorshift_batch."""
-    return _apply(_view(inverse_tables()), np.asarray(words, dtype=np.uint32))
+    return xorshift_inverse(np.asarray(words, dtype=np.uint32))
 
 
 def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n successive outputs of the free-running xorshift from seed, after
     skipping its first start outputs."""
-    return _orbit(int(seed), int(n), _xorshift_jump, xorshift_step, int(start))
+    return _orbit(int(seed), int(n), _xorshift_jump, int(start) + 1)
 
 
 def stateless_sequence(lcg_seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -127,16 +111,16 @@ def stateless_sequence(lcg_seed: int, n: int, start: int = 0) -> np.ndarray:
     after skipping its first start outputs.
 
     Each step shifts the top 16 bits of the next LCG state into the seed
-    register (which starts at 0) and outputs the xorshift of the register.
+    register (which starts at 0) and outputs the xorshift of the register,
+    so output k's register is the top halves of LCG states k and k + 1.
     """
-    n, start = int(n), int(start)
-    states = _orbit(int(lcg_seed), n, _lcg_jump, lcg_step, start)
-    register = states >> np.uint32(16)
-    states &= np.uint32(0xFFFF0000)
-    register[1:] |= states[:-1]
-    if start and n:  # the first register's high half is the top of the state before it
-        register[0] |= _orbit(int(lcg_seed), 1, _lcg_jump, lcg_step, start - 1)[0] & np.uint32(0xFFFF0000)
-    del states  # free the lane buffer before the transform's temporaries
+    start = int(start)
+    states = _orbit(int(lcg_seed), int(n) + 1, _lcg_jump, start)
+    if start == 0:
+        states[0] = 0  # the register's first high half is its reset value
+    register = states[:-1] & np.uint32(0xFFFF0000)
+    register |= states[1:] >> np.uint32(16)
+    del states  # free the states before the transform's temporaries
     return xorshift_step(register)
 
 

@@ -21,7 +21,9 @@ F2-linear random number generators"). A matrix is held as four 256-entry
 lookup tables, one per input byte, in one 1 024-entry uint32 buffer. The
 tables of T**(2**i) are built on first use by squaring and cached, so
 `xorshift_jump` costs one table pass per set bit of its step count.
-`kernels` views the same buffers for its array jumps.
+`apply_tables` makes that pass on an int with the buffer itself, or on a
+uint32 array with a flat numpy view of it, which `kernels` keeps per level;
+this module itself never imports numpy.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ def xorshift_inverse(y: int) -> int:
     """Exact inverse of xorshift_step.
 
     Each xor-shift stage is invertible on GF(2), so the whole transform is a
-    bijection; this undoes the three stages in reverse order.
+    bijection; this undoes the three stages in reverse order. Also inverts
+    a uint32 numpy array element-wise, not in place.
     """
-    y &= MASK32
+    y = y & MASK32
     t2 = _unshift_right(y, SHIFT_C)
     t1 = _unshift_left(t2, SHIFT_B)
     return _unshift_right(t1, SHIFT_A)
@@ -125,8 +128,10 @@ def _byte_tables(columns) -> array:
     return tables
 
 
-def _apply(tables: array, x: int) -> int:
-    """Image of a 32-bit word under the map held in tables."""
+def apply_tables(tables, x):
+    """Image of a 32-bit word under the map held in tables; or, with tables
+    viewed as a flat uint32 numpy array, the element-wise image of a uint32
+    array."""
     return (tables[x & 0xFF] ^ tables[256 | (x >> 8) & 0xFF]
             ^ tables[512 | (x >> 16) & 0xFF] ^ tables[768 | x >> 24])
 
@@ -138,13 +143,7 @@ def power_tables(i: int) -> array:
     if i == 0:
         return _byte_tables([xorshift_step(1 << j) for j in range(32)])
     half = power_tables(i - 1)
-    return _byte_tables([_apply(half, half[256 * (j // 8) + (1 << j % 8)]) for j in range(32)])
-
-
-@functools.cache
-def inverse_tables() -> array:
-    """Tables of the inverse transform, T**-1."""
-    return _byte_tables([xorshift_inverse(1 << j) for j in range(32)])
+    return _byte_tables([apply_tables(half, half[256 * (j // 8) + (1 << j % 8)]) for j in range(32)])
 
 
 def xorshift_jump(x: int, steps: int) -> int:
@@ -154,5 +153,5 @@ def xorshift_jump(x: int, steps: int) -> int:
     x &= MASK32
     for i in range(steps.bit_length()):
         if steps >> i & 1:
-            x = _apply(power_tables(i), x)
+            x = apply_tables(power_tables(i), x)
     return x

@@ -231,6 +231,22 @@ def test_stats_rolls_report_the_earlier_error(tmp_path, capsys, bad_first, gap):
     assert ("line 122: bad roll value 'x'" if bad_first else "roll #120 out of range 1..6: 9") in err
 
 
+# a line that is not UTF-8 is a bad line that shows its bytes, or on line 1 a
+# header; an out-of-range roll above it is still the earlier error
+@pytest.mark.parametrize("data, code, message", [
+    pytest.param(b"roll\n1\n\xe9\n2\n", 2, r"line 3: bad roll value '\\xe9'", id="bad-line"),
+    pytest.param(b"1\n2\n\xff\xfe3\n", 2, r"line 3: bad roll value '\\xff\\xfe3'", id="bad-bytes"),
+    pytest.param(b"\xe9\n" + b"1\n2\n3\n4\n5\n6\n" * 20, 0, "chi-square 0.0000", id="header"),
+    pytest.param(b"1\n2\n7\n\xe9\n", 2, "roll #2 out of range 1..6: 7", id="earlier-range-error"),
+])
+def test_stats_rolls_line_that_is_not_utf8(tmp_path, capsys, data, code, message):
+    rolls = tmp_path / "rolls.csv"
+    rolls.write_bytes(data)
+    result = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "6")
+    assert result[0] == code
+    assert message in result[1 + (code != 0)]
+
+
 PAIRS = cli.ROLL_BYTES_PER_READ  # "1\n2\n" pairs: four reads of the file
 
 
@@ -512,7 +528,7 @@ def test_write_atomic_keeps_plain_file_mode(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("x\n", encoding="utf-8")
     target = tmp_path / "out.txt"
-    cli._write_atomic(target, "hello\n")
+    cli._write_atomic({target: lambda: "hello\n"})
     assert target.read_text(encoding="utf-8") == "hello\n"
     assert os.stat(target).st_mode == os.stat(plain).st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
@@ -541,7 +557,27 @@ def test_write_atomic_failure_leaves_no_temp_file(tmp_path, monkeypatch, text, p
     if patch is not None:
         monkeypatch.setattr(cli.os, "replace", patch)
     with pytest.raises((OSError, UnicodeEncodeError)):
-        cli._write_atomic(target, text)
+        cli._write_atomic({target: lambda: text})
     assert [p.name for p in tmp_path.iterdir()] == before
     if before:
         assert target.read_text(encoding="utf-8") == "old\n"
+
+
+@pytest.mark.parametrize("failing", ["emit_state_json", "emit_uart_bits_csv"])
+def test_simulate_failure_leaves_the_previous_set_whole(tmp_path, capsys, monkeypatch, failing):
+    # the third or fourth file fails after the ones before it were written
+    # in full: no file of the set is replaced and no temp file is left
+    trace = tmp_path / "boot.trace"
+    trace.write_text(BOOT)
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--trace", str(trace), "--out", str(out_dir), "--uart-bits"]
+    assert _run(capsys, *argv, "--duration-us", "2000000")[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def fail(log):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, failing, fail)
+    code, _, err = _run(capsys, *argv, "--duration-us", "3000000")
+    assert code == 1 and "cannot write outputs: disk full" in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicesim import kernels, prng
@@ -96,12 +96,23 @@ def test_lcg_matches_adc_source():
 
 
 def test_jump_tables_are_prng_buffers_viewed_in_place():
-    # one copy of each table: the arrays read prng's buffers and cannot write them
-    for buffer in (prng.power_tables(3), prng.inverse_tables()):
-        tables = kernels._view(buffer)
-        assert tables.shape == (4, 256) and not tables.flags.writeable
+    # one copy of each level's tables: the cached flat arrays read prng's
+    # buffers and cannot write them
+    for i in (0, 3, 40):
+        buffer, tables = prng.power_tables(i), kernels._tables(i)
+        assert tables is kernels._tables(i)
+        assert tables.dtype == np.uint32 and tables.shape == (1_024,) and not tables.flags.writeable
         assert np.shares_memory(tables, np.frombuffer(buffer, dtype=np.uint32))
-        assert tables.ravel().tolist() == buffer.tolist()
+        assert tables.tolist() == buffer.tolist()
+
+
+@given(st.lists(words32, max_size=300))
+def test_inverse_of_an_array_equals_the_scalar_inverse(words):
+    array = np.array(words, dtype=np.uint32)
+    out = prng.xorshift_inverse(array)
+    assert out.dtype == np.uint32
+    assert out.tolist() == [prng.xorshift_inverse(w) for w in words]
+    assert array.tolist() == words  # the array it is given is left as it was
 
 
 def test_advance_feedback_rejects_negative_steps():
@@ -125,8 +136,13 @@ def test_advance_feedback_equals_step_chain(x, k):
     assert xorshift_jump(x, k) == expected
 
 
+# n = 2**k - 1, 2**k and 2**k + 1 end the doubling with a partial last pass,
+# a whole one, and a pass of one word
 @settings(max_examples=40, deadline=None)
 @given(words32, st.integers(0, 5_000))
+@example(0xDEADBEEF, 4_095)
+@example(0xDEADBEEF, 4_096)
+@example(0xDEADBEEF, 4_097)
 def test_feedback_sequence_equals_reference(seed, n):
     out = kernels.feedback_sequence(seed, n)
     assert out.dtype == np.uint32 and out.shape == (n,)
@@ -135,6 +151,9 @@ def test_feedback_sequence_equals_reference(seed, n):
 
 @settings(max_examples=40, deadline=None)
 @given(words32, st.integers(0, 5_000))
+@example(0, 4_095)
+@example(0, 4_096)
+@example(0, 4_097)
 def test_stateless_sequence_equals_reference(seed, n):
     out = kernels.stateless_sequence(seed, n)
     assert out.dtype == np.uint32 and out.shape == (n,)
@@ -158,6 +177,28 @@ def test_sequences_cut_and_continued_equal_the_whole(seed, n, data):
 def test_feedback_sequence_start_equals_jump(seed, start, n):
     assert kernels.feedback_sequence(seed, n, start=start).tolist() == \
         feedback_reference(xorshift_jump(seed, start), n)
+
+
+def lcg_state(seed: int, k: int) -> int:
+    """LCG state k from seed in closed form: a**k * seed + c * (a**k - 1) / (a - 1),
+    the sum of the geometric series taken exactly mod 2**32."""
+    a, c = kernels.LCG_MULT, kernels.LCG_INC
+    series = (pow(a, k, (a - 1) << 32) - 1) // (a - 1)
+    return (pow(a, k, 1 << 32) * seed + c * series) & kernels.MASK32
+
+
+@settings(max_examples=40, deadline=None)
+@given(words32, st.integers(0, 1 << 62), st.integers(1, 300))
+@example(12345, 0, 1)
+@example(12345, 1, 1)
+def test_stateless_sequence_start_equals_closed_form(seed, start, n):
+    # output m's register holds the top halves of LCG states m and m + 1;
+    # the register starts at 0, so output 0's high half is 0
+    want = []
+    for m in range(start, start + n):
+        high = lcg_state(seed, m) & 0xFFFF0000 if m else 0
+        want.append(xorshift_step(high | lcg_state(seed, m + 1) >> 16))
+    assert kernels.stateless_sequence(seed, n, start=start).tolist() == want
 
 
 @given(words32, st.integers(0, 12))
