@@ -15,7 +15,7 @@ from .device import (
     DeviceConfig,
     SyntheticAdc,
 )
-from .display import DisplayMux, bcd_select, glyph, pack_word, render_word
+from .display import DisplayMux, bcd_select, pack_word, render_word
 from .prng import (
     FEEDBACK,
     MASK32,
@@ -50,7 +50,6 @@ __all__ = [
     "SyntheticAdc",
     "DisplayMux",
     "bcd_select",
-    "glyph",
     "pack_word",
     "render_word",
     "FEEDBACK",

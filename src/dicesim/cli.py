@@ -27,7 +27,6 @@ from . import kernels, stats
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
 from .prng import FEEDBACK, MASK32, STATELESS
 from .trace import (
-    _INTEGER,
     ReplayConfig,
     TraceParseError,
     emit_log,
@@ -35,6 +34,7 @@ from .trace import (
     emit_uart_bits_csv,
     emit_uart_csv,
     load_trace,
+    parse_decimal,
     replay,
 )
 from .uart import decode_stream, encode_frame
@@ -180,17 +180,17 @@ def _count_lines(block: bytes, first_line: int, sides: int, rolls_before: int) -
     rolls: list[int] = []
     error = None
     for n, line in enumerate(block.removesuffix(b"\n").split(b"\n"), start=first_line):
-        line = line.strip(b" \t\r")
-        if not line.isdigit():  # bytes.isdigit() is exactly [0-9]+
-            line = line.decode("utf-8", "backslashreplace")  # a byte that is not UTF-8 shows as \xe9
-            if not line:
-                continue
-            if not _INTEGER.fullmatch(line):
-                if n == 1:
-                    continue  # header
-                error = f"line {n}: bad roll value {line!r}"
-                break
-        rolls.append(int(line))
+        line = line.strip(b" \t\r").decode("utf-8", "backslashreplace")  # a byte that is not UTF-8 shows as \xe9
+        try:
+            value = parse_decimal(line)
+        except ValueError as exc:  # too many digits
+            error = f"line {n}: bad roll value ({exc})"
+            break
+        if value is not None:
+            rolls.append(value)
+        elif line and n != 1:  # blank lines are skipped, and a first line that is not a number is a header
+            error = f"line {n}: bad roll value {line!r}"
+            break
     faces = Counter(rolls)
     if not all(1 <= face <= sides for face in faces):
         # raises, naming the first; it lies above any bad line, so it is the earlier error

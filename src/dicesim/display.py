@@ -1,42 +1,17 @@
 """Seven-segment display pipeline: digit-set selection with leading-zero
-blanking, glyph lookup, and the four-digit multiplex scanner.
+blanking, the text form of a display word, and the latch of the four-digit
+multiplex scanner.
 
 Digit codes are 4-bit: 0..9 are numerals, 0xD is the lowercase 'd' of the
-dice legend, 0xF is blank (codes 0xA, 0xB, 0xC, 0xE also render blank).
-Segment words are active-low with bit 0 = segment a through bit 6 = segment
-g; anodes are one-cold and the board's anode bus is hooked up reversed, so
-logical digit 0 (thousands) drives physical anode 3.
+dice legend, 0xF is blank (codes 0xA, 0xB, 0xC, 0xE also render blank). The
+glyph decode, the anode scan and the dp pin sit after the latch; no output
+file reads them, so they are not modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 BLANK = 0xF
 DCODE = 0xD
-
-# code -> active-low gfedcba segment word
-GLYPHS = {
-    0x0: 0x40,
-    0x1: 0x79,
-    0x2: 0x24,
-    0x3: 0x30,
-    0x4: 0x19,
-    0x5: 0x12,
-    0x6: 0x02,
-    0x7: 0x78,
-    0x8: 0x00,
-    0x9: 0x10,
-    0xD: 0x21,
-    0xF: 0x7F,
-}
-
-GLYPH_BLANK = 0x7F
-
-
-def glyph(code: int) -> int:
-    """Active-low segment word for a digit code (unmapped codes render blank)."""
-    return GLYPHS.get(code & 0xF, GLYPH_BLANK)
 
 
 def pack_word(thou: int, huns: int, tens: int, ones: int) -> int:
@@ -79,45 +54,13 @@ def render_word(word: int) -> str:
     return "".join(chars)
 
 
-@dataclass(frozen=True)
-class DisplayFrame:
-    """One multiplex frame: which digit is driven and with what levels."""
-
-    active_digit: int
-    segment_bits: int
-    dp_bit: int
-    anode_bits: int
-
-
 class DisplayMux:
-    """HZ500 scanner over the four digit positions.
-
-    Each step latches the incoming display word, advances the active
-    position, and emits the frame for it. Reset latches 'dddd' (the power-on
-    legend) and restarts the scan at position 0.
-    """
+    """The HZ500 scanner's latch: each step latches the incoming display
+    word's digit codes, and a new one holds 'dddd', the power-on legend."""
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.digit_codes = (DCODE, DCODE, DCODE, DCODE)
-        self._pos = 0
 
-    def frame(self, pos: int, upright: bool) -> DisplayFrame:
-        """Frame for one position from the latched codes (no state change)."""
-        if not 0 <= pos <= 3:
-            raise ValueError(f"digit position out of range 0..3: {pos}")
-        return DisplayFrame(
-            active_digit=pos,
-            segment_bits=glyph(self.digit_codes[pos]),
-            dp_bit=1 if upright else 0,
-            anode_bits=0xF ^ (1 << (3 - pos)),
-        )
-
-    def step(self, bcd_word: int, upright: bool) -> DisplayFrame:
-        """One HZ500 rising edge: latch the word, scan to the next digit."""
+    def step(self, bcd_word: int) -> None:
+        """One HZ500 rising edge: latch the word."""
         self.digit_codes = unpack_word(bcd_word)
-        pos = self._pos
-        self._pos = (pos + 1) % 4
-        return self.frame(pos, upright)

@@ -7,19 +7,20 @@ downstream rounds it. HZ1500 is generated but nothing in the device consumes
 it.
 
 Each divider toggles on the edge where its counter reaches half_period - 1
-and clears, so its first toggle after reset lands on edge number half_period
-and its rising edges sit at odd multiples of it. Replay (trace.Board) relies
-on that alone: it places the HZ10 and S5 edges that step the device, and the
-UART frame starts, arithmetically. The Scheduler is the oracle: advance(n)
-returns every toggle of n sysclk rising edges in one arithmetic step per
-domain, bit-exact against counting every cycle, and is the only place that
-emits HZ500, HZ1500 and falling edges.
+and clears, so after reset a domain toggles on every multiple of its half
+period, rising at the odd multiples. Replay (trace.Board) relies on that
+alone: it places the HZ10 and S5 edges that step the device, and the UART
+frame starts, arithmetically. The Scheduler is the reference: its only state
+is the cycle count since reset, and advance(n) derives every toggle of the
+next n sysclk rising edges from it. It is the only place that emits HZ500,
+HZ1500 and falling edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 SYSCLK_HZ = 12_000_000
 
@@ -44,14 +45,6 @@ RISING = "rising"
 FALLING = "falling"
 
 
-@dataclass
-class ClockDomain:
-    name: str
-    half_period: int
-    level: int = 0
-    counter: int = 0
-
-
 @dataclass(frozen=True)
 class TickEvent:
     """One toggle of one domain at an absolute sysclk rising-edge index."""
@@ -69,22 +62,10 @@ def frequency_of(name: str) -> Fraction:
 
 
 class Scheduler:
-    """Event-driven divider bank over the five domains."""
+    """The divider bank; its only state is the cycle count since reset."""
 
     def __init__(self) -> None:
-        self.domains = {name: ClockDomain(name, HALF_PERIODS[name]) for name in DOMAIN_ORDER}
         self.cycle = 0
-
-    def reset(self) -> None:
-        """Clear all counters and output levels and rewind the cycle index."""
-        for dom in self.domains.values():
-            dom.level = 0
-            dom.counter = 0
-        self.cycle = 0
-
-    def levels(self) -> dict[str, int]:
-        """Current output level of every domain."""
-        return {name: self.domains[name].level for name in DOMAIN_ORDER}
 
     def advance(self, n: int) -> list[TickEvent]:
         """Step n sysclk rising edges; return every toggle in order.
@@ -95,18 +76,12 @@ class Scheduler:
         """
         if n < 0:
             raise ValueError(f"cannot advance a negative cycle count: {n}")
-        start = self.cycle
-        end = start + n
-        keyed: list[tuple[int, int, TickEvent]] = []
-        for rank, name in enumerate(DOMAIN_ORDER):
-            dom = self.domains[name]
-            level = dom.level
-            first = start + (dom.half_period - dom.counter)
-            for idx in range(first, end + 1, dom.half_period):
-                level ^= 1
-                keyed.append((idx, rank, TickEvent(idx, name, RISING if level else FALLING)))
-            dom.level = level
-            dom.counter = (dom.counter + n) % dom.half_period
+        start, end = self.cycle, self.cycle + n
+        events: list[TickEvent] = []
+        for name in DOMAIN_ORDER:
+            half = HALF_PERIODS[name]
+            events += (TickEvent(idx, name, RISING if idx // half % 2 else FALLING)
+                       for idx in range(start - start % half + half, end + 1, half))
         self.cycle = end
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        return [event for _, _, event in keyed]
+        events.sort(key=attrgetter("sysclk_index"))  # stable: ties keep DOMAIN_ORDER
+        return events

@@ -4,8 +4,9 @@ Trace format: one event per line, ``<t_us> <SIGNAL> <value>``, with ``#``
 comments and blank lines ignored. Lines end at LF only (one CR right before
 it is dropped), and fields are parted by ASCII blanks and tabs only. Signals
 are TILT, BTNU, BTND, RESET (binary levels) and ADC (a one-shot 16-bit
-sample). Timestamps and values are ASCII decimal digits. Timestamps must be
-non-decreasing; simultaneous events apply in file order.
+sample). Timestamps and values are ASCII decimal digits, at most 4 300 past
+the leading zeros. Timestamps must be non-decreasing; simultaneous events
+apply in file order.
 
 Replay semantics: switch levels hold between events and are sampled at tick
 boundaries, so pulses that fit between two polls of the same clock are
@@ -39,7 +40,7 @@ from .device import (
     set_digits,
 )
 from .display import DCODE, bcd_select, render_word, unpack_word
-from .prng import MODES, STATELESS
+from .prng import STATELESS
 from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, RISING, S5, TickEvent
 from .uart import FRAME_BITS, UartTxState, payload_pack, uart_frame
 
@@ -93,12 +94,34 @@ class TraceEvent:
 _INTEGER = re.compile(r"-?[0-9]+")
 # Fields part at ASCII blanks and tabs: str.split() also parts at NBSP, form feeds...
 _BLANKS = re.compile(r"[ \t]+")
+MAX_DIGITS = 4_300  # digits a decimal field may have past its leading zeros: int()'s default bound
+_INT_DIGITS = 640  # int() converts this many digits whatever bound it is set to
+
+
+def parse_decimal(text: str) -> int | None:
+    """The value of an ASCII decimal field, an optional '-' and then digits
+    0-9 only, or None if the text is not one. A field with more than
+    MAX_DIGITS digits past its leading zeros is a ValueError that gives the
+    count, whatever bound int() is set to."""
+    if not _INTEGER.fullmatch(text):
+        return None
+    if len(text) <= _INT_DIGITS:
+        return int(text)
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{len(digits)} digits after the leading zeros, more than {MAX_DIGITS}")
+    from decimal import Decimal  # its conversion to int has no bound; only long fields load it
+    return int(Decimal(text))
 
 
 def _parse_int(text: str, line_no: int, field_name: str) -> int:
-    if not _INTEGER.fullmatch(text):
+    try:
+        value = parse_decimal(text)
+    except ValueError as exc:
+        raise TraceParseError(line_no, f"bad {field_name} ({exc})") from None
+    if value is None:
         raise TraceParseError(line_no, f"bad {field_name} {text!r} (expected ASCII decimal digits)")
-    return int(text)
+    return value
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
@@ -384,8 +407,6 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick
     it must not mutate).
     """
     cfg = config or ReplayConfig()
-    if cfg.prng_mode not in MODES:
-        raise ValueError(f"unknown PRNG mode: {cfg.prng_mode!r}")
     last_event_t = events[-1].t_us if events else 0
     duration_us = cfg.duration_us if cfg.duration_us is not None else last_event_t + US_PER_SECOND
     if duration_us < last_event_t:

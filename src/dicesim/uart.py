@@ -147,10 +147,6 @@ class UartChannel:
         self.tx = UartTxState()
         self.ready = 0
 
-    def reset(self) -> None:
-        self.tx = UartTxState()
-        self.ready = 0
-
     def edge(self, data: int) -> UartTxState:
         """One HZ1000 rising edge; the FSM samples ready before it toggles."""
         self.tx = tx_step(self.tx, bool(self.ready), data)

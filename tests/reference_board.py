@@ -1,0 +1,240 @@
+"""An edge-by-edge reference of the whole board, to check `simulate` against.
+
+It shares no stepping code with `dicesim.trace.Board`, which steps only on
+the HZ10/S5 device grid and derives the UART and the display latch from
+their periods. Here, from each reset release on, a fresh `Scheduler` lists
+every toggle of the divider bank, and each rising edge clocks its block:
+
+- HZ10: the board picks the ADC sample, the last ADC event since the
+  previous tick or else the synthetic source, then `Device.hz10_tick`;
+- S5: `Device.s5_tick`;
+- HZ1000: `UartChannel.edge` with the live byte;
+- HZ500: `DisplayMux.step` with the display word.
+
+A trace event applies after the edges of its cycle. RESET 1 holds the
+dividers, and with them the UART and the display latch, in reset until
+RESET 0. After every step, edge or event, the board compares the upright
+level, the display word and the power pin with the step before and notes a
+ROLL, DISPLAY or ONPIN record where one changed. It formats its own log,
+uart.csv, uart_bits.csv and state.json.
+
+    python tests/reference_board.py    # every simulate corpus case
+
+checks the files of every corpus case that `simulate` completes (exit 0)
+against the case's digests and, for each one that differs, prints its argv
+and its trace. tests/test_reference_board.py checks a fixed slice, and
+tests/test_trace.py compares the board with `simulate` on hypothesis traces.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import sys
+from collections.abc import Sequence
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: use this checkout's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dicesim.device import DEFAULT_ADC_SEED, Device, DeviceConfig, SyntheticAdc, live_digits, set_digits  # noqa: E402
+from dicesim.display import DisplayMux, bcd_select, render_word  # noqa: E402
+from dicesim.timing import HZ10, HZ1000, HZ500, RISING, S5, Scheduler  # noqa: E402
+from dicesim.trace import TraceEvent, parse_trace  # noqa: E402
+from dicesim.uart import UartChannel, payload_pack  # noqa: E402
+
+CYCLES_PER_US = 12
+DEFAULT_TAIL_US = 1_000_000       # with no --duration-us, a run ends one second after its last event
+SPAN_CYCLES = 12 * 1_000_000      # the toggles of at most one simulated second are listed at once
+LOG_COLUMNS = ("record", "t_us", "dice_sides", "roll", "byte", "word", "level")
+KIND_ORDER = ("ROLL", "UART", "DISPLAY", "ONPIN")  # the order of records at one µs
+
+
+class ReferenceBoard:
+    """Device, ADC source, held input levels, divider bank, UART and display
+    latch, each stepped on its own edges, and the records noted so far."""
+
+    def __init__(self, prng_mode: str, intuitive_tilt: bool, adc_seed: int) -> None:
+        self.device = Device(DeviceConfig(prng_mode, intuitive_tilt))
+        self.adc = SyntheticAdc(adc_seed)
+        self.levels = {"TILT": 0, "BTNU": 0, "BTND": 0}
+        self.sample = None         # the last ADC event since the previous HZ10 tick
+        self.reset = 0
+        self.records = []          # (t_us, kind, fields) in the order noted
+        self.wave = [(0, 1)]       # (t_us, tx level) at each change; the line idles high
+        self.upright, self.word, self.onsig = False, None, self.device.power.onsig
+        self._hold()  # power-on: the blocks start clear, and the dividers count from cycle 0
+        self._release(0)
+        self.now = 0               # absolute cycles run so far
+        self._note(0)
+
+    def _hold(self) -> None:
+        """RESET 1: the dividers stop, and the UART and the latch they clock clear."""
+        self.scheduler, self.channel, self.mux = None, UartChannel(), DisplayMux()
+
+    def _release(self, cycle: int) -> None:
+        self.scheduler, self.origin = Scheduler(), cycle
+
+    def _display_word(self) -> int:
+        dev = self.device
+        return bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
+
+    def _record(self, t_us: int, kind: str, **fields) -> None:
+        self.records.append((t_us, kind, fields))
+
+    def _note(self, t_us: int) -> None:
+        """Note what changed since the last step."""
+        dev = self.device
+        if dev.tilt.upright and not self.upright:
+            roll = dev.roll
+            value = 100 * roll.thou_held + 10 * roll.huns_held + roll.tens_held
+            self._record(t_us, "ROLL", dice_sides=roll.held_diceval, roll=value)
+        self.upright = dev.tilt.upright
+        word = self._display_word()
+        if word != self.word:
+            self._record(t_us, "DISPLAY", word=f"{word:04x}")
+            self.word = word
+        if dev.power.onsig != self.onsig:
+            self._record(t_us, "ONPIN", level=dev.power.onsig)
+            self.onsig = dev.power.onsig
+
+    def _edge(self, domain: str, cycle: int) -> None:
+        """One rising edge of a domain at absolute cycle `cycle`."""
+        t_us, dev = cycle // CYCLES_PER_US, self.device
+        if domain == HZ10:
+            sample = self.adc.next() if self.sample is None else self.sample
+            self.sample = None
+            dev.hz10_tick(self.levels["TILT"], self.levels["BTNU"], self.levels["BTND"], sample)
+        elif domain == S5:
+            dev.s5_tick()
+        elif domain == HZ1000:
+            tx = self.channel.edge(payload_pack(dev.roll.huns, dev.roll.tens))
+            if tx.ap_valid:
+                self._record(t_us, "UART", byte=f"{tx.shift_data:02x}")
+            if tx.tx_level != self.wave[-1][1]:
+                self.wave.append((t_us, tx.tx_level))
+        elif domain == HZ500:
+            self.mux.step(self._display_word())
+        self._note(t_us)
+
+    def run_to(self, cycle: int) -> None:
+        """Clock every rising edge up to and including absolute cycle `cycle`."""
+        self.now = cycle
+        while self.scheduler is not None and self.origin + self.scheduler.cycle < cycle:
+            for event in self.scheduler.advance(min(SPAN_CYCLES, cycle - self.origin - self.scheduler.cycle)):
+                if event.edge == RISING:
+                    self._edge(event.domain, self.origin + event.sysclk_index)
+
+    def apply(self, ev: TraceEvent) -> None:
+        """Apply one trace event after the edges of its cycle."""
+        if ev.signal == "ADC":
+            self.sample = ev.value
+        elif ev.signal == "RESET":
+            if ev.value and not self.reset:
+                self.device.reset()
+                self.sample = None
+                self._hold()
+                if self.wave[-1][1] != 1:
+                    self.wave.append((ev.t_us, 1))
+            elif not ev.value and self.reset:
+                self._release(ev.t_us * CYCLES_PER_US)
+            self.reset = ev.value
+        else:
+            self.levels[ev.signal] = ev.value
+        self._note(ev.t_us)
+
+    def state(self) -> dict:
+        dev, tx = self.device, self.channel.tx
+        return {
+            "t_us": self.now // CYCLES_PER_US,
+            "seed": dev.seed,
+            "prng": {"mode": dev.config.prng_mode, "rand_reg": dev.rand_reg},
+            "rand": dev.rand,
+            "tilt": {"window": dev.tilt.window, "sumtilt": dev.tilt.sumtilt, "upright": dev.tilt.upright},
+            "selection": {
+                "setmode": dev.selection.setmode,
+                "dselect": dev.selection.dselect,
+                "diceval": dev.selection.diceval,
+                "set_digits": list(set_digits(dev.selection)),
+                "keepon": dev.selection.keepon,
+            },
+            "roll": {
+                "out": dev.roll.out,
+                "held_diceval": dev.roll.held_diceval,
+                "live": list(live_digits(dev.roll)),
+                "held": [dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held],
+            },
+            "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
+            "uart": {"fsm": tx.fsm, "ready": self.channel.ready, "tx_level": tx.tx_level},
+            "display": {"word": self.word, "render": render_word(self.word), "digit_codes": list(self.mux.digit_codes)},
+            "levels": dict(self.levels),
+            "reset": self.reset,
+        }
+
+    def files(self, fmt: str, uart_bits: bool) -> dict[str, bytes]:
+        """The files `simulate` writes, by name."""
+        rows = [{"record": kind, "t_us": t_us, **fields}
+                for t_us, kind, fields in sorted(self.records, key=lambda r: (r[0], KIND_ORDER.index(r[1])))]
+        log = io.StringIO()
+        if fmt == "csv":
+            writer = csv.DictWriter(log, LOG_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            log.writelines(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+        uart = "".join(f"{row['t_us']},{row['byte']}\n" for row in rows if row["record"] == "UART")
+        files = {
+            f"log.{fmt}": log.getvalue(),
+            "uart.csv": "t_us,byte_hex\n" + uart,
+            "state.json": json.dumps(self.state(), indent=2, sort_keys=True) + "\n",
+        }
+        if uart_bits:
+            files["uart_bits.csv"] = "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in self.wave)
+        return {name: text.encode("utf-8") for name, text in files.items()}
+
+
+def reference_files(trace: bytes, options: Sequence[str]) -> dict[str, bytes]:
+    """The files `dicesim simulate --trace T --out O *options` writes for a
+    trace it accepts, made by the reference board."""
+    values = {"--prng-mode": "stateless", "--format": "csv", "--adc-seed": str(DEFAULT_ADC_SEED),
+              "--duration-us": None}
+    flags = set()
+    args = iter(options)
+    for arg in args:
+        if arg in ("--intuitive-tilt", "--uart-bits"):
+            flags.add(arg)
+        else:
+            values[arg] = next(args)
+    events = parse_trace(trace.decode("utf-8"))
+    board = ReferenceBoard(values["--prng-mode"], "--intuitive-tilt" in flags, int(values["--adc-seed"]))
+    for ev in events:
+        board.run_to(ev.t_us * CYCLES_PER_US)
+        board.apply(ev)
+    duration = values["--duration-us"]
+    end = int(duration) if duration is not None else (events[-1].t_us if events else 0) + DEFAULT_TAIL_US
+    board.run_to(end * CYCLES_PER_US)
+    return board.files(values["--format"], "--uart-bits" in flags)
+
+
+def file_digests(files: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(files.items())}
+
+
+def matches_corpus(case, digest: dict) -> bool:
+    """Whether the reference board's files for a simulate corpus case are
+    the ones its digests hold."""
+    return file_digests(reference_files(case.trace, case.options)) == digest["files"]
+
+
+if __name__ == "__main__":
+    import simulate_corpus as corpus
+
+    digests = corpus.load_digests()
+    cases = [corpus.make_case(index) for index in range(corpus.CASES) if digests[index]["exit"] == 0]
+    failed = [case for case in cases if not matches_corpus(case, digests[case.index])]
+    for case in failed:
+        print(corpus.describe(case), end="\n\n")
+    print(f"{len(cases) - len(failed)} of {len(cases)} completed simulate cases match the reference board")
+    sys.exit(1 if failed else 0)

@@ -14,6 +14,7 @@ its stderr, and its exit code.
 checks every case against the digests and, for each one that differs,
 prints its argv. tests/test_rolls_corpus.py checks a fixed slice.
 `write_digests()` writes the digest file from the src/ beside this file.
+Each case runs through `run_main`, which tests/stats_uart_corpus.py shares.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import random
 import sys
 import tempfile
+from collections.abc import Sequence
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,17 +74,27 @@ def _sha(data: bytes | str) -> str:
     return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
 
 
-def run_case(case: Case) -> dict:
-    """Run `rolls` on the case in a directory of its own: the digests of its
-    exit code, stdout, stderr and the file it writes."""
+def run_main(argv: Sequence[str], inputs: dict[str, bytes] | None = None) -> dict:
+    """Run `dicesim` on argv in a directory of its own, where the inputs
+    ({name: bytes}) are written first and an argument "TMP/name" names a
+    file: the digests of its exit code, of its stdout and stderr, in which
+    the directory reads TMP, and of every other file in the directory."""
+    inputs = inputs or {}
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp, "rolls.csv")
+        for name, data in inputs.items():
+            Path(tmp, name).write_bytes(data)
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([*case.argv, *(("--out", str(out)) if case.to_file else ())])
-        files = {out.name: _sha(out.read_bytes())} if out.exists() else {}
-        return {"exit": code, "stdout": _sha(stdout.getvalue()), "stderr": _sha(stderr.getvalue()),
-                "files": files}
+            code = main([tmp + arg[3:] if arg.startswith("TMP/") else arg for arg in argv])
+        files = {path.name: _sha(path.read_bytes()) for path in sorted(Path(tmp).iterdir()) if path.name not in inputs}
+        return {"exit": code, "stdout": _sha(stdout.getvalue().replace(tmp, "TMP")),
+                "stderr": _sha(stderr.getvalue().replace(tmp, "TMP")), "files": files}
+
+
+def run_case(case: Case) -> dict:
+    """Run `rolls` on the case: the digests of its exit code, stdout, stderr
+    and the file it writes."""
+    return run_main([*case.argv, *(("--out", "TMP/rolls.csv") if case.to_file else ())])
 
 
 def describe(case: Case) -> str:

@@ -2,8 +2,8 @@
 
 Each criterion is one test named test_criterion_NN_*, so a verbose run
 prints exactly one PASS/FAIL line per criterion. Time budgets are wall
-clock via perf_counter and measure steady state (the session fixture
-compiles the jitted kernels before any test runs).
+clock via perf_counter around the work they bound; nothing is compiled or
+warmed up beforehand.
 """
 
 import filecmp

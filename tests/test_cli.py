@@ -210,6 +210,26 @@ def test_stats_rolls_are_ascii_decimal_only(tmp_path, capsys, text):
     assert f"line 122: bad roll value {text!r}" in err
 
 
+TOO_LONG = "error: line 120: bad roll value ({} digits after the leading zeros, more than 4300)\n"
+
+
+# a roll is read by its digits after the leading zeros: more than 4 300 of
+# them is a bad line, named like any other, and fewer are a roll
+@pytest.mark.parametrize("text, code, message", [
+    pytest.param("9" * 5_000, 2, TOO_LONG.format(5000), id="too-long"),
+    pytest.param("9" * 4_301, 2, TOO_LONG.format(4301), id="one-too-long"),
+    pytest.param("0" * 4_400 + "5", 0, "", id="leading-zeros"),
+])
+def test_stats_rolls_count_significant_digits(tmp_path, capsys, text, code, message):
+    rolls = tmp_path / "rolls.csv"
+    _write_rolls(rolls, [1, 2, 3, 4, 5, 6] * 19 + [1, 2, 3, 4, text, 6])
+    result = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "6")
+    assert result[0] == code
+    assert result[2] == message
+    if code == 0:
+        assert "chi-square 0.0000" in result[1]  # read as a 5
+
+
 def test_stats_rolls_strip_blanks_tabs_and_cr(tmp_path, capsys):
     rolls = tmp_path / "rolls.csv"
     rolls.write_bytes(b"roll\r\n" + b" 1\t\r\n\t2 \r\n" * 60)
@@ -493,6 +513,19 @@ def test_simulate_trace_that_is_not_utf8(tmp_path):
     assert run.returncode == cli.EXIT_USAGE
     assert run.stderr == b"error: malformed trace: line 2: byte 0xff is not UTF-8 text\n"
     assert b"Traceback" not in run.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line, field", [
+    pytest.param("9" * 5_000 + " TILT 1", "timestamp", id="timestamp"),
+    pytest.param("0 ADC " + "9" * 5_000, "value", id="value"),
+])
+def test_simulate_names_a_decimal_field_too_long(tmp_path, capsys, line, field):
+    trace = tmp_path / "long.trace"
+    trace.write_text("0 RESET 1\n" + line + "\n")
+    code, _, err = _run(capsys, "simulate", "--trace", str(trace), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == f"error: malformed trace: line 2: bad {field} (5000 digits after the leading zeros, more than 4300)\n"
     assert not (tmp_path / "run").exists()
 
 

@@ -1,31 +1,14 @@
-"""Glyph table, display-word selection and blanking, digit multiplexer."""
-
-import pytest
+"""Display-word selection and blanking, its text form, and the scanner latch."""
 
 from dicesim.display import (
     BLANK,
     DCODE,
     DisplayMux,
-    GLYPH_BLANK,
     bcd_select,
-    glyph,
     pack_word,
     render_word,
     unpack_word,
 )
-
-# active-low gfedcba segment words
-EXPECTED_GLYPHS = {
-    0x0: 0x40, 0x1: 0x79, 0x2: 0x24, 0x3: 0x30, 0x4: 0x19,
-    0x5: 0x12, 0x6: 0x02, 0x7: 0x78, 0x8: 0x00, 0x9: 0x10,
-    0xD: 0x21,
-}
-
-
-def test_glyph_table():
-    for code in range(16):
-        assert glyph(code) == EXPECTED_GLYPHS.get(code, GLYPH_BLANK)
-    assert glyph(0xF) == 0x7F
 
 
 def test_pack_unpack_round_trip():
@@ -76,46 +59,12 @@ def test_render_word():
 
 
 def test_mux_power_on_legend():
-    mux = DisplayMux()
-    assert mux.digit_codes == (DCODE, DCODE, DCODE, DCODE)
-    frame = mux.frame(0, upright=False)
-    assert frame.segment_bits == EXPECTED_GLYPHS[0xD]
-
-
-def test_mux_scan_order_and_anodes():
-    mux = DisplayMux()
-    frames = [mux.step(0xD20F, upright=True) for _ in range(5)]
-    assert [f.active_digit for f in frames] == [0, 1, 2, 3, 0]
-    # one-cold anode select: position 0 drives the leftmost digit
-    assert [f.anode_bits for f in frames] == [0b0111, 0b1011, 0b1101, 0b1110, 0b0111]
-    assert frames[0].segment_bits == EXPECTED_GLYPHS[0xD]
-    assert frames[1].segment_bits == EXPECTED_GLYPHS[0x2]
-    assert frames[3].segment_bits == GLYPH_BLANK
+    assert DisplayMux().digit_codes == (DCODE, DCODE, DCODE, DCODE)
 
 
 def test_mux_latches_word_each_step():
     mux = DisplayMux()
-    mux.step(0x1234, upright=False)
+    mux.step(0x1234)
     assert mux.digit_codes == (1, 2, 3, 4)
-    mux.step(0xFFFF, upright=False)
+    mux.step(0xFFFF)
     assert mux.digit_codes == (0xF, 0xF, 0xF, 0xF)
-
-
-def test_mux_dp_follows_upright():
-    mux = DisplayMux()
-    assert mux.step(0, upright=True).dp_bit == 1
-    assert mux.step(0, upright=False).dp_bit == 0
-
-
-def test_mux_reset_restarts_scan():
-    mux = DisplayMux()
-    mux.step(0x1234, upright=False)
-    mux.step(0x1234, upright=False)
-    mux.reset()
-    assert mux.digit_codes == (DCODE,) * 4
-    assert mux.step(0x1234, upright=False).active_digit == 0
-
-
-def test_mux_frame_validates_position():
-    with pytest.raises(ValueError):
-        DisplayMux().frame(4, upright=False)

@@ -91,7 +91,6 @@ def test_split_advances_match_single_advance():
         got.extend((e.sysclk_index, e.domain, e.edge) for e in split.advance(chunk))
         remaining -= chunk
     assert got == ref
-    assert split.levels() == whole.levels()
 
 
 def test_simultaneous_toggles_keep_domain_order():
@@ -99,25 +98,6 @@ def test_simultaneous_toggles_keep_domain_order():
     events = Scheduler().advance(12_000)
     at_12k = [e.domain for e in events if e.sysclk_index == 12_000]
     assert at_12k == [HZ1000, HZ1500, HZ500]
-
-
-def test_levels_track_toggles():
-    sched = Scheduler()
-    sched.advance(6_000)
-    assert sched.levels()[HZ1000] == 1
-    sched.advance(6_000)
-    assert sched.levels()[HZ1000] == 0
-    assert sched.levels()[HZ500] == 1
-
-
-def test_reset_rewinds_everything():
-    sched = Scheduler()
-    sched.advance(123_456)
-    sched.reset()
-    assert sched.cycle == 0
-    assert all(level == 0 for level in sched.levels().values())
-    events = sched.advance(6_000)
-    assert [e for e in events if e.domain == HZ1000][0].sysclk_index == 6_000
 
 
 def test_advance_validates():
@@ -132,7 +112,6 @@ def test_advance_validates():
 def test_advance_is_split_invariant(a, b):
     split, whole = Scheduler(), Scheduler()
     assert split.advance(a) + split.advance(b) == whole.advance(a + b)
-    assert split.levels() == whole.levels()
     assert split.cycle == whole.cycle
 
 

@@ -19,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dicesim
-from dicesim.device import Device, DeviceConfig, live_digits, set_digits
-from dicesim.display import DCODE, bcd_select, render_word, unpack_word
-from dicesim.timing import HALF_PERIODS, HZ10, HZ1000, HZ1500, HZ500, RISING, S5, Scheduler
+import reference_board
+import simulate_corpus
+from dicesim.timing import HALF_PERIODS, HZ10, HZ1000, HZ1500, HZ500, RISING, S5
 from dicesim.trace import (
     _RECORD_KINDS,
     LOG_COLUMNS,
@@ -38,10 +38,11 @@ from dicesim.trace import (
     emit_uart_bits_csv,
     emit_uart_csv,
     load_trace,
+    parse_decimal,
     parse_trace,
     replay,
 )
-from dicesim.uart import UartChannel, payload_pack, uart_frame
+from dicesim.uart import uart_frame
 
 BOOT = """\
 # assert reset, release, set the unit face up
@@ -105,6 +106,48 @@ def test_parse_accepts_ascii_decimal_only(text, field):
     line = f"{text} TILT 1" if field == "timestamp" else f"5 ADC {text}"
     with pytest.raises(TraceParseError, match=f"line 2: bad {field} "):
         parse_trace("0 RESET 0\n" + line)
+
+
+# a field is refused only with more than MAX_DIGITS digits after its leading
+# zeros, whatever bound int() is set to (0 is none)
+@pytest.mark.parametrize("bound", [None, 0, 640])
+@pytest.mark.parametrize("text, value", [
+    pytest.param("0" * 4_400 + "5", 5, id="zeros-5"),
+    pytest.param("-" + "0" * 5_000 + "7", -7, id="minus-zeros-7"),
+    pytest.param("9" * 4_300, 10**4_300 - 1, id="4300-nines"),
+    pytest.param("1" + "0" * 4_299, 10**4_299, id="10**4299"),
+    pytest.param("9" * 4_301, None, id="4301-nines"),
+    pytest.param("-" + "9" * 5_000, None, id="minus-5000-nines"),
+])
+def test_parse_decimal_counts_significant_digits(bound, text, value):
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if bound is not None:
+        if old is None:
+            pytest.skip("this Python has no bound on int() conversion to set")
+        sys.set_int_max_str_digits(bound)
+    try:
+        if value is None:
+            digits = len(text.lstrip("-"))
+            with pytest.raises(ValueError, match=f"^{digits} digits after the leading zeros, more than 4300$"):
+                parse_decimal(text)
+        else:
+            assert parse_decimal(text) == value
+    finally:
+        if bound is not None:
+            sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("digits", [4_301, 5_000])
+@pytest.mark.parametrize("field", ["timestamp", "value"])
+def test_parse_names_the_line_and_field_of_a_decimal_too_long(field, digits):
+    line = f"{'9' * digits} TILT 1" if field == "timestamp" else f"5 ADC {'9' * digits}"
+    message = f"^line 2: bad {field} \\({digits} digits after the leading zeros, more than 4300\\)$"
+    with pytest.raises(TraceParseError, match=message):
+        parse_trace("0 RESET 0\n" + line)
+    # leading zeros do not count
+    zeros = "0" * digits
+    events = [TraceEvent(5, "TILT", 1), TraceEvent(5, "ADC", 65535)]
+    assert parse_trace(f"{zeros}5 TILT 1\n5 ADC {zeros}65535") == events
 
 
 def test_parse_ends_lines_at_newline_only():
@@ -464,7 +507,8 @@ DIFF_SPAN_US = 1_200_000
 def _reset_traces(draw):
     """Events at arbitrary us with RESET 1/0 among them, so frames are cut
     anywhere, and a duration either arbitrary or just past a roll tick of the
-    last release, where the word shown and the word latched differ."""
+    last release, where the word shown and the word latched differ, or past
+    one of its first two keep-awake steps."""
     raw = draw(st.lists(st.tuples(st.integers(0, DIFF_SPAN_US), st.sampled_from(SIGNALS + ("RESET",)),
                                   st.integers(0, 0xFFFF)), max_size=10))
     events = _events(raw)
@@ -473,85 +517,34 @@ def _reset_traces(draw):
         if ev.signal == "RESET" and ev.value != held:
             held, origin = ev.value, ev.t_us
     last = events[-1].t_us if events else 0
-    after_tick = origin + 50_002 * (2 * draw(st.integers(0, 11)) + 1) + draw(st.integers(0, 2_500))
+    tick = draw(st.one_of(st.integers(0, 11).map(lambda k: 50_002 * (2 * k + 1)),   # HZ10 rising edges
+                          st.integers(0, 1).map(lambda k: 2_500_100 * (2 * k + 1))))  # S5 rising edges
+    after_tick = origin + tick + draw(st.integers(0, 2_500))
     return events, draw(st.sampled_from((max(last, after_tick), last + draw(st.integers(0, 400_000)))))
 
 
-def _edge_by_edge(events, duration_us, ticks):
-    """uart_bytes, uart_waveform and the uart and display fields of state.json,
-    rebuilt edge by edge: UartChannel.edge on every HZ1000 rising edge of
-    Scheduler.advance, restarted at each reset release, and the display word
-    latched on every HZ500 rising edge. ticks holds (t_us, payload, word) as
-    on_tick saw them after each HZ10 edge."""
-    # a reset clears the live digits and setmode, as at power-on
-    fresh = Device(DeviceConfig())
-    reset_payload = payload_pack(fresh.roll.huns, fresh.roll.tens)
-    reset_word = bcd_select(fresh.selection.setmode, set_digits(fresh.selection), live_digits(fresh.roll))
-    spans, start, held = [], 0, 0  # (release, end, ended by RESET 1)
-    for ev in events:
-        if ev.signal == "RESET" and ev.value != held:
-            held = ev.value
-            if held:
-                spans.append((start, ev.t_us, True))
-            start = ev.t_us
-    if not held:
-        spans.append((start, duration_us, False))
-    ticks = iter(ticks)
-    uart_bytes, wave = [], [(0, 1)]
-    for start, end, cut in spans:
-        chan, payload, word, latched = UartChannel(), reset_payload, reset_word, None
-        for e in Scheduler().advance((end - start) * 12):
-            t_us = start + e.sysclk_index // 12
-            if e.edge != RISING:
-                continue
-            if e.domain == HZ10:
-                tick_t, payload, word = next(ticks)
-                assert tick_t == t_us
-            elif e.domain == HZ1000:
-                tx = chan.edge(payload)
-                if tx.ap_valid:
-                    uart_bytes.append((t_us, tx.shift_data))
-                if tx.tx_level != wave[-1][1]:
-                    wave.append((t_us, tx.tx_level))
-            elif e.domain == HZ500:
-                latched = word
-        if cut and wave[-1][1] != 1:
-            wave.append((end, 1))
-    assert next(ticks, None) is None
-    if held:
-        chan, word, latched = UartChannel(), reset_word, None
-    uart = {"fsm": chan.tx.fsm, "ready": chan.ready, "tx_level": chan.tx.tx_level}
-    codes = list(unpack_word(latched)) if latched is not None else [DCODE] * 4
-    return uart_bytes, wave, uart, {"word": word, "render": render_word(word), "digit_codes": codes}
-
-
 @settings(max_examples=60, deadline=None)
-@given(_reset_traces(), st.sampled_from(("stateless", "feedback")))
+@given(_reset_traces(), st.sampled_from(("stateless", "feedback")), st.sampled_from(("csv", "jsonl")), st.booleans())
 # RESET 1 on the START edge of the first frame: that frame drives its START bit
-@example(([TraceEvent(1_500, "RESET", 1), TraceEvent(2_000, "RESET", 0)], 200_000), "stateless")
+@example(([TraceEvent(1_500, "RESET", 1), TraceEvent(2_000, "RESET", 0)], 200_000), "stateless", "csv", True)
 # the run ends while reset is held: no frame is written after RESET 1
-@example(([TraceEvent(250_000, "RESET", 1)], 400_000), "stateless")
+@example(([TraceEvent(250_000, "RESET", 1)], 400_000), "stateless", "jsonl", True)
 # the HZ10 step at 50 002 us changes the byte; the frame from 41 500 us, still
 # in flight, is cut at 50 200 us, before the next frame starts at 51 500 us,
 # and the line goes high there
-@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "stateless")
-@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "feedback")
+@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "stateless", "csv", True)
+@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "feedback", "jsonl", True)
 # and the run that ends there leaves that frame in STOP
-@example(([], 50_200), "stateless")
-@example(([], 50_200), "feedback")
-def test_frame_replay_equals_edge_by_edge_uart_and_latch(trace, mode):
+@example(([], 50_200), "stateless", "csv", True)
+@example(([], 50_200), "feedback", "jsonl", True)
+def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits):
+    # every file simulate writes is the one the edge-by-edge reference board makes
     events, duration_us = trace
-    ticks = []
-
-    def probe(t_us, tick, dev):
-        if tick.domain == HZ10:
-            word = bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
-            ticks.append((t_us, payload_pack(dev.roll.huns, dev.roll.tens), word))
-
-    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us), on_tick=probe)
-    state = log.final_state
-    assert (log.uart_bytes, log.uart_waveform, state["uart"], state["display"]) == \
-        _edge_by_edge(events, duration_us, ticks)
+    text = "".join(f"{ev.t_us} {ev.signal} {ev.value}\n" for ev in events).encode("ascii")
+    options = ("--prng-mode", mode, "--format", fmt, "--duration-us", str(duration_us)) + ("--uart-bits",) * uart_bits
+    got = simulate_corpus.run_case(simulate_corpus.Case(0, options, text))
+    assert got["exit"] == 0
+    assert got["files"] == reference_board.file_digests(reference_board.reference_files(text, options))
 
 
 FREE_TEXT = st.text(st.characters(blacklist_characters="\n"), max_size=12)

@@ -79,17 +79,13 @@ def test_ap_valid_single_period():
 
 
 def test_ready_gate():
-    # ready toggles on every edge, and reset clears it
+    # ready toggles on every edge
     chan = UartChannel()
     levels = []
     for _ in range(4):
         chan.edge(0x16)
         levels.append(chan.ready)
     assert levels == [1, 0, 1, 0]
-    chan.edge(0x16)
-    assert chan.ready == 1
-    chan.reset()
-    assert chan.ready == 0
 
 
 def test_channel_emits_back_to_back_frames():
@@ -122,15 +118,6 @@ def test_uart_frame_matches_channel_for_every_byte():
         assert states[-1].ap_valid and states[-1].shift_data == byte
         levels = [1] + encode_frame(byte)
         assert transitions == tuple((k, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k])
-
-
-def test_channel_reset():
-    chan = UartChannel()
-    chan.edge(0xFF)
-    chan.edge(0xFF)
-    chan.reset()
-    assert chan.tx == UartTxState()
-    assert chan.ready == 0
 
 
 def test_decode_round_trip_with_idle_gaps():
