@@ -321,7 +321,12 @@ def cmd_uart(args) -> int:
 #  parser and entry point
 # ======================================================================
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and reused, so
+    callers must not change it. argparse looks up stdout, stderr and the
+    terminal width when it prints, not when it is built, and keeps nothing
+    of one parse_args for the next."""
     parser = argparse.ArgumentParser(
         prog="dicesim",
         description="Bit-faithful simulator and statistics toolkit for the FPGA dice unit.",
@@ -341,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the synthetic ADC source (default 12345)")
     p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p_sim.add_argument("--uart-bits", action="store_true", help="also write the tx waveform")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_rolls = sub.add_parser("rolls", help="generate die rolls")
     p_rolls.add_argument("--sides", type=int, required=True,
@@ -354,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rolls.add_argument("--seed", type=int, default=DEFAULT_ROLL_SEED,
                          help="generator seed (default 1; feedback mode rejects 0)")
     p_rolls.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p_rolls.set_defaults(func=cmd_rolls)
 
     p_stats = sub.add_parser("stats", help="uniformity verdicts and exact bias reports")
     p_stats.add_argument("--rolls", default=None, help="CSV of face values (one per line)")
@@ -365,13 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the exact modulo-bias report for this die instead")
     p_stats.add_argument("--bits", type=int, default=32,
                          help="input domain width for --bias (default 32)")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_uart = sub.add_parser("uart", help="encode bytes to frames or decode a bit stream")
     p_uart.add_argument("action", choices=("encode", "decode"))
     p_uart.add_argument("data", nargs="+",
                         help="encode: hex bytes; decode: a 0/1 bit stream")
-    p_uart.set_defaults(func=cmd_uart)
 
     return parser
 
@@ -383,7 +384,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        code = args.func(args)
+        # looked up by name at each call, so a function patched onto this
+        # module after the parser was built is the one that runs
+        commands = {"simulate": cmd_simulate, "rolls": cmd_rolls, "stats": cmd_stats, "uart": cmd_uart}
+        code = commands[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:
         # the reader left: Python flushes stdout again at exit, so point it

@@ -194,14 +194,13 @@ class PowerState:
     clk5: int = 0
 
 
-def keepawake_update(state: PowerState, keepon: bool, rstn: bool = True) -> PowerState:
+def keepawake_update(state: PowerState, keepon: bool) -> PowerState:
     """One S5 rising edge of the keep-awake block.
 
-    The block has no asynchronous reset; it samples rstn only here. Armed, it
-    toggles both outputs each edge; disarmed it drives both low.
+    The block has no asynchronous reset. Armed, it toggles both outputs each
+    edge; disarmed it drives both low. S5 never rises while reset is held,
+    because the dividers are held in reset too.
     """
-    if not rstn:
-        return PowerState(1, 0)
     if keepon:
         return PowerState(state.onsig ^ 1, state.clk5 ^ 1)
     return PowerState(0, 0)
@@ -285,6 +284,6 @@ class Device:
         self.selection = selection_update(self.selection, self.tilt.upright, btn_up, btn_down)
         self.roll = roll_update(self.roll, self.rand, self.selection.diceval, self.tilt.upright)
 
-    def s5_tick(self, rstn: bool = True) -> None:
+    def s5_tick(self) -> None:
         """One S5 rising edge: keep-awake toggler."""
-        self.power = keepawake_update(self.power, self.selection.keepon, rstn)
+        self.power = keepawake_update(self.power, self.selection.keepon)

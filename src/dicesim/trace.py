@@ -324,7 +324,7 @@ class Board:
                 domain = HZ10
             else:  # S5 leaves the digits alone (fact 3)
                 before = dev.power.onsig
-                dev.s5_tick(rstn=True)
+                dev.s5_tick()
                 if dev.power.onsig != before:
                     log.onpin_edges.append((t_us, dev.power.onsig))
                 self.s5_steps += 1

@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and text contracts of the command line tool."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -551,6 +552,62 @@ def test_usage_errors_return_two(capsys):
 def test_help_returns_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.__wrapped__()
+    assert len(built) == 5  # the counter sees the top parser and its four subcommands
+    assert main(["uart", "encode", "16"]) == 0  # builds the parser if no earlier call did
+    built.clear()
+    for argv in (["uart", "encode", "16"], ["stats", "--bias", "6"], ["rolls"], ["--help"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_command_patched_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert main(["uart", "encode", "16"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_uart", lambda args: seen.append(args.data) or 0)
+    assert main(["uart", "encode", "a5"]) == 0
+    assert seen == [["a5"]]
+    assert capsys.readouterr().out == "0011010001\n"
+
+
+def test_no_option_carries_to_the_next_call(tmp_path, capsys):
+    _, wide, _ = _run(capsys, "stats", "--bias", "6", "--bits", "8")
+    assert "over the 2^8 domain" in wide
+    _, out, _ = _run(capsys, "stats", "--bias", "6")
+    assert "over the 2^32 domain" in out and "face 1,715827883" in out
+
+    trace = tmp_path / "boot.trace"
+    trace.write_text(BOOT)
+    for name, flags in (("bits", ["--uart-bits"]), ("plain", [])):
+        argv = ["simulate", "--trace", str(trace), "--out", str(tmp_path / name), "--duration-us", "2000000"]
+        assert _run(capsys, *argv, *flags)[0] == 0
+    assert (tmp_path / "bits" / "uart_bits.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == ["log.csv", "state.json", "uart.csv"]
+
+
+@pytest.mark.parametrize("error", [["stats", "--bias", "6", "--bits", "8", "--alpha", "0.2"],
+                                   ["stats", "--bias", "6", "--bits"],
+                                   ["rolls", "--sides", "6", "--count", "5", "--seed", "x"]])
+def test_usage_error_leaves_nothing_for_the_next_call(capsys, error):
+    valid = ["stats", "--bias", "6"]
+    argv, env = _dicesim(*valid)
+    alone = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert alone.returncode == 0
+    code, _, err = _run(capsys, *error)
+    assert code == 2 and err.startswith("usage: dicesim")
+    assert _run(capsys, *valid) == (0, alone.stdout, "")
 
 
 # ----------------------------------------------------------------------

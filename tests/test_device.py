@@ -211,11 +211,6 @@ def test_keepawake_disarmed_drives_low():
     assert (state.onsig, state.clk5) == (0, 0)
 
 
-def test_keepawake_reset_level():
-    state = keepawake_update(PowerState(onsig=0, clk5=1), keepon=True, rstn=False)
-    assert (state.onsig, state.clk5) == (1, 0)
-
-
 # ----------------------------------------------------------------------
 #  synthetic ADC
 # ----------------------------------------------------------------------
