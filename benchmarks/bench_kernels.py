@@ -5,10 +5,12 @@
 Each kernel runs once untimed (the first call builds its cached jump
 tables), then the best of REPEAT timed calls is printed. Before timing,
 the first CHECK words of every sequence, and a long `prng.xorshift_jump`,
-are compared with a plain `prng.xorshift_step` chain; `xorshift_batch` and
-`xorshift_inverse_batch` of CHECK words with the scalar `prng.xorshift_step`
-and `prng.xorshift_inverse` of each; and each sequence made a chunk at a
-time, as `rolls` makes it, with one whole call.
+are compared with a plain `prng.xorshift_step` chain; `prng.xorshift_step`
+and `prng.xorshift_inverse` of an array of CHECK words with the scalar step
+and inverse of each word; and each sequence made a chunk at a time, as
+`rolls` makes it, with one whole call. The array step and inverse are
+timed beside the kernels, the step on a copy, since it updates its
+argument in place.
 The text kernels are compared with a join of one line per roll and with a
 count of one `int` per line, on every supported die, and the bias
 report's face lines with one f-string per face; then one rolls chunk is
@@ -65,8 +67,8 @@ def check_against_scalar_chain():
     words = np.arange(1, n + 1, dtype=np.uint32)
     assert kernels.feedback_sequence(1, N)[:n].tolist() == feedback
     assert kernels.stateless_sequence(12345, N)[:n].tolist() == stateless
-    assert kernels.xorshift_batch(words).tolist() == [xorshift_step(int(w)) for w in words]
-    assert kernels.xorshift_inverse_batch(words).tolist() == [xorshift_inverse(int(w)) for w in words]
+    assert xorshift_step(words.copy()).tolist() == [xorshift_step(int(w)) for w in words]
+    assert xorshift_inverse(words).tolist() == [xorshift_inverse(int(w)) for w in words]
     assert xorshift_jump(1, n) == feedback[-1]
     print(f"kernels match the scalar chain and the scalar inverse on the first {n} words")
 
@@ -138,8 +140,8 @@ def main():
         ("stateless_sequence", N, best_of(kernels.stateless_sequence, 12345, N)),
         ("feedback_sequence chunked", N, best_of(chunked, kernels.feedback_sequence, 1, N)),
         ("stateless_sequence chunked", N, best_of(chunked, kernels.stateless_sequence, 12345, N)),
-        ("xorshift_batch", N, best_of(kernels.xorshift_batch, words)),
-        ("xorshift_inverse_batch", N, best_of(kernels.xorshift_inverse_batch, words)),
+        ("xorshift_step of an array copy", N, best_of(lambda: xorshift_step(words.copy()))),
+        ("xorshift_inverse of an array", N, best_of(xorshift_inverse, words)),
         (f"xorshift_jump({TICK_STEPS}), one tick", 1, best_of(xorshift_jump, 1, TICK_STEPS)),
     ]
     chunk = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)

@@ -35,7 +35,7 @@ from .stats import (
     tally,
     uniformity_report,
 )
-from .timing import HALF_PERIODS, SYSCLK_HZ, Scheduler, TickEvent, frequency_of
+from .timing import HALF_PERIODS, Scheduler, TickEvent
 from .trace import ReplayConfig, RunLog, load_trace, parse_trace, replay
 from .uart import UartChannel, decode_stream, encode_frame, payload_pack
 
@@ -68,10 +68,8 @@ __all__ = [
     "tally",
     "uniformity_report",
     "HALF_PERIODS",
-    "SYSCLK_HZ",
     "Scheduler",
     "TickEvent",
-    "frequency_of",
     "ReplayConfig",
     "RunLog",
     "load_trace",

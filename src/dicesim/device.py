@@ -28,7 +28,7 @@ DICE_TABLE = {
     7: (100, 0xD, 0x1, 0x0, 0x0),
 }
 
-SUPPORTED_DICE = (2, 4, 6, 8, 10, 12, 20, 100)
+SUPPORTED_DICE = tuple(row[0] for row in DICE_TABLE.values())
 
 WINDOW_BITS = 10
 WINDOW_MASK = (1 << WINDOW_BITS) - 1
@@ -89,33 +89,30 @@ class SelectionState:
     tens_set: int = 0
     ones_set: int = 0
     keepon: bool = True
-    btn_up_latch: int = 0
-    btn_down_latch: int = 0
 
 
 def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down: int) -> SelectionState:
     """One HZ10 tick of the selection FSM.
 
-    The button latches re-fire every tick (no edge detector), so holding a
-    button steps the selector once per tick. Both buttons together disarm
-    keep-awake and change nothing else. While not upright only setmode drops;
-    the selector and dice table row hold.
+    The buttons are sampled as levels every tick (no edge detector), so
+    holding a button steps the selector once per tick. Both buttons together
+    disarm keep-awake and change nothing else. While not upright only setmode
+    drops; the selector and dice table row hold.
     """
-    up, down = (1 if btn_up else 0), (1 if btn_down else 0)
     if not upright:
         return SelectionState(False, state.dselect, state.diceval, state.thou_set, state.huns_set,
-                              state.tens_set, state.ones_set, state.keepon, up, down)
+                              state.tens_set, state.ones_set, state.keepon)
     setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
-    if up and down:
+    if btn_up and btn_down:
         keepon = False
-    elif up:
+    elif btn_up:
         setmode = True
         dselect = 0 if dselect == 7 else dselect + 1
-    elif down:
+    elif btn_down:
         setmode = True
         dselect = 7 if dselect == 0 else dselect - 1
     # (diceval, thou_set, huns_set, tens_set, ones_set) in field order
-    return SelectionState(setmode, dselect, *dice_table(dselect), keepon, up, down)
+    return SelectionState(setmode, dselect, *dice_table(dselect), keepon)
 
 
 def set_digits(state: SelectionState) -> tuple[int, int, int, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 BLANK = 0xF
 DCODE = 0xD
+CODE_CHARS = "0123456789   d  "  # the text form of each digit code
 
 
 def pack_word(thou: int, huns: int, tens: int, ones: int) -> int:
@@ -43,15 +44,7 @@ def bcd_select(setmode: bool, set_digits: tuple[int, int, int, int],
 
 def render_word(word: int) -> str:
     """Four-character text form of a display word ('d' for 0xD, space for blank)."""
-    chars = []
-    for code in unpack_word(word):
-        if code <= 9:
-            chars.append(str(code))
-        elif code == DCODE:
-            chars.append("d")
-        else:
-            chars.append(" ")
-    return "".join(chars)
+    return "".join(CODE_CHARS[code] for code in unpack_word(word))
 
 
 class DisplayMux:

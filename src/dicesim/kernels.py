@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-from .prng import LCG_INC, LCG_MULT, MASK32, apply_tables, power_tables, xorshift_inverse, xorshift_step
+from .prng import LCG_INC, LCG_MULT, MASK32, apply_tables, power_tables, xorshift_step
 
 
 # ======================================================================
@@ -89,16 +89,6 @@ def _orbit(first: int, n: int, jump, start: int) -> np.ndarray:
 # ======================================================================
 #  public kernels
 # ======================================================================
-
-def xorshift_batch(words) -> np.ndarray:
-    """Element-wise xorshift of a uint32 array."""
-    return xorshift_step(np.array(words, dtype=np.uint32))
-
-
-def xorshift_inverse_batch(words) -> np.ndarray:
-    """Element-wise exact inverse of xorshift_batch."""
-    return xorshift_inverse(np.asarray(words, dtype=np.uint32))
-
 
 def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n successive outputs of the free-running xorshift from seed, after

@@ -2,9 +2,8 @@
 
 Domains and half periods in sysclk cycles: HZ1000 (6000), HZ1500 (4000),
 HZ500 (12000), HZ10 (600024), S5 (30001200). The HZ10 constant makes that
-domain 9.9996 Hz, not 10 Hz; frequency_of returns exact rationals so nothing
-downstream rounds it. HZ1500 is generated but nothing in the device consumes
-it.
+domain 9.9996 Hz, not 10 Hz. HZ1500 is generated but nothing in the device
+consumes it.
 
 Each divider toggles on the edge where its counter reaches half_period - 1
 and clears, so after reset a domain toggles on every multiple of its half
@@ -19,10 +18,7 @@ HZ1500 and falling edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
-
-SYSCLK_HZ = 12_000_000
 
 HZ1000 = "HZ1000"
 HZ1500 = "HZ1500"
@@ -52,13 +48,6 @@ class TickEvent:
     sysclk_index: int
     domain: str
     edge: str
-
-
-def frequency_of(name: str) -> Fraction:
-    """Exact output frequency of a domain in Hz."""
-    if name not in HALF_PERIODS:
-        raise ValueError(f"unknown clock domain: {name!r}")
-    return Fraction(SYSCLK_HZ, 2 * HALF_PERIODS[name])
 
 
 class Scheduler:

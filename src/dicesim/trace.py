@@ -41,7 +41,7 @@ from .device import (
 )
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import STATELESS
-from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, RISING, S5, TickEvent
+from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, S5
 from .uart import FRAME_BITS, UartTxState, payload_pack, uart_frame
 
 SIGNALS = ("TILT", "BTNU", "BTND", "RESET", "ADC")
@@ -250,12 +250,11 @@ class Board:
     display latch.
     """
 
-    def __init__(self, config: ReplayConfig, on_tick=None) -> None:
+    def __init__(self, config: ReplayConfig) -> None:
         self.device = Device(DeviceConfig(config.prng_mode, config.intuitive_tilt))
         self.adc = SyntheticAdc(config.adc_seed)
         self.levels = {name: 0 for name in LEVEL_SIGNALS}
         self.log = RunLog()
-        self.on_tick = on_tick
         self.adc_pending = None
         self.now = 0          # absolute cycles processed so far
         self.word = None      # last display word
@@ -300,7 +299,7 @@ class Board:
         self.now = cycle
         if self.reset:
             return
-        dev, log, on_tick, origin, levels = self.device, self.log, self.on_tick, self.origin, self.levels
+        dev, log, origin, levels = self.device, self.log, self.origin, self.levels
         while True:
             # the next rising edges sit at odd multiples of each half period
             hz10 = origin + HZ10_HALF * (2 * self.hz10_steps + 1)
@@ -321,16 +320,12 @@ class Board:
                 self.note_display(t_us)
                 self.note_uart(edge)  # no frame starts on this edge (fact 2)
                 self.hz10_steps += 1
-                domain = HZ10
             else:  # S5 leaves the digits alone (fact 3)
                 before = dev.power.onsig
                 dev.s5_tick()
                 if dev.power.onsig != before:
                     log.onpin_edges.append((t_us, dev.power.onsig))
                 self.s5_steps += 1
-                domain = S5
-            if on_tick is not None:
-                on_tick(t_us, TickEvent(edge - origin, domain, RISING), dev)
 
     def apply(self, ev: TraceEvent) -> None:
         """Apply one trace event at the current time."""
@@ -396,15 +391,11 @@ class Board:
         }
 
 
-def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick=None) -> RunLog:
+def replay(events: list[TraceEvent], config: ReplayConfig | None = None) -> RunLog:
     """Replay a trace through the full board and collect the run log.
 
     A settled roll is recorded at each false-to-true upright transition,
-    capturing the held digits and the diceval that computed them. on_tick,
-    when given, is called as on_tick(t_us, tick_event, device) after every
-    rising edge that steps the device: HZ10 and S5 only. UART frame starts,
-    HZ500, HZ1500 and falling edges never reach it (a probe hook for tests;
-    it must not mutate).
+    capturing the held digits and the diceval that computed them.
     """
     cfg = config or ReplayConfig()
     last_event_t = events[-1].t_us if events else 0
@@ -412,7 +403,7 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None, on_tick
     if duration_us < last_event_t:
         raise ValueError(f"duration {duration_us} us ends before the last trace event at {last_event_t} us")
 
-    board = Board(cfg, on_tick)
+    board = Board(cfg)
     for ev in events:
         board.run_to(ev.t_us * CYCLES_PER_US)
         board.apply(ev)

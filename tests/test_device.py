@@ -1,13 +1,16 @@
 """Tilt debounce, selection FSM, roll pipeline, keep-awake, composite device."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dicesim.device import (
-    DICE_TABLE,
     SUPPORTED_DICE,
     UPRIGHT_THRESHOLD,
+    WINDOW_BITS,
     WINDOW_MASK,
     Device,
     DeviceConfig,
@@ -25,7 +28,7 @@ from dicesim.device import (
     set_digits,
     tilt_update,
 )
-from dicesim.prng import FEEDBACK, xorshift_step
+from dicesim.prng import FEEDBACK, MASK32, MODES, STATELESS, xorshift_step
 from dicesim.timing import HALF_PERIODS, HZ10
 
 
@@ -38,7 +41,7 @@ def test_dice_table_rows():
     assert dice_table(4) == (10, 0xD, 0x1, 0x0, 0xF)
     assert dice_table(6) == (20, 0xD, 0x2, 0x0, 0xF)
     assert dice_table(7) == (100, 0xD, 0x1, 0x0, 0x0)
-    assert tuple(DICE_TABLE[k][0] for k in range(8)) == SUPPORTED_DICE
+    assert SUPPORTED_DICE == (2, 4, 6, 8, 10, 12, 20, 100)  # the diceval column, in selector order
 
 
 def test_dice_table_rejects_out_of_range():
@@ -305,3 +308,37 @@ def test_device_tick_methods():
     assert dev.seed == 0xBEEF
     dev.s5_tick()
     assert dev.power.onsig == 1
+
+
+BIT = st.integers(0, 1)
+SAMPLE = st.integers(0, 0xFFFF)
+WORD = st.integers(0, MASK32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODES), st.booleans(), st.lists(st.tuples(BIT, BIT, BIT, SAMPLE), max_size=20),
+       st.tuples(WORD, WORD), st.tuples(WORD, WORD),
+       st.lists(st.tuples(st.sampled_from((1, 1, 1, 0)), BIT, BIT, SAMPLE, SAMPLE), min_size=1, max_size=30))
+@example(STATELESS, False, [], (1, 2), (0, 0), [(0, 0, 0, 3, 4)] * 5)  # TILT drops: upright four more ticks
+@example(FEEDBACK, True, [], (1, 2), (5, 6), [(1, 1, 1, 3, 4)] * 3)  # both buttons held
+@example(FEEDBACK, False, [], (1, 2), (0, 6), [(1, 1, 0, 3, 4)] * 9)  # one button held past a wrap
+def test_upright_steps_read_no_generator_state(mode, intuitive, history, seeds, regs, steps):
+    # two devices upright with a saturated window, that differ only in seed,
+    # rand_reg and the ADC samples they get, keep the same tilt, selection
+    # and roll through every HZ10 step with the same levels, as long as they
+    # stay upright: only a roll off upright reads rand
+    a = Device(DeviceConfig(mode, intuitive))
+    for tilt, btn_up, btn_down, sample in history:
+        a.hz10_tick(tilt, btn_up, btn_down, sample)
+    for _ in range(WINDOW_BITS + 1):
+        a.hz10_tick(1, 0, 0, 0)
+    assert a.tilt.upright and a.tilt.window == WINDOW_MASK
+    b = copy.deepcopy(a)
+    (a.seed, b.seed), (a.rand_reg, b.rand_reg) = seeds, regs
+    for tilt, btn_up, btn_down, sample_a, sample_b in steps:
+        a.hz10_tick(tilt, btn_up, btn_down, sample_a)
+        b.hz10_tick(tilt, btn_up, btn_down, sample_b)
+        assert (a.tilt, a.selection) == (b.tilt, b.selection)
+        if not a.tilt.upright:
+            break  # the roll reads rand from this step on
+        assert a.roll == b.roll

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicesim.device import Device
+from dicesim.device import Device, SyntheticAdc
 from dicesim.timing import (
     DOMAIN_ORDER,
     FALLING,
@@ -20,8 +20,6 @@ from dicesim.timing import (
     RISING,
     S5,
     Scheduler,
-    TickEvent,
-    frequency_of,
 )
 from dicesim.trace import FIRST_FRAME_CYCLES, FRAME_CYCLES, ReplayConfig, TraceEvent, replay
 
@@ -46,14 +44,14 @@ def _stepper_oracle(n):
 
 
 def test_exact_frequencies():
-    assert frequency_of(HZ1000) == 1000
-    assert frequency_of(HZ1500) == 1500
-    assert frequency_of(HZ500) == 500
-    assert frequency_of(HZ10) == Fraction(250_000, 25_001)  # 9.9996 Hz, not 10
-    assert frequency_of(S5) == Fraction(5_000, 25_001)
-    assert float(frequency_of(HZ10)) == pytest.approx(9.9996, abs=5e-5)
-    with pytest.raises(ValueError):
-        frequency_of("HZ60")
+    # the 12 MHz system clock over one whole period of each domain
+    frequency = {d: Fraction(12_000_000, 2 * HALF_PERIODS[d]) for d in DOMAIN_ORDER}
+    assert frequency[HZ1000] == 1000
+    assert frequency[HZ1500] == 1500
+    assert frequency[HZ500] == 500
+    assert frequency[HZ10] == Fraction(250_000, 25_001)  # 9.9996 Hz, not 10
+    assert frequency[S5] == Fraction(5_000, 25_001)
+    assert float(frequency[HZ10]) == pytest.approx(9.9996, abs=5e-5)
 
 
 def test_first_toggle_lands_on_half_period():
@@ -119,25 +117,25 @@ def test_advance_is_split_invariant(a, b):
 SPANS_US = st.integers(0, (HALF_PERIODS[S5] + 2_000_000) // 12)
 
 
-def _device_steps(events, duration_us):
-    """(t_us, tick) of every device step that on_tick sees, and the run log."""
-    steps = []
-    log = replay(events, ReplayConfig(duration_us=duration_us),
-                 on_tick=lambda t_us, tick, dev: steps.append((t_us, tick)))
-    return steps, log
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9), SPANS_US, SPANS_US)
 @example(7, 1_000_000, 6_600_000)  # past S5 rising edges 0 and 1, split between them
 def test_rising_edges_equal_scheduler_rising_events(release, skip, span):
     # replay steps the device on exactly the HZ10 and S5 rising edges of the
     # divider bank, counted from the release, and a no-op event splitting the
-    # span changes none of them
+    # span changes none of them: each S5 step toggles the power pin, each
+    # HZ10 step shifts one synthetic sample into the seed, and a display word
+    # changes only at an HZ10 step
     events = [TraceEvent(0, "RESET", 1), TraceEvent(release, "RESET", 0), TraceEvent(release + skip, "TILT", 0)]
-    want = [(release + e.sysclk_index // 12, e) for e in Scheduler().advance((skip + span) * 12)
-            if e.edge == RISING and e.domain in (HZ10, S5)]
-    assert _device_steps(events, release + skip + span)[0] == want
+    log = replay(events, ReplayConfig(duration_us=release + skip + span))
+    rising = [e for e in Scheduler().advance((skip + span) * 12) if e.edge == RISING]
+    hz10 = [release + e.sysclk_index // 12 for e in rising if e.domain == HZ10]
+    s5 = [release + e.sysclk_index // 12 for e in rising if e.domain == S5]
+    assert log.onpin_edges == [(t_us, 1 - k % 2) for k, t_us in enumerate(s5)]
+    adc = SyntheticAdc()
+    draws = [0, 0] + [adc.next() for _ in hz10]
+    assert log.final_state["seed"] == draws[-2] << 16 | draws[-1]
+    assert {t_us for t_us, _ in log.display_words[1:]} <= set(hz10)
 
 
 def test_rising_edges_tie_keeps_domain_order():
@@ -145,10 +143,10 @@ def test_rising_edges_tie_keeps_domain_order():
     # release) and S5 rising edge 7 (30 001 200 * 15) fall on one cycle; a run
     # cut there takes both: the frame drives its START bit, then S5 steps
     tie = 450_018_000
-    steps, log = _device_steps([TraceEvent(0, "RESET", 1), TraceEvent(7, "RESET", 0)], 7 + tie // 12)
+    log = replay([TraceEvent(0, "RESET", 1), TraceEvent(7, "RESET", 0)], ReplayConfig(duration_us=7 + tie // 12))
     assert log.uart_waveform[-1] == (7 + tie // 12, 0)
     assert log.final_state["uart"]["fsm"] == "START"
-    assert steps[-1] == (7 + tie // 12, TickEvent(tie, S5, RISING))
+    assert log.onpin_edges[-1] == (37_501_507, 0)  # the eighth toggle
 
 
 def test_device_grid_moduli():

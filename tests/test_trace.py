@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from io import StringIO
 from itertools import starmap
 from operator import itemgetter
@@ -21,7 +20,8 @@ from hypothesis import strategies as st
 import dicesim
 import reference_board
 import simulate_corpus
-from dicesim.timing import HALF_PERIODS, HZ10, HZ1000, HZ1500, HZ500, RISING, S5
+from dicesim.device import SyntheticAdc
+from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
     _RECORD_KINDS,
     LOG_COLUMNS,
@@ -182,55 +182,49 @@ def test_replay_empty_trace_runs_one_second():
     assert len(log.uart_bytes) > 90
 
 
+def _final_states(text, times, **config):
+    """final_state of a replay of text that ends at each of times: the events
+    up to that time, replayed up to it."""
+    events = parse_trace(text)
+    return [replay([ev for ev in events if ev.t_us <= t], ReplayConfig(duration_us=t, **config)).final_state
+            for t in times]
+
+
+def _seeds(text, times):
+    return [state["seed"] for state in _final_states(text, times)]
+
+
+def _draws(n):
+    """The first n samples of the default synthetic ADC source."""
+    adc = SyntheticAdc()
+    return [adc.next() for _ in range(n)]
+
+
 def test_replay_first_tick_time():
-    seen = []
-
-    def probe(t_us, tick, dev):
-        if tick.domain == "HZ10":
-            seen.append(t_us)
-
-    replay(parse_trace(BOOT), ReplayConfig(duration_us=200_000), on_tick=probe)
-    # origin moves to the reset release at 1000 us; ticks every 100 004 us
-    assert seen == [51_002, 151_006]
+    # origin moves to the reset release at 1000 us; ticks every 100 004 us,
+    # each shifting one synthetic sample into the seed
+    first, second = _draws(2)
+    assert first == 1337
+    assert _seeds(BOOT, [51_001, 51_002, 151_005, 151_006]) == [0, 1337, 1337, (1337 << 16) | second]
 
 
 def test_on_tick_sees_consumed_rising_edges_only():
     # only the edges that step the device: UART frames are expanded from
-    # runs when the log is written, and HZ500 is not scheduled at all
-    seen = Counter()
-
-    def probe(t_us, tick, dev):
-        assert tick.edge == RISING
-        seen[tick.domain] += 1
-
-    replay([], ReplayConfig(duration_us=8_000_000), on_tick=probe)
-    assert [seen[name] for name in (HZ1000, HZ500, HZ10, HZ1500, S5)] == [0, 0, 80, 0, 2]
+    # runs when the log is written, and HZ500 is not scheduled at all; in 8 s
+    # the 80 HZ10 steps draw 80 samples and the 2 S5 steps toggle the pin
+    log = replay([], ReplayConfig(duration_us=8_000_000))
+    draws = _draws(80)
+    assert log.final_state["seed"] == (draws[-2] << 16) | draws[-1]
+    assert log.onpin_edges == [(2_500_100, 1), (7_500_300, 0)]
 
 
 def test_replay_adc_event_is_one_shot():
-    trace = parse_trace("0 ADC 4660")
-    states = []
-
-    def probe(t_us, tick, dev):
-        if tick.domain == "HZ10":
-            states.append(dev.seed)
-
-    replay(trace, ReplayConfig(duration_us=160_000), on_tick=probe)
     # first tick consumes the supplied sample, second falls back to the source
-    assert states[0] == 0x1234
-    assert states[1] == (0x1234 << 16) | 1337
+    assert _seeds("0 ADC 4660", [50_002, 150_006]) == [0x1234, (0x1234 << 16) | 1337]
 
 
 def test_replay_adc_last_wins_between_ticks():
-    trace = parse_trace("0 ADC 1\n10 ADC 2\n20 ADC 3")
-    seeds = []
-
-    def probe(t_us, tick, dev):
-        if tick.domain == "HZ10":
-            seeds.append(dev.seed)
-
-    replay(trace, ReplayConfig(duration_us=60_000), on_tick=probe)
-    assert seeds == [3]
+    assert _seeds("0 ADC 1\n10 ADC 2\n20 ADC 3", [60_000]) == [3]
 
 
 def test_replay_settled_roll_invariant():
@@ -244,27 +238,25 @@ def test_replay_settled_roll_invariant():
 
 def test_replay_reset_restarts_counting():
     text = BOOT + "300000 RESET 1\n400000 RESET 0\n400000 TILT 1\n"
-    seen = []
-
-    def probe(t_us, tick, dev):
-        if tick.domain == "HZ10":
-            seen.append(t_us)
-
-    replay(parse_trace(text), ReplayConfig(duration_us=600_000), on_tick=probe)
-    # three ticks before the second reset, then the grid restarts from 400 ms
-    assert seen == [51_002, 151_006, 251_010, 450_002, 550_006]
+    # three ticks before the second reset, which clears the seed, then the
+    # grid restarts from 400 ms: the seed changes at each tick and only there
+    d = _draws(5)
+    times = [51_001, 51_002, 151_005, 151_006, 251_009, 251_010, 299_999, 300_000,
+             450_001, 450_002, 550_005, 550_006, 600_000]
+    seeds = [0, d[0], d[0], d[0] << 16 | d[1], d[0] << 16 | d[1], d[1] << 16 | d[2], d[1] << 16 | d[2], 0,
+             0, d[3], d[3], d[3] << 16 | d[4], d[3] << 16 | d[4]]
+    assert _seeds(text, times) == seeds
 
 
 def test_replay_edge_at_event_time_acts_first():
-    # the roll tick on the cycle where reset is asserted still happens
-    seen = []
-
-    def probe(t_us, tick, dev):
-        if tick.domain == "HZ10":
-            seen.append(t_us)
-
-    replay(parse_trace(BOOT + "51002 RESET 1\n"), ReplayConfig(duration_us=200_000), on_tick=probe)
-    assert seen == [51_002]
+    # the roll tick on the cycle where reset is asserted still happens: it
+    # writes its word and the held digits, then reset blanks the live ones
+    log = replay(parse_trace(BOOT + "51002 RESET 1\n"), ReplayConfig(duration_us=200_000))
+    roll = log.final_state["roll"]
+    assert roll["out"] in (1, 2)
+    assert log.display_words == [(0, 0xFFFF), (51_002, 0xFF0F | roll["out"] << 4), (51_002, 0xFFFF)]
+    assert roll["held"] == [0, 0, roll["out"], 0xF]
+    assert log.final_state["seed"] == 0  # no tick while reset holds
 
 
 def test_replay_reset_preserves_held_digits():
@@ -382,22 +374,19 @@ def test_feedback_register_matches_bit_matrix_oracle():
     step = _shift_stage(13) @ _shift_stage(-9) @ _shift_stage(7) % 2
     tick = _gf2_power(step, 2 * HALF_PERIODS[HZ10])
     assert _gf2_apply(step, 1) == 0x201
-    ticks = []
-
-    def on_tick(t_us, event, dev):
-        if event.domain == HZ10:
-            ticks.append((event.sysclk_index, dev.seed, dev.rand))
-
-    log = replay(parse_trace(FEEDBACK_TRACE), ReplayConfig(prng_mode="feedback", duration_us=1_300_000),
-                 on_tick=on_tick)
+    # the HZ10 ticks of each release: (ticks since the release, t_us)
+    ticks = [(k, release + (2 * k + 1) * HALF_PERIODS[HZ10] // 12)
+             for release, count in ((1_000, 7), (710_000, 6)) for k in range(count)]
+    states = _final_states(FEEDBACK_TRACE, [t_us for _, t_us in ticks], prng_mode="feedback")
     expected, reg = [], 0
-    for since_release, seed, _ in ticks:
-        if since_release == HALF_PERIODS[HZ10]:  # the first tick after a release
+    for (k, _), state in zip(ticks, states):
+        if k == 0:  # the first tick after a release
             reg = 0
-        reg = _gf2_apply(tick, reg) if reg else _gf2_apply(step, seed)
+        reg = _gf2_apply(tick, reg) if reg else _gf2_apply(step, state["seed"])
         expected.append(reg)
-    assert [rand for _, _, rand in ticks] == expected
+    assert [state["rand"] for state in states] == expected
     assert [reg == 0 for reg in expected] == [True] * 3 + [False] * 4 + [True] + [False] * 5
+    log = replay(parse_trace(FEEDBACK_TRACE), ReplayConfig(prng_mode="feedback", duration_us=1_300_000))
     assert log.final_state["prng"] == {"mode": "feedback", "rand_reg": expected[-1]}
 
 
