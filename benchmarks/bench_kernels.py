@@ -30,7 +30,7 @@ from collections import Counter
 
 import numpy as np
 
-from dicesim import cli, kernels
+from dicesim import cli, kernels, prng
 from dicesim.cli import BIAS_FACES_PER_WRITE, ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
 from dicesim.device import SUPPORTED_DICE, TICK_STEPS
 from dicesim.prng import seed_shift, xorshift_inverse, xorshift_jump, xorshift_step
@@ -61,7 +61,7 @@ def check_against_scalar_chain():
         feedback.append(x)
     lcg, seed, stateless = 12345, 0, []
     for _ in range(n):
-        lcg = (kernels.LCG_MULT * lcg + kernels.LCG_INC) & kernels.MASK32
+        lcg = (prng.LCG_MULT * lcg + prng.LCG_INC) & kernels.MASK32
         seed = seed_shift(seed, lcg >> 16)
         stateless.append(xorshift_step(seed))
     words = np.arange(1, n + 1, dtype=np.uint32)

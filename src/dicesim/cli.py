@@ -18,7 +18,6 @@ import operator
 import os
 import sys
 import tempfile
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -172,32 +171,25 @@ def cmd_rolls(args) -> int:
 #  stats
 # ======================================================================
 
-def _count_lines(block: bytes, first_line: int, sides: int, rolls_before: int) -> list[int]:
+def _count_lines(block: bytes, first_line: int, sides: int) -> list[int]:
     """Counts of faces 1..sides in block, line by line, its lines numbered
-    from first_line. Raises ValueError naming a bad line or an out-of-range
-    roll, whichever comes first; a first line of the file that is not a
-    number is a header."""
-    rolls: list[int] = []
-    error = None
+    from first_line. Raises ValueError naming the first bad line or
+    out-of-range roll; a first line of the file that is not a number is a
+    header."""
+    counts = [0] * (sides + 1)
     for n, line in enumerate(block.removesuffix(b"\n").split(b"\n"), start=first_line):
         line = line.strip(b" \t\r").decode("utf-8", "backslashreplace")  # a byte that is not UTF-8 shows as \xe9
         try:
             value = parse_decimal(line)
         except ValueError as exc:  # too many digits
-            error = f"line {n}: bad roll value ({exc})"
-            break
+            raise ValueError(f"line {n}: bad roll value ({exc})") from None
         if value is not None:
-            rolls.append(value)
+            if not 1 <= value <= sides:
+                raise ValueError(f"line {n}: roll out of range 1..{sides}: {value}")
+            counts[value] += 1
         elif line and n != 1:  # blank lines are skipped, and a first line that is not a number is a header
-            error = f"line {n}: bad roll value {line!r}"
-            break
-    faces = Counter(rolls)
-    if not all(1 <= face <= sides for face in faces):
-        # raises, naming the first; it lies above any bad line, so it is the earlier error
-        stats.tally(rolls, sides, start=rolls_before)
-    if error:
-        raise ValueError(error)
-    return [faces[face] for face in range(1, sides + 1)]
+            raise ValueError(f"line {n}: bad roll value {line!r}")
+    return counts[1:]
 
 
 def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
@@ -205,9 +197,9 @@ def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
     which may be a header, the file is read ROLL_BYTES_PER_READ bytes at a
     time, each read completed to the end of its last line. A read of bare
     rolls is counted by `kernels.count_rolls` with no Python step per roll;
-    any other read goes line by line, and only that path names a bad line or
-    an out-of-range roll. Lines end at LF; only blanks, tabs and CR around a
-    value are stripped."""
+    any other read goes line by line, and only that path names the line of a
+    bad value or an out-of-range roll. Lines end at LF; only blanks, tabs and
+    CR around a value are stripped."""
     if sides not in stats.VERDICT_SIDES:  # before any read, and before sides sizes the counts
         raise ValueError(f"no verdict for a d{sides}: --sides must be in "
                          f"{stats.VERDICT_SIDES.start}..{stats.VERDICT_SIDES.stop - 1}")
@@ -217,7 +209,7 @@ def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
     while block:
         faces = kernels.count_rolls(block, sides)
         if faces is None:
-            faces = _count_lines(block, line_no + 1, sides, sum(counts))
+            faces = _count_lines(block, line_no + 1, sides)
         counts = list(map(operator.add, counts, faces))
         line_no += block.count(b"\n")  # only the file's last line may lack a LF
         block = fh.read(ROLL_BYTES_PER_READ)

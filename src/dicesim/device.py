@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .prng import MASK32, MODES, STATELESS, lcg_step, seed_shift, xorshift_jump, xorshift_step
+from .prng import MASK32, MODES, STATELESS, lcg_jump, lcg_step, seed_shift, xorshift_jump, xorshift_step
 from .timing import HALF_PERIODS, HZ10
 
 # dselect -> (diceval, thou, huns, tens, ones display codes)
@@ -221,6 +221,12 @@ class SyntheticAdc:
         self.state = lcg_step(self.state)
         return (self.state >> 16) & 0xFFFF
 
+    def skip(self, steps: int) -> tuple[int, int]:
+        """Draw steps >= 2 samples at once, in O(log steps); the last two."""
+        before = lcg_jump(self.state, steps - 1)
+        self.state = lcg_step(before)
+        return before >> 16, self.state >> 16
+
 
 # ======================================================================
 #  composite device
@@ -280,6 +286,19 @@ class Device:
         self.tilt = tilt_update(self.tilt, tilt, self.config.intuitive_tilt)
         self.selection = selection_update(self.selection, self.tilt.upright, btn_up, btn_down)
         self.roll = roll_update(self.roll, self.rand, self.selection.diceval, self.tilt.upright)
+
+    def steady_ticks(self, steps: int, samples: tuple[int, int]) -> None:
+        """steps >= 2 hz10_ticks that leave tilt, selection and roll as they
+        are, with upright true, the last two fed the ADC samples `samples`.
+        Upright, those updates never read seed or rand, so only the two move:
+        the seed register holds the last two samples, and rand is their
+        transform in STATELESS, or in FEEDBACK the register jumped
+        steps * TICK_STEPS at once, which needs it latched (nonzero)."""
+        self.seed = seed_shift(samples[0], samples[1])  # a 16-bit seed: the older sample lands high
+        if self.config.prng_mode == STATELESS:
+            self.rand = xorshift_step(self.seed)
+        else:
+            self.rand = self.rand_reg = xorshift_jump(self.rand_reg, steps * TICK_STEPS)
 
     def s5_tick(self) -> None:
         """One S5 rising edge: keep-awake toggler."""

@@ -11,8 +11,10 @@ reaches this module. Element-wise steps and inverses of arrays call
 `prng.xorshift_step` and `prng.xorshift_inverse` themselves.
 
 The synthetic ADC source is an LCG (`prng.lcg_step`, which `SyntheticAdc`
-steps too), affine mod 2**32, so it jumps the same way (Brown 1994, "Random
-number generation with arbitrary strides").
+steps too), affine mod 2**32, so it jumps the same way, by the cached
+`(mult, inc)` of 2**i steps that `prng.lcg_power` builds and `prng.lcg_jump`
+applies to one word (Brown 1994, "Random number generation with arbitrary
+strides").
 
 A sequence is filled by doubling: its first word is reached by one jump per
 set bit of its offset in the stream, then the jump by 2**i maps the 2**i
@@ -34,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .prng import LCG_INC, LCG_MULT, MASK32, apply_tables, power_tables, xorshift_step
+from .prng import MASK32, apply_tables, lcg_power, power_tables, xorshift_step
 
 
 # ======================================================================
@@ -49,21 +51,12 @@ def _tables(i: int) -> np.ndarray:
     return tables
 
 
-@functools.cache
-def _lcg_power(i: int) -> tuple[int, int]:
-    """(mult, inc) of the LCG applied 2**i times: x -> mult * x + inc mod 2**32."""
-    if i == 0:
-        return LCG_MULT, LCG_INC
-    mult, inc = _lcg_power(i - 1)
-    return (mult * mult) & MASK32, ((mult + 1) * inc) & MASK32
-
-
 def _xorshift_jump(i: int, x: np.ndarray) -> np.ndarray:
     return apply_tables(_tables(i), x)
 
 
 def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
-    mult, inc = _lcg_power(i)
+    mult, inc = lcg_power(i)
     return x * np.uint32(mult) + np.uint32(inc)
 
 

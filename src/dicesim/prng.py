@@ -68,6 +68,30 @@ def lcg_step(x: int) -> int:
     return (LCG_MULT * x + LCG_INC) & MASK32
 
 
+@functools.cache
+def lcg_power(i: int) -> tuple[int, int]:
+    """(mult, inc) of the LCG applied 2**i times: x -> mult * x + inc mod 2**32.
+    Affine maps compose to affine maps, so each level is the one below
+    applied twice (Brown 1994, "Random number generation with arbitrary
+    strides")."""
+    if i == 0:
+        return LCG_MULT, LCG_INC
+    mult, inc = lcg_power(i - 1)
+    return (mult * mult) & MASK32, ((mult + 1) * inc) & MASK32
+
+
+def lcg_jump(x: int, steps: int) -> int:
+    """Apply lcg_step steps times to one word, in O(log steps)."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative: {steps}")
+    x &= MASK32
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            mult, inc = lcg_power(i)
+            x = (mult * x + inc) & MASK32
+    return x
+
+
 def _unshift_right(y: int, k: int) -> int:
     # inverse of x -> x ^ (x >> k): xor the geometric series of shifts
     x = 0

@@ -69,6 +69,13 @@ STOP_US = (FRAME_BITS - 1) * US_PER_BIT  # the STOP-to-IDLE edge that completes 
 #    keep-awake outputs. So the UART is a list of runs of same-byte frames:
 #    one opens at each release and at each HZ10 step that changes the byte,
 #    from the next frame START on, and RESET 1 cuts the frame in flight.
+# 4. Upright, the HZ10 updates of tilt, selection and roll read neither seed
+#    nor rand, and between two trace events the levels hold and no ADC event
+#    arrives. So once an HZ10 step leaves (tilt, selection, roll) as it was,
+#    upright, every later step up to the next event does the same: a steady
+#    span, in which only the synthetic ADC's LCG, seed and rand move, and no
+#    display word, UART run or settled roll is noted. Its S5 steps see a
+#    fixed keepon, and still step one by one.
 HZ10_HALF = HALF_PERIODS[HZ10]
 S5_HALF = HALF_PERIODS[S5]
 FIRST_FRAME_CYCLES = 3 * HALF_PERIODS[HZ1000]
@@ -243,11 +250,12 @@ class Board:
     levels and run log. It steps only on the device grid: two counters, the
     HZ10 and the S5 steps since the last reset release, place the next edge
     of each domain arithmetically, and the earlier of the two is taken, so a
-    span split by a trace event is unchanged. The UART is noted as runs of
-    same-byte frames, the way display words are noted: a run opens at each
-    release and at each HZ10 step that changes the live byte, and RESET 1
-    notes a cut. snapshot() derives the frame in flight and the HZ500
-    display latch.
+    span split by a trace event is unchanged. The HZ10 steps of a steady
+    upright span (fact 4) are one jump, to the last step before the next
+    event. The UART is noted as runs of same-byte frames, the way display
+    words are noted: a run opens at each release and at each HZ10 step that
+    changes the live byte, and RESET 1 notes a cut. snapshot() derives the
+    frame in flight and the HZ500 display latch.
     """
 
     def __init__(self, config: ReplayConfig) -> None:
@@ -313,13 +321,21 @@ class Board:
                 if sample is None:
                     sample = self.adc.next()
                 self.adc_pending = None
-                was_upright = dev.tilt.upright
+                tilt, selection, roll = dev.tilt, dev.selection, dev.roll
                 dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample)
-                if dev.tilt.upright and not was_upright:
+                if dev.tilt.upright and not tilt.upright:
                     log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
                 self.note_display(t_us)
                 self.note_uart(edge)  # no frame starts on this edge (fact 2)
                 self.hz10_steps += 1
+                # a steady span (fact 4) with two or more steps left by cycle: jump
+                # to the last (in FEEDBACK mode, once the rand register has latched)
+                if (cycle - edge >= 4 * HZ10_HALF and dev.tilt.upright
+                        and (dev.rand_reg or dev.config.prng_mode == STATELESS)
+                        and (dev.tilt, dev.selection, dev.roll) == (tilt, selection, roll)):
+                    steps = (cycle - edge) // (2 * HZ10_HALF)
+                    dev.steady_ticks(steps, self.adc.skip(steps))
+                    self.hz10_steps += steps
             else:  # S5 leaves the digits alone (fact 3)
                 before = dev.power.onsig
                 dev.s5_tick()

@@ -249,7 +249,7 @@ def test_stats_rolls_report_the_earlier_error(tmp_path, capsys, bad_first, gap):
     _write_rolls(rolls, [1, 2] * 60 + [first] + [1] * gap + [second])
     code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "6")
     assert code == 2
-    assert ("line 122: bad roll value 'x'" if bad_first else "roll #120 out of range 1..6: 9") in err
+    assert ("line 122: bad roll value 'x'" if bad_first else "line 122: roll out of range 1..6: 9") in err
 
 
 # a line that is not UTF-8 is a bad line that shows its bytes, or on line 1 a
@@ -258,7 +258,7 @@ def test_stats_rolls_report_the_earlier_error(tmp_path, capsys, bad_first, gap):
     pytest.param(b"roll\n1\n\xe9\n2\n", 2, r"line 3: bad roll value '\\xe9'", id="bad-line"),
     pytest.param(b"1\n2\n\xff\xfe3\n", 2, r"line 3: bad roll value '\\xff\\xfe3'", id="bad-bytes"),
     pytest.param(b"\xe9\n" + b"1\n2\n3\n4\n5\n6\n" * 20, 0, "chi-square 0.0000", id="header"),
-    pytest.param(b"1\n2\n7\n\xe9\n", 2, "roll #2 out of range 1..6: 7", id="earlier-range-error"),
+    pytest.param(b"1\n2\n7\n\xe9\n", 2, "line 3: roll out of range 1..6: 7", id="earlier-range-error"),
 ])
 def test_stats_rolls_line_that_is_not_utf8(tmp_path, capsys, data, code, message):
     rolls = tmp_path / "rolls.csv"
@@ -266,6 +266,15 @@ def test_stats_rolls_line_that_is_not_utf8(tmp_path, capsys, data, code, message
     result = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "6")
     assert result[0] == code
     assert message in result[1 + (code != 0)]
+
+
+def test_stats_rolls_name_the_line_of_an_out_of_range_roll(tmp_path, capsys):
+    # the line in the file, counting the header and blank lines, not the roll's index
+    rolls = tmp_path / "rolls.csv"
+    rolls.write_bytes(b"roll\n\n\n1\n9\n")
+    code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "6")
+    assert code == 2
+    assert err == "error: line 5: roll out of range 1..6: 9\n"
 
 
 PAIRS = cli.ROLL_BYTES_PER_READ  # "1\n2\n" pairs: four reads of the file
@@ -285,7 +294,7 @@ def test_stats_rolls_later_reads_keep_the_per_line_rules(tmp_path, capsys):
     _write_rolls(rolls, [1, 2] * PAIRS + [9])
     code, out, err = _run(capsys, "stats", "--rolls", str(rolls), "--sides", "2")
     assert code == 2
-    assert f"roll #{2 * PAIRS} out of range 1..2: 9" in err
+    assert f"line {2 * PAIRS + 2}: roll out of range 1..2: 9" in err
     # a blank line, padding and leading zeros in a later read count as in the first
     rolls.write_bytes(b"roll\n" + b"1\n2\n" * PAIRS + b"\n 1\r\n2\t\n001\n002")
     hist = tmp_path / "hist.csv"

@@ -27,7 +27,7 @@ def feedback_reference(seed: int, n: int) -> list[int]:
 
 
 def lcg_step(state: int) -> int:
-    return (kernels.LCG_MULT * state + kernels.LCG_INC) & kernels.MASK32
+    return (prng.LCG_MULT * state + prng.LCG_INC) & kernels.MASK32
 
 
 def stateless_reference(lcg_seed: int, n: int) -> list[int]:
@@ -91,7 +91,7 @@ def test_lcg_matches_adc_source():
     adc = SyntheticAdc(12345)
     first = adc.next()
     assert first == 1337  # (1664525 * 12345 + 1013904223) mod 2**32, top 16 bits
-    lcg = (kernels.LCG_MULT * 12345 + kernels.LCG_INC) & kernels.MASK32
+    lcg = (prng.LCG_MULT * 12345 + prng.LCG_INC) & kernels.MASK32
     assert first == (lcg >> 16) & 0xFFFF
 
 
@@ -182,7 +182,7 @@ def test_feedback_sequence_start_equals_jump(seed, start, n):
 def lcg_state(seed: int, k: int) -> int:
     """LCG state k from seed in closed form: a**k * seed + c * (a**k - 1) / (a - 1),
     the sum of the geometric series taken exactly mod 2**32."""
-    a, c = kernels.LCG_MULT, kernels.LCG_INC
+    a, c = prng.LCG_MULT, prng.LCG_INC
     series = (pow(a, k, (a - 1) << 32) - 1) // (a - 1)
     return (pow(a, k, 1 << 32) * seed + c * series) & kernels.MASK32
 

@@ -1,11 +1,13 @@
-"""Word transform, its inverse, and the seed register."""
+"""Word transform, its inverse, the seed register and the LCG's jump."""
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dicesim.device import Device, DeviceConfig
-from dicesim.prng import MASK32, seed_shift, xorshift_inverse, xorshift_step
+from dicesim.prng import MASK32, lcg_jump, lcg_step, seed_shift, xorshift_inverse, xorshift_step
 
 
 def _oracle_step(x):
@@ -92,3 +94,33 @@ def test_seed_shift_rejects_out_of_range():
 def test_state_validates_mode():
     with pytest.raises(ValueError, match="unknown PRNG mode"):
         Device(DeviceConfig(prng_mode="turbo"))
+
+
+WORDS = st.integers(0, MASK32)
+STEPS = st.integers(0, 3_000)
+
+
+@given(WORDS, STEPS)
+def test_lcg_jump_equals_stepping(x, steps):
+    want = x
+    for _ in range(steps):
+        want = lcg_step(want)
+    assert lcg_jump(x, steps) == want
+
+
+@given(WORDS, st.integers(0, 1 << 40), st.integers(0, 1 << 40))
+def test_lcg_jumps_compose(x, a, b):
+    assert lcg_jump(lcg_jump(x, a), b) == lcg_jump(x, a + b)
+
+
+@given(WORDS)
+def test_lcg_jump_by_zero_is_the_identity(x):
+    assert lcg_jump(x, 0) == x
+
+
+def test_lcg_jump_period_and_negative_steps():
+    # full period: the affine map mod 2**32 with an odd increment cycles through every word
+    assert lcg_jump(12345, 1 << 32) == 12345
+    assert lcg_jump(12345, (1 << 31)) != 12345
+    with pytest.raises(ValueError, match="non-negative"):
+        lcg_jump(0, -1)

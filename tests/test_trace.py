@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import dicesim
 import reference_board
 import simulate_corpus
-from dicesim.device import SyntheticAdc
+from dicesim.device import DEFAULT_ADC_SEED, TICK_STEPS, SyntheticAdc
+from dicesim.prng import lcg_step, seed_shift, xorshift_jump, xorshift_step
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
     _RECORD_KINDS,
@@ -512,28 +513,112 @@ def _reset_traces(draw):
     return events, draw(st.sampled_from((max(last, after_tick), last + draw(st.integers(0, 400_000)))))
 
 
+def _tick(n, origin=1_000):
+    """The time of HZ10 step n after a reset release at origin us."""
+    return origin + 50_002 * (2 * n + 1)
+
+
+# boot upright: the window fills at steps 0..9 and sumtilt reaches 10 at step
+# 10 (step 9 with --intuitive-tilt), so step 11 (10) is the first that leaves
+# tilt, selection and roll as they were, and replay jumps from step 12 (11) on
+UPRIGHT = [TraceEvent(0, "RESET", 1), TraceEvent(1_000, "RESET", 0), TraceEvent(1_000, "TILT", 1)]
+
+
+def _upright(*events):
+    """The events of an upright boot and then events, (t_us, signal, value)."""
+    return UPRIGHT + [TraceEvent(*ev) for ev in events]
+
+
+@st.composite
+def _upright_traces(draw):
+    """A boot set upright, then a span of 3 to 6 s in which buttons may be held,
+    one or both, from any time, and TILT may drop, an ADC sample arrive or a
+    RESET pulse come at any time or just after a given step; the run ends at
+    an arbitrary time or at, or one us past, a roll tick."""
+    events = [(draw(st.integers(1_000, 200_000)), "TILT", 1)]
+    for button in draw(st.sampled_from(((), ("BTNU",), ("BTND",), ("BTNU", "BTND")))):
+        events.append((draw(st.integers(1_000, 3_000_000)), button, 1))
+    at = st.one_of(st.integers(1_000, 4_000_000), st.integers(8, 40).map(lambda n: _tick(n) + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        signal = draw(st.sampled_from(("TILT", "ADC", "RESET")))
+        value = draw(st.integers(0, 0xFFFF)) if signal == "ADC" else draw(st.integers(0, 1))
+        events.append((draw(at), signal, value))
+    events.sort(key=itemgetter(0))
+    last = events[-1][0]
+    end = draw(st.one_of(st.integers(last + 3_000_000, last + 6_000_000),
+                         st.integers(10, 60).map(_tick), st.integers(10, 60).map(lambda n: _tick(n) + 1)))
+    return UPRIGHT[:2] + [TraceEvent(*ev) for ev in events], max(end, last)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_reset_traces(), st.sampled_from(("stateless", "feedback")), st.sampled_from(("csv", "jsonl")), st.booleans())
+@given(st.one_of(_reset_traces(), _upright_traces()), st.sampled_from(("stateless", "feedback")),
+       st.sampled_from(("csv", "jsonl")), st.booleans(), st.booleans())
 # RESET 1 on the START edge of the first frame: that frame drives its START bit
-@example(([TraceEvent(1_500, "RESET", 1), TraceEvent(2_000, "RESET", 0)], 200_000), "stateless", "csv", True)
+@example(([TraceEvent(1_500, "RESET", 1), TraceEvent(2_000, "RESET", 0)], 200_000), "stateless", "csv", True, False)
 # the run ends while reset is held: no frame is written after RESET 1
-@example(([TraceEvent(250_000, "RESET", 1)], 400_000), "stateless", "jsonl", True)
+@example(([TraceEvent(250_000, "RESET", 1)], 400_000), "stateless", "jsonl", True, False)
 # the HZ10 step at 50 002 us changes the byte; the frame from 41 500 us, still
 # in flight, is cut at 50 200 us, before the next frame starts at 51 500 us,
 # and the line goes high there
-@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "stateless", "csv", True)
-@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "feedback", "jsonl", True)
+@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "stateless", "csv", True, False)
+@example(([TraceEvent(50_200, "RESET", 1)], 100_000), "feedback", "jsonl", True, False)
 # and the run that ends there leaves that frame in STOP
-@example(([], 50_200), "stateless", "csv", True)
-@example(([], 50_200), "feedback", "jsonl", True)
-def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits):
+@example(([], 50_200), "stateless", "csv", True, False)
+@example(([], 50_200), "feedback", "jsonl", True, False)
+# long upright spans: no button held, in both modes and with intuitive tilt
+@example((_upright(), 5_000_000), "stateless", "csv", True, False)
+@example((_upright(), 6_000_000), "feedback", "jsonl", True, True)
+# both buttons held: keepon true through the first span, false through the next
+@example((_upright((2_000_000, "BTNU", 1), (2_000_000, "BTND", 1)), 6_000_000), "feedback", "csv", False, False)
+@example((_upright((3_100_000, "BTND", 1), (3_100_000, "BTNU", 1)), 6_000_000), "stateless", "csv", False, True)
+# one button held steps the selector every step: never steady
+@example((_upright((1_500_000, "BTNU", 1)), 4_500_000), "feedback", "csv", False, False)
+# TILT drops after 9 and after 10 saturated steps, then the unit is set upright again
+@example((_upright((_tick(18) - 1, "TILT", 0), (2_500_000, "TILT", 1)), 6_000_000), "stateless", "jsonl", True, False)
+@example((_upright((_tick(19) - 1, "TILT", 0), (2_500_000, "TILT", 1)), 6_000_000), "feedback", "csv", True, False)
+@example((_upright((_tick(19) - 1, "TILT", 0), (2_500_000, "TILT", 1)), 6_000_000), "stateless", "csv", False, True)
+# an ADC sample and a RESET pulse inside a span
+@example((_upright((2_345_678, "ADC", 0), (_tick(30), "ADC", 4660)), 5_000_000), "feedback", "csv", False, False)
+@example((_upright((2_500_000, "RESET", 1), (3_000_000, "RESET", 0)), 6_000_000), "feedback", "csv", True, False)
+@example((_upright((2_500_000, "RESET", 1), (3_000_000, "RESET", 0)), 6_000_000), "stateless", "jsonl", True, True)
+# feedback: zero samples up to the first steady step keep the register unlatched there
+@example((_upright(*((_tick(n) - 1, "ADC", 0) for n in range(12))), 4_000_000), "feedback", "csv", False, False)
+# the run ends one us before, on and one us past step 13 (12): the first end that leaves
+# two steps after the first steady one, the shortest jump
+@example((_upright(), _tick(13) - 1), "stateless", "csv", False, False)
+@example((_upright(), _tick(13)), "stateless", "csv", False, False)
+@example((_upright(), _tick(13) + 1), "feedback", "csv", False, False)
+@example((_upright(), _tick(12)), "feedback", "csv", False, True)
+@example((_upright(), _tick(12) + 1), "stateless", "csv", False, True)
+def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits, intuitive):
     # every file simulate writes is the one the edge-by-edge reference board makes
     events, duration_us = trace
     text = "".join(f"{ev.t_us} {ev.signal} {ev.value}\n" for ev in events).encode("ascii")
-    options = ("--prng-mode", mode, "--format", fmt, "--duration-us", str(duration_us)) + ("--uart-bits",) * uart_bits
+    options = ("--prng-mode", mode, "--format", fmt, "--duration-us", str(duration_us)) + \
+        ("--uart-bits",) * uart_bits + ("--intuitive-tilt",) * intuitive
     got = simulate_corpus.run_case(simulate_corpus.Case(0, options, text))
     assert got["exit"] == 0
     assert got["files"] == reference_board.file_digests(reference_board.reference_files(text, options))
+
+
+@pytest.mark.parametrize("mode", ["stateless", "feedback"])
+def test_hour_upright_equals_a_loop_of_steps(mode):
+    # an hour upright is one jump after the first steady step; its seed,
+    # rand and register are those of one LCG, seed-register and xorshift
+    # step per roll tick, and the pin toggles at every S5 step
+    duration_us = 3_600_000_000
+    log = replay(UPRIGHT, ReplayConfig(prng_mode=mode, duration_us=duration_us))
+    lcg, seed, reg = DEFAULT_ADC_SEED, 0, 0
+    for _ in range((duration_us - _tick(0)) // 100_004 + 1):
+        lcg = lcg_step(lcg)
+        seed = seed_shift(seed, lcg >> 16)
+        if mode == "feedback":
+            reg = xorshift_jump(reg, TICK_STEPS) if reg else xorshift_step(seed)
+    state = log.final_state
+    assert (state["seed"], state["rand"], state["prng"]["rand_reg"]) == \
+        (seed, reg if mode == "feedback" else xorshift_step(seed), reg)
+    assert len(log.onpin_edges) == (duration_us - 1_000 - 2_500_100) // 5_000_200 + 1
+    assert state["tilt"] == {"window": 1023, "sumtilt": 10, "upright": True}
 
 
 FREE_TEXT = st.text(st.characters(blacklist_characters="\n"), max_size=12)
