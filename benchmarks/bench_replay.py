@@ -6,38 +6,24 @@ Each trace is a boot set upright (`RESET 1` at 0, `RESET 0` and `TILT 1` at
 1 000 us), replayed for 60 s, 600 s and 3 600 s in both PRNG modes. After
 the first steady step the rest of such a run is one jump, so its time
 should barely grow with the duration. Before timing, the final seed, rand
-and rand register of each run, and its ONPIN count, are compared with a
-plain loop of one `lcg_step`, `seed_shift` and xorshift step (or one
-HZ10-period `xorshift_jump` of the register) per roll tick, and one pin
-toggle per S5 step. Then `replay` is timed, best of REPEAT calls.
+and rand register of each run, and its ONPIN count, are compared with
+`upright_loop` of tests/reference_board.py, which steps one roll tick at a
+time. Then `replay` is timed, best of REPEAT calls.
 """
 
 import sys
 import time
+from pathlib import Path
 
-from dicesim.device import DEFAULT_ADC_SEED, TICK_STEPS
-from dicesim.prng import lcg_step, seed_shift, xorshift_jump, xorshift_step
-from dicesim.trace import ReplayConfig, TraceEvent, replay
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from dicesim.trace import ReplayConfig, parse_trace, replay  # noqa: E402
+from reference_board import UPRIGHT_TRACE, upright_loop  # noqa: E402
 
 REPEAT = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 DURATIONS_S = (60, 600, 3_600)
 MODES = ("stateless", "feedback")
-RELEASE_US = 1_000
-TICK_US = 100_004       # one roll tick; the first after a release at r us is at r + 50 002
-S5_US = 5_000_200       # one keep-awake step; the first is at r + 2 500 100
-EVENTS = [TraceEvent(0, "RESET", 1), TraceEvent(RELEASE_US, "RESET", 0), TraceEvent(RELEASE_US, "TILT", 1)]
-
-
-def loop_of_steps(mode, duration_us):
-    """(seed, rand, rand_reg, ONPIN count) of the run, one tick at a time."""
-    lcg, seed, reg = DEFAULT_ADC_SEED, 0, 0
-    for _ in range((duration_us - RELEASE_US - TICK_US // 2) // TICK_US + 1):
-        lcg = lcg_step(lcg)
-        seed = seed_shift(seed, lcg >> 16)
-        if mode == "feedback":
-            reg = xorshift_jump(reg, TICK_STEPS) if reg else xorshift_step(seed)
-    rand = reg if mode == "feedback" else xorshift_step(seed)
-    return seed, rand, reg, (duration_us - RELEASE_US - S5_US // 2) // S5_US + 1
+EVENTS = parse_trace(UPRIGHT_TRACE.decode("ascii"))
 
 
 def best_of(fn):
@@ -57,7 +43,7 @@ def main():
             log = replay(EVENTS, config)
             state = log.final_state
             got = state["seed"], state["rand"], state["prng"]["rand_reg"], len(log.onpin_edges)
-            assert got == loop_of_steps(mode, config.duration_us), (mode, seconds)
+            assert got == upright_loop(mode, config.duration_us), (mode, seconds)
             rows.append((mode, seconds, best_of(lambda: replay(EVENTS, config))))
     print("every final state matches the loop of steps")
     print(f"{'mode':<10}  {'upright (s)':>11}  {'replay (ms)':>11}")

@@ -23,13 +23,12 @@ class Histogram:
     total: int
 
 
-def tally(rolls, dice_sides: int, start: int = 0) -> Histogram:
-    """Count face values 1..dice_sides; an out-of-range value names its index,
-    counted from start."""
+def tally(rolls, dice_sides: int) -> Histogram:
+    """Count face values 1..dice_sides; an out-of-range value names its index."""
     if dice_sides < 1:
         raise ValueError(f"dice_sides must be at least 1: {dice_sides}")
     counts = [0] * dice_sides
-    for i, value in enumerate(rolls, start=start):
+    for i, value in enumerate(rolls):
         v = int(value)
         if not 1 <= v <= dice_sides:
             raise ValueError(f"roll #{i} out of range 1..{dice_sides}: {v}")

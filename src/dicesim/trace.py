@@ -77,6 +77,10 @@ STOP_US = (FRAME_BITS - 1) * US_PER_BIT  # the STOP-to-IDLE edge that completes 
 #    display word, UART run or settled roll is noted. Its S5 steps see a
 #    fixed keepon, and still step one by one.
 HZ10_HALF = HALF_PERIODS[HZ10]
+# A steady span is jumped only when this many HZ10 steps, one simulated
+# second, remain before the target. Event-dense traces, whose gaps are
+# shorter, step every tick: at most 9 steps per gap, a few us each.
+STEADY_MIN_STEPS = 10
 S5_HALF = HALF_PERIODS[S5]
 FIRST_FRAME_CYCLES = 3 * HALF_PERIODS[HZ1000]
 FRAME_CYCLES = FRAME_BITS * 2 * HALF_PERIODS[HZ1000]
@@ -251,11 +255,12 @@ class Board:
     HZ10 and the S5 steps since the last reset release, place the next edge
     of each domain arithmetically, and the earlier of the two is taken, so a
     span split by a trace event is unchanged. The HZ10 steps of a steady
-    upright span (fact 4) are one jump, to the last step before the next
-    event. The UART is noted as runs of same-byte frames, the way display
-    words are noted: a run opens at each release and at each HZ10 step that
-    changes the live byte, and RESET 1 notes a cut. snapshot() derives the
-    frame in flight and the HZ500 display latch.
+    upright span (fact 4) of STEADY_MIN_STEPS or more are one jump, to the
+    last step before the next event. The UART is noted as runs of same-byte
+    frames, the way display words are noted: a run opens at each release
+    and at each HZ10 step that changes the live byte, and RESET 1 notes a
+    cut. snapshot() derives the frame in flight and the HZ500 display
+    latch.
     """
 
     def __init__(self, config: ReplayConfig) -> None:
@@ -328,9 +333,9 @@ class Board:
                 self.note_display(t_us)
                 self.note_uart(edge)  # no frame starts on this edge (fact 2)
                 self.hz10_steps += 1
-                # a steady span (fact 4) with two or more steps left by cycle: jump
-                # to the last (in FEEDBACK mode, once the rand register has latched)
-                if (cycle - edge >= 4 * HZ10_HALF and dev.tilt.upright
+                # a steady span (fact 4) with STEADY_MIN_STEPS or more steps left by
+                # cycle: jump to the last (in FEEDBACK mode, once rand_reg has latched)
+                if (cycle - edge >= 2 * HZ10_HALF * STEADY_MIN_STEPS and dev.tilt.upright
                         and (dev.rand_reg or dev.config.prng_mode == STATELESS)
                         and (dev.tilt, dev.selection, dev.roll) == (tilt, selection, roll)):
                     steps = (cycle - edge) // (2 * HZ10_HALF)

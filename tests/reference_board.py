@@ -24,6 +24,9 @@ checks the files of every corpus case that `simulate` completes (exit 0)
 against the case's digests and, for each one that differs, prints its argv
 and its trace. tests/test_reference_board.py checks a fixed slice, and
 tests/test_trace.py compares the board with `simulate` on hypothesis traces.
+`upright_loop` is the end state of an upright boot stepped one roll tick at
+a time, for runs too long to step edge by edge (tests/test_trace.py and
+benchmarks/bench_replay.py).
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: use this checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dicesim.device import DEFAULT_ADC_SEED, Device, DeviceConfig, SyntheticAdc, live_digits, set_digits  # noqa: E402
+from dicesim.device import (  # noqa: E402
+    DEFAULT_ADC_SEED, TICK_STEPS, Device, DeviceConfig, SyntheticAdc, live_digits, set_digits)
 from dicesim.display import DisplayMux, bcd_select, render_word  # noqa: E402
+from dicesim.prng import lcg_step, seed_shift, xorshift_jump, xorshift_step  # noqa: E402
 from dicesim.timing import HZ10, HZ1000, HZ500, RISING, S5, Scheduler  # noqa: E402
 from dicesim.trace import TraceEvent, parse_trace  # noqa: E402
 from dicesim.uart import UartChannel, payload_pack  # noqa: E402
@@ -216,6 +221,27 @@ def reference_files(trace: bytes, options: Sequence[str]) -> dict[str, bytes]:
     end = int(duration) if duration is not None else (events[-1].t_us if events else 0) + DEFAULT_TAIL_US
     board.run_to(end * CYCLES_PER_US)
     return board.files(values["--format"], "--uart-bits" in flags)
+
+
+UPRIGHT_TRACE = b"0 RESET 1\n1000 RESET 0\n1000 TILT 1\n"  # a boot set upright
+
+
+def upright_loop(prng_mode: str, duration_us: int) -> tuple[int, int, int, int]:
+    """(seed, rand, rand_reg, ONPIN records) at the end of UPRIGHT_TRACE run
+    for duration_us with the default ADC seed, one roll tick at a time: per
+    tick one synthetic sample shifted into the seed, and in feedback mode the
+    register latched from the seed or stepped one HZ10 period; the pin
+    toggles at every S5 step."""
+    first_tick, tick = 1_000 + 50_002, 100_004  # the release is at 1 000 us
+    first_s5, s5 = 1_000 + 2_500_100, 5_000_200
+    lcg, seed, reg = DEFAULT_ADC_SEED, 0, 0
+    for _ in range((duration_us - first_tick) // tick + 1):
+        lcg = lcg_step(lcg)
+        seed = seed_shift(seed, lcg >> 16)
+        if prng_mode == "feedback":
+            reg = xorshift_jump(reg, TICK_STEPS) if reg else xorshift_step(seed)
+    rand = reg if prng_mode == "feedback" else xorshift_step(seed)
+    return seed, rand, reg, (duration_us - first_s5) // s5 + 1
 
 
 def file_digests(files: dict[str, bytes]) -> dict[str, str]:

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 import dicesim
 import reference_board
 import simulate_corpus
-from dicesim.device import DEFAULT_ADC_SEED, TICK_STEPS, SyntheticAdc
-from dicesim.prng import lcg_step, seed_shift, xorshift_jump, xorshift_step
+from dicesim.device import SyntheticAdc
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
     _RECORD_KINDS,
@@ -583,13 +582,13 @@ def _upright_traces(draw):
 @example((_upright((2_500_000, "RESET", 1), (3_000_000, "RESET", 0)), 6_000_000), "stateless", "jsonl", True, True)
 # feedback: zero samples up to the first steady step keep the register unlatched there
 @example((_upright(*((_tick(n) - 1, "ADC", 0) for n in range(12))), 4_000_000), "feedback", "csv", False, False)
-# the run ends one us before, on and one us past step 13 (12): the first end that leaves
-# two steps after the first steady one, the shortest jump
-@example((_upright(), _tick(13) - 1), "stateless", "csv", False, False)
-@example((_upright(), _tick(13)), "stateless", "csv", False, False)
-@example((_upright(), _tick(13) + 1), "feedback", "csv", False, False)
-@example((_upright(), _tick(12)), "feedback", "csv", False, True)
-@example((_upright(), _tick(12) + 1), "stateless", "csv", False, True)
+# the run ends one us before, on and one us past step 21 (20): the first end that leaves
+# STEADY_MIN_STEPS steps after the first steady one, the shortest jump
+@example((_upright(), _tick(21) - 1), "stateless", "csv", False, False)
+@example((_upright(), _tick(21)), "stateless", "csv", False, False)
+@example((_upright(), _tick(21) + 1), "feedback", "csv", False, False)
+@example((_upright(), _tick(20)), "feedback", "csv", False, True)
+@example((_upright(), _tick(20) + 1), "stateless", "csv", False, True)
 def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits, intuitive):
     # every file simulate writes is the one the edge-by-edge reference board makes
     events, duration_us = trace
@@ -604,20 +603,14 @@ def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits, intuitive)
 @pytest.mark.parametrize("mode", ["stateless", "feedback"])
 def test_hour_upright_equals_a_loop_of_steps(mode):
     # an hour upright is one jump after the first steady step; its seed,
-    # rand and register are those of one LCG, seed-register and xorshift
-    # step per roll tick, and the pin toggles at every S5 step
+    # rand, register and ONPIN count are those of one LCG, seed-register and
+    # xorshift step per roll tick
     duration_us = 3_600_000_000
-    log = replay(UPRIGHT, ReplayConfig(prng_mode=mode, duration_us=duration_us))
-    lcg, seed, reg = DEFAULT_ADC_SEED, 0, 0
-    for _ in range((duration_us - _tick(0)) // 100_004 + 1):
-        lcg = lcg_step(lcg)
-        seed = seed_shift(seed, lcg >> 16)
-        if mode == "feedback":
-            reg = xorshift_jump(reg, TICK_STEPS) if reg else xorshift_step(seed)
+    events = parse_trace(reference_board.UPRIGHT_TRACE.decode("ascii"))
+    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us))
     state = log.final_state
-    assert (state["seed"], state["rand"], state["prng"]["rand_reg"]) == \
-        (seed, reg if mode == "feedback" else xorshift_step(seed), reg)
-    assert len(log.onpin_edges) == (duration_us - 1_000 - 2_500_100) // 5_000_200 + 1
+    assert (state["seed"], state["rand"], state["prng"]["rand_reg"], len(log.onpin_edges)) == \
+        reference_board.upright_loop(mode, duration_us)
     assert state["tilt"] == {"window": 1023, "sumtilt": 10, "upright": True}
 
 
