@@ -2,10 +2,12 @@
 
     python benchmarks/bench_emit.py [REPEAT]
 
-Two replays are made once, untimed: IDLE_S seconds of an idle board after
-boot, as `simulate --uart-bits` runs it, and a BUSY_S-second event-dense
-session with ADC samples on most roll ticks, tilt roll/settle cycles,
-held-button walks and two RESET pulses, as `simulate --format jsonl` runs it.
+Three replays are made once, untimed: IDLE_S and LONG_IDLE_S seconds of an
+idle board after boot, as `simulate --uart-bits` runs it (the long one's UART
+run passes 10**9 us, where its times gain a digit inside the ten-frame blocks
+the writers join), and a BUSY_S-second event-dense session with ADC samples
+on most roll ticks, tilt roll/settle cycles, held-button walks and two RESET
+pulses, as `simulate --format jsonl` runs it.
 On each, `emit_log`, `emit_uart_csv` and `emit_uart_bits_csv` are compared
 with a join of one line per record: one f-string per `uart_bytes` or
 `uart_waveform` tuple, and `emit_log`'s records merged one by one with
@@ -32,13 +34,14 @@ from dicesim.trace import (
 
 REPEAT = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 IDLE_S = 600
+LONG_IDLE_S = 1_100
 BUSY_S = 33
 TICK_US = 100_004  # one roll tick; the first after a release at r us is at r + 50 002
 
 
-def idle_replay():
+def idle_replay(seconds=IDLE_S):
     events = [TraceEvent(0, "RESET", 1), TraceEvent(1_000, "RESET", 0), TraceEvent(1_000, "TILT", 1)]
-    return replay(events, ReplayConfig(duration_us=IDLE_S * 1_000_000))
+    return replay(events, ReplayConfig(duration_us=seconds * 1_000_000))
 
 
 def busy_replay(seed=1):
@@ -90,7 +93,8 @@ def best_of(fn, *args):
 
 
 def main():
-    cases = [(f"idle {IDLE_S} s", idle_replay(), "csv"), (f"busy {BUSY_S} s", busy_replay(), "jsonl")]
+    cases = [(f"idle {IDLE_S} s", idle_replay(), "csv"), (f"idle {LONG_IDLE_S} s", idle_replay(LONG_IDLE_S), "csv"),
+             (f"busy {BUSY_S} s", busy_replay(), "jsonl")]
     rows = []
     for name, log, fmt in cases:
         writers = [(f"emit_log {fmt}", lambda log: emit_log(log, fmt), lambda log: log_by_record(log, fmt)),

@@ -26,7 +26,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
 
@@ -197,8 +197,10 @@ class RunLog:
     byte, the first starting at t_us, that lasts until the next entry or
     end_us; (t_us, None) is a RESET 1, which cuts the frame in flight and
     drives the line high. uart_byte_runs and uart_wave_runs give each run's
-    times as ranges; the writers format a run at a time from them, and
-    uart_bytes and uart_waveform expand them a record at a time."""
+    times as ranges; the writers format a run at a time from them through
+    _frame_text (ten frames per join, or one % template for a run shorter
+    than BLOCK_MIN_FRAMES), and uart_bytes and uart_waveform expand them a
+    record at a time."""
 
     settled_rolls: list = field(default_factory=list)   # (t_us, diceval, out)
     display_words: list = field(default_factory=list)   # (t_us, word)
@@ -459,7 +461,8 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
     order, and heapq.merge keeps simultaneous ROLL, DISPLAY and ONPIN
     records in table order. Before each of them, the UART times that sort
     before it (before its t_us for a ROLL, up to it for the others) are
-    written as one block, with one % template for the run they belong to."""
+    written together: fewer than BLOCK_MIN_FRAMES by the % template built
+    once for their run, more by _frame_text, ten frames per join."""
     if fmt not in _LOG_HEADERS:
         raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
     column = 1 if fmt == "csv" else 2
@@ -475,7 +478,11 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
         while pending:
             template, times = pending[0]
             k = bisect_left(times, bound)
-            chunks.append((template * k) % tuple(times[:k]))
+            if k < BLOCK_MIN_FRAMES:
+                chunks.append((template * k) % tuple(times[:k]))
+            else:
+                before, after = template.split("%d")
+                chunks.append(_frame_text(before, [(0, after)], times[:k]))
             if k < len(times):
                 pending[0] = template, times[k:]
                 break
@@ -485,21 +492,69 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
 
 
 def emit_uart_csv(log: RunLog) -> str:
-    """UART byte log as t_us,byte_hex lines, one % template per run."""
+    """UART byte log as t_us,byte_hex lines, a run at a time by _frame_text:
+    ten frames per join, or one % template for a run shorter than
+    BLOCK_MIN_FRAMES."""
     return "t_us,byte_hex\n" + "".join(
-        (f"%d,{byte:02x}\n" * len(times)) % tuple(times) for byte, times in log.uart_byte_runs())
+        _frame_text("", [(0, f",{byte:02x}\n")], times) for byte, times in log.uart_byte_runs())
 
 
 def emit_uart_bits_csv(log: RunLog) -> str:
     """UART line-level waveform as t_us,level lines: a run's whole frames
-    take one % template over their change times, frame by frame."""
+    by _frame_text over one frame's changes (ten frames per join, or one %
+    template for fewer than BLOCK_MIN_FRAMES), its last frame line by line."""
     chunks = ["t_us,level\n0,1\n"]  # the line idles high from 0 us
     for changes, starts, tail in log.uart_wave_runs():
-        template = "".join(f"%d,{level}\n" for _, level in changes) * len(starts)
-        times = [range(starts.start + dt, starts.stop, US_PER_FRAME) for dt, _ in changes]
-        chunks.append(template % tuple(chain.from_iterable(zip(*times))))
+        chunks.append(_frame_text("", [(dt, f",{level}\n") for dt, level in changes], starts))
         chunks += [f"{t_us},{level}\n" for t_us, level in tail]
     return "".join(chunks)
+
+
+# A frame lasts US_PER_FRAME = 10**4 us, so the line at offset dt of the
+# frame that starts at s is at t = 10**4 * v + w, (v, w) = divmod(s + dt,
+# 10**4), and from one frame of a run to the next only v moves. Ten rows,
+# v = 10 B to 10 B + 9, span [10**5 B, 10**5 (B + 1)): there, for B >= 1,
+# str(t) is str(B) and five digits set by v - 10 B and w alone, so such a
+# block of a run is one str(B).join over the same pieces.
+BLOCK_MIN_FRAMES = 40  # a shorter run takes one % template: the pieces would cost more
+
+
+def _frame_text(before, lines, starts) -> str:
+    """The lines before + str(s + dt) + after, for s in starts, a range of
+    step US_PER_FRAME, and (dt, after) in lines, dt ascending and less than
+    US_PER_FRAME apart. A run shorter than BLOCK_MIN_FRAMES is one % template
+    over its times. A longer one goes by blocks of ten rows of US_PER_FRAME
+    us, the lines of a row sorted by w: one join per whole block, one over
+    part of the pieces for the blocks it starts and ends in, and its lines
+    below 10**5 us one by one."""
+    n, m = len(starts), len(lines)
+    if n < BLOCK_MIN_FRAMES:
+        ranges = [range(starts.start + dt, starts.stop + dt, US_PER_FRAME) for dt, _ in lines]
+        times = ranges[0] if m == 1 else chain.from_iterable(zip(*ranges))
+        return ("".join(f"{before}%d{after}" for _, after in lines) * n) % tuple(times)
+    # Sorted by w, the lines are the m columns of rows v, those whose s + dt
+    # passed a multiple of 10**4 (v one more) first. Row v, column c is place
+    # m * v + c; the run fills places f0 to f1 - 1, from the first line that
+    # did not pass one, in row `first`.
+    placed = []
+    for dt, after in lines:
+        v, w = divmod(starts.start + dt, US_PER_FRAME)
+        placed.append((w, v, after))
+    placed.sort()
+    first = placed[-1][1]
+    f0 = m * first + sum(v > first for _, v, _ in placed)
+    f1, size = f0 + m * n, 10 * m
+    tails = [f"{w:04d}{after}{before}" for w, _, after in placed]
+    pieces = [before, *(u + tail for u in "0123456789" for tail in tails)]  # place j of a block: pieces[j + 1]
+    pieces[-1] = pieces[-1][:len(pieces[-1]) - len(before)]
+    b0, b1 = f0 // size, f1 // size  # the blocks the run starts and ends in, b1 >= b0 + 4
+    if b0:
+        head = str(b0).join([before, *pieces[1 + f0 % size:]])
+    else:  # below 10**5 us, where str(t) has no leading block number
+        head = "".join([f"{before}{US_PER_FRAME * v + w}{after}" for v in range(10) for w, _, after in placed][f0:])
+    tail = str(b1).join(pieces[:1 + f1 % size])  # then the before of the line after the run
+    blocks = map(str.join, map(str, range(b0 + 1, b1)), repeat(pieces))
+    return "".join((head, *blocks, tail[:len(tail) - len(before)]))
 
 
 def emit_state_json(log: RunLog) -> str:

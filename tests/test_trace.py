@@ -24,6 +24,8 @@ from dicesim.device import SyntheticAdc
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
     _RECORD_KINDS,
+    _frame_text,
+    BLOCK_MIN_FRAMES,
     LOG_COLUMNS,
     SIGNALS,
     STOP_US,
@@ -42,7 +44,7 @@ from dicesim.trace import (
     parse_trace,
     replay,
 )
-from dicesim.uart import uart_frame
+from dicesim.uart import FRAME_BITS, uart_frame
 
 BOOT = """\
 # assert reset, release, set the unit face up
@@ -741,21 +743,32 @@ CUT_OFFSETS = st.one_of(st.sampled_from((0, 1, STOP_US - 1, STOP_US, STOP_US + 1
                         st.integers(0, US_PER_FRAME - 1))
 
 
+# where a run may start: at 0 or 1 500 us as after boot, anywhere below
+# 10**5 us, up to 400 frames before 10**6 or 10**7 us (so the digit count of
+# its times changes inside it), or anywhere up to 2 * 10**9 us
+RUN_STARTS = st.one_of(st.sampled_from((0, 1_500)), st.integers(0, 10**5 - 1),
+                       st.sampled_from((10**6, 10**7)).flatmap(
+                           lambda p: st.integers(max(0, p - 400 * US_PER_FRAME), p - 1)),
+                       st.integers(0, 2 * 10**9))
+RUN_FRAMES = st.one_of(st.integers(1, 4), st.integers(1, 400))
+
+
 @st.composite
 def _run_logs(draw):
     """A RunLog drawn directly. Each release holds runs on its own frame
-    grid; RESET 1 cuts its last frame at a CUT_OFFSETS point, or the end does
-    for the last release, and a release may hold only that one cut frame.
-    The first run may start at 0 us. Records of the three other kinds fall
-    before, on and just after the STOP times of the frames, or anywhere."""
+    grid, of 1 to 400 frames each; RESET 1 cuts its last frame at a
+    CUT_OFFSETS point, or the end does for the last release, and a release
+    may hold only that one cut frame. The first run may start at 0 us or
+    anywhere in RUN_STARTS. Records of the three other kinds fall before, on
+    and just after the STOP times of the frames, or anywhere."""
     runs = [(0, None)] if draw(st.booleans()) else []  # held in reset from 0 us
-    start = draw(st.sampled_from((0, 1_500)))
+    start = draw(RUN_STARTS)
     releases = draw(st.integers(1, 3))
     for release in range(releases):
         frames = 0
         for _ in range(draw(st.integers(1, 3))):
             runs.append((start + US_PER_FRAME * frames, draw(st.integers(0, 0xFF))))
-            frames += draw(st.integers(1, 4))
+            frames += draw(RUN_FRAMES)
         cut = runs[-1][0] + US_PER_FRAME * draw(st.integers(0, 2)) + draw(CUT_OFFSETS)
         ended = release == releases - 1 and draw(st.booleans())  # the end, not RESET 1, cuts it
         if not ended:
@@ -764,11 +777,19 @@ def _run_logs(draw):
     log = RunLog(uart_runs=runs, end_us=cut if ended else cut + draw(st.sampled_from((0, 1, 20_000))))
     stops = [t for t, _ in _uart_bytes_by_record(log)] or [0]
     times = st.lists(st.one_of(st.tuples(st.sampled_from(stops), st.sampled_from((-1, 0, 1))).map(sum),
-                               st.integers(0, log.end_us)), max_size=6).map(sorted)
+                               st.integers(0, log.end_us), st.integers(stops[0], log.end_us)),
+                     max_size=6).map(sorted)
     log.settled_rolls = [(t, draw(st.integers(2, 100)), draw(st.integers(0, 99))) for t in draw(times)]
     log.display_words = [(t, draw(st.integers(0, 0xFFFF))) for t in draw(times)]
     log.onpin_edges = [(t, draw(st.integers(0, 1))) for t in draw(times)]
     return log
+
+
+def _cut_run(t0, frames):
+    """One run from t0 whose RESET 1 falls on the START of frame `frames`:
+    `frames` whole frames, in uart.csv, the log and uart_bits.csv alike."""
+    cut = t0 + US_PER_FRAME * frames
+    return RunLog(uart_runs=[(t0, 0x5A), (cut, None)], end_us=cut + 20_000)
 
 
 @settings(max_examples=200, deadline=None)
@@ -780,6 +801,15 @@ def _run_logs(draw):
 # a record of each kind on, before and after the STOP time of the middle frame
 @example(RunLog(uart_runs=[(1_500, 0x16)], end_us=31_500, settled_rolls=[(20_500, 6, 1)],
                 display_words=[(20_499, 1), (20_500, 2), (20_501, 3)], onpin_edges=[(20_500, 1)]))
+# runs one frame shorter than, as long as and one longer than BLOCK_MIN_FRAMES,
+# through 10**6 us
+@example(_cut_run(10**6 - 20 * US_PER_FRAME + 1_500, BLOCK_MIN_FRAMES - 1))
+@example(_cut_run(10**6 - 20 * US_PER_FRAME + 1_500, BLOCK_MIN_FRAMES))
+@example(_cut_run(10**6 - 20 * US_PER_FRAME + 1_500, BLOCK_MIN_FRAMES + 1))
+# RESET 1 inside the whole block of rows 150 to 159, 4 321 us into frame 55,
+# and a DISPLAY record after 50 frames
+@example(RunLog(uart_runs=[(1_001_500, 0x16), (1_001_500 + 55 * US_PER_FRAME + 4_321, None)],
+                end_us=2_000_000, display_words=[(1_501_500, 7)]))
 def test_uart_writers_equal_per_record_joins(log):
     assert log.uart_bytes == _uart_bytes_by_record(log)
     assert log.uart_waveform == _uart_waveform_by_record(log)
@@ -787,6 +817,37 @@ def test_uart_writers_equal_per_record_joins(log):
     assert emit_uart_bits_csv(log) == _uart_bits_by_record(log)
     for fmt in ("csv", "jsonl"):
         assert emit_log(log, fmt) == _log_by_record(log, fmt)
+
+
+# a frame's line offsets: 1 to 5 of them, less than a frame apart, either bit
+# edges (multiples of US_PER_BIT) or any us
+FRAME_OFFSETS = st.one_of(
+    st.lists(st.integers(0, FRAME_BITS - 1), min_size=1, max_size=5, unique=True).map(
+        lambda bits: [US_PER_BIT * k for k in sorted(bits)]),
+    st.lists(st.integers(0, US_PER_FRAME - 1), min_size=1, max_size=5, unique=True).map(sorted))
+# the first frame anywhere, or up to 400 frames before a power of ten
+FIRST_STARTS = st.one_of(st.integers(0, 2 * 10**9),
+                         st.integers(5, 9).flatmap(
+                             lambda k: st.integers(max(0, 10**k - 400 * US_PER_FRAME), 10**k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("", "UART,", '{"record":"UART","t_us":')), FRAME_OFFSETS,
+       st.lists(st.sampled_from((",0\n", ",1\n", ",,,2a,,\n", ',"byte":"2a"}\n')), min_size=5, max_size=5),
+       FIRST_STARTS, st.one_of(st.integers(0, 400), st.integers(BLOCK_MIN_FRAMES - 1, BLOCK_MIN_FRAMES + 1)))
+# at the cutoff; starting at 0 us; a run ending on a block edge; bit offsets
+# that pass 10**4 us from a start 9 999 us into a frame
+@example("UART,", [0], [",,,2a,,\n"] * 5, 1_234_567, BLOCK_MIN_FRAMES - 1)
+@example("UART,", [0], [",,,2a,,\n"] * 5, 1_234_567, BLOCK_MIN_FRAMES)
+@example('{"record":"UART","t_us":', [0, 1], [",0\n", ",1\n"] * 3, 0, BLOCK_MIN_FRAMES)
+@example("UART,", [0], [",,,2a,,\n"] * 5, 10**6 - 50 * US_PER_FRAME, 50)
+@example("", [0, 1_000, 5_000, 8_000, 9_000], [",0\n", ",1\n"] * 3, 10**7 - 250 * US_PER_FRAME + 9_999, 400)
+def test_frame_text_equals_per_line_join(before, offsets, afters, first, frames):
+    assert US_PER_FRAME == 10**4  # so ten frames span 10**5 us, the block _frame_text joins
+    lines = list(zip(offsets, afters))
+    starts = range(first, first + frames * US_PER_FRAME, US_PER_FRAME)
+    assert _frame_text(before, lines, starts) == "".join(f"{before}{s + dt}{after}" for s in starts
+                                                         for dt, after in lines)
 
 
 @settings(max_examples=40, deadline=None)
