@@ -9,9 +9,10 @@ the writers join), and a BUSY_S-second event-dense session with ADC samples
 on most roll ticks, tilt roll/settle cycles, held-button walks and two RESET
 pulses, as `simulate --format jsonl` runs it.
 On each, `emit_log`, `emit_uart_csv` and `emit_uart_bits_csv` are compared
-with a join of one line per record: one f-string per `uart_bytes` or
-`uart_waveform` tuple, and `emit_log`'s records merged one by one with
-`heapq.merge`. Then each writer and its join are timed, best of REPEAT calls.
+with a join of one line per record: one f-string per tuple of `uart_bytes`
+or `uart_waveform` of tests/reference_board.py, and `emit_log`'s records
+merged one by one with `heapq.merge`. Then each writer and its join are
+timed, best of REPEAT calls.
 """
 
 import heapq
@@ -20,8 +21,11 @@ import sys
 import time
 from itertools import starmap
 from operator import itemgetter
+from pathlib import Path
 
-from dicesim.trace import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from dicesim.trace import (  # noqa: E402
     _RECORD_KINDS,
     LOG_COLUMNS,
     ReplayConfig,
@@ -31,6 +35,7 @@ from dicesim.trace import (
     emit_uart_csv,
     replay,
 )
+from reference_board import uart_bytes, uart_waveform  # noqa: E402
 
 REPEAT = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 IDLE_S = 600
@@ -44,7 +49,8 @@ def idle_replay(seconds=IDLE_S):
     return replay(events, ReplayConfig(duration_us=seconds * 1_000_000))
 
 
-def busy_replay(seed=1):
+def busy_events(seed=1):
+    """The BUSY_S-second session's trace events."""
     rng, events, origin = random.Random(seed), [(0, "RESET", 1), (1_000, "RESET", 0)], 1_000
     for cycle in range(10):
         def tick(n):
@@ -61,26 +67,29 @@ def busy_replay(seed=1):
             events += [(cut, "RESET", 1), (origin, "RESET", 0)]
         else:
             origin = tick(32) - 50_002
-    events = [TraceEvent(*ev) for ev in sorted(events, key=itemgetter(0))]
-    return replay(events, ReplayConfig(duration_us=BUSY_S * 1_000_000))
+    return [TraceEvent(*ev) for ev in sorted(events, key=itemgetter(0))]
+
+
+def busy_replay(seed=1):
+    return replay(busy_events(seed), ReplayConfig(duration_us=BUSY_S * 1_000_000))
 
 
 def log_by_record(log, fmt):
     column = 1 if fmt == "csv" else 2
     streams = []
     for kind in _RECORD_KINDS:
-        records = getattr(log, kind[0])
+        records = uart_bytes(log) if kind[0] == "uart_bytes" else getattr(log, kind[0])
         streams.append(zip(map(itemgetter(0), records), starmap(kind[column].format, records)))
     header = ",".join(LOG_COLUMNS) + "\n" if fmt == "csv" else ""
     return header + "".join(map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0))))
 
 
 def uart_csv_by_record(log):
-    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in log.uart_bytes)
+    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in uart_bytes(log))
 
 
 def uart_bits_by_record(log):
-    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in log.uart_waveform)
+    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in uart_waveform(log))
 
 
 def best_of(fn, *args):

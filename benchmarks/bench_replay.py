@@ -1,14 +1,23 @@
-"""Time `replay` of long upright spans and check each against a loop of steps.
+"""Time `replay` of long upright spans and of one event-dense session, and
+check each against a reference.
 
     python benchmarks/bench_replay.py [REPEAT]
 
-Each trace is a boot set upright (`RESET 1` at 0, `RESET 0` and `TILT 1` at
-1 000 us), replayed for 60 s, 600 s and 3 600 s in both PRNG modes. After
-the first steady step the rest of such a run is one jump, so its time
-should barely grow with the duration. Before timing, the final seed, rand
-and rand register of each run, and its ONPIN count, are compared with
-`upright_loop` of tests/reference_board.py, which steps one roll tick at a
-time. Then `replay` is timed, best of REPEAT calls.
+Each upright trace is a boot set upright (`RESET 1` at 0, `RESET 0` and
+`TILT 1` at 1 000 us), replayed for 60 s, 600 s and 3 600 s in both PRNG
+modes. After the first steady step the rest of such a run is one jump, so
+its time should barely grow with the duration. Before timing, the final
+seed, rand and rand register of each run, and its ONPIN count, are compared
+with `upright_loop` of tests/reference_board.py, which steps one roll tick
+at a time.
+
+The busy trace is the BUSY_S-second session of bench_emit.py, as
+`simulate --format jsonl` runs it: its gaps are too short to jump, so replay
+steps the device on every tick, and its time is the per-tick device cost.
+Before timing, the files it makes are compared, file for file, with those of
+`reference_files` of tests/reference_board.py, which steps every edge.
+
+Then `replay` is timed, best of REPEAT calls.
 """
 
 import sys
@@ -17,8 +26,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from dicesim.trace import ReplayConfig, parse_trace, replay  # noqa: E402
-from reference_board import UPRIGHT_TRACE, upright_loop  # noqa: E402
+from bench_emit import BUSY_S, busy_events  # noqa: E402
+from dicesim.trace import (  # noqa: E402
+    ReplayConfig,
+    emit_log,
+    emit_state_json,
+    emit_uart_csv,
+    parse_trace,
+    replay,
+)
+from reference_board import UPRIGHT_TRACE, reference_files, upright_loop  # noqa: E402
 
 REPEAT = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 DURATIONS_S = (60, 600, 3_600)
@@ -44,11 +61,19 @@ def main():
             state = log.final_state
             got = state["seed"], state["rand"], state["prng"]["rand_reg"], len(log.onpin_edges)
             assert got == upright_loop(mode, config.duration_us), (mode, seconds)
-            rows.append((mode, seconds, best_of(lambda: replay(EVENTS, config))))
+            rows.append((mode, f"upright {seconds} s", best_of(lambda: replay(EVENTS, config))))
     print("every final state matches the loop of steps")
-    print(f"{'mode':<10}  {'upright (s)':>11}  {'replay (ms)':>11}")
-    for mode, seconds, best in rows:
-        print(f"{mode:<10}  {seconds:>11}  {best * 1e3:>11.3f}")
+    events, config = busy_events(), ReplayConfig(duration_us=BUSY_S * 1_000_000)
+    log = replay(events, config)
+    files = {"log.jsonl": emit_log(log, "jsonl"), "uart.csv": emit_uart_csv(log), "state.json": emit_state_json(log)}
+    trace = "".join(f"{ev.t_us} {ev.signal} {ev.value}\n" for ev in events).encode("ascii")
+    reference = reference_files(trace, ["--format", "jsonl", "--duration-us", str(config.duration_us)])
+    assert {name: text.encode("utf-8") for name, text in files.items()} == reference, "busy"
+    rows.append(("stateless", f"busy {BUSY_S} s", best_of(lambda: replay(events, config))))
+    print("the busy session's files match the reference board")
+    print(f"{'mode':<10}  {'trace':<16}  {'replay (ms)':>11}")
+    for mode, trace, best in rows:
+        print(f"{mode:<10}  {trace:<16}  {best * 1e3:>11.3f}")
 
 
 if __name__ == "__main__":

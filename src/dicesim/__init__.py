@@ -2,9 +2,11 @@
 
 The package mirrors the synthesized design register for register: the
 xorshift generator, the tilt debounce vote, the dice-selection state
-machine, the display pipeline, the keep-awake toggler and the UART
-transmitter all advance on the same clock-domain tick schedule as the
-hardware, so every logged artifact is reproducible bit for bit.
+machine, the roll pipeline and the keep-awake toggler step on the HZ10 and
+S5 rising edges of the hardware's divider bank. Replay derives the UART
+frames and the HZ500 display latch from their periods on that grid; only
+the reference models (Scheduler, UartChannel, DisplayMux) step them edge by
+edge. Every logged artifact is reproducible bit for bit.
 """
 
 from .device import (
@@ -12,7 +14,6 @@ from .device import (
     DICE_TABLE,
     SUPPORTED_DICE,
     Device,
-    DeviceConfig,
     SyntheticAdc,
 )
 from .display import DisplayMux, bcd_select, pack_word, render_word
@@ -46,7 +47,6 @@ __all__ = [
     "DICE_TABLE",
     "SUPPORTED_DICE",
     "Device",
-    "DeviceConfig",
     "SyntheticAdc",
     "DisplayMux",
     "bcd_select",

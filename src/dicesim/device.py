@@ -1,6 +1,10 @@
 """Control logic of the dice unit: tilt debounce, selection FSM, roll pipeline,
 keep-awake toggler, and the composite Device register file.
 
+Each four-digit register (the selection's set digits, the roll's live and
+held digits) is one tuple of display codes ordered (thou, huns, tens, ones),
+the bus that the display multiplexer and the UART read.
+
 Per-tick semantics at an HZ10 rising edge: the seed register shifts in the
 ADC sample, the PRNG output for the tick is computed, the tilt window
 updates, the selection FSM acts on the fresh upright level, and the roll
@@ -11,7 +15,7 @@ the new sample shifted in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .prng import MASK32, MODES, STATELESS, lcg_jump, lcg_step, seed_shift, xorshift_jump, xorshift_step
 from .timing import HALF_PERIODS, HZ10
@@ -79,15 +83,13 @@ def tilt_update(state: TiltState, sample: int, intuitive: bool = False) -> TiltS
 
 @dataclass
 class SelectionState:
-    """Selector, its dice table row, the display mode, and the keep-awake arm."""
+    """Selector, its dice table row (diceval and the four set digits), the
+    display mode, and the keep-awake arm."""
 
     setmode: bool = False
     dselect: int = 0
     diceval: int = 2
-    thou_set: int = 0
-    huns_set: int = 0
-    tens_set: int = 0
-    ones_set: int = 0
+    set_digits: tuple[int, int, int, int] = (0, 0, 0, 0)
     keepon: bool = True
 
 
@@ -100,8 +102,7 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     drops; the selector and dice table row hold.
     """
     if not upright:
-        return SelectionState(False, state.dselect, state.diceval, state.thou_set, state.huns_set,
-                              state.tens_set, state.ones_set, state.keepon)
+        return SelectionState(False, state.dselect, state.diceval, state.set_digits, state.keepon)
     setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
     if btn_up and btn_down:
         keepon = False
@@ -111,12 +112,8 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     elif btn_down:
         setmode = True
         dselect = 7 if dselect == 0 else dselect - 1
-    # (diceval, thou_set, huns_set, tens_set, ones_set) in field order
-    return SelectionState(setmode, dselect, *dice_table(dselect), keepon)
-
-
-def set_digits(state: SelectionState) -> tuple[int, int, int, int]:
-    return (state.thou_set, state.huns_set, state.tens_set, state.ones_set)
+    row = dice_table(dselect)
+    return SelectionState(setmode, dselect, row[0], row[1:], keepon)
 
 
 # ======================================================================
@@ -125,18 +122,12 @@ def set_digits(state: SelectionState) -> tuple[int, int, int, int]:
 
 @dataclass
 class RollState:
-    """Live display digits plus the held copy that freezes while upright."""
+    """The live display digits, and the held copy that freezes while upright."""
 
     out: int = 0
     held_diceval: int = 2
-    thou: int = 0
-    huns: int = 0
-    tens: int = 0
-    ones: int = 0
-    thou_held: int = 0
-    huns_held: int = 0
-    tens_held: int = 0
-    ones_held: int = 0
+    live: tuple[int, int, int, int] = (0, 0, 0, 0)
+    held: tuple[int, int, int, int] = (0, 0, 0, 0)
 
 
 def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -> RollState:
@@ -148,35 +139,18 @@ def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -
     the live digits copy the held ones, freezing the display.
     """
     if upright:
-        thou, huns, tens, ones = state.thou_held, state.huns_held, state.tens_held, state.ones_held
-        return RollState(state.out, state.held_diceval, thou, huns, tens, ones, thou, huns, tens, ones)
+        return RollState(state.out, state.held_diceval, state.held, state.held)
     if diceval <= 0:
         raise ValueError(f"diceval must be positive: {diceval}")
     out = ((rand_word & MASK32) % diceval) + 1
-    tens = out % 10
-    huns = (out // 10) % 10
-    thou = out // 100
-    return RollState(
-        out=out,
-        held_diceval=diceval,
-        thou=thou,
-        huns=huns,
-        tens=tens,
-        ones=0xF,
-        thou_held=thou,
-        huns_held=huns,
-        tens_held=tens,
-        ones_held=0xF,
-    )
-
-
-def live_digits(state: RollState) -> tuple[int, int, int, int]:
-    return (state.thou, state.huns, state.tens, state.ones)
+    digits = (out // 100, out // 10 % 10, out % 10, 0xF)
+    return RollState(out, diceval, digits, digits)
 
 
 def held_value(state: RollState) -> int:
     """Roll value encoded in the held digits."""
-    return state.thou_held * 100 + state.huns_held * 10 + state.tens_held
+    thou, huns, tens, _ = state.held
+    return thou * 100 + huns * 10 + tens
 
 
 # ======================================================================
@@ -232,26 +206,22 @@ class SyntheticAdc:
 #  composite device
 # ======================================================================
 
-@dataclass
-class DeviceConfig:
-    prng_mode: str = STATELESS
-    intuitive_tilt: bool = False
-
-
 class Device:
-    """Register file of the dice unit, stepped by hz10_tick and s5_tick.
+    """Register file of the dice unit, stepped by hz10_tick and s5_tick, and
+    built from its two settings: the PRNG mode and the intuitive tilt vote.
 
-    The keep-awake block survives reset (no reset wiring there); everything
-    else returns to its documented reset value. Each hz10_tick is one HZ10
-    period after the one before. In FEEDBACK mode the rand register latches
-    the xorshift of the first nonzero seed value it observes, then
-    free-runs on the system clock: TICK_STEPS steps per tick.
+    The keep-awake block and the held roll digits survive reset (no reset
+    wiring there); everything else returns to its documented reset value.
+    Each hz10_tick is one HZ10 period after the one before. In FEEDBACK mode
+    the rand register latches the xorshift of the first nonzero seed value it
+    observes, then free-runs on the system clock: TICK_STEPS steps per tick.
     """
 
-    def __init__(self, config: DeviceConfig | None = None) -> None:
-        self.config = config or DeviceConfig()
-        if self.config.prng_mode not in MODES:
-            raise ValueError(f"unknown PRNG mode: {self.config.prng_mode!r}")
+    def __init__(self, prng_mode: str = STATELESS, intuitive_tilt: bool = False) -> None:
+        if prng_mode not in MODES:
+            raise ValueError(f"unknown PRNG mode: {prng_mode!r}")
+        self.prng_mode = prng_mode
+        self.intuitive_tilt = intuitive_tilt
         self.power = PowerState()
         self.roll = RollState()
         self._clear_registers()
@@ -266,12 +236,12 @@ class Device:
     def reset(self) -> None:
         """Asynchronous reset: clears everything except keep-awake and the
         held roll digits (neither has a reset branch)."""
-        held = self.roll
+        roll = self.roll
         self._clear_registers()
-        self.roll = replace(held, thou=0, huns=0, tens=0, ones=0)
+        self.roll = RollState(roll.out, roll.held_diceval, (0, 0, 0, 0), roll.held)
 
     def _rand_for_tick(self) -> int:
-        if self.config.prng_mode == STATELESS:
+        if self.prng_mode == STATELESS:
             return xorshift_step(self.seed)
         if self.rand_reg:
             self.rand_reg = xorshift_jump(self.rand_reg, TICK_STEPS)
@@ -283,7 +253,7 @@ class Device:
         """One HZ10 rising edge: seed shift, PRNG, debounce, selection, roll."""
         self.seed = seed_shift(self.seed, adc)
         self.rand = self._rand_for_tick()
-        self.tilt = tilt_update(self.tilt, tilt, self.config.intuitive_tilt)
+        self.tilt = tilt_update(self.tilt, tilt, self.intuitive_tilt)
         self.selection = selection_update(self.selection, self.tilt.upright, btn_up, btn_down)
         self.roll = roll_update(self.roll, self.rand, self.selection.diceval, self.tilt.upright)
 
@@ -295,7 +265,7 @@ class Device:
         transform in STATELESS, or in FEEDBACK the register jumped
         steps * TICK_STEPS at once, which needs it latched (nonzero)."""
         self.seed = seed_shift(samples[0], samples[1])  # a 16-bit seed: the older sample lands high
-        if self.config.prng_mode == STATELESS:
+        if self.prng_mode == STATELESS:
             self.rand = xorshift_step(self.seed)
         else:
             self.rand = self.rand_reg = xorshift_jump(self.rand_reg, steps * TICK_STEPS)

@@ -30,15 +30,7 @@ from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
 
-from .device import (
-    Device,
-    DeviceConfig,
-    DEFAULT_ADC_SEED,
-    SyntheticAdc,
-    held_value,
-    live_digits,
-    set_digits,
-)
+from .device import DEFAULT_ADC_SEED, Device, SyntheticAdc, held_value
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import STATELESS
 from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, S5
@@ -197,10 +189,10 @@ class RunLog:
     byte, the first starting at t_us, that lasts until the next entry or
     end_us; (t_us, None) is a RESET 1, which cuts the frame in flight and
     drives the line high. uart_byte_runs and uart_wave_runs give each run's
-    times as ranges; the writers format a run at a time from them through
+    times as ranges, and the writers format a run at a time from them through
     _frame_text (ten frames per join, or one % template for a run shorter
-    than BLOCK_MIN_FRAMES), and uart_bytes and uart_waveform expand them a
-    record at a time."""
+    than BLOCK_MIN_FRAMES). tests/reference_board.py expands the runs a
+    record at a time, for the tests of the writers."""
 
     settled_rolls: list = field(default_factory=list)   # (t_us, diceval, out)
     display_words: list = field(default_factory=list)   # (t_us, word)
@@ -236,20 +228,6 @@ class RunLog:
                 tail.append((last, 1))
             yield changes, range(t0, t, US_PER_FRAME), tail
 
-    @property
-    def uart_bytes(self) -> list:
-        """(t_us, byte) at the STOP-to-IDLE edge of every frame that completes."""
-        return [(t, byte) for byte, times in self.uart_byte_runs() for t in times]
-
-    @property
-    def uart_waveform(self) -> list:
-        """(t_us, tx level) at every change of the line, which idles high."""
-        wave = [(0, 1)]
-        for changes, starts, tail in self.uart_wave_runs():
-            wave += [(s + dt, level) for s in starts for dt, level in changes]
-            wave += tail
-        return wave
-
 
 class Board:
     """The whole board under replay: device, synthetic ADC source, held input
@@ -266,7 +244,7 @@ class Board:
     """
 
     def __init__(self, config: ReplayConfig) -> None:
-        self.device = Device(DeviceConfig(config.prng_mode, config.intuitive_tilt))
+        self.device = Device(config.prng_mode, config.intuitive_tilt)
         self.adc = SyntheticAdc(config.adc_seed)
         self.levels = {name: 0 for name in LEVEL_SIGNALS}
         self.log = RunLog()
@@ -283,8 +261,8 @@ class Board:
         self.note_uart(origin)
 
     def note_display(self, t_us: int) -> None:
-        dev = self.device
-        word = bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
+        sel = self.device.selection
+        word = bcd_select(sel.setmode, sel.set_digits, self.device.roll.live)
         if word != self.word:
             self.word = word
             self.log.display_words.append((t_us, word))
@@ -293,8 +271,8 @@ class Board:
         """Open a run if the live byte differs from the last run's: the frames
         from the first START at or after absolute cycle `cycle` carry it. After
         RESET 1 the last entry is a cut, so each release opens one."""
-        roll, runs = self.device.roll, self.log.uart_runs
-        byte = payload_pack(roll.huns, roll.tens)
+        live, runs = self.device.roll.live, self.log.uart_runs
+        byte = payload_pack(live[1], live[2])
         if not runs or runs[-1][1] != byte:
             ahead = (self.origin + FIRST_FRAME_CYCLES - cycle) % FRAME_CYCLES
             runs.append(((cycle + ahead) // CYCLES_PER_US, byte))
@@ -338,7 +316,7 @@ class Board:
                 # a steady span (fact 4) with STEADY_MIN_STEPS or more steps left by
                 # cycle: jump to the last (in FEEDBACK mode, once rand_reg has latched)
                 if (cycle - edge >= 2 * HZ10_HALF * STEADY_MIN_STEPS and dev.tilt.upright
-                        and (dev.rand_reg or dev.config.prng_mode == STATELESS)
+                        and (dev.rand_reg or dev.prng_mode == STATELESS)
                         and (dev.tilt, dev.selection, dev.roll) == (tilt, selection, roll)):
                     steps = (cycle - edge) // (2 * HZ10_HALF)
                     dev.steady_ticks(steps, self.adc.skip(steps))
@@ -386,21 +364,21 @@ class Board:
         return {
             "t_us": self.now // CYCLES_PER_US,
             "seed": dev.seed,
-            "prng": {"mode": dev.config.prng_mode, "rand_reg": dev.rand_reg},
+            "prng": {"mode": dev.prng_mode, "rand_reg": dev.rand_reg},
             "rand": dev.rand,
             "tilt": {"window": dev.tilt.window, "sumtilt": dev.tilt.sumtilt, "upright": dev.tilt.upright},
             "selection": {
                 "setmode": dev.selection.setmode,
                 "dselect": dev.selection.dselect,
                 "diceval": dev.selection.diceval,
-                "set_digits": list(set_digits(dev.selection)),
+                "set_digits": list(dev.selection.set_digits),
                 "keepon": dev.selection.keepon,
             },
             "roll": {
                 "out": dev.roll.out,
                 "held_diceval": dev.roll.held_diceval,
-                "live": list(live_digits(dev.roll)),
-                "held": [dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held],
+                "live": list(dev.roll.live),
+                "held": list(dev.roll.held),
             },
             "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
             "uart": {"fsm": tx.fsm, "ready": ready, "tx_level": tx.tx_level},
@@ -444,7 +422,8 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None) -> RunL
 LOG_COLUMNS = ("record", "t_us", "dice_sides", "roll", "byte", "word", "level")
 
 # One row per record kind, in the order simultaneous records are written:
-# the RunLog list, then its csv and jsonl line templates over (t_us, ...).
+# the RunLog list (for UART, the frames of log.uart_byte_runs), then its csv
+# and jsonl line templates over (t_us, ...).
 _RECORD_KINDS = (
     ("settled_rolls", "ROLL,{0},{1},{2},,,\n", '{{"record":"ROLL","t_us":{0},"dice_sides":{1},"roll":{2}}}\n'),
     ("uart_bytes", "UART,{0},,,{1:02x},,\n", '{{"record":"UART","t_us":{0},"byte":"{1:02x}"}}\n'),

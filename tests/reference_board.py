@@ -26,7 +26,9 @@ and its trace. tests/test_reference_board.py checks a fixed slice, and
 tests/test_trace.py compares the board with `simulate` on hypothesis traces.
 `upright_loop` is the end state of an upright boot stepped one roll tick at
 a time, for runs too long to step edge by edge (tests/test_trace.py and
-benchmarks/bench_replay.py).
+benchmarks/bench_replay.py). `uart_bytes` and `uart_waveform` expand the
+UART runs of a `RunLog` a record at a time, the per-record references that
+the run-at-a-time writers of `simulate` are checked against.
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: use this checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dicesim.device import (  # noqa: E402
-    DEFAULT_ADC_SEED, TICK_STEPS, Device, DeviceConfig, SyntheticAdc, live_digits, set_digits)
+from dicesim.device import DEFAULT_ADC_SEED, TICK_STEPS, Device, SyntheticAdc  # noqa: E402
 from dicesim.display import DisplayMux, bcd_select, render_word  # noqa: E402
 from dicesim.prng import lcg_step, seed_shift, xorshift_jump, xorshift_step  # noqa: E402
 from dicesim.timing import HZ10, HZ1000, HZ500, RISING, S5, Scheduler  # noqa: E402
-from dicesim.trace import TraceEvent, parse_trace  # noqa: E402
-from dicesim.uart import UartChannel, payload_pack  # noqa: E402
+from dicesim.trace import STOP_US, US_PER_BIT, US_PER_FRAME, TraceEvent, parse_trace  # noqa: E402
+from dicesim.uart import UartChannel, payload_pack, uart_frame  # noqa: E402
 
 CYCLES_PER_US = 12
 DEFAULT_TAIL_US = 1_000_000       # with no --duration-us, a run ends one second after its last event
@@ -62,7 +63,7 @@ class ReferenceBoard:
     latch, each stepped on its own edges, and the records noted so far."""
 
     def __init__(self, prng_mode: str, intuitive_tilt: bool, adc_seed: int) -> None:
-        self.device = Device(DeviceConfig(prng_mode, intuitive_tilt))
+        self.device = Device(prng_mode, intuitive_tilt)
         self.adc = SyntheticAdc(adc_seed)
         self.levels = {"TILT": 0, "BTNU": 0, "BTND": 0}
         self.sample = None         # the last ADC event since the previous HZ10 tick
@@ -84,7 +85,7 @@ class ReferenceBoard:
 
     def _display_word(self) -> int:
         dev = self.device
-        return bcd_select(dev.selection.setmode, set_digits(dev.selection), live_digits(dev.roll))
+        return bcd_select(dev.selection.setmode, dev.selection.set_digits, dev.roll.live)
 
     def _record(self, t_us: int, kind: str, **fields) -> None:
         self.records.append((t_us, kind, fields))
@@ -94,7 +95,7 @@ class ReferenceBoard:
         dev = self.device
         if dev.tilt.upright and not self.upright:
             roll = dev.roll
-            value = 100 * roll.thou_held + 10 * roll.huns_held + roll.tens_held
+            value = 100 * roll.held[0] + 10 * roll.held[1] + roll.held[2]
             self._record(t_us, "ROLL", dice_sides=roll.held_diceval, roll=value)
         self.upright = dev.tilt.upright
         word = self._display_word()
@@ -115,7 +116,7 @@ class ReferenceBoard:
         elif domain == S5:
             dev.s5_tick()
         elif domain == HZ1000:
-            tx = self.channel.edge(payload_pack(dev.roll.huns, dev.roll.tens))
+            tx = self.channel.edge(payload_pack(dev.roll.live[1], dev.roll.live[2]))
             if tx.ap_valid:
                 self._record(t_us, "UART", byte=f"{tx.shift_data:02x}")
             if tx.tx_level != self.wave[-1][1]:
@@ -155,21 +156,21 @@ class ReferenceBoard:
         return {
             "t_us": self.now // CYCLES_PER_US,
             "seed": dev.seed,
-            "prng": {"mode": dev.config.prng_mode, "rand_reg": dev.rand_reg},
+            "prng": {"mode": dev.prng_mode, "rand_reg": dev.rand_reg},
             "rand": dev.rand,
             "tilt": {"window": dev.tilt.window, "sumtilt": dev.tilt.sumtilt, "upright": dev.tilt.upright},
             "selection": {
                 "setmode": dev.selection.setmode,
                 "dselect": dev.selection.dselect,
                 "diceval": dev.selection.diceval,
-                "set_digits": list(set_digits(dev.selection)),
+                "set_digits": list(dev.selection.set_digits),
                 "keepon": dev.selection.keepon,
             },
             "roll": {
                 "out": dev.roll.out,
                 "held_diceval": dev.roll.held_diceval,
-                "live": list(live_digits(dev.roll)),
-                "held": [dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held],
+                "live": list(dev.roll.live),
+                "held": list(dev.roll.held),
             },
             "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
             "uart": {"fsm": tx.fsm, "ready": self.channel.ready, "tx_level": tx.tx_level},
@@ -242,6 +243,26 @@ def upright_loop(prng_mode: str, duration_us: int) -> tuple[int, int, int, int]:
             reg = xorshift_jump(reg, TICK_STEPS) if reg else xorshift_step(seed)
     rand = reg if prng_mode == "feedback" else xorshift_step(seed)
     return seed, rand, reg, (duration_us - first_s5) // s5 + 1
+
+
+def uart_bytes(log) -> list:
+    """(t_us, byte) at the STOP-to-IDLE edge of every frame of a RunLog that
+    completes, a frame at a time."""
+    return [(t, byte) for t0, byte, last, _ in log._runs() for t in range(t0 + STOP_US, last + 1, US_PER_FRAME)]
+
+
+def uart_waveform(log) -> list:
+    """(t_us, tx level) at every change of a RunLog's line, which idles high,
+    a frame at a time; RESET 1 cuts the frame in flight and drives it high."""
+    wave = [(0, 1)]
+    for t0, byte, last, cut in log._runs():
+        changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+        t = last - (last - t0) % US_PER_FRAME  # the START of the run's last frame
+        wave += [(s + dt, level) for s in range(t0, t, US_PER_FRAME) for dt, level in changes]
+        wave += [(t + dt, level) for dt, level in changes if dt <= last - t]
+        if cut and wave[-1][1] != 1:
+            wave.append((last, 1))
+    return wave
 
 
 def file_digests(files: dict[str, bytes]) -> dict[str, str]:

@@ -38,6 +38,7 @@ from dicesim.timing import (
 )
 from dicesim.trace import ReplayConfig, parse_trace, replay
 from dicesim.uart import UartChannel, decode_stream, payload_pack
+from reference_board import uart_bytes
 
 
 # ----------------------------------------------------------------------
@@ -337,11 +338,11 @@ def test_criterion_09_full_session_replay():
 
     held = final["roll"]["held"]
     assert held[0] * 100 + held[1] * 10 + held[2] == roll_value
-    times = [t for t, _ in log.uart_bytes]
+    times = [t for t, _ in uart_bytes(log)]
     assert times[0] == 11_500
     assert all(b - a == 10_000 for a, b in zip(times, times[1:]))
     assert len(times) == 2_599
-    assert log.uart_bytes[-1][1] == payload_pack(held[1], held[2])
+    assert uart_bytes(log)[-1][1] == payload_pack(held[1], held[2])
 
     from dicesim.display import render_word
     rendered = [render_word(word) for _, word in log.display_words]

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicesim.device import (
+    DICE_TABLE,
     SUPPORTED_DICE,
     UPRIGHT_THRESHOLD,
     WINDOW_BITS,
     WINDOW_MASK,
     Device,
-    DeviceConfig,
     PowerState,
     RollState,
     SelectionState,
@@ -22,10 +22,8 @@ from dicesim.device import (
     dice_table,
     held_value,
     keepawake_update,
-    live_digits,
     roll_update,
     selection_update,
-    set_digits,
     tilt_update,
 )
 from dicesim.prng import FEEDBACK, MASK32, MODES, STATELESS, xorshift_step
@@ -113,7 +111,7 @@ def test_selection_down_wraps_to_largest():
     state = selection_update(SelectionState(), upright=True, btn_up=0, btn_down=1)
     assert state.dselect == 7
     assert state.diceval == 100
-    assert set_digits(state) == (0xD, 0x1, 0x0, 0x0)
+    assert state.set_digits == (0xD, 0x1, 0x0, 0x0)
 
 
 def test_selection_both_buttons_only_disarm():
@@ -144,7 +142,7 @@ def test_selection_held_button_steps_every_tick():
 
 def test_selection_refreshes_row_same_tick():
     state = selection_update(SelectionState(), upright=True, btn_up=1, btn_down=0)
-    assert (state.diceval,) + set_digits(state) == dice_table(1)
+    assert (state.diceval,) + state.set_digits == dice_table(1)
 
 
 # ----------------------------------------------------------------------
@@ -154,32 +152,35 @@ def test_selection_refreshes_row_same_tick():
 def test_roll_formula_and_digit_split():
     state = roll_update(RollState(), rand_word=41, diceval=20, upright=False)
     assert state.out == (41 % 20) + 1 == 2
-    assert live_digits(state) == (0, 0, 2, 0xF)
-    assert (state.thou_held, state.huns_held, state.tens_held, state.ones_held) == (0, 0, 2, 0xF)
+    assert state.live == (0, 0, 2, 0xF)
+    assert state.held == (0, 0, 2, 0xF)
     assert state.held_diceval == 20
 
 
 def test_roll_digits_shift_one_place_left():
     state = roll_update(RollState(), rand_word=115, diceval=100, upright=False)
     assert state.out == 16
-    assert live_digits(state) == (0, 0x1, 0x6, 0xF)
+    assert state.live == (0, 0x1, 0x6, 0xF)
     assert held_value(state) == 16
 
 
 def test_roll_three_digit_value():
     state = roll_update(RollState(), rand_word=99, diceval=100, upright=False)
     assert state.out == 100
-    assert live_digits(state) == (1, 0, 0, 0xF)
+    assert state.live == (1, 0, 0, 0xF)
     assert held_value(state) == 100
 
 
 def test_roll_upright_freezes_to_held():
     rolled = roll_update(RollState(), rand_word=7, diceval=6, upright=False)
     frozen = roll_update(rolled, rand_word=12345, diceval=6, upright=True)
-    assert live_digits(frozen) == live_digits(rolled)
+    assert frozen.live == rolled.live
     assert frozen.out == rolled.out
     # held digits survive an upright tick untouched
     assert held_value(frozen) == held_value(rolled)
+    # the live digits load the held ones, also when a reset blanked them
+    blanked = RollState(rolled.out, rolled.held_diceval, (0, 0, 0, 0), rolled.held)
+    assert roll_update(blanked, rand_word=12345, diceval=6, upright=True).live == rolled.held
 
 
 def test_roll_range_over_random_words():
@@ -245,7 +246,7 @@ def test_device_stateless_rand_tracks_seed():
 
 
 def test_device_feedback_latches_then_free_runs():
-    dev = Device(DeviceConfig(prng_mode=FEEDBACK))
+    dev = Device(prng_mode=FEEDBACK)
     dev.hz10_tick(0, 0, 0, 0x0001)
     first = dev.rand
     assert first == dev.rand_reg == xorshift_step(0x0001)
@@ -258,7 +259,7 @@ def test_device_feedback_latches_then_free_runs():
 
 
 def test_device_feedback_zero_seed_stays_degenerate():
-    dev = Device(DeviceConfig(prng_mode=FEEDBACK))
+    dev = Device(prng_mode=FEEDBACK)
     dev.hz10_tick(0, 0, 0, 0)
     assert dev.rand == 0
     dev.hz10_tick(0, 0, 0, 0)
@@ -286,14 +287,14 @@ def test_device_reset_keeps_power_and_held_digits():
     for k in range(10):
         dev.hz10_tick(0, 0, 0, adc.next())
     dev.s5_tick()
-    held = (dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held)
+    held = dev.roll.held
     power = (dev.power.onsig, dev.power.clk5)
     dev.reset()
     assert dev.seed == 0
     assert dev.rand == 0
     assert dev.selection.diceval == 2
-    assert live_digits(dev.roll) == (0, 0, 0, 0)
-    assert (dev.roll.thou_held, dev.roll.huns_held, dev.roll.tens_held, dev.roll.ones_held) == held
+    assert dev.roll.live == (0, 0, 0, 0)
+    assert dev.roll.held == held
     assert (dev.power.onsig, dev.power.clk5) == power
 
 
@@ -327,7 +328,7 @@ def test_upright_steps_read_no_generator_state(mode, intuitive, history, seeds, 
     # rand_reg and the ADC samples they get, keep the same tilt, selection
     # and roll through every HZ10 step with the same levels, as long as they
     # stay upright: only a roll off upright reads rand
-    a = Device(DeviceConfig(mode, intuitive))
+    a = Device(mode, intuitive)
     for tilt, btn_up, btn_down, sample in history:
         a.hz10_tick(tilt, btn_up, btn_down, sample)
     for _ in range(WINDOW_BITS + 1):
@@ -342,3 +343,29 @@ def test_upright_steps_read_no_generator_state(mode, intuitive, history, seeds, 
         if not a.tilt.upright:
             break  # the roll reads rand from this step on
         assert a.roll == b.roll
+
+
+# mostly HZ10 ticks, the tilt level mostly high, so that runs of them settle
+# upright between RESET 1s; now and then an S5 tick or RESET 1
+DEVICE_STEPS = st.lists(st.tuples(st.sampled_from(("hz10",) * 12 + ("s5", "reset")),
+                                  st.sampled_from((1, 1, 1, 0)), BIT, BIT, SAMPLE), max_size=120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODES), st.booleans(), DEVICE_STEPS)
+def test_digit_registers_stay_on_their_rows(mode, intuitive, steps):
+    # whatever the device is fed, the live digits are the held ones or blank
+    # (after a reset), diceval is the selector's dice table row, and the set
+    # digits are that row or blank (until the first upright tick)
+    dev = Device(mode, intuitive)
+    for kind, *levels_and_sample in steps:
+        if kind == "s5":
+            dev.s5_tick()
+        elif kind == "reset":
+            dev.reset()
+        else:
+            dev.hz10_tick(*levels_and_sample)
+        row = DICE_TABLE[dev.selection.dselect]
+        assert dev.roll.live in (dev.roll.held, (0, 0, 0, 0))
+        assert dev.selection.diceval == row[0]
+        assert dev.selection.set_digits in (row[1:], (0, 0, 0, 0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dicesim.device import Device, DeviceConfig
+from dicesim.device import Device
 from dicesim.prng import MASK32, lcg_jump, lcg_step, seed_shift, xorshift_inverse, xorshift_step
 
 
@@ -93,7 +93,7 @@ def test_seed_shift_rejects_out_of_range():
 
 def test_state_validates_mode():
     with pytest.raises(ValueError, match="unknown PRNG mode"):
-        Device(DeviceConfig(prng_mode="turbo"))
+        Device(prng_mode="turbo")
 
 
 WORDS = st.integers(0, MASK32)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import dicesim
 import reference_board
 import simulate_corpus
+from reference_board import uart_bytes, uart_waveform
 from dicesim.device import SyntheticAdc
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
@@ -44,7 +45,7 @@ from dicesim.trace import (
     parse_trace,
     replay,
 )
-from dicesim.uart import FRAME_BITS, uart_frame
+from dicesim.uart import FRAME_BITS
 
 BOOT = """\
 # assert reset, release, set the unit face up
@@ -181,7 +182,7 @@ def test_replay_empty_trace_runs_one_second():
     assert log.settled_rolls == []
     # ten rolls happened face-down (9.9996 Hz), digits kept moving
     assert log.final_state["roll"]["out"] in (1, 2)
-    assert len(log.uart_bytes) > 90
+    assert len(uart_bytes(log)) > 90
 
 
 def _final_states(text, times, **config):
@@ -280,14 +281,14 @@ def test_state_digit_codes_are_the_last_latched_word():
 
 def test_replay_uart_bytes_track_live_digits():
     log = replay(parse_trace(BOOT), ReplayConfig(duration_us=400_000))
-    times = [t for t, _ in log.uart_bytes]
+    times = [t for t, _ in uart_bytes(log)]
     assert times[0] == 11_500
     assert all(b - a == 10_000 for a, b in zip(times, times[1:]))
     # before the first roll tick every byte is zero
-    assert log.uart_bytes[0][1] == 0
+    assert uart_bytes(log)[0][1] == 0
     # final state roll digits match the last byte
     huns, tens = log.final_state["roll"]["live"][1:3]
-    assert log.uart_bytes[-1][1] == (huns << 4) | tens
+    assert uart_bytes(log)[-1][1] == (huns << 4) | tens
 
 
 def test_replay_onpin_edges():
@@ -297,8 +298,8 @@ def test_replay_onpin_edges():
 
 def test_replay_waveform_starts_idle_high():
     log = replay(parse_trace(BOOT), ReplayConfig(duration_us=100_000))
-    assert log.uart_waveform[0] == (0, 1)
-    levels = [lv for _, lv in log.uart_waveform]
+    assert uart_waveform(log)[0] == (0, 1)
+    levels = [lv for _, lv in uart_waveform(log)]
     assert all(a != b for a, b in zip(levels, levels[1:]))
 
 
@@ -307,14 +308,14 @@ def test_uart_log_holds_runs_not_frames():
     # longer sends ten times the frames from the same number of UART runs
     short, long = (replay(parse_trace(BOOT), ReplayConfig(duration_us=s * 1_000_000)) for s in (60, 600))
     assert len(short.uart_runs) == len(long.uart_runs)
-    assert len(long.uart_bytes) // len(short.uart_bytes) == 10
+    assert len(uart_bytes(long)) // len(uart_bytes(short)) == 10
 
 
 def test_replay_is_deterministic():
     a = replay(parse_trace(BOOT), ReplayConfig(duration_us=3_000_000))
     b = replay(parse_trace(BOOT), ReplayConfig(duration_us=3_000_000))
     assert a.settled_rolls == b.settled_rolls
-    assert a.uart_bytes == b.uart_bytes
+    assert uart_bytes(a) == uart_bytes(b)
     assert a.display_words == b.display_words
     assert a.final_state == b.final_state
 
@@ -649,7 +650,7 @@ def test_emitted_log_parses_back_to_its_rows(raw, mode):
     # each kind's rows are its RunLog list, in order
     expected = {
         "ROLL": [{"t_us": t, "dice_sides": sides, "roll": roll} for t, sides, roll in log.settled_rolls],
-        "UART": [{"t_us": t, "byte": f"{byte:02x}"} for t, byte in log.uart_bytes],
+        "UART": [{"t_us": t, "byte": f"{byte:02x}"} for t, byte in uart_bytes(log)],
         "DISPLAY": [{"t_us": t, "word": f"{word:04x}"} for t, word in log.display_words],
         "ONPIN": [{"t_us": t, "level": level} for t, level in log.onpin_edges],
     }
@@ -699,42 +700,27 @@ def test_emit_log_orders_simultaneous_records_by_kind():
 
 
 # Per-record references for the UART writers: each run expanded a frame and a
-# line at a time, one str.format or f-string per line, and every log record
-# merged by heapq.merge. The writers format a run at a time and must match.
-
-
-def _uart_bytes_by_record(log):
-    return [(t, byte) for t0, byte, last, _ in log._runs() for t in range(t0 + STOP_US, last + 1, US_PER_FRAME)]
-
-
-def _uart_waveform_by_record(log):
-    wave = [(0, 1)]
-    for t0, byte, last, cut in log._runs():
-        changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
-        t = last - (last - t0) % US_PER_FRAME
-        wave += [(s + dt, level) for s in range(t0, t, US_PER_FRAME) for dt, level in changes]
-        wave += [(t + dt, level) for dt, level in changes if dt <= last - t]
-        if cut and wave[-1][1] != 1:
-            wave.append((last, 1))
-    return wave
+# line at a time by reference_board.uart_bytes and uart_waveform, one
+# str.format or f-string per line, and every log record merged by
+# heapq.merge. The writers format a run at a time and must match.
 
 
 def _log_by_record(log, fmt):
     column = 1 if fmt == "csv" else 2
     streams = []
     for kind in _RECORD_KINDS:
-        records = _uart_bytes_by_record(log) if kind[0] == "uart_bytes" else getattr(log, kind[0])
+        records = uart_bytes(log) if kind[0] == "uart_bytes" else getattr(log, kind[0])
         streams.append(zip(map(itemgetter(0), records), starmap(kind[column].format, records)))
     header = ",".join(LOG_COLUMNS) + "\n" if fmt == "csv" else ""
     return header + "".join(map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0))))
 
 
 def _uart_csv_by_record(log):
-    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in _uart_bytes_by_record(log))
+    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in uart_bytes(log))
 
 
 def _uart_bits_by_record(log):
-    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in _uart_waveform_by_record(log))
+    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in uart_waveform(log))
 
 
 # where RESET 1 or the end falls after the START of a release's last frame:
@@ -775,7 +761,7 @@ def _run_logs(draw):
             runs.append((cut, None))
         start = cut + draw(st.integers(1, 3_000))
     log = RunLog(uart_runs=runs, end_us=cut if ended else cut + draw(st.sampled_from((0, 1, 20_000))))
-    stops = [t for t, _ in _uart_bytes_by_record(log)] or [0]
+    stops = [t for t, _ in uart_bytes(log)] or [0]
     times = st.lists(st.one_of(st.tuples(st.sampled_from(stops), st.sampled_from((-1, 0, 1))).map(sum),
                                st.integers(0, log.end_us), st.integers(stops[0], log.end_us)),
                      max_size=6).map(sorted)
@@ -811,8 +797,6 @@ def _cut_run(t0, frames):
 @example(RunLog(uart_runs=[(1_001_500, 0x16), (1_001_500 + 55 * US_PER_FRAME + 4_321, None)],
                 end_us=2_000_000, display_words=[(1_501_500, 7)]))
 def test_uart_writers_equal_per_record_joins(log):
-    assert log.uart_bytes == _uart_bytes_by_record(log)
-    assert log.uart_waveform == _uart_waveform_by_record(log)
     assert emit_uart_csv(log) == _uart_csv_by_record(log)
     assert emit_uart_bits_csv(log) == _uart_bits_by_record(log)
     for fmt in ("csv", "jsonl"):
@@ -856,6 +840,6 @@ def test_uart_views_are_the_written_rows(trace, mode):
     events, duration_us = trace
     log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us))
     rows = list(csv.DictReader(StringIO(emit_uart_csv(log))))
-    assert log.uart_bytes == [(int(row["t_us"]), int(row["byte_hex"], 16)) for row in rows]
+    assert uart_bytes(log) == [(int(row["t_us"]), int(row["byte_hex"], 16)) for row in rows]
     rows = list(csv.DictReader(StringIO(emit_uart_bits_csv(log))))
-    assert log.uart_waveform == [(int(row["t_us"]), int(row["level"])) for row in rows]
+    assert uart_waveform(log) == [(int(row["t_us"]), int(row["level"])) for row in rows]
