@@ -5,15 +5,17 @@
 Each kernel runs once untimed (the first call builds its cached jump
 tables), then the best of REPEAT timed calls is printed. Before timing,
 the first CHECK words of every sequence, and a long `prng.xorshift_jump`,
-are compared with a plain `prng.xorshift_step` chain; `prng.xorshift_step`
+are compared with the scalar chains `feedback_reference` and
+`stateless_reference` of tests/reference_board.py; `prng.xorshift_step`
 and `prng.xorshift_inverse` of an array of CHECK words with the scalar step
 and inverse of each word; and each sequence made a chunk at a time, as
 `rolls` makes it, with one whole call. The array step and inverse are
 timed beside the kernels, the step on a copy, since it updates its
 argument in place.
-The text kernels are compared with a join of one line per roll and with a
-count of one `int` per line, on every supported die, and the bias
-report's face lines with one f-string per face; then one rolls chunk is
+The text kernels are compared with the per-line references of
+tests/reference_board.py, `roll_lines` and `count_reference` on every
+supported die, and the bias report's face lines with `face_lines`; then
+one rolls chunk is
 formatted, one read of a rolls file counted, and a ROLL_FILE_LINES-line
 rolls file tallied as `stats --rolls` reads it, with LF and CRLF line ends
 (a CRLF file is checked line by line). Last, one BIAS_FACES_PER_WRITE-face
@@ -26,15 +28,24 @@ numpy, is timed beside the kernels.
 import io
 import sys
 import time
-from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from dicesim import cli, kernels, prng
-from dicesim.cli import BIAS_FACES_PER_WRITE, ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK
-from dicesim.device import SUPPORTED_DICE, TICK_STEPS
-from dicesim.prng import seed_shift, xorshift_inverse, xorshift_jump, xorshift_step
-from dicesim.stats import modulo_bias
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from dicesim import cli, kernels  # noqa: E402
+from dicesim.cli import BIAS_FACES_PER_WRITE, ROLL_BYTES_PER_READ, ROLLS_PER_CHUNK  # noqa: E402
+from dicesim.device import SUPPORTED_DICE, TICK_STEPS  # noqa: E402
+from dicesim.prng import xorshift_inverse, xorshift_jump, xorshift_step  # noqa: E402
+from dicesim.stats import modulo_bias  # noqa: E402
+from reference_board import (  # noqa: E402
+    count_reference,
+    face_lines,
+    feedback_reference,
+    roll_lines,
+    stateless_reference,
+)
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
 REPEAT = 3
@@ -55,18 +66,10 @@ def best_of(fn, *args):
 
 def check_against_scalar_chain():
     n = min(N, CHECK)
-    x, feedback = 1, []
-    for _ in range(n):
-        x = xorshift_step(x)
-        feedback.append(x)
-    lcg, seed, stateless = 12345, 0, []
-    for _ in range(n):
-        lcg = (prng.LCG_MULT * lcg + prng.LCG_INC) & kernels.MASK32
-        seed = seed_shift(seed, lcg >> 16)
-        stateless.append(xorshift_step(seed))
+    feedback = feedback_reference(1, n)
     words = np.arange(1, n + 1, dtype=np.uint32)
     assert kernels.feedback_sequence(1, N)[:n].tolist() == feedback
-    assert kernels.stateless_sequence(12345, N)[:n].tolist() == stateless
+    assert kernels.stateless_sequence(12345, N)[:n].tolist() == stateless_reference(12345, n)
     assert xorshift_step(words.copy()).tolist() == [xorshift_step(int(w)) for w in words]
     assert xorshift_inverse(words).tolist() == [xorshift_inverse(int(w)) for w in words]
     assert xorshift_jump(1, n) == feedback[-1]
@@ -86,21 +89,12 @@ def check_chunked_continuation():
     print(f"sequences made {ROLLS_PER_CHUNK} words at a time equal one whole call over {n} words")
 
 
-def join_reference(words, sides):
-    return "".join(f"{w % sides + 1}\n" for w in words.tolist())
-
-
-def count_reference(block, sides):
-    faces = Counter(map(int, block.split()))
-    return [faces[face] for face in range(1, sides + 1)]
-
-
 def faces_reference(low, high, count):
-    return "".join(f"face {n},{count}\n" for n in range(low, high))
+    return face_lines((n, count) for n in range(low, high))
 
 
 def report_reference(report):
-    return "".join(f"face {n},{report.count(n)}\n" for n in range(1, report.dice_sides + 1))
+    return face_lines((n, report.count(n)) for n in range(1, report.dice_sides + 1))
 
 
 def reads(text):
@@ -114,7 +108,7 @@ def check_text_kernels():
     words = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)
     for sides in SUPPORTED_DICE:
         text = kernels.format_rolls(words, sides)
-        assert text == join_reference(words, sides), sides
+        assert text == roll_lines(words, sides), sides
         for block in reads(text.encode("ascii")):
             assert kernels.count_rolls(block, sides) == count_reference(block, sides), sides
     for low, high, count in ((1, 20_000, 7), (95, 1_005, 2**64 // 3), (999_000, 1_001_000, 0)):
@@ -149,7 +143,7 @@ def main():
     lines = block.count(b"\n")
     rows += [
         ("format_rolls d20, one chunk", ROLLS_PER_CHUNK, best_of(kernels.format_rolls, chunk, 20)),
-        ("  per-roll join", ROLLS_PER_CHUNK, best_of(join_reference, chunk, 20)),
+        ("  per-roll join", ROLLS_PER_CHUNK, best_of(roll_lines, chunk, 20)),
         ("count_rolls d20, one read", lines, best_of(kernels.count_rolls, block, 20)),
         ("  per-line count", lines, best_of(count_reference, block, 20)),
     ]

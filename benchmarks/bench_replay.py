@@ -11,22 +11,22 @@ seed, rand and rand register of each run, and its ONPIN count, are compared
 with `upright_loop` of tests/reference_board.py, which steps one roll tick
 at a time.
 
-The busy trace is the BUSY_S-second session of bench_emit.py, as
-`simulate --format jsonl` runs it: its gaps are too short to jump, so replay
-steps the device on every tick, and its time is the per-tick device cost.
-Before timing, the files it makes are compared, file for file, with those of
+The busy trace is the event-dense session of the benchmark's `replay_busy`
+workload (perfbench/workloads.py), with the options of its `simulate` call,
+as bench_emit.py reads it: its gaps are too short to jump, so replay steps
+the device on every tick, and its time is the per-tick device cost. Before
+timing, the files it makes are compared, file for file, with those of
 `reference_files` of tests/reference_board.py, which steps every edge.
 
-Then `replay` is timed, best of REPEAT calls.
+Then `replay` is timed, best of REPEAT calls (`best_of` of bench_emit.py).
 """
 
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from bench_emit import BUSY_S, busy_events  # noqa: E402
+from bench_emit import BUSY_FORMAT, BUSY_OPTIONS, BUSY_TRACE, BUSY_US, best_of  # noqa: E402
 from dicesim.trace import (  # noqa: E402
     ReplayConfig,
     emit_log,
@@ -37,19 +37,9 @@ from dicesim.trace import (  # noqa: E402
 )
 from reference_board import UPRIGHT_TRACE, reference_files, upright_loop  # noqa: E402
 
-REPEAT = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 DURATIONS_S = (60, 600, 3_600)
 MODES = ("stateless", "feedback")
 EVENTS = parse_trace(UPRIGHT_TRACE.decode("ascii"))
-
-
-def best_of(fn):
-    best = float("inf")
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def main():
@@ -63,13 +53,13 @@ def main():
             assert got == upright_loop(mode, config.duration_us), (mode, seconds)
             rows.append((mode, f"upright {seconds} s", best_of(lambda: replay(EVENTS, config))))
     print("every final state matches the loop of steps")
-    events, config = busy_events(), ReplayConfig(duration_us=BUSY_S * 1_000_000)
+    events, config = parse_trace(BUSY_TRACE), ReplayConfig(duration_us=BUSY_US)
     log = replay(events, config)
-    files = {"log.jsonl": emit_log(log, "jsonl"), "uart.csv": emit_uart_csv(log), "state.json": emit_state_json(log)}
-    trace = "".join(f"{ev.t_us} {ev.signal} {ev.value}\n" for ev in events).encode("ascii")
-    reference = reference_files(trace, ["--format", "jsonl", "--duration-us", str(config.duration_us)])
+    files = {f"log.{BUSY_FORMAT}": emit_log(log, BUSY_FORMAT), "uart.csv": emit_uart_csv(log),
+             "state.json": emit_state_json(log)}
+    reference = reference_files(BUSY_TRACE.encode("ascii"), BUSY_OPTIONS)
     assert {name: text.encode("utf-8") for name, text in files.items()} == reference, "busy"
-    rows.append(("stateless", f"busy {BUSY_S} s", best_of(lambda: replay(events, config))))
+    rows.append(("stateless", f"busy {BUSY_US / 1e6:g} s", best_of(lambda: replay(events, config))))
     print("the busy session's files match the reference board")
     print(f"{'mode':<10}  {'trace':<16}  {'replay (ms)':>11}")
     for mode, trace, best in rows:

@@ -63,7 +63,9 @@ def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
     temp file of its own in the path's directory, so concurrent writers
     never share one, then, once every one is whole, a rename of each over
     its path. On any failure before that, a chunk source's too, every temp
-    file is removed. Only one text is made at a time."""
+    file is removed. Only one text is made at a time. An error that names a
+    file, the temp file made or renamed, is raised again naming the path,
+    so its message holds no random temp name."""
     written: list[tuple[str, Path]] = []
     try:
         for path, make_text in files.items():
@@ -76,10 +78,12 @@ def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
             os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
         for tmp, path in written:
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

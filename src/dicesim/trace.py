@@ -190,9 +190,8 @@ class RunLog:
     end_us; (t_us, None) is a RESET 1, which cuts the frame in flight and
     drives the line high. uart_byte_runs and uart_wave_runs give each run's
     times as ranges, and the writers format a run at a time from them through
-    _frame_text (ten frames per join, or one % template for a run shorter
-    than BLOCK_MIN_FRAMES). tests/reference_board.py expands the runs a
-    record at a time, for the tests of the writers."""
+    _frame_text. tests/reference_board.py expands the runs a record at a
+    time, for the tests of the writers."""
 
     settled_rolls: list = field(default_factory=list)   # (t_us, diceval, out)
     display_words: list = field(default_factory=list)   # (t_us, word)
@@ -422,11 +421,11 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None) -> RunL
 LOG_COLUMNS = ("record", "t_us", "dice_sides", "roll", "byte", "word", "level")
 
 # One row per record kind, in the order simultaneous records are written:
-# the RunLog list (for UART, the frames of log.uart_byte_runs), then its csv
-# and jsonl line templates over (t_us, ...).
+# the RunLog list (None for UART, whose frames log.uart_byte_runs gives a run
+# at a time), then its csv and jsonl line templates over (t_us, ...).
 _RECORD_KINDS = (
     ("settled_rolls", "ROLL,{0},{1},{2},,,\n", '{{"record":"ROLL","t_us":{0},"dice_sides":{1},"roll":{2}}}\n'),
-    ("uart_bytes", "UART,{0},,,{1:02x},,\n", '{{"record":"UART","t_us":{0},"byte":"{1:02x}"}}\n'),
+    (None, "UART,{0},,,{1:02x},,\n", '{{"record":"UART","t_us":{0},"byte":"{1:02x}"}}\n'),
     ("display_words", "DISPLAY,{0},,,,{1:04x},\n", '{{"record":"DISPLAY","t_us":{0},"word":"{1:04x}"}}\n'),
     ("onpin_edges", "ONPIN,{0},,,,,{1}\n", '{{"record":"ONPIN","t_us":{0},"level":{1}}}\n'),
 )
@@ -440,8 +439,8 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
     order, and heapq.merge keeps simultaneous ROLL, DISPLAY and ONPIN
     records in table order. Before each of them, the UART times that sort
     before it (before its t_us for a ROLL, up to it for the others) are
-    written together: fewer than BLOCK_MIN_FRAMES by the % template built
-    once for their run, more by _frame_text, ten frames per join."""
+    written together, as _frame_text writes them; the % template of a short
+    run is built once for the run."""
     if fmt not in _LOG_HEADERS:
         raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
     column = 1 if fmt == "csv" else 2
@@ -471,17 +470,14 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
 
 
 def emit_uart_csv(log: RunLog) -> str:
-    """UART byte log as t_us,byte_hex lines, a run at a time by _frame_text:
-    ten frames per join, or one % template for a run shorter than
-    BLOCK_MIN_FRAMES."""
+    """UART byte log as t_us,byte_hex lines, a run at a time by _frame_text."""
     return "t_us,byte_hex\n" + "".join(
         _frame_text("", [(0, f",{byte:02x}\n")], times) for byte, times in log.uart_byte_runs())
 
 
 def emit_uart_bits_csv(log: RunLog) -> str:
     """UART line-level waveform as t_us,level lines: a run's whole frames
-    by _frame_text over one frame's changes (ten frames per join, or one %
-    template for fewer than BLOCK_MIN_FRAMES), its last frame line by line."""
+    by _frame_text over one frame's changes, its last frame line by line."""
     chunks = ["t_us,level\n0,1\n"]  # the line idles high from 0 us
     for changes, starts, tail in log.uart_wave_runs():
         chunks.append(_frame_text("", [(dt, f",{level}\n") for dt, level in changes], starts))

@@ -15,8 +15,9 @@ A trace event applies after the edges of its cycle. RESET 1 holds the
 dividers, and with them the UART and the display latch, in reset until
 RESET 0. After every step, edge or event, the board compares the upright
 level, the display word and the power pin with the step before and notes a
-ROLL, DISPLAY or ONPIN record where one changed. It formats its own log,
-uart.csv, uart_bits.csv and state.json.
+ROLL, DISPLAY or ONPIN record where one changed. `simulate_files` formats
+its log, uart.csv and uart_bits.csv a record at a time, and the board adds
+state.json.
 
     python tests/reference_board.py    # every simulate corpus case
 
@@ -24,11 +25,21 @@ checks the files of every corpus case that `simulate` completes (exit 0)
 against the case's digests and, for each one that differs, prints its argv
 and its trace. tests/test_reference_board.py checks a fixed slice, and
 tests/test_trace.py compares the board with `simulate` on hypothesis traces.
-`upright_loop` is the end state of an upright boot stepped one roll tick at
-a time, for runs too long to step edge by edge (tests/test_trace.py and
-benchmarks/bench_replay.py). `uart_bytes` and `uart_waveform` expand the
-UART runs of a `RunLog` a record at a time, the per-record references that
-the run-at-a-time writers of `simulate` are checked against.
+
+The module is also the one home of the references that tests/ and
+benchmarks/ both check the program against:
+
+- `upright_loop`: the end state of an upright boot stepped one roll tick
+  at a time, for runs too long to step edge by edge;
+- `uart_bytes` and `uart_waveform`: the UART runs of a `RunLog` expanded
+  a record at a time, and `log_files`: the three files `simulate`'s
+  run-at-a-time writers make from a `RunLog`, formatted from those
+  records and the log's lists by `simulate_files`;
+- `feedback_reference` and `stateless_reference`: the generator's two
+  scalar chains, a step at a time;
+- `roll_lines`, `count_reference` and `face_lines`: the rolls text, the
+  strict count of a rolls read and the bias report's face lines, one line
+  at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +48,9 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
+from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -46,7 +59,7 @@ if __name__ == "__main__":  # run as a script: use this checkout's src/
 
 from dicesim.device import DEFAULT_ADC_SEED, TICK_STEPS, Device, SyntheticAdc  # noqa: E402
 from dicesim.display import DisplayMux, bcd_select, render_word  # noqa: E402
-from dicesim.prng import lcg_step, seed_shift, xorshift_jump, xorshift_step  # noqa: E402
+from dicesim.prng import MASK32, lcg_step, seed_shift, xorshift_jump, xorshift_step  # noqa: E402
 from dicesim.timing import HZ10, HZ1000, HZ500, RISING, S5, Scheduler  # noqa: E402
 from dicesim.trace import STOP_US, US_PER_BIT, US_PER_FRAME, TraceEvent, parse_trace  # noqa: E402
 from dicesim.uart import UartChannel, payload_pack, uart_frame  # noqa: E402
@@ -181,24 +194,32 @@ class ReferenceBoard:
 
     def files(self, fmt: str, uart_bits: bool) -> dict[str, bytes]:
         """The files `simulate` writes, by name."""
-        rows = [{"record": kind, "t_us": t_us, **fields}
-                for t_us, kind, fields in sorted(self.records, key=lambda r: (r[0], KIND_ORDER.index(r[1])))]
-        log = io.StringIO()
-        if fmt == "csv":
-            writer = csv.DictWriter(log, LOG_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        else:
-            log.writelines(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
-        uart = "".join(f"{row['t_us']},{row['byte']}\n" for row in rows if row["record"] == "UART")
-        files = {
-            f"log.{fmt}": log.getvalue(),
-            "uart.csv": "t_us,byte_hex\n" + uart,
-            "state.json": json.dumps(self.state(), indent=2, sort_keys=True) + "\n",
-        }
-        if uart_bits:
-            files["uart_bits.csv"] = "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in self.wave)
+        files = simulate_files(self.records, self.wave, fmt)
+        if not uart_bits:
+            del files["uart_bits.csv"]
+        files["state.json"] = json.dumps(self.state(), indent=2, sort_keys=True) + "\n"
         return {name: text.encode("utf-8") for name, text in files.items()}
+
+
+def simulate_files(records, wave, fmt: str) -> dict[str, str]:
+    """log.{fmt}, uart.csv and uart_bits.csv, a record at a time: records
+    are (t_us, kind, fields), each kind in the order noted, and wave is the
+    (t_us, tx level) of every change of the line."""
+    rows = [{"record": kind, "t_us": t_us, **fields}
+            for t_us, kind, fields in sorted(records, key=lambda r: (r[0], KIND_ORDER.index(r[1])))]
+    log = io.StringIO()
+    if fmt == "csv":
+        writer = csv.DictWriter(log, LOG_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        log.writelines(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+    uart = "".join(f"{row['t_us']},{row['byte']}\n" for row in rows if row["record"] == "UART")
+    return {
+        f"log.{fmt}": log.getvalue(),
+        "uart.csv": "t_us,byte_hex\n" + uart,
+        "uart_bits.csv": "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in wave),
+    }
 
 
 def reference_files(trace: bytes, options: Sequence[str]) -> dict[str, bytes]:
@@ -265,6 +286,56 @@ def uart_waveform(log) -> list:
     return wave
 
 
+def log_files(log, fmt: str) -> dict[str, str]:
+    """log.{fmt}, uart.csv and uart_bits.csv of a RunLog, a record at a time:
+    the records of its lists and of uart_bytes, and the uart_waveform."""
+    records = [(t, "ROLL", {"dice_sides": sides, "roll": roll}) for t, sides, roll in log.settled_rolls]
+    records += [(t, "UART", {"byte": f"{byte:02x}"}) for t, byte in uart_bytes(log)]
+    records += [(t, "DISPLAY", {"word": f"{word:04x}"}) for t, word in log.display_words]
+    records += [(t, "ONPIN", {"level": level}) for t, level in log.onpin_edges]
+    return simulate_files(records, uart_waveform(log), fmt)
+
+
+def feedback_reference(seed: int, n: int) -> list[int]:
+    """n successive xorshift outputs from seed, one scalar step at a time."""
+    out, x = [], seed
+    for _ in range(n):
+        x = xorshift_step(x)
+        out.append(x)
+    return out
+
+
+def stateless_reference(lcg_seed: int, n: int) -> list[int]:
+    """Run the LCG, shift its top 16 bits into the seed register, transform."""
+    out, lcg, seed = [], lcg_seed & MASK32, 0
+    for _ in range(n):
+        lcg = lcg_step(lcg)
+        seed = seed_shift(seed, lcg >> 16)
+        out.append(xorshift_step(seed))
+    return out
+
+
+def roll_lines(words, sides: int) -> str:
+    """The rolls text of a uint32 array of words, one f-string per roll."""
+    return "".join(f"{w % sides + 1}\n" for w in words.tolist())
+
+
+def count_reference(block: bytes, sides: int) -> list[int] | None:
+    """Counts when every line ends at a LF and is 1 to 3 digits in 1..sides, else None."""
+    lines = block.split(b"\n")
+    if lines.pop() != b"" or not all(re.fullmatch(rb"[0-9]{1,3}", line) for line in lines):
+        return None
+    faces = Counter(map(int, lines))
+    if not lines or not all(1 <= face <= sides for face in faces):
+        return None
+    return [faces[face] for face in range(1, sides + 1)]
+
+
+def face_lines(counts) -> str:
+    """The face lines of a bias report, one f-string per (face, count)."""
+    return "".join(f"face {face},{count}\n" for face, count in counts)
+
+
 def file_digests(files: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(files.items())}
 
@@ -277,11 +348,9 @@ def matches_corpus(case, digest: dict) -> bool:
 
 if __name__ == "__main__":
     import simulate_corpus as corpus
+    from corpus_runner import check, load_digests
 
-    digests = corpus.load_digests()
+    digests = load_digests(corpus)
     cases = [corpus.make_case(index) for index in range(corpus.CASES) if digests[index]["exit"] == 0]
-    failed = [case for case in cases if not matches_corpus(case, digests[case.index])]
-    for case in failed:
-        print(corpus.describe(case), end="\n\n")
-    print(f"{len(cases) - len(failed)} of {len(cases)} completed simulate cases match the reference board")
-    sys.exit(1 if failed else 0)
+    sys.exit(check(cases, lambda case: matches_corpus(case, digests[case.index]), corpus.describe,
+                   "completed simulate cases match the reference board"))

@@ -12,28 +12,23 @@ its stderr, and its exit code.
     python tests/rolls_corpus.py    # check every case
 
 checks every case against the digests and, for each one that differs,
-prints its argv. tests/test_rolls_corpus.py checks a fixed slice.
-`write_digests()` writes the digest file from the src/ beside this file.
-Each case runs through `run_main`, which tests/stats_uart_corpus.py shares.
+prints its argv. tests/test_rolls_corpus.py checks a fixed slice. Each case
+runs through `corpus_runner.run_main`, and the digest file and this check
+are those of tests/corpus_runner.py.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
 import random
 import sys
-import tempfile
-from collections.abc import Sequence
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
 if __name__ == "__main__":  # run as a script: use this checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dicesim.cli import ROLLS_PER_CHUNK, main  # noqa: E402
+from corpus_runner import check_every_case, run_main  # noqa: E402
+from dicesim.cli import ROLLS_PER_CHUNK  # noqa: E402
 from dicesim.device import SUPPORTED_DICE  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("rolls_corpus.json")
@@ -70,27 +65,6 @@ def make_case(index: int) -> Case:
     return Case(index, tuple(argv), SINKS[sink] == "out")
 
 
-def _sha(data: bytes | str) -> str:
-    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
-
-
-def run_main(argv: Sequence[str], inputs: dict[str, bytes] | None = None) -> dict:
-    """Run `dicesim` on argv in a directory of its own, where the inputs
-    ({name: bytes}) are written first and an argument "TMP/name" names a
-    file: the digests of its exit code, of its stdout and stderr, in which
-    the directory reads TMP, and of every other file in the directory."""
-    inputs = inputs or {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, data in inputs.items():
-            Path(tmp, name).write_bytes(data)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([tmp + arg[3:] if arg.startswith("TMP/") else arg for arg in argv])
-        files = {path.name: _sha(path.read_bytes()) for path in sorted(Path(tmp).iterdir()) if path.name not in inputs}
-        return {"exit": code, "stdout": _sha(stdout.getvalue().replace(tmp, "TMP")),
-                "stderr": _sha(stderr.getvalue().replace(tmp, "TMP")), "files": files}
-
-
 def run_case(case: Case) -> dict:
     """Run `rolls` on the case: the digests of its exit code, stdout, stderr
     and the file it writes."""
@@ -102,21 +76,5 @@ def describe(case: Case) -> str:
     return f"case {case.index}: dicesim {' '.join(case.argv)}" + (" --out rolls.csv" if case.to_file else "")
 
 
-def load_digests() -> list[dict]:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))
-
-
-def write_digests() -> None:
-    digests = [run_case(make_case(index)) for index in range(CASES)]
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
 if __name__ == "__main__":
-    digests = load_digests()
-    if len(digests) != CASES:
-        sys.exit(f"{DIGESTS.name} holds {len(digests)} digests, not {CASES}")
-    failed = [case for case in map(make_case, range(CASES)) if run_case(case) != digests[case.index]]
-    for case in failed:
-        print(describe(case))
-    print(f"{CASES - len(failed)} of {CASES} rolls cases match their digests")
-    sys.exit(1 if failed else 0)
+    sys.exit(check_every_case(sys.modules[__name__], "rolls"))

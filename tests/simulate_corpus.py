@@ -16,15 +16,14 @@ that ends before the last event, whose digest is exit 2 plus stderr.
 
 checks every case against the digests and, for each one that differs,
 prints its argv and its trace. tests/test_simulate_corpus.py checks a fixed
-slice. `write_digests()` writes the digest file from the src/ beside this
-file.
+slice. The runner, the digest file and this check are those of
+tests/corpus_runner.py; `run_case` is this corpus's own, as `simulate`
+writes its files into `--out`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
 import random
 import sys
 import tempfile
@@ -35,6 +34,7 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: use this checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from corpus_runner import check_every_case, sha  # noqa: E402
 from dicesim.cli import main  # noqa: E402
 
 CASES = 320
@@ -161,10 +161,6 @@ def make_case(index: int) -> Case:
     return Case(index, tuple(options), text.encode("utf-8"))
 
 
-def _sha(data: bytes | str) -> str:
-    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
-
-
 def run_case(case: Case) -> dict:
     """Run `simulate` on the case in a directory of its own: the digests of
     its exit code, stdout, stderr and every file it writes."""
@@ -174,10 +170,10 @@ def run_case(case: Case) -> dict:
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main(["simulate", "--trace", str(trace), "--out", str(out), *case.options])
-        files = {path.name: _sha(path.read_bytes()) for path in sorted(out.iterdir())} if out.exists() else {}
+        files = {path.name: sha(path.read_bytes()) for path in sorted(out.iterdir())} if out.exists() else {}
         # the summary line names the output directory, which differs on every run
-        return {"exit": code, "stdout": _sha(stdout.getvalue().replace(tmp, "TMP")),
-                "stderr": _sha(stderr.getvalue().replace(tmp, "TMP")), "files": files}
+        return {"exit": code, "stdout": sha(stdout.getvalue().replace(tmp, "TMP")),
+                "stderr": sha(stderr.getvalue().replace(tmp, "TMP")), "files": files}
 
 
 def describe(case: Case) -> str:
@@ -186,21 +182,5 @@ def describe(case: Case) -> str:
     return f"case {case.index}: {argv}\ntrace.txt ({len(case.trace)} bytes):\n{case.trace!r}"
 
 
-def load_digests() -> list[dict]:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))
-
-
-def write_digests() -> None:
-    digests = [run_case(make_case(index)) for index in range(CASES)]
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
 if __name__ == "__main__":
-    digests = load_digests()
-    if len(digests) != CASES:
-        sys.exit(f"{DIGESTS.name} holds {len(digests)} digests, not {CASES}")
-    failed = [case for case in map(make_case, range(CASES)) if run_case(case) != digests[case.index]]
-    for case in failed:
-        print(describe(case), end="\n\n")
-    print(f"{CASES - len(failed)} of {CASES} simulate cases match their digests")
-    sys.exit(1 if failed else 0)
+    sys.exit(check_every_case(sys.modules[__name__], "simulate"))

@@ -16,18 +16,17 @@ Case i is one command, drawn from `random.Random(i)` alone:
 
 `stats_uart_corpus.json` holds, per case, the sha256 of every file the
 command writes, of its stdout and of its stderr, and its exit code. Each
-case runs through `rolls_corpus.run_main`.
+case runs through `corpus_runner.run_main`.
 
     python tests/stats_uart_corpus.py    # check every case
 
 checks every case against the digests and, for each one that differs,
-prints its argv. tests/test_stats_uart_corpus.py checks a fixed slice.
-`write_digests()` writes the digest file from the src/ beside this file.
+prints its argv. tests/test_stats_uart_corpus.py checks a fixed slice. The
+digest file and this check are those of tests/corpus_runner.py.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: use this checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rolls_corpus import run_main  # noqa: E402
+from corpus_runner import check_every_case, run_main  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("stats_uart_corpus.json")
 
@@ -169,21 +168,5 @@ def describe(case: Case) -> str:
     return f"case {case.index}: dicesim {' '.join(case.argv)}{inputs}"
 
 
-def load_digests() -> list[dict]:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))
-
-
-def write_digests() -> None:
-    digests = [run_case(make_case(index)) for index in range(CASES)]
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
 if __name__ == "__main__":
-    digests = load_digests()
-    if len(digests) != CASES:
-        sys.exit(f"{DIGESTS.name} holds {len(digests)} digests, not {CASES}")
-    failed = [case for case in map(make_case, range(CASES)) if run_case(case) != digests[case.index]]
-    for case in failed:
-        print(describe(case))
-    print(f"{CASES - len(failed)} of {CASES} stats and uart cases match their digests")
-    sys.exit(1 if failed else 0)
+    sys.exit(check_every_case(sys.modules[__name__], "stats and uart"))

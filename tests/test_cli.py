@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from dicesim import cli, kernels, stats
 from dicesim.cli import main
+from reference_board import face_lines
 
 BOOT = "0 RESET 1\n1000 RESET 0\n1000 TILT 1\n"
 
@@ -408,7 +409,7 @@ def test_stats_bias_lines_across_writes(capsys):
     code, out, _ = _run(capsys, "stats", "--bias", str(sides), "--bits", "14")
     assert code == 0
     report = stats.modulo_bias(sides, 14)
-    assert out.splitlines()[2:] == [f"face {face},{report.count(face)}" for face in range(1, sides + 1)]
+    assert out.split("\n", 2)[2] == face_lines((face, report.count(face)) for face in range(1, sides + 1))
 
 
 def test_stats_bias_count_split_and_write_inside_one_width(capsys):
@@ -419,7 +420,7 @@ def test_stats_bias_count_split_and_write_inside_one_width(capsys):
     assert code == 0
     report = stats.modulo_bias(sides, 24)
     assert 1_000 <= report.remainder < cli.BIAS_FACES_PER_WRITE < sides
-    assert out.splitlines()[2:] == [f"face {face},{report.count(face)}" for face in range(1, sides + 1)]
+    assert out.split("\n", 2)[2] == face_lines((face, report.count(face)) for face in range(1, sides + 1))
 
 
 def test_stats_bias_validates_bits(capsys):
@@ -631,6 +632,15 @@ def test_write_atomic_keeps_plain_file_mode(tmp_path):
     assert target.read_text(encoding="utf-8") == "hello\n"
     assert os.stat(target).st_mode == os.stat(plain).st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+
+def test_write_error_names_the_users_path(tmp_path, monkeypatch, capsys):
+    # the temp file's random name never reaches stderr, so two runs print the same
+    monkeypatch.chdir(tmp_path)
+    argv = ("rolls", "--sides", "6", "--count", "1", "--out", "nodir/x.csv")
+    first, second = _run(capsys, *argv), _run(capsys, *argv)
+    assert first == second and first[0] == 1
+    assert "'nodir/x.csv'" in first[2] and ".tmp" not in first[2]
 
 
 def _fail_rename(src, dst):

@@ -1,8 +1,6 @@
 """Numpy kernels versus scalar reference loops built on `prng`."""
 
 import random
-import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,32 +10,10 @@ from hypothesis import strategies as st
 from dicesim import kernels, prng
 from dicesim.cli import ROLLS_PER_CHUNK
 from dicesim.device import SUPPORTED_DICE
-from dicesim.prng import seed_shift, xorshift_inverse, xorshift_jump, xorshift_step
+from dicesim.prng import lcg_step, xorshift_inverse, xorshift_jump, xorshift_step
+from reference_board import count_reference, face_lines, feedback_reference, roll_lines, stateless_reference
 
 words32 = st.integers(min_value=0, max_value=kernels.MASK32)
-
-
-def feedback_reference(seed: int, n: int) -> list[int]:
-    """n successive xorshift outputs from seed, one scalar step at a time."""
-    out, x = [], seed
-    for _ in range(n):
-        x = xorshift_step(x)
-        out.append(x)
-    return out
-
-
-def lcg_step(state: int) -> int:
-    return (prng.LCG_MULT * state + prng.LCG_INC) & kernels.MASK32
-
-
-def stateless_reference(lcg_seed: int, n: int) -> list[int]:
-    """Run the LCG, shift its top 16 bits into the seed register, transform."""
-    out, lcg, seed = [], lcg_seed & kernels.MASK32, 0
-    for _ in range(n):
-        lcg = lcg_step(lcg)
-        seed = seed_shift(seed, (lcg >> 16) & 0xFFFF)
-        out.append(xorshift_step(seed))
-    return out
 
 
 def test_feedback_sequence_matches_scalar_chain():
@@ -220,24 +196,13 @@ def test_lcg_jump_equals_stepping(x, i):
 def test_format_rolls_equals_per_roll_join(sides, seed, n):
     words = np.random.default_rng(seed).integers(0, 1 << 32, n, dtype=np.uint32)
     words[:3] = (0, kernels.MASK32, sides - 1)[:n]  # the extreme words and the widest face
-    assert kernels.format_rolls(words, sides) == "".join(f"{w % sides + 1}\n" for w in words.tolist())
+    assert kernels.format_rolls(words, sides) == roll_lines(words, sides)
 
 
 @pytest.mark.parametrize("sides", [0, 1000])
 def test_format_rolls_needs_faces_that_fit_a_word(sides):
     with pytest.raises(ValueError, match="no line table"):
         kernels.format_rolls(np.arange(4, dtype=np.uint32), sides)
-
-
-def count_reference(block: bytes, sides: int):
-    """Counts when every line ends at a LF and is 1 to 3 digits in 1..sides, else None."""
-    lines = block.split(b"\n")
-    if lines.pop() != b"" or not all(re.fullmatch(rb"[0-9]{1,3}", line) for line in lines):
-        return None
-    faces = Counter(map(int, lines))
-    if not lines or not all(1 <= face <= sides for face in faces):
-        return None
-    return [faces[face] for face in range(1, sides + 1)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,4 +225,4 @@ def test_count_rolls_equals_per_line_reference(sides, data):
 def test_format_faces_equals_per_face_format(low, length, count):
     # runs that cross the 9/10, 99/100 and 999 999/1 000 000 widths, and empty ones
     for high in (low + length, low - length):
-        assert kernels.format_faces(low, high, count) == "".join(f"face {n},{count}\n" for n in range(low, high))
+        assert kernels.format_faces(low, high, count) == face_lines((n, count) for n in range(low, high))

@@ -6,8 +6,9 @@ import pytest
 
 import reference_board
 import simulate_corpus as corpus
+from corpus_runner import load_digests
 
-DIGESTS = corpus.load_digests()
+DIGESTS = load_digests(corpus)
 
 
 @pytest.mark.parametrize("index", [index for index in range(0, corpus.CASES, 12) if DIGESTS[index]["exit"] == 0])

@@ -5,11 +5,12 @@ every die, mode, count, seed kind and sink, in about a second.
 import pytest
 
 import rolls_corpus as corpus
+from corpus_runner import load_digests
 
 
 @pytest.fixture(scope="module")
 def digests():
-    return corpus.load_digests()
+    return load_digests(corpus)
 
 
 def test_corpus_has_a_digest_per_case(digests):

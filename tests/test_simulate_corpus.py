@@ -4,11 +4,12 @@ a second. `python tests/simulate_corpus.py` checks all of them."""
 import pytest
 
 import simulate_corpus as corpus
+from corpus_runner import load_digests
 
 
 @pytest.fixture(scope="module")
 def digests():
-    return corpus.load_digests()
+    return load_digests(corpus)
 
 
 def test_corpus_has_a_digest_per_case(digests):

@@ -1,14 +1,12 @@
 """Trace parsing, replay semantics, and log serialization."""
 
 import csv
-import heapq
 import json
 import os
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
 from io import StringIO
-from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
 
@@ -24,7 +22,6 @@ from reference_board import uart_bytes, uart_waveform
 from dicesim.device import SyntheticAdc
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
-    _RECORD_KINDS,
     _frame_text,
     BLOCK_MIN_FRAMES,
     LOG_COLUMNS,
@@ -635,9 +632,6 @@ def test_trace_text_round_trips(events, data):
     assert parse_trace("\n".join(lines)) == events
 
 
-KIND_ORDER = ("ROLL", "UART", "DISPLAY", "ONPIN")
-
-
 @settings(max_examples=25, deadline=None)
 @given(RAW_EVENTS, st.sampled_from(("stateless", "feedback")))
 def test_emitted_log_parses_back_to_its_rows(raw, mode):
@@ -647,18 +641,9 @@ def test_emitted_log_parses_back_to_its_rows(raw, mode):
     # csv and jsonl carry the same fields in column order; jsonl leaves out the empty cells
     assert [list(row) for row in rows] == [[col for col in LOG_COLUMNS if row[col]] for row in from_csv]
     assert from_csv == [{col: str(row.get(col, "")) for col in LOG_COLUMNS} for row in rows]
-    # each kind's rows are its RunLog list, in order
-    expected = {
-        "ROLL": [{"t_us": t, "dice_sides": sides, "roll": roll} for t, sides, roll in log.settled_rolls],
-        "UART": [{"t_us": t, "byte": f"{byte:02x}"} for t, byte in uart_bytes(log)],
-        "DISPLAY": [{"t_us": t, "word": f"{word:04x}"} for t, word in log.display_words],
-        "ONPIN": [{"t_us": t, "level": level} for t, level in log.onpin_edges],
-    }
-    for kind, kind_rows in expected.items():
-        assert [{"record": kind, **row} for row in kind_rows] == [row for row in rows if row["record"] == kind]
-    # and the kinds interleave by time, simultaneous records in kind order
-    keys = [(row["t_us"], KIND_ORDER.index(row["record"])) for row in rows]
-    assert keys == sorted(keys)
+    # and they are the rows of its RunLog lists, merged a record at a time
+    reference = reference_board.log_files(log, "jsonl")["log.jsonl"]
+    assert rows == [json.loads(line) for line in reference.splitlines()]
 
 
 def test_emit_log_orders_simultaneous_records_by_kind():
@@ -697,30 +682,6 @@ def test_emit_log_orders_simultaneous_records_by_kind():
     )
     with pytest.raises(ValueError, match="unknown log format"):
         emit_log(log, "xml")
-
-
-# Per-record references for the UART writers: each run expanded a frame and a
-# line at a time by reference_board.uart_bytes and uart_waveform, one
-# str.format or f-string per line, and every log record merged by
-# heapq.merge. The writers format a run at a time and must match.
-
-
-def _log_by_record(log, fmt):
-    column = 1 if fmt == "csv" else 2
-    streams = []
-    for kind in _RECORD_KINDS:
-        records = uart_bytes(log) if kind[0] == "uart_bytes" else getattr(log, kind[0])
-        streams.append(zip(map(itemgetter(0), records), starmap(kind[column].format, records)))
-    header = ",".join(LOG_COLUMNS) + "\n" if fmt == "csv" else ""
-    return header + "".join(map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0))))
-
-
-def _uart_csv_by_record(log):
-    return "t_us,byte_hex\n" + "".join(f"{t_us},{byte:02x}\n" for t_us, byte in uart_bytes(log))
-
-
-def _uart_bits_by_record(log):
-    return "t_us,level\n" + "".join(f"{t_us},{level}\n" for t_us, level in uart_waveform(log))
 
 
 # where RESET 1 or the end falls after the START of a release's last frame:
@@ -797,10 +758,12 @@ def _cut_run(t0, frames):
 @example(RunLog(uart_runs=[(1_001_500, 0x16), (1_001_500 + 55 * US_PER_FRAME + 4_321, None)],
                 end_us=2_000_000, display_words=[(1_501_500, 7)]))
 def test_uart_writers_equal_per_record_joins(log):
-    assert emit_uart_csv(log) == _uart_csv_by_record(log)
-    assert emit_uart_bits_csv(log) == _uart_bits_by_record(log)
+    # the writers format a run at a time; the reference board a record at a time
     for fmt in ("csv", "jsonl"):
-        assert emit_log(log, fmt) == _log_by_record(log, fmt)
+        files = reference_board.log_files(log, fmt)
+        assert emit_log(log, fmt) == files[f"log.{fmt}"]
+        assert emit_uart_csv(log) == files["uart.csv"]
+        assert emit_uart_bits_csv(log) == files["uart_bits.csv"]
 
 
 # a frame's line offsets: 1 to 5 of them, less than a frame apart, either bit
