@@ -33,7 +33,6 @@ from .stats import (
     chi_square,
     critical_value,
     modulo_bias,
-    tally,
     uniformity_report,
 )
 from .timing import HALF_PERIODS, Scheduler, TickEvent
@@ -65,7 +64,6 @@ __all__ = [
     "chi_square",
     "critical_value",
     "modulo_bias",
-    "tally",
     "uniformity_report",
     "HALF_PERIODS",
     "Scheduler",

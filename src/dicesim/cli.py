@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import operator
 import os
@@ -61,11 +62,12 @@ def _new_file_mode() -> int:
 def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
     """Write each path's text, made by its function, as one set: each to a
     temp file of its own in the path's directory, so concurrent writers
-    never share one, then, once every one is whole, a rename of each over
-    its path. On any failure before that, a chunk source's too, every temp
-    file is removed. Only one text is made at a time. An error that names a
-    file, the temp file made or renamed, is raised again naming the path,
-    so its message holds no random temp name."""
+    never share one, then, once every one is whole and no path is a
+    directory, a rename of each over its path. On any failure before that,
+    a chunk source's too, every temp file is removed. Only one text is made
+    at a time. An error that names a file, the temp file made or renamed,
+    is raised again naming the path, so its message holds no random temp
+    name."""
     written: list[tuple[str, Path]] = []
     try:
         for path, make_text in files.items():
@@ -76,6 +78,9 @@ def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
                 fh.writelines((text,) if isinstance(text, str) else text)
                 del text  # before the next text is made
             os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
+        for _, path in written:  # a rename over a directory would fail after the ones before it
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in written:
             os.replace(tmp, path)
     except BaseException as exc:

@@ -23,19 +23,6 @@ class Histogram:
     total: int
 
 
-def tally(rolls, dice_sides: int) -> Histogram:
-    """Count face values 1..dice_sides; an out-of-range value names its index."""
-    if dice_sides < 1:
-        raise ValueError(f"dice_sides must be at least 1: {dice_sides}")
-    counts = [0] * dice_sides
-    for i, value in enumerate(rolls):
-        v = int(value)
-        if not 1 <= v <= dice_sides:
-            raise ValueError(f"roll #{i} out of range 1..{dice_sides}: {v}")
-        counts[v - 1] += 1
-    return Histogram(dice_sides, tuple(counts), sum(counts))
-
-
 def chi_square(hist: Histogram) -> tuple[float, int]:
     """Chi-square statistic against the uniform expectation, and df = d - 1."""
     if hist.total == 0:
@@ -65,11 +52,6 @@ class BiasReport:
     def count(self, face: int) -> int:
         """Preimages of face (1..dice_sides)."""
         return self.quotient + 1 if face <= self.remainder else self.quotient
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """Every face's count, built on demand: one entry per face."""
-        return tuple(self.count(face) for face in range(1, self.dice_sides + 1))
 
     @property
     def max_count(self) -> int:
@@ -208,11 +190,11 @@ def histogram_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ascii_chart(hist: Histogram, width: int = 40) -> str:
-    """Plain-text bar chart of the face counts."""
+def ascii_chart(hist: Histogram) -> str:
+    """Plain-text bar chart of the face counts, 40 characters at the peak."""
     peak = max(hist.counts) if hist.counts else 0
     lines = []
     for face, count in enumerate(hist.counts, start=1):
-        bar = "#" * (round(count * width / peak) if peak else 0)
+        bar = "#" * (round(count * 40 / peak) if peak else 0)
         lines.append(f"face {face:>3} | {bar} {count}")
     return "\n".join(lines) + "\n"

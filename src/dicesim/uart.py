@@ -15,6 +15,7 @@ from tx_step; UartChannel steps the FSM edge by edge and is its reference.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 IDLE = "IDLE"
@@ -96,8 +97,8 @@ class FramingError:
     message: str
 
 
-def decode_stream(bits) -> tuple[list[DecodedFrame], list[FramingError]]:
-    """Decode an idle-high bit stream sampled at the bit rate.
+def decode_stream(bits: str) -> tuple[list[DecodedFrame], list[FramingError]]:
+    """Decode an idle-high stream of "0" and "1" sampled at the bit rate.
 
     High bits are idle. A low bit opens a frame: eight data bits LSB first,
     then a stop bit that must be high. A low stop bit is reported with its
@@ -105,38 +106,25 @@ def decode_stream(bits) -> tuple[list[DecodedFrame], list[FramingError]]:
     the end of the stream is reported as truncated. An all-ones stream yields
     no frames and no errors.
     """
-    seq = []
-    for b in bits:
-        if isinstance(b, str):
-            if b not in "01":
-                raise ValueError(f"bit stream may only contain 0 and 1: {b!r}")
-            seq.append(1 if b == "1" else 0)
-        else:
-            seq.append(1 if b else 0)
+    bad = re.search("[^01]", bits)
+    if bad:
+        raise ValueError(f"bit stream may only contain 0 and 1: {bad.group()!r}")
     frames: list[DecodedFrame] = []
     errors: list[FramingError] = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if seq[i]:
-            i += 1
-            continue
-        if i + FRAME_BITS > n:
+    i = bits.find("0")
+    while i >= 0:
+        if i + FRAME_BITS > len(bits):
             errors.append(FramingError(i, "truncated",
                                        f"frame starting at bit {i} runs past the end of the stream"))
             break
-        byte = 0
-        for k in range(8):
-            byte |= seq[i + 1 + k] << k
-        if seq[i + 9]:
-            frames.append(DecodedFrame(i, byte))
-            i += FRAME_BITS
+        if bits[i + 9] == "1":
+            frames.append(DecodedFrame(i, int(bits[i + 8:i:-1], 2)))  # data bits MSB first
+            i = bits.find("0", i + FRAME_BITS)
         else:
             errors.append(FramingError(i, "bad_stop",
                                        f"frame starting at bit {i}: stop bit low at bit {i + 9}"))
-            i += FRAME_BITS
-            while i < n and not seq[i]:
-                i += 1
+            high = bits.find("1", i + FRAME_BITS)
+            i = bits.find("0", high) if high >= 0 else -1
     return frames, errors
 
 

@@ -39,7 +39,10 @@ benchmarks/ both check the program against:
   scalar chains, a step at a time;
 - `roll_lines`, `count_reference` and `face_lines`: the rolls text, the
   strict count of a rolls read and the bias report's face lines, one line
-  at a time.
+  at a time;
+- `shift_stage`, `gf2_power` and `gf2_apply`: the xorshift's stages as
+  GF(2) bit matrices, built from nothing in `dicesim.prng`;
+- `stepper_oracle`: the divider bank's toggles, counted a cycle at a time.
 """
 
 from __future__ import annotations
@@ -54,13 +57,25 @@ from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 if __name__ == "__main__":  # run as a script: use this checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dicesim.device import DEFAULT_ADC_SEED, TICK_STEPS, Device, SyntheticAdc  # noqa: E402
 from dicesim.display import DisplayMux, bcd_select, render_word  # noqa: E402
 from dicesim.prng import MASK32, lcg_step, seed_shift, xorshift_jump, xorshift_step  # noqa: E402
-from dicesim.timing import HZ10, HZ1000, HZ500, RISING, S5, Scheduler  # noqa: E402
+from dicesim.timing import (  # noqa: E402
+    DOMAIN_ORDER,
+    FALLING,
+    HALF_PERIODS,
+    HZ10,
+    HZ1000,
+    HZ500,
+    RISING,
+    S5,
+    Scheduler,
+)
 from dicesim.trace import STOP_US, US_PER_BIT, US_PER_FRAME, TraceEvent, parse_trace  # noqa: E402
 from dicesim.uart import UartChannel, payload_pack, uart_frame  # noqa: E402
 
@@ -334,6 +349,46 @@ def count_reference(block: bytes, sides: int) -> list[int] | None:
 def face_lines(counts) -> str:
     """The face lines of a bias report, one f-string per (face, count)."""
     return "".join(f"face {face},{count}\n" for face, count in counts)
+
+
+def shift_stage(k: int) -> np.ndarray:
+    """x ^= x >> k (k > 0) or x ^= x << -k (k < 0) as a GF(2) bit matrix:
+    row i holds the input bits that output bit i xors (bit 0 = LSB)."""
+    return np.eye(32, dtype=np.int64) + np.eye(32, k=k, dtype=np.int64)
+
+
+def gf2_power(m: np.ndarray, k: int) -> np.ndarray:
+    """m**k over GF(2), by squaring."""
+    result = np.eye(32, dtype=np.int64)
+    while k:
+        if k & 1:
+            result = result @ m % 2
+        m = m @ m % 2
+        k >>= 1
+    return result
+
+
+def gf2_apply(m: np.ndarray, word: int) -> int:
+    """The 32-bit word m maps word to."""
+    bits = (word >> np.arange(32)) & 1  # bit 0 = LSB
+    return int(((m @ bits % 2) << np.arange(32)).sum())
+
+
+def stepper_oracle(n: int) -> list[tuple[int, str, str]]:
+    """(cycle, domain, edge) of every toggle in cycles 1..n, counted the slow
+    way: each domain's counter toggles its level when it reaches half - 1."""
+    counters = {name: 0 for name in DOMAIN_ORDER}
+    levels = {name: 0 for name in DOMAIN_ORDER}
+    events = []
+    for cyc in range(1, n + 1):
+        for name in DOMAIN_ORDER:
+            if counters[name] == HALF_PERIODS[name] - 1:
+                counters[name] = 0
+                levels[name] ^= 1
+                events.append((cyc, name, RISING if levels[name] else FALLING))
+            else:
+                counters[name] += 1
+    return events
 
 
 def file_digests(files: dict[str, bytes]) -> dict[str, str]:

@@ -7,6 +7,7 @@ warmed up beforehand.
 """
 
 import filecmp
+import io
 import json
 import random
 import time
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from dicesim import kernels, stats
-from dicesim.cli import main
+from dicesim.cli import _bias_lines, _tally_rolls, main
 from dicesim.device import (
     SUPPORTED_DICE,
     SelectionState,
@@ -25,45 +26,20 @@ from dicesim.device import (
     tilt_update,
 )
 from dicesim.prng import xorshift_inverse, xorshift_step
-from dicesim.timing import (
-    DOMAIN_ORDER,
-    FALLING,
-    HALF_PERIODS,
-    HZ10,
-    HZ1000,
-    HZ500,
-    RISING,
-    S5,
-    Scheduler,
-)
+from dicesim.timing import FALLING, HZ10, HZ1000, HZ500, RISING, S5, Scheduler
 from dicesim.trace import ReplayConfig, parse_trace, replay
 from dicesim.uart import UartChannel, decode_stream, payload_pack
-from reference_board import uart_bytes
+from reference_board import face_lines, shift_stage, stepper_oracle, uart_bytes
 
 
 # ----------------------------------------------------------------------
 #  1. word transform against an independent linear-algebra oracle
 # ----------------------------------------------------------------------
 
-def _stage_right(k):
-    # out_i = b_i xor b_{i+k}  (bit 0 = LSB)
-    m = np.eye(32, dtype=np.uint8)
-    for i in range(32 - k):
-        m[i, i + k] = 1
-    return m
-
-
-def _stage_left(k):
-    m = np.eye(32, dtype=np.uint8)
-    for i in range(k, 32):
-        m[i, i - k] = 1
-    return m
-
-
 def test_criterion_01_transform_matches_bit_matrix_oracle():
     """The shift-xor implementation equals the GF(2) matrix of the transform
     on 100 000 random words plus every structural edge case, in under 1 s."""
-    matrix = (_stage_right(13).astype(np.int64) @ _stage_left(9) @ _stage_right(7)) % 2
+    matrix = shift_stage(13) @ shift_stage(-9) @ shift_stage(7) % 2
     rng = np.random.default_rng(2024)
     words = rng.integers(0, 1 << 32, size=100_000, dtype=np.uint32)
     edges = np.array([0, 1, 0x80000000, 0xFFFFFFFF, 0xAAAAAAAA, 0x55555555]
@@ -112,13 +88,18 @@ def test_criterion_02_inverse_round_trips_one_million_words():
 #  3. free-running generator is uniform enough to pass chi-square
 # ----------------------------------------------------------------------
 
+def _tally_as_stats_rolls(words, sides):
+    # the rolls file `rolls` writes, counted as `stats --rolls` counts it
+    return _tally_rolls(io.BytesIO(("roll\n" + kernels.format_rolls(words, sides)).encode()), sides)
+
+
 def test_criterion_03_feedback_stream_passes_uniformity():
     """200 000 rolls from seed 1 pass the alpha 0.001 uniformity verdict on
     the twenty-sided and six-sided dice without repeating a word, in 5 s."""
     start = time.perf_counter()
     words = kernels.feedback_sequence(1, 200_000)
-    d20 = stats.tally(((words % np.uint32(20)) + 1).tolist(), 20)
-    d6 = stats.tally(((words % np.uint32(6)) + 1).tolist(), 6)
+    d20 = _tally_as_stats_rolls(words, 20)
+    d6 = _tally_as_stats_rolls(words, 6)
     rep20 = stats.uniformity_report(d20, alpha=0.001)
     rep6 = stats.uniformity_report(d6, alpha=0.001)
     distinct = len(np.unique(words))
@@ -135,24 +116,23 @@ def test_criterion_03_feedback_stream_passes_uniformity():
 # ----------------------------------------------------------------------
 
 def test_criterion_04_bias_counts_match_exhaustive_enumeration():
-    """The analytic preimage counts equal brute-force enumeration of the full
-    16-bit domain for every supported die, and the 32-bit d20/d6 figures
-    match their frozen values, within 5 s."""
+    """The face lines `stats --bias` prints equal brute-force enumeration of
+    the full 16-bit domain for every supported die, and the 32-bit d20/d6
+    figures match their frozen values, within 5 s."""
     start = time.perf_counter()
     domain = np.arange(1 << 16, dtype=np.uint32)
     for sides in SUPPORTED_DICE:
         brute = np.bincount(domain % np.uint32(sides), minlength=sides)
-        report = stats.modulo_bias(sides, 16)
-        assert tuple(brute.tolist()) == report.counts
-        assert sum(report.counts) == 1 << 16
+        assert "".join(_bias_lines(stats.modulo_bias(sides, 16))) == face_lines(enumerate(brute.tolist(), 1))
     elapsed = time.perf_counter() - start
 
     d20 = stats.modulo_bias(20, 32)
-    assert d20.counts[:16] == (214_748_365,) * 16
-    assert d20.counts[16:] == (214_748_364,) * 4
+    d20_counts = [d20.count(face) for face in range(1, 21)]
+    assert d20_counts == [214_748_365] * 16 + [214_748_364] * 4
     d6 = stats.modulo_bias(6, 32)
-    assert d6.counts == (715_827_883,) * 4 + (715_827_882,) * 2
-    assert sum(d20.counts) == sum(d6.counts) == 1 << 32
+    d6_counts = [d6.count(face) for face in range(1, 7)]
+    assert d6_counts == [715_827_883] * 4 + [715_827_882] * 2
+    assert sum(d20_counts) == sum(d6_counts) == 1 << 32
     assert elapsed < 5.0
 
 
@@ -221,7 +201,7 @@ def test_criterion_07_uart_round_trips_every_byte():
         waveform.append(state.tx_level)
         if state.ap_valid:
             sent += 1
-    frames, errors = decode_stream(waveform)
+    frames, errors = decode_stream("".join(map(str, waveform)))
     elapsed = time.perf_counter() - start
 
     assert errors == []
@@ -238,7 +218,7 @@ def test_criterion_07_uart_round_trips_every_byte():
         gapped.extend(encode_frame(v))
         gapped.append(1)
     gapped[40 * 11 + 9] = 0  # stomp the stop bit of frame 40
-    frames2, errors2 = decode_stream(gapped)
+    frames2, errors2 = decode_stream("".join(map(str, gapped)))
     assert len(errors2) == 1 and errors2[0].kind == "bad_stop"
     assert errors2[0].offset == 40 * 11
     assert [f.byte for f in frames2] == values[:40] + values[41:]
@@ -248,21 +228,6 @@ def test_criterion_07_uart_round_trips_every_byte():
 # ----------------------------------------------------------------------
 #  8. clock divider bank
 # ----------------------------------------------------------------------
-
-def _stepper_oracle(n):
-    counters = {name: 0 for name in DOMAIN_ORDER}
-    levels = {name: 0 for name in DOMAIN_ORDER}
-    events = []
-    for cyc in range(1, n + 1):
-        for name in DOMAIN_ORDER:
-            if counters[name] == HALF_PERIODS[name] - 1:
-                counters[name] = 0
-                levels[name] ^= 1
-                events.append((cyc, name, RISING if levels[name] else FALLING))
-            else:
-                counters[name] += 1
-    return events
-
 
 def test_criterion_08_divider_bank_counts_and_oracle():
     """One simulated second produces exactly 1000 HZ1000 periods, 500 HZ500
@@ -281,7 +246,7 @@ def test_criterion_08_divider_bank_counts_and_oracle():
     assert S5 not in by_domain  # first toggle sits beyond one second
 
     got = [(e.sysclk_index, e.domain, e.edge) for e in Scheduler().advance(1_000_000)]
-    assert got == _stepper_oracle(1_000_000)
+    assert got == stepper_oracle(1_000_000)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -690,3 +691,23 @@ def test_simulate_failure_leaves_the_previous_set_whole(tmp_path, capsys, monkey
     code, _, err = _run(capsys, *argv, "--duration-us", "3000000")
     assert code == 1 and "cannot write outputs: disk full" in err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_simulate_over_a_directory_renames_nothing(tmp_path, capsys):
+    # a target that is a directory fails the write before the first rename,
+    # so the files before it in the set are not replaced either
+    trace = tmp_path / "boot.trace"
+    trace.write_text(BOOT)
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--trace", str(trace), "--out", str(out_dir)]
+    assert _run(capsys, *argv, "--duration-us", "2000000")[0] == 0
+    (out_dir / "uart.csv").unlink()
+    (out_dir / "uart.csv").mkdir()
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+    assert sorted(before) == ["log.csv", "state.json"]
+
+    code, out, err = _run(capsys, *argv, "--duration-us", "3000000")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write outputs: [Errno {errno.EISDIR}] Is a directory: '{out_dir / 'uart.csv'}'\n"
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in out_dir.iterdir()) == ["log.csv", "state.json", "uart.csv"]

@@ -24,10 +24,10 @@ def test_feedback_sequence_empty():
     assert kernels.feedback_sequence(1, 0).shape == (0,)
 
 
-# the advance_feedback tests check the device register's scalar jump,
-# prng.xorshift_jump, which shares its byte tables with the array jumps here
+# the xorshift_jump tests check the device register's scalar jump, which
+# shares its byte tables with the array jumps here
 
-def test_advance_feedback_matches_sequence():
+def test_xorshift_jump_matches_feedback_sequence():
     seq = kernels.feedback_sequence(0xDEADBEEF, 64)
     for k in (1, 2, 17, 64):
         assert xorshift_jump(0xDEADBEEF, k) == int(seq[k - 1])
@@ -38,7 +38,7 @@ def test_stateless_sequence_matches_scalar_pipeline():
     assert kernels.stateless_sequence(12345, 256).tolist() == stateless_reference(12345, 256)
 
 
-def test_batch_matches_scalar():
+def test_xorshift_step_of_an_array_equals_the_scalar_step():
     rng = random.Random(99)
     words = np.array([rng.getrandbits(32) for _ in range(4_096)], dtype=np.uint32)
     out = xorshift_step(words.copy())
@@ -46,7 +46,7 @@ def test_batch_matches_scalar():
     assert out.tolist() == [xorshift_step(int(x)) for x in words]
 
 
-def test_inverse_batch_round_trip():
+def test_xorshift_inverse_of_an_array_round_trips():
     rng = random.Random(100)
     words = np.array([rng.getrandbits(32) for _ in range(4_096)], dtype=np.uint32)
     assert np.array_equal(xorshift_inverse(xorshift_step(words.copy())), words)
@@ -91,7 +91,7 @@ def test_inverse_of_an_array_equals_the_scalar_inverse(words):
     assert array.tolist() == words  # the array it is given is left as it was
 
 
-def test_advance_feedback_rejects_negative_steps():
+def test_xorshift_jump_rejects_negative_steps():
     with pytest.raises(ValueError, match="non-negative"):
         xorshift_jump(1, -1)
 
@@ -101,13 +101,13 @@ def test_advance_feedback_rejects_negative_steps():
 # ----------------------------------------------------------------------
 
 @given(words32, st.integers(0, 1 << 70), st.integers(0, 1 << 70))
-def test_advance_feedback_composes(x, a, b):
+def test_xorshift_jumps_compose(x, a, b):
     assert xorshift_jump(x, a + b) == xorshift_jump(xorshift_jump(x, a), b)
 
 
 @settings(max_examples=50)
 @given(words32, st.integers(0, 2_000))
-def test_advance_feedback_equals_step_chain(x, k):
+def test_xorshift_jump_equals_step_chain(x, k):
     expected = feedback_reference(x, k)[-1] if k else x
     assert xorshift_jump(x, k) == expected
 
@@ -178,7 +178,7 @@ def test_stateless_sequence_start_equals_closed_form(seed, start, n):
 
 
 @given(words32, st.integers(0, 12))
-def test_lcg_jump_equals_stepping(x, i):
+def test_lcg_power_of_two_jump_of_an_array_equals_stepping(x, i):
     expected = x
     for _ in range(1 << i):
         expected = lcg_step(expected)

@@ -22,26 +22,10 @@ from dicesim.timing import (
     Scheduler,
 )
 from dicesim.trace import FIRST_FRAME_CYCLES, FRAME_CYCLES, ReplayConfig, TraceEvent, replay
-from reference_board import uart_waveform
+from reference_board import stepper_oracle, uart_waveform
 
 # spans reaching past the first S5 toggle, so every domain takes part
 SPANS = st.integers(0, HALF_PERIODS[S5] + 2_000_000)
-
-
-def _stepper_oracle(n):
-    """Count every cycle the slow way; toggle when a counter hits half-1."""
-    counters = {name: 0 for name in DOMAIN_ORDER}
-    levels = {name: 0 for name in DOMAIN_ORDER}
-    events = []
-    for cyc in range(1, n + 1):
-        for name in DOMAIN_ORDER:
-            if counters[name] == HALF_PERIODS[name] - 1:
-                counters[name] = 0
-                levels[name] ^= 1
-                events.append((cyc, name, RISING if levels[name] else FALLING))
-            else:
-                counters[name] += 1
-    return events
 
 
 def test_exact_frequencies():
@@ -75,7 +59,7 @@ def test_rising_edges_at_odd_multiples_of_half():
 def test_matches_cycle_stepping_oracle():
     n = 30_000
     got = [(e.sysclk_index, e.domain, e.edge) for e in Scheduler().advance(n)]
-    assert got == _stepper_oracle(n)
+    assert got == stepper_oracle(n)
 
 
 def test_split_advances_match_single_advance():

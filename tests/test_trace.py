@@ -10,7 +10,6 @@ from io import StringIO
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 import dicesim
 import reference_board
 import simulate_corpus
-from reference_board import uart_bytes, uart_waveform
+from reference_board import gf2_apply, gf2_power, shift_stage, uart_bytes, uart_waveform
 from dicesim.device import SyntheticAdc
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
@@ -208,7 +207,7 @@ def test_replay_first_tick_time():
     assert _seeds(BOOT, [51_001, 51_002, 151_005, 151_006]) == [0, 1337, 1337, (1337 << 16) | second]
 
 
-def test_on_tick_sees_consumed_rising_edges_only():
+def test_replay_steps_the_device_on_hz10_and_s5_edges_only():
     # only the edges that step the device: UART frames are expanded from
     # runs when the log is written, and HZ500 is not scheduled at all; in 8 s
     # the 80 HZ10 steps draw 80 samples and the 2 S5 steps toggle the pin
@@ -332,27 +331,6 @@ def test_replay_feedback_mode_runs():
     assert log.final_state["prng"]["mode"] == "feedback"
 
 
-def _shift_stage(k):
-    """x ^= x >> k (k > 0) or x ^= x << -k (k < 0) as a GF(2) bit matrix."""
-    return np.eye(32, dtype=np.int64) + np.eye(32, k=k, dtype=np.int64)
-
-
-def _gf2_power(m, k):
-    """m**k over GF(2), by squaring."""
-    result = np.eye(32, dtype=np.int64)
-    while k:
-        if k & 1:
-            result = result @ m % 2
-        m = m @ m % 2
-        k >>= 1
-    return result
-
-
-def _gf2_apply(m, word):
-    bits = (word >> np.arange(32)) & 1  # bit 0 = LSB
-    return int(((m @ bits % 2) << np.arange(32)).sum())
-
-
 # HZ10 ticks in order: ADC 0 before each of the first three, a latch at the
 # fourth, free-running ticks, a reset, one more zero-sample tick, a re-latch
 FEEDBACK_TRACE = """\
@@ -371,9 +349,9 @@ FEEDBACK_TRACE = """\
 
 def test_feedback_register_matches_bit_matrix_oracle():
     # T as the product of its three shift stages, built from nothing in prng
-    step = _shift_stage(13) @ _shift_stage(-9) @ _shift_stage(7) % 2
-    tick = _gf2_power(step, 2 * HALF_PERIODS[HZ10])
-    assert _gf2_apply(step, 1) == 0x201
+    step = shift_stage(13) @ shift_stage(-9) @ shift_stage(7) % 2
+    tick = gf2_power(step, 2 * HALF_PERIODS[HZ10])
+    assert gf2_apply(step, 1) == 0x201
     # the HZ10 ticks of each release: (ticks since the release, t_us)
     ticks = [(k, release + (2 * k + 1) * HALF_PERIODS[HZ10] // 12)
              for release, count in ((1_000, 7), (710_000, 6)) for k in range(count)]
@@ -382,7 +360,7 @@ def test_feedback_register_matches_bit_matrix_oracle():
     for (k, _), state in zip(ticks, states):
         if k == 0:  # the first tick after a release
             reg = 0
-        reg = _gf2_apply(tick, reg) if reg else _gf2_apply(step, state["seed"])
+        reg = gf2_apply(tick, reg) if reg else gf2_apply(step, state["seed"])
         expected.append(reg)
     assert [state["rand"] for state in states] == expected
     assert [reg == 0 for reg in expected] == [True] * 3 + [False] * 4 + [True] + [False] * 5

@@ -104,7 +104,7 @@ def test_channel_emits_back_to_back_frames():
     assert waveform[0] == 1
     assert waveform[1:11] == encode_frame(0x16)
     assert waveform[11:21] == encode_frame(0x16)
-    frames, errors = decode_stream(waveform)
+    frames, errors = decode_stream("".join(map(str, waveform)))
     assert [f.byte for f in frames] == [0x16] * 3
     assert errors == []
 
@@ -127,7 +127,7 @@ def test_decode_round_trip_with_idle_gaps():
     for v in values:
         bits.extend(encode_frame(v))
         bits.extend([1] * rng.randrange(4))
-    frames, errors = decode_stream(bits)
+    frames, errors = decode_stream("".join(map(str, bits)))
     assert errors == []
     assert [f.byte for f in frames] == values
 
@@ -139,7 +139,7 @@ def test_decode_accepts_strings():
 
 
 def test_decode_all_ones_is_silent():
-    frames, errors = decode_stream([1] * 50)
+    frames, errors = decode_stream("1" * 50)
     assert frames == [] and errors == []
 
 
@@ -147,7 +147,7 @@ def test_decode_bad_stop_reports_and_resyncs():
     bits = encode_frame(0xAA)
     bits[9] = 0  # corrupt the stop bit
     bits += [1, 1] + encode_frame(0x55)
-    frames, errors = decode_stream(bits)
+    frames, errors = decode_stream("".join(map(str, bits)))
     assert len(errors) == 1
     assert errors[0].kind == "bad_stop"
     assert errors[0].offset == 0
@@ -155,7 +155,7 @@ def test_decode_bad_stop_reports_and_resyncs():
 
 
 def test_decode_truncated_frame():
-    frames, errors = decode_stream(encode_frame(0x01)[:6])
+    frames, errors = decode_stream("".join(map(str, encode_frame(0x01)[:6])))
     assert frames == []
     assert len(errors) == 1
     assert errors[0].kind == "truncated"
