@@ -1,5 +1,5 @@
-"""Time `replay` of long upright spans and of one event-dense session, and
-check each against a reference.
+"""Time `replay` of long upright spans and of one event-dense session, and the
+parse of that session, and check each against a reference.
 
     python benchmarks/bench_replay.py [REPEAT]
 
@@ -18,7 +18,12 @@ the device on every tick, and its time is the per-tick device cost. Before
 timing, the files it makes are compared, file for file, with those of
 `reference_files` of tests/reference_board.py, which steps every edge.
 
-Then `replay` is timed, best of REPEAT calls (`best_of` of bench_emit.py).
+The busy trace and its CRLF copy are also parsed by `parse_trace`, which
+reads well-formed text with one pattern, and by `_parse_lines`, the per-line
+reader it leaves any other text to; both must give the same events.
+
+Then `replay`, and both parsers on the busy trace, are timed, best of REPEAT
+calls (`best_of` of bench_emit.py).
 """
 
 import sys
@@ -29,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from bench_emit import BUSY_FORMAT, BUSY_OPTIONS, BUSY_TRACE, BUSY_US, best_of  # noqa: E402
 from dicesim.trace import (  # noqa: E402
     ReplayConfig,
+    _parse_lines,
     emit_log,
     emit_state_json,
     emit_uart_csv,
@@ -51,19 +57,24 @@ def main():
             state = log.final_state
             got = state["seed"], state["rand"], state["prng"]["rand_reg"], len(log.onpin_edges)
             assert got == upright_loop(mode, config.duration_us), (mode, seconds)
-            rows.append((mode, f"upright {seconds} s", best_of(lambda: replay(EVENTS, config))))
+            rows.append((mode, f"upright {seconds} s", "replay", best_of(lambda: replay(EVENTS, config))))
     print("every final state matches the loop of steps")
     events, config = parse_trace(BUSY_TRACE), ReplayConfig(duration_us=BUSY_US)
+    for text in (BUSY_TRACE, BUSY_TRACE.replace("\n", "\r\n")):
+        assert parse_trace(text) == _parse_lines(text) == events, "busy parse"
+    print("the pattern and the per-line reader read the same busy events, LF and CRLF")
+    busy = f"busy {BUSY_US / 1e6:g} s"
     log = replay(events, config)
     files = {f"log.{BUSY_FORMAT}": emit_log(log, BUSY_FORMAT), "uart.csv": emit_uart_csv(log),
              "state.json": emit_state_json(log)}
     reference = reference_files(BUSY_TRACE.encode("ascii"), BUSY_OPTIONS)
     assert {name: text.encode("utf-8") for name, text in files.items()} == reference, "busy"
-    rows.append(("stateless", f"busy {BUSY_US / 1e6:g} s", best_of(lambda: replay(events, config))))
+    rows.append(("stateless", busy, "replay", best_of(lambda: replay(events, config))))
+    rows += [("", busy, parse.__name__, best_of(parse, BUSY_TRACE)) for parse in (parse_trace, _parse_lines)]
     print("the busy session's files match the reference board")
-    print(f"{'mode':<10}  {'trace':<16}  {'replay (ms)':>11}")
-    for mode, trace, best in rows:
-        print(f"{mode:<10}  {trace:<16}  {best * 1e3:>11.3f}")
+    print(f"{'mode':<10}  {'trace':<16}  {'call':<12}  {'best (ms)':>9}")
+    for mode, trace, call, best in rows:
+        print(f"{mode:<10}  {trace:<16}  {call:<12}  {best * 1e3:>9.3f}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import functools
 import operator
 import os
 import sys
-import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -50,13 +49,19 @@ ROLL_BYTES_PER_READ = 65_536
 BIAS_FACES_PER_WRITE = 4_096
 
 
-@functools.cache
-def _new_file_mode() -> int:
-    # the mode a plain open() gives a new file: 0o666 less the umask, which
-    # can only be read by setting it
-    umask = os.umask(0o022)
-    os.umask(umask)
-    return 0o666 & ~umask
+TEMP_NAME_TRIES = 100  # random temp names tried in a directory before giving up
+
+
+def _create_temp(path: Path) -> tuple[int, str]:
+    """A new file under a random name beside path, created the way a plain
+    open() creates one: the kernel applies the umask to mode 0o666."""
+    for _ in range(TEMP_NAME_TRIES):
+        tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no unused temp file name", str(path))
 
 
 def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
@@ -71,13 +76,12 @@ def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
     written: list[tuple[str, Path]] = []
     try:
         for path, make_text in files.items():
-            fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+            fd, tmp = _create_temp(path)
             written.append((tmp, path))
             with open(fd, "w", encoding="utf-8") as fh:
                 text = make_text()
                 fh.writelines((text,) if isinstance(text, str) else text)
                 del text  # before the next text is made
-            os.chmod(tmp, _new_file_mode())  # mkstemp creates files as 0600
         for _, path in written:  # a rename over a directory would fail after the ones before it
             if os.path.isdir(path) and not os.path.islink(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))

@@ -55,7 +55,7 @@ def dice_table(dselect: int) -> tuple[int, int, int, int, int]:
 #  tilt debounce
 # ======================================================================
 
-@dataclass
+@dataclass(slots=True)
 class TiltState:
     """Ten-sample shift window plus the derived upright level."""
 
@@ -81,7 +81,7 @@ def tilt_update(state: TiltState, sample: int, intuitive: bool = False) -> TiltS
 #  dice selection FSM
 # ======================================================================
 
-@dataclass
+@dataclass(slots=True)
 class SelectionState:
     """Selector, its dice table row (diceval and the four set digits), the
     display mode, and the keep-awake arm."""
@@ -99,9 +99,12 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     The buttons are sampled as levels every tick (no edge detector), so
     holding a button steps the selector once per tick. Both buttons together
     disarm keep-awake and change nothing else. While not upright only setmode
-    drops; the selector and dice table row hold.
+    drops; the selector and dice table row hold. A tick that changes nothing
+    returns the state it was given.
     """
     if not upright:
+        if not state.setmode:
+            return state
         return SelectionState(False, state.dselect, state.diceval, state.set_digits, state.keepon)
     setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
     if btn_up and btn_down:
@@ -113,6 +116,9 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
         setmode = True
         dselect = 7 if dselect == 0 else dselect - 1
     row = dice_table(dselect)
+    if (setmode == state.setmode and dselect == state.dselect and keepon == state.keepon
+            and row[0] == state.diceval and row[1:] == state.set_digits):
+        return state
     return SelectionState(setmode, dselect, row[0], row[1:], keepon)
 
 
@@ -120,7 +126,7 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
 #  roll pipeline
 # ======================================================================
 
-@dataclass
+@dataclass(slots=True)
 class RollState:
     """The live display digits, and the held copy that freezes while upright."""
 
@@ -136,14 +142,19 @@ def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -
     Not upright: compute out = (rand mod diceval) + 1, split it into display
     digits shifted one place left (units land in the tens position, ones gets
     the blank code), and refresh both the live and the held digits. Upright:
-    the live digits copy the held ones, freezing the display.
+    the live digits copy the held ones, freezing the display. A tick that
+    changes nothing returns the state it was given.
     """
     if upright:
+        if state.live == state.held:
+            return state
         return RollState(state.out, state.held_diceval, state.held, state.held)
     if diceval <= 0:
         raise ValueError(f"diceval must be positive: {diceval}")
     out = ((rand_word & MASK32) % diceval) + 1
     digits = (out // 100, out // 10 % 10, out % 10, 0xF)
+    if out == state.out and diceval == state.held_diceval and digits == state.live == state.held:
+        return state
     return RollState(out, diceval, digits, digits)
 
 
@@ -157,7 +168,7 @@ def held_value(state: RollState) -> int:
 #  keep-awake
 # ======================================================================
 
-@dataclass
+@dataclass(slots=True)
 class PowerState:
     """Keep-awake outputs: onsig drives onpin, clk5 drives led0."""
 

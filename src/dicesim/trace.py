@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
+from typing import NamedTuple
 
 from .device import DEFAULT_ADC_SEED, Device, SyntheticAdc, held_value
 from .display import DCODE, bcd_select, render_word, unpack_word
@@ -86,8 +87,7 @@ class TraceParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t_us: int
     signal: str
     value: int
@@ -127,8 +127,40 @@ def _parse_int(text: str, line_no: int, field_name: str) -> int:
     return value
 
 
+# A well-formed line: blanks, then optionally the three fields, a timestamp of
+# at most 18 digits and a value of at most 5, parted by blanks, then an
+# optional comment, and a LF after at most one CR, or the end of the text.
+_LINE = re.compile(r"[ \t]*(?:([0-9]{1,18})[ \t]+(%s)[ \t]+([0-9]{1,5})[ \t]*)?(?:#[^\n]*)?(?:\r?\n|\Z)"
+                   % "|".join(SIGNALS))
+
+
 def parse_trace(text: str) -> list[TraceEvent]:
-    """Parse trace text into an event list, enforcing order and ranges."""
+    """Parse trace text into an event list, enforcing order and ranges. A
+    text of well-formed lines in order and in range is read by _LINE's
+    matches, each starting where the one before ended; any other text goes
+    to _parse_lines, which alone names errors."""
+    events = []
+    pos = last_t = 0
+    for match in _LINE.finditer(text):
+        if match.start() != pos:
+            break
+        pos = match.end()
+        t_text, signal, v_text = match.groups()
+        if t_text is None:  # a blank or comment line
+            continue
+        t_us, value = int(t_text), int(v_text)
+        if t_us < last_t or value > (0xFFFF if signal == "ADC" else 1):
+            break
+        events.append(TraceEvent(t_us, signal, value))
+        last_t = t_us
+    else:
+        if pos == len(text):
+            return events
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> list[TraceEvent]:
+    """parse_trace line by line, naming the line and field of an error."""
     events: list[TraceEvent] = []
     last_t = -1
     for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
@@ -309,8 +341,9 @@ class Board:
                 dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample)
                 if dev.tilt.upright and not tilt.upright:
                     log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
-                self.note_display(t_us)
-                self.note_uart(edge)  # no frame starts on this edge (fact 2)
+                if dev.selection is not selection or dev.roll is not roll:  # the notes read only these two
+                    self.note_display(t_us)
+                    self.note_uart(edge)  # no frame starts on this edge (fact 2)
                 self.hz10_steps += 1
                 # a steady span (fact 4) with STEADY_MIN_STEPS or more steps left by
                 # cycle: jump to the last (in FEEDBACK mode, once rand_reg has latched)

@@ -635,6 +635,37 @@ def test_write_atomic_keeps_plain_file_mode(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
 
 
+def test_outputs_are_written_without_setting_the_umask(tmp_path, monkeypatch, capsys):
+    # the umask is process-wide: setting it, even to read it, would race other threads' new files
+    def umask(mask):
+        raise AssertionError("os.umask was called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    trace = tmp_path / "boot.trace"
+    trace.write_text(BOOT)
+    assert _run(capsys, "simulate", "--trace", str(trace), "--out", str(tmp_path / "run"), "--uart-bits")[0] == 0
+    assert _run(capsys, "rolls", "--sides", "6", "--count", "5", "--out", str(tmp_path / "rolls.csv"))[0] == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["log.csv", "state.json", "uart.csv", "uart_bits.csv"]
+
+
+def test_write_atomic_tries_another_temp_name_when_one_exists(tmp_path, monkeypatch):
+    # a temp name already taken is never written through; after TEMP_NAME_TRIES taken
+    # names the write fails naming the user's path
+    target, taken = tmp_path / "out.txt", bytes(6)
+    (tmp_path / f".out.txt.{taken.hex()}.tmp").write_text("someone else's\n", encoding="utf-8")
+    draws = iter([taken, taken, b"\x01" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    cli._write_atomic({target: lambda: "hello\n"})
+    assert target.read_text(encoding="utf-8") == "hello\n"
+    assert (tmp_path / f".out.txt.{taken.hex()}.tmp").read_text(encoding="utf-8") == "someone else's\n"
+    monkeypatch.setattr(os, "urandom", lambda n: taken)
+    with pytest.raises(FileExistsError) as info:
+        cli._write_atomic({target: lambda: "again\n"})
+    assert info.value.filename == str(target)
+    assert target.read_text(encoding="utf-8") == "hello\n"
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_write_error_names_the_users_path(tmp_path, monkeypatch, capsys):
     # the temp file's random name never reaches stderr, so two runs print the same
     monkeypatch.chdir(tmp_path)

@@ -369,3 +369,85 @@ def test_digit_registers_stay_on_their_rows(mode, intuitive, steps):
         assert dev.roll.live in (dev.roll.held, (0, 0, 0, 0))
         assert dev.selection.diceval == row[0]
         assert dev.selection.set_digits in (row[1:], (0, 0, 0, 0))
+
+
+# ----------------------------------------------------------------------
+#  unchanged states: an update that changes nothing returns what it was given
+# ----------------------------------------------------------------------
+
+def _selection_built(state, upright, btn_up, btn_down):
+    """The state a selection tick builds, as its branches construct it."""
+    if not upright:
+        return SelectionState(False, state.dselect, state.diceval, state.set_digits, state.keepon)
+    setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
+    if btn_up and btn_down:
+        keepon = False
+    elif btn_up or btn_down:
+        setmode, dselect = True, (dselect + (1 if btn_up else -1)) % 8
+    row = DICE_TABLE[dselect]
+    return SelectionState(setmode, dselect, row[0], row[1:], keepon)
+
+
+def _roll_built(state, rand_word, diceval, upright):
+    """The state a roll tick builds, as its branches construct it."""
+    if upright:
+        return RollState(state.out, state.held_diceval, state.held, state.held)
+    out = rand_word % diceval + 1
+    digits = (out // 100, out // 10 % 10, out % 10, 0xF)
+    return RollState(out, diceval, digits, digits)
+
+
+def _check_update(update, built, state, *args):
+    after, want = update(state, *args), built(state, *args)
+    assert after == want
+    assert (after is state) == (want == state)
+    return after is state
+
+
+BLANK = (0, 0, 0, 0)
+ROW3 = DICE_TABLE[3][1:]
+D6_ROLL = RollState(4, 6, (0, 0, 4, 0xF), (0, 0, 4, 0xF))  # out 4 of a d6
+
+
+@pytest.mark.parametrize("state, args, same", [
+    (SelectionState(False, 3, 8, ROW3, True), (False, 1, 0), True),       # face down, setmode off
+    (SelectionState(True, 3, 8, ROW3, True), (False, 0, 0), False),       # face down drops setmode
+    (SelectionState(True, 3, 8, ROW3, True), (True, 0, 0), True),         # upright, no button
+    (SelectionState(), (True, 0, 0), False),                              # the first upright tick after reset
+    (SelectionState(False, 3, 8, ROW3, False), (True, 1, 1), True),       # both buttons, already disarmed
+    (SelectionState(False, 3, 8, ROW3, True), (True, 1, 1), False),       # both buttons disarm
+    (SelectionState(True, 3, 8, ROW3, True), (True, 1, 0), False),        # up steps the selector
+    (SelectionState(True, 0, 2, DICE_TABLE[0][1:], True), (True, 0, 1), False),  # down wraps to 7
+])
+def test_selection_update_returns_an_unchanged_state_itself(state, args, same):
+    assert _check_update(selection_update, _selection_built, state, *args) == same
+
+
+@pytest.mark.parametrize("state, args, same", [
+    (D6_ROLL, (77, 6, True), True),                                       # upright, live == held
+    (RollState(4, 6, BLANK, D6_ROLL.held), (77, 6, True), False),         # upright after a reset blanked live
+    (D6_ROLL, (3 + 6 * 1000, 6, False), True),                            # face down, the same roll again
+    (D6_ROLL, (4, 6, False), False),                                      # face down, another roll
+    (D6_ROLL, (3, 8, False), False),                                      # the same out of another die
+    (RollState(4, 6, BLANK, D6_ROLL.held), (3, 6, False), False),         # the same roll after a reset
+])
+def test_roll_update_returns_an_unchanged_state_itself(state, args, same):
+    assert _check_update(roll_update, _roll_built, state, *args) == same
+
+
+DIGITS = st.tuples(*[st.integers(0, 0xF)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(SelectionState, st.booleans(), st.integers(0, 7), st.sampled_from(SUPPORTED_DICE),
+                 st.one_of(st.just(BLANK), st.sampled_from([row[1:] for row in DICE_TABLE.values()])),
+                 st.booleans()),
+       st.builds(RollState, st.integers(1, 100), st.sampled_from(SUPPORTED_DICE),
+                 st.one_of(st.just(BLANK), DIGITS), DIGITS),
+       st.booleans(), BIT, BIT, st.one_of(st.integers(0, 199), WORD), st.sampled_from(SUPPORTED_DICE))
+def test_updates_return_a_new_state_only_when_it_differs(selection, roll, upright, btn_up, btn_down, word, sides):
+    # the replay notes the display and the UART only when one of them is a new object
+    _check_update(selection_update, _selection_built, selection, upright, btn_up, btn_down)
+    _check_update(roll_update, _roll_built, roll, word, sides, upright)
+    same = RollState(roll.out, roll.held_diceval, roll.held, roll.held)
+    assert roll_update(same, word, sides, True) is same

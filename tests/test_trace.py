@@ -167,6 +167,84 @@ def test_load_trace_reads_the_file_as_its_text(tmp_path):
         load_trace(path)
 
 
+# fields the pattern of a well-formed line does not take: the per-line reader
+# accepts the long ones (19 digits, or leading zeros past 4 300) and names the rest
+ODD_FIELDS = ("+1", "-0", "1_0", "\u0663", "1\xa0", "", "9" * 18, "9" * 19, "0" * 4_400 + "5", "1" + "0" * 4_300)
+FLAWS = ("backwards", "out of range", "odd field", "odd blank", "unknown signal", "lone CR")
+BLANKS = st.sampled_from((" ", "\t", " \t "))
+COMMENTS = st.text(st.sampled_from("a #\t\r\x85\u2028\xa0"), max_size=5).map(lambda text: "#" + text)
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text of well-formed lines, events, blank lines and comments with
+    LF or CRLF ends, one of them at times with a flaw, and any end to the
+    last line: none, LF, CRLF or a lone CR."""
+    count = draw(st.integers(0, 8))
+    flaw, at = draw(st.sampled_from((None,) * 3 + FLAWS)), draw(st.integers(0, max(count - 1, 0)))
+    lines, t_us = [], 0
+    for i in range(count):
+        flawed = flaw if i == at else None
+        line = draw(st.sampled_from(("", " ", "\t")))
+        if flawed or draw(st.integers(0, 3)):  # an event
+            t_us += -1 if flawed == "backwards" else draw(st.integers(0, 10**6))
+            signal = "TLIT" if flawed == "unknown signal" else draw(st.sampled_from(SIGNALS))
+            top = 0xFFFF if signal == "ADC" else 1
+            value = top + draw(st.integers(1, 99)) if flawed == "out of range" else draw(st.integers(0, top))
+            fields = [draw(st.sampled_from(("", "0", "000"))) + str(n) for n in (t_us, value)]
+            if flawed == "odd field":
+                fields[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_FIELDS))
+            blanks = [draw(BLANKS), draw(BLANKS)]
+            if flawed == "odd blank":
+                blanks[draw(st.integers(0, 1))] = draw(st.sampled_from(("\xa0", "\x0c", "\x0b")))
+            line += fields[0] + blanks[0] + signal + blanks[1] + fields[1] + draw(st.sampled_from(("", " ", "\t")))
+        if draw(st.booleans()):
+            line += draw(COMMENTS)
+        lines.append(line + ("\r" if flawed == "lone CR" else draw(st.sampled_from(("\n", "\r\n")))))
+    if lines:
+        lines[-1] = lines[-1].removesuffix("\n").removesuffix("\r") + draw(st.sampled_from(("", "\n", "\r\n", "\r")))
+    return "".join(lines)
+
+
+def _parsed(parse, text):
+    """The events parse reads in text, or the message of its TraceParseError."""
+    try:
+        events = parse(text)
+    except TraceParseError as exc:
+        return str(exc)
+    assert all(type(ev) is TraceEvent for ev in events)
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_texts())
+@example("")
+@example("5 TILT 1\r")  # a final lone CR is no line end: the value is "1\r"
+@example("0 RESET 0\n5 TILT 1\r")
+@example("5 TILT 1 # a\rb\r\n6 ADC 65535")
+@example("5 TILT 1\r\r\n")
+@example("10 TILT 1\n5 TILT 0\n")
+def test_pattern_reads_what_the_line_reader_reads(text):
+    # parse_trace gives the events of the per-line reader, or its error text
+    assert _parsed(parse_trace, text) == _parsed(dicesim.trace._parse_lines, text)
+
+
+def test_busy_trace_and_its_crlf_copy_take_the_pattern_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import replay_busy
+
+    (_, text), = replay_busy(0).inputs
+    events = dicesim.trace._parse_lines(text)
+
+    def unused(text):
+        raise AssertionError("the per-line reader was called")
+
+    monkeypatch.setattr(dicesim.trace, "_parse_lines", unused)
+    crlf = "# the busy session\r\n" + text.replace("\n", "\r\n")
+    for copy in (text, crlf, crlf.removesuffix("\r\n")):
+        assert parse_trace(copy) == events
+
+
 def test_parse_allows_equal_timestamps():
     events = parse_trace("5 TILT 1\n5 BTNU 1")
     assert len(events) == 2
