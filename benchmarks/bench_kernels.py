@@ -111,7 +111,7 @@ def check_text_kernels():
         assert text == roll_lines(words, sides), sides
         for block in reads(text.encode("ascii")):
             assert kernels.count_rolls(block, sides) == count_reference(block, sides), sides
-    for low, high, count in ((1, 20_000, 7), (95, 1_005, 2**64 // 3), (999_000, 1_001_000, 0)):
+    for low, high, count in ((1, 20_000, 7), (95, 1_005, 2**64 // 3), (99_950, 100_250, 5), (999_000, 1_001_000, 0)):
         assert kernels.format_faces(low, high, count) == faces_reference(low, high, count)
     report = modulo_bias(BIAS_SIDES)
     assert "".join(cli._bias_lines(report)) == report_reference(report)

@@ -46,7 +46,7 @@ EXIT_ANALYSIS = 3
 DEFAULT_ROLL_SEED = 1
 ROLLS_PER_CHUNK = 65_536
 ROLL_BYTES_PER_READ = 65_536
-BIAS_FACES_PER_WRITE = 4_096
+BIAS_FACES_PER_WRITE = 4_000  # a multiple of 100, so a write splits no block of `kernels.format_faces`
 
 
 TEMP_NAME_TRIES = 100  # random temp names tried in a directory before giving up
@@ -223,8 +223,10 @@ def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
         faces = kernels.count_rolls(block, sides)
         if faces is None:
             faces = _count_lines(block, line_no + 1, sides)
+            line_no += block.count(b"\n")  # only the file's last line may lack a LF
+        else:
+            line_no += sum(faces)  # one roll per line
         counts = list(map(operator.add, counts, faces))
-        line_no += block.count(b"\n")  # only the file's last line may lack a LF
         block = fh.read(ROLL_BYTES_PER_READ)
         if not block.endswith(b"\n"):
             block += fh.readline()
@@ -232,12 +234,15 @@ def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
 
 
 def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
-    """The face lines of a bias report, BIAS_FACES_PER_WRITE faces at a time:
-    faces 1..remainder have one count and the rest the other."""
-    for first, end, count in ((1, report.remainder + 1, report.quotient + 1),
-                              (report.remainder + 1, report.dice_sides + 1, report.quotient)):
-        for low in range(first, end, BIAS_FACES_PER_WRITE):
-            yield kernels.format_faces(low, min(low + BIAS_FACES_PER_WRITE, end), count)
+    """The face lines of a bias report, a write of at most
+    BIAS_FACES_PER_WRITE faces up to each multiple of it: faces
+    1..remainder have one count and the rest the other."""
+    for low, end, count in ((1, report.remainder + 1, report.quotient + 1),
+                            (report.remainder + 1, report.dice_sides + 1, report.quotient)):
+        while low < end:
+            high = min(end, (low // BIAS_FACES_PER_WRITE + 1) * BIAS_FACES_PER_WRITE)
+            yield kernels.format_faces(low, high, count)
+            low = high
 
 
 def cmd_stats(args) -> int:

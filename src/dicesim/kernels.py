@@ -1,4 +1,4 @@
-"""Bulk generator kernels in numpy: jump-ahead and sequences by doubling.
+"""Bulk generator kernels in numpy: jump-ahead, and sequences by doubling and by lanes.
 
 The xorshift transform T (`prng.xorshift_step`) is linear over GF(2), so k
 steps are one 32x32 bit matrix T**k (Haramoto, Matsumoto, L'Ecuyer et al.
@@ -18,16 +18,25 @@ strides").
 
 A sequence is filled by doubling: its first word is reached by one jump per
 set bit of its offset in the stream, then the jump by 2**i maps the 2**i
-words made so far onto the next 2**i. A sequence may begin `start` words
-into the stream, so a long one is made a chunk at a time, each chunk
-continuing where the one before stopped.
+words made so far onto the next 2**i. A long feedback sequence is filled
+as lanes of stride 2**m instead: the first word of each lane comes from
+the orbit of the jump by 2**m, whose levels are the cached tables of
+T**(2**(i + m)), and each later word of a lane is one step of the word
+before, one `prng.xorshift_step` per row of lanes. The stateless sequence
+keeps plain doubling: its jump by 2**i, one multiply and one add, costs no
+more than a step, so lanes would add work there. A sequence may begin
+`start` words into the stream, so a long one is made a chunk at a time,
+each chunk continuing where the one before stopped.
 
 The text of a rolls CSV is made and read here too, a block at a time with
 no Python step per roll: `format_rolls` gathers each face's line from a
-table of NUL-padded uint32 words, and `count_rolls` counts a block of bare
-1- to 3-digit lines by digit arithmetic at its LFs. The face lines of a
-bias report are written the same way: `format_faces` fills the digit
-columns of a run of faces one place at a time.
+table of NUL-padded uint32 words, and `count_rolls` reads each line of a
+block of bare 1- to 3-digit lines as one window, the little-endian word of
+its last three bytes and its LF, whose digits' low nibbles make a 12-bit
+key; it counts the keys with one `bincount` and maps them to faces through
+a table. The face lines of a bias report are joins in plain Python:
+`format_faces` makes each block of 100 faces that share their leading
+digits with one `str.join` over 101 pieces fixed by the count.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ import functools
 
 import numpy as np
 
-from .prng import MASK32, apply_tables, lcg_power, power_tables, xorshift_step
+from .prng import MASK32, apply_tables, lcg_power, power_tables, xorshift_jump, xorshift_step
+
+LANES = 4_096  # the fewest lanes a feedback sequence of 2 * LANES words or more is filled as
 
 
 # ======================================================================
@@ -85,8 +96,23 @@ def _orbit(first: int, n: int, jump, start: int) -> np.ndarray:
 
 def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n successive outputs of the free-running xorshift from seed, after
-    skipping its first start outputs."""
-    return _orbit(int(seed), int(n), _xorshift_jump, int(start) + 1)
+    skipping its first start outputs.
+
+    The outputs are filled as lanes of stride 2**m, the largest stride that
+    leaves at least LANES lanes: row 0, the first output of each lane, is
+    the orbit of the jump by 2**m, and each row after it is one step of the
+    row before. Below 2 * LANES outputs the stride is 1, so the orbit is the
+    whole sequence.
+    """
+    n = int(n)
+    m = max(0, (n // LANES).bit_length() - 1)
+    stride = 1 << m
+    rows = np.empty((stride, -(-n // stride)), dtype=np.uint32)
+    row = rows[0] = _orbit(xorshift_jump(int(seed), int(start) + 1), rows.shape[1],
+                           lambda i, x: _xorshift_jump(i + m, x), 0)
+    for t in range(1, stride):
+        row = rows[t] = xorshift_step(row)  # it changes its argument, of which rows[t - 1] is a copy
+    return rows.T.reshape(-1)[:n]
 
 
 def stateless_sequence(lcg_seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -132,13 +158,16 @@ def format_rolls(words, sides: int) -> str:
 
 
 @functools.cache
-def _place_values() -> np.ndarray:
-    """Value of a digit byte at each of a line's last three places, by
-    [place, byte]; any other byte (the LF) is 0. Built on first use, so
-    the commands that count no rolls never pay for it."""
-    table = np.zeros((3, 256), dtype=np.int32)
-    table[:, _DIGITS[0]:_DIGITS[-1] + 1] = np.outer((1, 10, 100), np.arange(10))
-    return table
+def _window_faces() -> np.ndarray:
+    """Face value of each window key, whose hex digits 0xHTO are the low
+    nibbles of a line's last three bytes before its LF: a digit's value, or
+    0xA for a LF. A key no line of 1 to 3 digits makes is 0, not a face.
+    Built on first use, so the commands that count no rolls never pay for it."""
+    key = np.arange(16 ** 3)
+    hundreds, tens, ones = key >> 8, key >> 4 & 0xF, key & 0xF
+    value = np.where(hundreds == 0xA, 0, 100 * hundreds) + 10 * tens + ones
+    value = np.where(tens == 0xA, ones, value)  # a 1-digit line, whatever byte comes before it
+    return np.where((hundreds > 0xA) | (tens > 0xA) | (ones > 9), 0, value)
 
 
 def count_rolls(block: bytes, sides: int) -> list[int] | None:
@@ -146,45 +175,51 @@ def count_rolls(block: bytes, sides: int) -> list[int] | None:
     and is 1 to 3 ASCII digits of a value in 1..sides; else None."""
     if not block.endswith(b"\n") or block.translate(None, _DIGITS + b"\n"):
         return None
-    # two LFs ahead: every line's last three places lie in the array, and
-    # the place before a line's digits is a LF, which counts as 0
-    text = np.frombuffer(b"\n\n" + block, dtype=np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    length = np.diff(ends)[1:] - 1
-    ends = ends[2:]
-    if length.min() < 1 or length.max() > 3:
+    # three LFs ahead: every line has three bytes before its LF, and a
+    # 1-digit line has a LF two bytes before its own
+    text = b"\n\n\n" + block
+    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+    width = np.diff(ends[2:])  # each line's length and its LF
+    if width.min() < 2 or width.max() > 4:
         return None
-    place = _place_values()
-    value = (place[0, text[ends - 1]] + place[1, text[ends - 2]]
-             + np.where(length == 3, place[2, text[ends - 3]], 0))
-    if value.min() < 1 or value.max() > sides:
+    # the little-endian word of each line's last three bytes and its LF;
+    # times 0x10010010 its three low nibbles land in the top 12 bits, with no
+    # two of the partial products sharing a bit
+    windows = np.ndarray(len(text) - 3, dtype="<u4", buffer=text, strides=(1,))
+    keys = windows.take(ends[3:] - 3) & np.uint32(0x0F0F0F)
+    keys *= np.uint32(0x10010010)
+    keys >>= np.uint32(20)
+    faces = np.zeros(1_000, dtype=np.int64)  # every value of 1 to 3 digits
+    np.add.at(faces, _window_faces(), np.bincount(keys, minlength=16 ** 3))
+    if faces[0] or faces[sides + 1:].any():
         return None
-    return np.bincount(value, minlength=sides + 1)[1:].tolist()
+    return faces[1:sides + 1].tolist()
 
 
 # ======================================================================
 #  bias report text
 # ======================================================================
 
-_FACE = np.frombuffer(b"face ", dtype=np.uint8)
+@functools.lru_cache(maxsize=2)  # a bias report's two counts
+def _face_pieces(count: int) -> tuple[str, ...]:
+    """The 101 pieces that str(b).join makes the 100 lines of faces
+    100 * b .. 100 * b + 99 with count from, for b >= 1."""
+    return ("face ", *(f"{last:02d},{count}\nface " for last in range(99)), f"99,{count}\n")
 
 
 def format_faces(low: int, high: int, count: int) -> str:
     """The bias report lines f"face {n},{count}\\n" for n in low..high-1,
-    low >= 0. Each run of faces of one digit width is an array of lines
-    whose digit columns are filled one place at a time."""
-    suffix = np.frombuffer(f",{count}\n".encode("ascii"), dtype=np.uint8)
-    runs = []
+    low >= 0. Each whole block of 100 faces that share their leading digits
+    is one join; the faces of a part of a block, or below 100, are
+    formatted one by one."""
+    pieces = _face_pieces(count)
+    lines = []
     while low < high:
-        width = len(str(low))
-        end = min(high, 10 ** width)
-        lines = np.empty((end - low, _FACE.size + width + suffix.size), dtype=np.uint8)
-        lines[:, :_FACE.size] = _FACE
-        lines[:, _FACE.size + width:] = suffix
-        faces = np.arange(low, end, dtype=np.int64)
-        for place in range(_FACE.size + width - 1, _FACE.size - 1, -1):
-            faces, digit = np.divmod(faces, 10)
-            lines[:, place] = digit + _DIGITS[0]
-        runs.append(lines.tobytes())
+        block = low // 100
+        end = min(high, 100 * block + 100)
+        if block and low % 100 == 0 and end % 100 == 0:
+            lines.append(str(block).join(pieces))
+        else:
+            lines.append("".join([f"face {n},{count}\n" for n in range(low, end)]))
         low = end
-    return b"".join(runs).decode("ascii")
+    return "".join(lines)

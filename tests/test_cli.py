@@ -415,7 +415,7 @@ def test_stats_bias_lines_across_writes(capsys):
 
 def test_stats_bias_count_split_and_write_inside_one_width(capsys):
     # faces 1 000..8 000 are one width, and inside it the count changes
-    # after face 1 216 (2**24 mod 8 000) and a write ends at face 4 096
+    # after face 1 216 (2**24 mod 8 000) and a write ends at face 3 999
     sides = 8_000
     code, out, _ = _run(capsys, "stats", "--bias", str(sides), "--bits", "24")
     assert code == 0

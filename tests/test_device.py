@@ -2,11 +2,13 @@
 
 import copy
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dicesim import device
 from dicesim.device import (
     DICE_TABLE,
     SUPPORTED_DICE,
@@ -369,6 +371,33 @@ def test_digit_registers_stay_on_their_rows(mode, intuitive, steps):
         assert dev.roll.live in (dev.roll.held, (0, 0, 0, 0))
         assert dev.selection.diceval == row[0]
         assert dev.selection.set_digits in (row[1:], (0, 0, 0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODES), st.booleans(), DEVICE_STEPS)
+@example(STATELESS, False, [("hz10", 1, 0, 0, 5)] * 12 + [("reset", 1, 0, 0, 5)] + [("hz10", 1, 0, 0, 6)] * 12)
+def test_upright_roll_ticks_are_given_live_equal_to_held(mode, intuitive, steps):
+    # reset alone blanks the live digits, and it clears the tilt window, so
+    # face-down ticks refresh live and held together before the unit reads
+    # upright again: roll_update's upright branch that copies held into live
+    # is never reached through Device (the branch stays, as the RTL has it)
+    given_upright = []
+
+    def recording(state, rand_word, diceval, upright):
+        if upright:
+            given_upright.append(state.live == state.held)
+        return roll_update(state, rand_word, diceval, upright)
+
+    dev = Device(mode, intuitive)
+    with mock.patch.object(device, "roll_update", recording):
+        for kind, *levels_and_sample in steps:
+            if kind == "s5":
+                dev.s5_tick()
+            elif kind == "reset":
+                dev.reset()
+            else:
+                dev.hz10_tick(*levels_and_sample)
+    assert all(given_upright)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dicesim import kernels, prng
@@ -113,12 +113,19 @@ def test_xorshift_jump_equals_step_chain(x, k):
 
 
 # n = 2**k - 1, 2**k and 2**k + 1 end the doubling with a partial last pass,
-# a whole one, and a pass of one word
+# a whole one, and a pass of one word; from 2 * LANES words on the sequence
+# is filled by lanes, whose last one may be cut short
+LANES = kernels.LANES
+
+
 @settings(max_examples=40, deadline=None)
-@given(words32, st.integers(0, 5_000))
+@given(words32, st.one_of(st.integers(0, 5_000), st.integers(2 * LANES - 2, 6 * LANES)))
 @example(0xDEADBEEF, 4_095)
 @example(0xDEADBEEF, 4_096)
 @example(0xDEADBEEF, 4_097)
+@example(0xDEADBEEF, 2 * LANES - 1)
+@example(0xDEADBEEF, 2 * LANES)
+@example(0xDEADBEEF, 4 * LANES + 3)
 def test_feedback_sequence_equals_reference(seed, n):
     out = kernels.feedback_sequence(seed, n)
     assert out.dtype == np.uint32 and out.shape == (n,)
@@ -149,7 +156,7 @@ def test_sequences_cut_and_continued_equal_the_whole(seed, n, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(words32, st.integers(0, 1 << 62), st.integers(1, 300))
+@given(words32, st.integers(0, 1 << 62), st.one_of(st.integers(1, 300), st.integers(2 * LANES, 3 * LANES)))
 def test_feedback_sequence_start_equals_jump(seed, start, n):
     assert kernels.feedback_sequence(seed, n, start=start).tolist() == \
         feedback_reference(xorshift_jump(seed, start), n)
@@ -218,6 +225,16 @@ def test_count_rolls_equals_per_line_reference(sides, data):
     assert kernels.count_rolls(block, sides) == count_reference(block, sides)
 
 
+@pytest.mark.parametrize("sides, line", [(20, "1001"), (20, "2012"), (20, "0006"), (100, "1100"), (100, "0100")])
+@pytest.mark.parametrize("where", ["{}\n", "{}\n5\n", "5\n{}\n", "5\n{}\n7\n"])
+def test_count_rolls_rejects_four_digits_that_end_in_a_roll(sides, line, where):
+    # the window over a line's last three bytes sees an in-range roll, so
+    # only the length check rejects the line
+    block = where.format(line).encode()
+    assert count_reference(block, sides) is None
+    assert kernels.count_rolls(block, sides) is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.integers(0, 20), st.integers(90, 110), st.integers(999_990, 1_000_010),
                  st.integers(0, 10**12)),
@@ -226,3 +243,15 @@ def test_format_faces_equals_per_face_format(low, length, count):
     # runs that cross the 9/10, 99/100 and 999 999/1 000 000 widths, and empty ones
     for high in (low + length, low - length):
         assert kernels.format_faces(low, high, count) == face_lines((n, count) for n in range(low, high))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((10_000, 100_000, 1_000_000)), st.integers(201, 1_000), st.data(),
+       st.sampled_from((0, 1, 2**64 // 3)))
+def test_format_faces_joins_whole_blocks_across_a_width(width_edge, length, data, count):
+    # runs of more than two 100-face blocks that start and end inside a
+    # block and cross a digit width, so whole blocks are joined on each side
+    low = width_edge - data.draw(st.integers(1, length - 1))
+    assume(low % 100 and (low + length) % 100)
+    assert kernels.format_faces(low, low + length, count) == \
+        face_lines((n, count) for n in range(low, low + length))
