@@ -14,8 +14,10 @@ at a time.
 The busy trace is the event-dense session of the benchmark's `replay_busy`
 workload (perfbench/workloads.py), with the options of its `simulate` call,
 as bench_emit.py reads it: its gaps are too short to jump, so replay steps
-the device on every tick, and its time is the per-tick device cost. Before
-timing, the files it makes are compared, file for file, with those of
+the device on every tick, and its time is the per-tick device cost. It is
+replayed as that call runs it (stateless) and with `--prng-mode feedback`
+added, where each tick also jumps the generator register one HZ10 period.
+Before timing, the files of each are compared, file for file, with those of
 `reference_files` of tests/reference_board.py, which steps every edge.
 
 The busy trace and its CRLF copy are also parsed by `parse_trace`, which
@@ -59,19 +61,21 @@ def main():
             assert got == upright_loop(mode, config.duration_us), (mode, seconds)
             rows.append((mode, f"upright {seconds} s", "replay", best_of(lambda: replay(EVENTS, config))))
     print("every final state matches the loop of steps")
-    events, config = parse_trace(BUSY_TRACE), ReplayConfig(duration_us=BUSY_US)
+    events = parse_trace(BUSY_TRACE)
     for text in (BUSY_TRACE, BUSY_TRACE.replace("\n", "\r\n")):
         assert parse_trace(text) == _parse_lines(text) == events, "busy parse"
     print("the pattern and the per-line reader read the same busy events, LF and CRLF")
     busy = f"busy {BUSY_US / 1e6:g} s"
-    log = replay(events, config)
-    files = {f"log.{BUSY_FORMAT}": emit_log(log, BUSY_FORMAT), "uart.csv": emit_uart_csv(log),
-             "state.json": emit_state_json(log)}
-    reference = reference_files(BUSY_TRACE.encode("ascii"), BUSY_OPTIONS)
-    assert {name: text.encode("utf-8") for name, text in files.items()} == reference, "busy"
-    rows.append(("stateless", busy, "replay", best_of(lambda: replay(events, config))))
+    for mode in MODES:
+        config = ReplayConfig(prng_mode=mode, duration_us=BUSY_US)
+        log = replay(events, config)
+        files = {f"log.{BUSY_FORMAT}": emit_log(log, BUSY_FORMAT), "uart.csv": emit_uart_csv(log),
+                 "state.json": emit_state_json(log)}
+        reference = reference_files(BUSY_TRACE.encode("ascii"), BUSY_OPTIONS + ("--prng-mode", mode))
+        assert {name: text.encode("utf-8") for name, text in files.items()} == reference, ("busy", mode)
+        rows.append((mode, busy, "replay", best_of(lambda: replay(events, config))))
     rows += [("", busy, parse.__name__, best_of(parse, BUSY_TRACE)) for parse in (parse_trace, _parse_lines)]
-    print("the busy session's files match the reference board")
+    print("the busy session's files match the reference board in both modes")
     print(f"{'mode':<10}  {'trace':<16}  {'call':<12}  {'best (ms)':>9}")
     for mode, trace, call, best in rows:
         print(f"{mode:<10}  {trace:<16}  {call:<12}  {best * 1e3:>9.3f}")

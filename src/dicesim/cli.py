@@ -54,34 +54,48 @@ TEMP_NAME_TRIES = 100  # random temp names tried in a directory before giving up
 
 def _create_temp(path: Path) -> tuple[int, str]:
     """A new file under a random name beside path, created the way a plain
-    open() creates one: the kernel applies the umask to mode 0o666."""
+    open() creates one: the kernel applies the umask to mode 0o666. It is
+    opened in binary mode, so its bytes are written as given (O_BINARY is
+    Windows' flag for that, which POSIX systems neither have nor need)."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     for _ in range(TEMP_NAME_TRIES):
         tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
         try:
-            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+            return os.open(tmp, flags, 0o666), tmp
         except FileExistsError:
             continue
     raise FileExistsError(errno.EEXIST, "no unused temp file name", str(path))
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of data to fd: one os.write may take only part of it."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
     """Write each path's text, made by its function, as one set: each to a
     temp file of its own in the path's directory, so concurrent writers
     never share one, then, once every one is whole and no path is a
-    directory, a rename of each over its path. On any failure before that,
-    a chunk source's too, every temp file is removed. Only one text is made
-    at a time. An error that names a file, the temp file made or renamed,
-    is raised again naming the path, so its message holds no random temp
-    name."""
+    directory, a rename of each over its path. Each chunk of text is
+    written as its UTF-8 bytes, so a LF is a LF on every platform. On any
+    failure before the renames, a chunk source's too, every temp file is
+    closed and removed. Only one text is made at a time. An error that
+    names a file, the temp file made or renamed, is raised again naming the
+    path, so its message holds no random temp name."""
     written: list[tuple[str, Path]] = []
     try:
         for path, make_text in files.items():
             fd, tmp = _create_temp(path)
             written.append((tmp, path))
-            with open(fd, "w", encoding="utf-8") as fh:
+            try:
                 text = make_text()
-                fh.writelines((text,) if isinstance(text, str) else text)
+                for chunk in (text,) if isinstance(text, str) else text:
+                    _write_all(fd, chunk.encode("utf-8"))
                 del text  # before the next text is made
+            finally:
+                os.close(fd)
         for _, path in written:  # a rename over a directory would fail after the ones before it
             if os.path.isdir(path) and not os.path.islink(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))

@@ -15,9 +15,21 @@ the new sample shifted in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .prng import MASK32, MODES, STATELESS, lcg_jump, lcg_step, seed_shift, xorshift_jump, xorshift_step
+from .prng import (
+    MASK32,
+    MODES,
+    STATELESS,
+    _byte_tables,
+    apply_tables,
+    lcg_jump,
+    lcg_step,
+    seed_shift,
+    xorshift_jump,
+    xorshift_step,
+)
 from .timing import HALF_PERIODS, HZ10
 
 # dselect -> (diceval, thou, huns, tens, ones display codes)
@@ -42,6 +54,27 @@ DEFAULT_ADC_SEED = 12345
 
 # sysclk edges per HZ10 period: the feedback register's steps between two ticks
 TICK_STEPS = 2 * HALF_PERIODS[HZ10]
+
+# T**TICK_STEPS as the images of the unit vectors, 1 << j at index j, as
+# `prng.xorshift_jump(1 << j, TICK_STEPS)` gives them: a fixed stride needs
+# no table levels, only this one matrix
+TICK_JUMP = (
+    0x0439A156, 0x5058EF94, 0x222A76FA, 0x5F8EDF3A,
+    0x13B29031, 0x96BD0439, 0x3E309BB3, 0x1DC589B3,
+    0x4DA4FB35, 0x63AF67ED, 0xF01925F9, 0xDC078BBD,
+    0x633BF018, 0x2FF52588, 0x718C4CFC, 0xBBA62202,
+    0xC421DD48, 0xCC0C077B, 0xB8207B62, 0xF14AFC69,
+    0x5B0FD3FD, 0x01001C17, 0x95E9B411, 0xF865ED09,
+    0xCF9C9113, 0x2336248D, 0x2A8528C3, 0xDCFB38F8,
+    0xFB3D1AA9, 0x7741E975, 0xAC3AE03C, 0xD47DF3D5,
+)
+
+
+@functools.cache
+def _tick_tables():
+    """Byte tables of TICK_JUMP, built on the first feedback tick, so a
+    process that never runs one never pays for them."""
+    return _byte_tables(TICK_JUMP)
 
 
 def dice_table(dselect: int) -> tuple[int, int, int, int, int]:
@@ -225,7 +258,8 @@ class Device:
     wiring there); everything else returns to its documented reset value.
     Each hz10_tick is one HZ10 period after the one before. In FEEDBACK mode
     the rand register latches the xorshift of the first nonzero seed value it
-    observes, then free-runs on the system clock: TICK_STEPS steps per tick.
+    observes, then free-runs on the system clock: TICK_STEPS steps per tick,
+    one pass of the TICK_JUMP tables.
     """
 
     def __init__(self, prng_mode: str = STATELESS, intuitive_tilt: bool = False) -> None:
@@ -255,7 +289,7 @@ class Device:
         if self.prng_mode == STATELESS:
             return xorshift_step(self.seed)
         if self.rand_reg:
-            self.rand_reg = xorshift_jump(self.rand_reg, TICK_STEPS)
+            self.rand_reg = apply_tables(_tick_tables(), self.rand_reg)
         else:  # zero until the first nonzero seed, which it latches stepped once
             self.rand_reg = xorshift_step(self.seed)
         return self.rand_reg

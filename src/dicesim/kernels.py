@@ -6,8 +6,8 @@ steps are one 32x32 bit matrix T**k (Haramoto, Matsumoto, L'Ecuyer et al.
 builds and caches the byte lookup tables of T**(2**i), each one uint32
 buffer; here each level's buffer is viewed in place as a flat array, and
 `prng.apply_tables` maps a whole uint32 array through it in one pass. The
-device's own register jumps one HZ10 period per tick in `prng` and never
-reaches this module. Element-wise steps and inverses of arrays call
+device's own register jumps one HZ10 period per tick through the tables of
+`device.TICK_JUMP` and never reaches this module. Element-wise steps and inverses of arrays call
 `prng.xorshift_step` and `prng.xorshift_inverse` themselves.
 
 The synthetic ADC source is an LCG (`prng.lcg_step`, which `SyntheticAdc`
@@ -154,7 +154,7 @@ def format_rolls(words, sides: int) -> str:
     """The rolls CSV lines of words: face (word mod sides) + 1, one per line."""
     table = _line_table(sides)
     faces = np.asarray(words, dtype=np.uint32) % np.uint32(sides)
-    return table[faces].tobytes().translate(None, b"\0").decode("ascii")
+    return table.take(faces).tobytes().translate(None, b"\0").decode("ascii")
 
 
 @functools.cache

@@ -20,6 +20,7 @@ two runs produce byte-identical logs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import re
@@ -27,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -565,6 +567,41 @@ def _frame_text(before, lines, starts) -> str:
     return "".join((head, *blocks, tail[:len(tail) - len(before)]))
 
 
+def _leaf_texts(node, out: list) -> list:
+    """The JSON text of each leaf of a snapshot (an int, a str or a bool),
+    appended to out in the order json.dumps with sort_keys writes them."""
+    for value in map(node.__getitem__, sorted(node)) if type(node) is dict else node:
+        kind = type(value)
+        if kind is int:
+            out.append(str(value))
+        elif kind is str:
+            out.append(encode_basestring_ascii(value))
+        elif kind is bool:
+            out.append("true" if value else "false")
+        else:  # a dict or a list
+            _leaf_texts(value, out)
+    return out
+
+
+def _blanked(node):
+    """A snapshot with each leaf replaced by the string NUL."""
+    if isinstance(node, dict):
+        return {key: _blanked(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_blanked(value) for value in node]
+    return "\0"
+
+
+@functools.cache
+def _state_template() -> str:
+    """state.json as a % template with one %s per leaf: json.dumps's indented,
+    key-sorted layout of the shape every snapshot has, a power-on board's."""
+    text = json.dumps(_blanked(Board(ReplayConfig()).snapshot()), indent=2, sort_keys=True)
+    return text.replace("%", "%%").replace('"\\u0000"', "%s") + "\n"
+
+
 def emit_state_json(log: RunLog) -> str:
-    """Final device snapshot as stable-keyed JSON."""
-    return json.dumps(log.final_state, indent=2, sort_keys=True) + "\n"
+    """Final device snapshot as stable-keyed JSON, as json.dumps writes it
+    with indent=2 and sort_keys, and a LF: the leaves' JSON texts filled into
+    the layout of `_state_template`."""
+    return _state_template() % tuple(_leaf_texts(log.final_state, []))

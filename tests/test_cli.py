@@ -704,6 +704,25 @@ def test_write_atomic_failure_leaves_no_temp_file(tmp_path, monkeypatch, text, p
         assert target.read_text(encoding="utf-8") == "old\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
+def test_write_atomic_chunk_failure_closes_and_removes_every_temp_file(tmp_path):
+    # the first file is whole and the second has one chunk written when its
+    # source raises: neither temp file is left, nor its descriptor open
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_bytes(b"old a\n")
+    second.write_bytes(b"old b\n")
+
+    def chunks():
+        yield "roll\n"
+        raise OSError("chunk source failed")
+
+    descriptors = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="chunk source failed"):
+        cli._write_atomic({first: lambda: "new a\n", second: chunks})
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.csv": b"old a\n", "b.csv": b"old b\n"}
+
+
 @pytest.mark.parametrize("failing", ["emit_state_json", "emit_uart_bits_csv"])
 def test_simulate_failure_leaves_the_previous_set_whole(tmp_path, capsys, monkeypatch, failing):
     # the third or fourth file fails after the ones before it were written

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicesim import device
+from dicesim import device, kernels, prng
 from dicesim.device import (
     DICE_TABLE,
     SUPPORTED_DICE,
+    TICK_JUMP,
+    TICK_STEPS,
     UPRIGHT_THRESHOLD,
     WINDOW_BITS,
     WINDOW_MASK,
@@ -28,8 +30,10 @@ from dicesim.device import (
     selection_update,
     tilt_update,
 )
-from dicesim.prng import FEEDBACK, MASK32, MODES, STATELESS, xorshift_step
+from dicesim.prng import FEEDBACK, MASK32, MODES, STATELESS, apply_tables, xorshift_jump, xorshift_step
 from dicesim.timing import HALF_PERIODS, HZ10
+from dicesim.trace import ReplayConfig, parse_trace, replay
+from reference_board import gf2_power, shift_stage
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +262,35 @@ def test_device_feedback_latches_then_free_runs():
     for _ in range(2 * HALF_PERIODS[HZ10]):
         expected = xorshift_step(expected)
     assert dev.rand == dev.rand_reg == expected
+
+
+def test_tick_jump_is_the_jump_of_each_unit_vector():
+    assert TICK_STEPS == 2 * HALF_PERIODS[HZ10]
+    assert list(TICK_JUMP) == [xorshift_jump(1 << j, TICK_STEPS) for j in range(32)]
+
+
+def test_tick_jump_is_the_columns_of_the_bit_matrix_oracle():
+    # T as the product of its three shift stages, built from nothing in prng;
+    # column j of T**TICK_STEPS is the image of 1 << j
+    step = shift_stage(13) @ shift_stage(-9) @ shift_stage(7) % 2
+    tick = gf2_power(step, TICK_STEPS)
+    assert list(TICK_JUMP) == [sum(int(bit) << i for i, bit in enumerate(tick[:, j])) for j in range(32)]
+
+
+@given(st.integers(0, MASK32))
+def test_tick_tables_jump_any_word_one_tick(x):
+    assert apply_tables(device._tick_tables(), x) == xorshift_jump(x, TICK_STEPS)
+
+
+def test_feedback_replay_without_a_steady_span_builds_no_jump_levels():
+    # never upright, so every roll tick is stepped and none is jumped in a span;
+    # kernels caches views of prng's level buffers, so both caches go together
+    prng.power_tables.cache_clear()
+    kernels._tables.cache_clear()
+    events = parse_trace("0 RESET 1\n1000 RESET 0\n1000 ADC 4660\n")
+    log = replay(events, ReplayConfig(prng_mode=FEEDBACK, duration_us=3_000_000))
+    assert log.final_state["prng"]["rand_reg"] != 0 and not log.final_state["tilt"]["upright"]
+    assert prng.power_tables.cache_info().currsize == 0
 
 
 def test_device_feedback_zero_seed_stays_degenerate():

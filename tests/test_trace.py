@@ -656,6 +656,14 @@ def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits, intuitive)
     assert got["files"] == reference_board.file_digests(reference_board.reference_files(text, options))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_reset_traces(), _upright_traces()), st.sampled_from(("stateless", "feedback")), st.booleans())
+def test_state_json_is_the_layout_of_json_dumps(trace, mode, intuitive):
+    events, duration_us = trace
+    log = replay(events, ReplayConfig(prng_mode=mode, intuitive_tilt=intuitive, duration_us=duration_us))
+    assert emit_state_json(log) == json.dumps(log.final_state, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("mode", ["stateless", "feedback"])
 def test_hour_upright_equals_a_loop_of_steps(mode):
     # an hour upright is one jump after the first steady step; its seed,
