@@ -9,6 +9,8 @@ the reference models (Scheduler, UartChannel, DisplayMux) step them edge by
 edge. Every logged artifact is reproducible bit for bit.
 """
 
+import importlib
+
 from .device import (
     DEFAULT_ADC_SEED,
     DICE_TABLE,
@@ -40,6 +42,16 @@ from .trace import ReplayConfig, RunLog, load_trace, parse_trace, replay
 from .uart import UartChannel, decode_stream, encode_frame, payload_pack
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`dicesim.kernels`, imported when it is first read. The package and the
+    replay path never load numpy, so `simulate` and `uart` start without it;
+    `perfbench/child.py::set_up` and `perfbench/spans.py::targets` read the
+    name after a plain `import dicesim`, and set-up still loads numpy here."""
+    if name == "kernels":
+        return importlib.import_module(".kernels", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DEFAULT_ADC_SEED",

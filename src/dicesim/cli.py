@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
-from . import kernels, stats
+from . import stats
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
 from .prng import FEEDBACK, MASK32, STATELESS
 from .trace import (
@@ -163,10 +163,14 @@ def cmd_simulate(args) -> int:
 #  rolls
 # ======================================================================
 
-def _roll_chunks(sequence, seed: int, count: int, sides: int) -> Iterator[str]:
+def _roll_chunks(mode: str, seed: int, count: int, sides: int) -> Iterator[str]:
     """The rolls CSV, ROLLS_PER_CHUNK rolls at a time: each chunk of words
     continues the sequence where the one before stopped, so neither the
     words nor the text ever exist whole."""
+    from . import kernels  # numpy loads only for the commands that use it
+
+    # as-built pipeline in stateless mode: the seed value seeds the synthetic ADC source
+    sequence = kernels.feedback_sequence if mode == FEEDBACK else kernels.stateless_sequence
     yield "roll\n"
     for start in range(0, count, ROLLS_PER_CHUNK):
         yield kernels.format_rolls(sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start), sides)
@@ -181,9 +185,7 @@ def cmd_rolls(args) -> int:
     seed = args.seed & MASK32
     if args.mode == FEEDBACK and seed == 0:
         return _fail("feedback mode needs a nonzero seed (zero never leaves the zero orbit)", EXIT_USAGE)
-    # as-built pipeline in stateless mode: the seed value seeds the synthetic ADC source
-    sequence = kernels.feedback_sequence if args.mode == FEEDBACK else kernels.stateless_sequence
-    chunks = _roll_chunks(sequence, seed, args.count, args.sides)
+    chunks = _roll_chunks(args.mode, seed, args.count, args.sides)
     if args.out:
         try:
             _write_atomic({Path(args.out): lambda: chunks})
@@ -227,6 +229,8 @@ def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
     any other read goes line by line, and only that path names the line of a
     bad value or an out-of-range roll. Lines end at LF; only blanks, tabs and
     CR around a value are stripped."""
+    from . import kernels
+
     if sides not in stats.VERDICT_SIDES:  # before any read, and before sides sizes the counts
         raise ValueError(f"no verdict for a d{sides}: --sides must be in "
                          f"{stats.VERDICT_SIDES.start}..{stats.VERDICT_SIDES.stop - 1}")
@@ -251,6 +255,8 @@ def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
     """The face lines of a bias report, a write of at most
     BIAS_FACES_PER_WRITE faces up to each multiple of it: faces
     1..remainder have one count and the rest the other."""
+    from . import kernels
+
     for low, end, count in ((1, report.remainder + 1, report.quotient + 1),
                             (report.remainder + 1, report.dice_sides + 1, report.quotient)):
         while low < end:
@@ -401,12 +407,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_options() -> tuple[str, dict[str, tuple[dict[str, tuple[argparse.Action, bool]], tuple]]]:
+    """The option table of every command whose line is options alone, read
+    once from the parsers build_parser adds: (the command's dest, command ->
+    (option string -> (its action, whether it is a store_true flag), every
+    action)). A command with a positional, or with an action other than
+    help, store of one value and store_true, is left out. This function
+    alone reads argparse's private names."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, parser in commands.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        flags = [type(a) is argparse._StoreTrueAction for a in actions]
+        if all(a.option_strings and (flag or (type(a) is argparse._StoreAction and a.nargs is None))
+               for a, flag in zip(actions, flags)):
+            options = {option: (a, flag) for a, flag in zip(actions, flags) for option in a.option_strings}
+            table[name] = (options, tuple(actions))
+    return commands.dest, table
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace parse_args gives a plain line, read without argparse's
+    general parse: a command of _plain_options, then only exact option
+    strings of its actions, each one that is not a flag followed by a value
+    that does not start with "-", converts with the action's type and is in
+    its choices, and every required option given. None for any other line:
+    help, abbreviations, --opt=value, negative values and every error are
+    argparse's to read, so it alone prints help, usage and errors."""
+    dest, table = _plain_options()
+    if not argv or argv[0] not in table:
+        return None
+    options, actions = table[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action, flag = options.get(token, (None, False))
+        if action is None:
+            return None
+        if flag:
+            given[action.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value declines as one that starts with "-"
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if any(a.required and a.dest not in given for a in actions):
+        return None
+    return argparse.Namespace(**{dest: argv[0], **{a.dest: given.get(a.dest, a.default) for a in actions}})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         # looked up by name at each call, so a function patched onto this
         # module after the parser was built is the one that runs

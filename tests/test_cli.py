@@ -584,6 +584,91 @@ def test_later_calls_build_no_parser(capsys, monkeypatch):
     assert built == []
 
 
+def _parse_args(argv):
+    """parse_args's namespace for argv as a dict, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_VALUES = st.one_of(st.integers(-3, 300).map(str), st.sampled_from([
+    "-0", "0x10", "1_000", " 7", "+3", "", "x", "boot.trace", "feedback", "stateless", "csv", "jsonl",
+    "0.05", "0.01", "0.001", "0.2", "--", "a=b", "encode", "16"]))
+
+
+def _mostly(usual, *others):
+    """usual, eight times in ten when there are two others."""
+    return st.sampled_from([usual] * 8 + list(others)).flatmap(lambda strategy: strategy)
+
+
+def _own_pieces(options):
+    """An option of the command, followed by a value its type and choices take, any value, or none."""
+    def pieces(option):
+        action, flag = options[option]
+        fitting = (st.sampled_from(sorted(action.choices)) if action.choices
+                   else st.integers(0, 300).map(str) if action.type is int else st.just("p"))
+        given = st.just((option,)) if flag else fitting.map(lambda value: (option, value))
+        return _mostly(given, _VALUES.map(lambda value: (option, value)), st.just((option,)))
+    return st.sampled_from(sorted(options)).flatmap(pieces)
+
+
+_OWN_PIECES = {command: _own_pieces(options) for command, (options, _) in cli._plain_options()[1].items()}
+_OPTIONS = sorted({"-h", "--help"}.union(*(options for options, _ in cli._plain_options()[1].values())))
+_TOKENS = st.one_of(
+    st.sampled_from(_OPTIONS),
+    st.sampled_from(_OPTIONS).map(lambda option: option[:-2]),  # abbreviations, and - or -- alone
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS), _VALUES),
+    _VALUES,
+).map(lambda token: (token,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([("simulate", ("--trace", "t"), ("--out", "o")), ("rolls", ("--sides", "20"), ("--count", "5")),
+                        ("stats",), ("simulate",), ("rolls",), ("uart", ("encode",)), ("-h",), ("x",)]),
+       st.data())
+def test_plain_line_reads_as_parse_args_does(head, data):
+    """Lines of a command's own options, mostly with values they take, in
+    any order, and now and then any other token."""
+    own = _OWN_PIECES.get(head[0], _TOKENS)
+    pieces = list(head[1:]) + data.draw(st.lists(_mostly(own, _TOKENS), max_size=5))
+    argv = [head[0], *(token for piece in data.draw(st.permutations(pieces)) for token in piece)]
+    got = cli._plain_args(argv)
+    if got is not None:
+        assert vars(got) == _parse_args(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace", "t", "--out", "o", "--duration-us", "3000000", "--prng-mode", "feedback",
+     "--intuitive-tilt", "--adc-seed", "0", "--format", "jsonl", "--uart-bits", "--out", "o2"],
+    ["rolls", "--seed", " 7", "--sides", "6", "--count", "1_000", "--mode", "stateless", "--out", ""],
+    ["stats", "--rolls", "r.csv", "--sides", "+20", "--alpha", "0.001"],
+    ["stats"],
+])
+def test_plain_line_is_read_without_argparse(argv):
+    got = cli._plain_args(argv)
+    assert got is not None and vars(got) == _parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["rolls", "--help"], ["stats", "-h"],  # help
+    ["uart", "encode", "16"],  # a command with positionals
+    ["rolls", "--sides=6", "--count", "5"],  # --opt=value
+    ["rolls", "--sid", "6", "--count", "5"], ["simulate", "--trace", "t", "--out", "o", "--dur", "5"],  # abbreviations
+    ["simulate", "--trace", "t", "--out", "o", "--adc-seed", "-5"],  # a negative value
+    ["rolls", "--sides", "x", "--count", "5"], ["stats", "--bias", "0x10"],  # bad types
+    ["simulate", "--trace", "t", "--out", "o", "--format", "xml"], ["stats", "--alpha", "0.2"],  # bad choices
+    ["rolls", "--sides", "6"], ["simulate", "--out", "o"],  # a required option missing
+    ["rolls", "--sides", "6", "--count"],  # no value
+    ["stats", "--uart-bits"], ["stats", "--bias", "6", "extra"],  # another command's option, a positional
+    ["simulate", "--trace", "t", "--out", "o", "--uart-bits", "x"],  # a value after a flag
+    ["simulate", "--trace", "t", "--out", "o", "--"], ["roll", "--sides", "6", "--count", "5"],
+])
+def test_other_lines_are_left_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
 def test_command_patched_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
     assert main(["uart", "encode", "16"]) == 0
     seen = []

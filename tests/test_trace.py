@@ -446,7 +446,8 @@ def test_feedback_register_matches_bit_matrix_oracle():
     assert log.final_state["prng"] == {"mode": "feedback", "rand_reg": expected[-1]}
 
 
-def test_replay_is_numpy_free():
+def test_replay_is_numpy_free(tmp_path):
+    # the library calls, then the commands that replay or frame bytes, in one process
     code = (
         "import sys\n"
         "from dicesim.trace import ReplayConfig, emit_log, emit_uart_bits_csv, emit_uart_csv, parse_trace, replay\n"
@@ -455,11 +456,20 @@ def test_replay_is_numpy_free():
         "    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=3_000_000))\n"
         "    assert all((emit_log(log, 'csv'), emit_log(log, 'jsonl'), emit_uart_csv(log), emit_uart_bits_csv(log)))\n"
         "assert log.final_state['prng']['rand_reg'] != 0\n"
+        "from dicesim import cli\n"
+        f"open('boot.trace', 'w').write({BOOT!r})\n"
+        "for mode in ('stateless', 'feedback'):\n"
+        "    argv = ['simulate', '--trace', 'boot.trace', '--out', mode, '--duration-us', '3000000',\n"
+        "            '--prng-mode', mode, '--uart-bits']\n"
+        "    assert cli.main(argv) == 0\n"
+        "assert cli.main(['uart', 'encode', '16']) == 0 and cli.main(['uart', 'decode', '0011010001']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dicesim.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, timeout=60)
     assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout.decode().endswith("0011010001\n16\n")
+    assert (tmp_path / "feedback" / "uart_bits.csv").exists()
 
 
 def test_replay_validates():
