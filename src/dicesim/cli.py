@@ -20,9 +20,8 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import BinaryIO
+from typing import TYPE_CHECKING, BinaryIO
 
-from . import stats
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
 from .prng import FEEDBACK, MASK32, STATELESS
 from .trace import (
@@ -37,6 +36,9 @@ from .trace import (
     replay,
 )
 from .uart import decode_stream, encode_frame
+
+if TYPE_CHECKING:  # imported by the functions that use it, so simulate and uart never load it
+    from . import stats
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -229,7 +231,7 @@ def _tally_rolls(fh: BinaryIO, sides: int) -> stats.Histogram:
     any other read goes line by line, and only that path names the line of a
     bad value or an out-of-range roll. Lines end at LF; only blanks, tabs and
     CR around a value are stripped."""
-    from . import kernels
+    from . import kernels, stats
 
     if sides not in stats.VERDICT_SIDES:  # before any read, and before sides sizes the counts
         raise ValueError(f"no verdict for a d{sides}: --sides must be in "
@@ -266,6 +268,8 @@ def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
 
 
 def cmd_stats(args) -> int:
+    from . import stats
+
     if args.bias is not None:
         if args.bias < 1:
             return _fail(f"die must have at least 1 side: {args.bias}", EXIT_USAGE)

@@ -16,20 +16,21 @@ the new sample shifted in.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .prng import (
     MASK32,
     MODES,
     STATELESS,
     _byte_tables,
+    _squared,
     apply_tables,
+    jump_tables,
     lcg_jump,
     lcg_step,
     seed_shift,
-    xorshift_jump,
     xorshift_step,
 )
+from .record import Record
 from .timing import HALF_PERIODS, HZ10
 
 # dselect -> (diceval, thou, huns, tens, ones display codes)
@@ -71,10 +72,13 @@ TICK_JUMP = (
 
 
 @functools.cache
-def _tick_tables():
-    """Byte tables of TICK_JUMP, built on the first feedback tick, so a
-    process that never runs one never pays for them."""
-    return _byte_tables(TICK_JUMP)
+def _tick_tables(i: int):
+    """Byte tables of T**(TICK_STEPS * 2**i), built on first use, so a
+    process that never runs a feedback tick never pays for them: level 0
+    from TICK_JUMP, each level above by squaring the one below. A steady
+    span of n ticks needs only the levels up to log2(n), not the
+    `prng.power_tables` levels up to log2(n * TICK_STEPS)."""
+    return _byte_tables(TICK_JUMP) if i == 0 else _squared(_tick_tables(i - 1))
 
 
 def dice_table(dselect: int) -> tuple[int, int, int, int, int]:
@@ -88,13 +92,15 @@ def dice_table(dselect: int) -> tuple[int, int, int, int, int]:
 #  tilt debounce
 # ======================================================================
 
-@dataclass(slots=True)
-class TiltState:
+class TiltState(Record):
     """Ten-sample shift window plus the derived upright level."""
 
-    window: int = 0
-    sumtilt: int = 0
-    upright: bool = False
+    __slots__ = ("window", "sumtilt", "upright")
+
+    def __init__(self, window: int = 0, sumtilt: int = 0, upright: bool = False) -> None:
+        self.window = window
+        self.sumtilt = sumtilt
+        self.upright = upright
 
 
 def tilt_update(state: TiltState, sample: int, intuitive: bool = False) -> TiltState:
@@ -114,16 +120,19 @@ def tilt_update(state: TiltState, sample: int, intuitive: bool = False) -> TiltS
 #  dice selection FSM
 # ======================================================================
 
-@dataclass(slots=True)
-class SelectionState:
+class SelectionState(Record):
     """Selector, its dice table row (diceval and the four set digits), the
     display mode, and the keep-awake arm."""
 
-    setmode: bool = False
-    dselect: int = 0
-    diceval: int = 2
-    set_digits: tuple[int, int, int, int] = (0, 0, 0, 0)
-    keepon: bool = True
+    __slots__ = ("setmode", "dselect", "diceval", "set_digits", "keepon")
+
+    def __init__(self, setmode: bool = False, dselect: int = 0, diceval: int = 2,
+                 set_digits: tuple[int, int, int, int] = (0, 0, 0, 0), keepon: bool = True) -> None:
+        self.setmode = setmode
+        self.dselect = dselect
+        self.diceval = diceval
+        self.set_digits = set_digits
+        self.keepon = keepon
 
 
 def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down: int) -> SelectionState:
@@ -159,14 +168,17 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
 #  roll pipeline
 # ======================================================================
 
-@dataclass(slots=True)
-class RollState:
+class RollState(Record):
     """The live display digits, and the held copy that freezes while upright."""
 
-    out: int = 0
-    held_diceval: int = 2
-    live: tuple[int, int, int, int] = (0, 0, 0, 0)
-    held: tuple[int, int, int, int] = (0, 0, 0, 0)
+    __slots__ = ("out", "held_diceval", "live", "held")
+
+    def __init__(self, out: int = 0, held_diceval: int = 2, live: tuple[int, int, int, int] = (0, 0, 0, 0),
+                 held: tuple[int, int, int, int] = (0, 0, 0, 0)) -> None:
+        self.out = out
+        self.held_diceval = held_diceval
+        self.live = live
+        self.held = held
 
 
 def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -> RollState:
@@ -201,12 +213,14 @@ def held_value(state: RollState) -> int:
 #  keep-awake
 # ======================================================================
 
-@dataclass(slots=True)
-class PowerState:
+class PowerState(Record):
     """Keep-awake outputs: onsig drives onpin, clk5 drives led0."""
 
-    onsig: int = 0
-    clk5: int = 0
+    __slots__ = ("onsig", "clk5")
+
+    def __init__(self, onsig: int = 0, clk5: int = 0) -> None:
+        self.onsig = onsig
+        self.clk5 = clk5
 
 
 def keepawake_update(state: PowerState, keepon: bool) -> PowerState:
@@ -289,7 +303,7 @@ class Device:
         if self.prng_mode == STATELESS:
             return xorshift_step(self.seed)
         if self.rand_reg:
-            self.rand_reg = apply_tables(_tick_tables(), self.rand_reg)
+            self.rand_reg = apply_tables(_tick_tables(0), self.rand_reg)
         else:  # zero until the first nonzero seed, which it latches stepped once
             self.rand_reg = xorshift_step(self.seed)
         return self.rand_reg
@@ -308,12 +322,13 @@ class Device:
         Upright, those updates never read seed or rand, so only the two move:
         the seed register holds the last two samples, and rand is their
         transform in STATELESS, or in FEEDBACK the register jumped
-        steps * TICK_STEPS at once, which needs it latched (nonzero)."""
+        steps * TICK_STEPS at once, one pass of the _tick_tables level of each
+        set bit of steps, which needs it latched (nonzero)."""
         self.seed = seed_shift(samples[0], samples[1])  # a 16-bit seed: the older sample lands high
         if self.prng_mode == STATELESS:
             self.rand = xorshift_step(self.seed)
         else:
-            self.rand = self.rand_reg = xorshift_jump(self.rand_reg, steps * TICK_STEPS)
+            self.rand = self.rand_reg = jump_tables(_tick_tables, self.rand_reg, steps)
 
     def s5_tick(self) -> None:
         """One S5 rising edge: keep-awake toggler."""

@@ -160,22 +160,33 @@ def apply_tables(tables, x):
             ^ tables[512 | (x >> 16) & 0xFF] ^ tables[768 | x >> 24])
 
 
+def _squared(tables) -> array:
+    """Tables of the map held in tables, applied twice: entry 1 << j of
+    table j // 8 is the image of 1 << j."""
+    return _byte_tables([apply_tables(tables, tables[256 * (j // 8) + (1 << j % 8)]) for j in range(32)])
+
+
 @functools.cache
 def power_tables(i: int) -> array:
     """Tables of T**(2**i): level 0 from xorshift_step, each level above by
     squaring the one below."""
     if i == 0:
         return _byte_tables([xorshift_step(1 << j) for j in range(32)])
-    half = power_tables(i - 1)
-    return _byte_tables([apply_tables(half, half[256 * (j // 8) + (1 << j % 8)]) for j in range(32)])
+    return _squared(power_tables(i - 1))
+
+
+def jump_tables(levels, x: int, steps: int) -> int:
+    """Image of a 32-bit word under a map applied steps times, where
+    levels(i) gives the tables of its 2**i-th power: one pass per set bit
+    of steps."""
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            x = apply_tables(levels(i), x)
+    return x
 
 
 def xorshift_jump(x: int, steps: int) -> int:
     """Apply the xorshift transform steps times to one word, in O(log steps)."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative: {steps}")
-    x &= MASK32
-    for i in range(steps.bit_length()):
-        if steps >> i & 1:
-            x = apply_tables(power_tables(i), x)
-    return x
+    return jump_tables(power_tables, x & MASK32, steps)

@@ -11,16 +11,19 @@ and the package needs no statistics library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Record):
     """Face counts for one die; counts[i] is the tally of face i+1."""
 
-    dice_sides: int
-    counts: tuple[int, ...]
-    total: int
+    __slots__ = ("dice_sides", "counts", "total")
+
+    def __init__(self, dice_sides: int, counts: tuple[int, ...], total: int) -> None:
+        self.dice_sides = dice_sides
+        self.counts = counts
+        self.total = total
 
 
 def chi_square(hist: Histogram) -> tuple[float, int]:
@@ -36,18 +39,20 @@ def chi_square(hist: Histogram) -> tuple[float, int]:
 #  exact modulo-reduction bias
 # ======================================================================
 
-@dataclass(frozen=True)
-class BiasReport:
+class BiasReport(Record):
     """Exact preimage counts of (word mod d) + 1 over the 2**bits domain.
 
     Faces 1..remainder receive quotient + 1 preimages and the rest receive
     quotient, so the report holds those two numbers, not one count per face.
     """
 
-    dice_sides: int
-    domain_bits: int
-    quotient: int
-    remainder: int
+    __slots__ = ("dice_sides", "domain_bits", "quotient", "remainder")
+
+    def __init__(self, dice_sides: int, domain_bits: int, quotient: int, remainder: int) -> None:
+        self.dice_sides = dice_sides
+        self.domain_bits = domain_bits
+        self.quotient = quotient
+        self.remainder = remainder
 
     def count(self, face: int) -> int:
         """Preimages of face (1..dice_sides)."""
@@ -150,14 +155,16 @@ def critical_value(df: int, alpha: float) -> float:
     return table[df - 1]
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    passed: bool
-    statistic: float
-    df: int
-    critical: float
-    alpha: float
-    total: int
+class UniformityReport(Record):
+    __slots__ = ("passed", "statistic", "df", "critical", "alpha", "total")
+
+    def __init__(self, passed: bool, statistic: float, df: int, critical: float, alpha: float, total: int) -> None:
+        self.passed = passed
+        self.statistic = statistic
+        self.df = df
+        self.critical = critical
+        self.alpha = alpha
+        self.total = total
 
 
 def uniformity_report(hist: Histogram, alpha: float = 0.05) -> UniformityReport:

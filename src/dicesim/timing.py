@@ -17,8 +17,9 @@ HZ1500 and falling edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
+
+from .record import Record
 
 HZ1000 = "HZ1000"
 HZ1500 = "HZ1500"
@@ -41,13 +42,15 @@ RISING = "rising"
 FALLING = "falling"
 
 
-@dataclass(frozen=True)
-class TickEvent:
+class TickEvent(Record):
     """One toggle of one domain at an absolute sysclk rising-edge index."""
 
-    sysclk_index: int
-    domain: str
-    edge: str
+    __slots__ = ("sysclk_index", "domain", "edge")
+
+    def __init__(self, sysclk_index: int, domain: str, edge: str) -> None:
+        self.sysclk_index = sysclk_index
+        self.domain = domain
+        self.edge = edge
 
 
 class Scheduler:

@@ -26,7 +26,6 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -36,6 +35,7 @@ from typing import NamedTuple
 from .device import DEFAULT_ADC_SEED, Device, SyntheticAdc, held_value
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import STATELESS
+from .record import Record
 from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, S5
 from .uart import FRAME_BITS, UartTxState, payload_pack, uart_frame
 
@@ -208,16 +208,18 @@ def load_trace(path) -> list[TraceEvent]:
 #  replay
 # ======================================================================
 
-@dataclass
-class ReplayConfig:
-    prng_mode: str = STATELESS
-    intuitive_tilt: bool = False
-    duration_us: int | None = None  # default: last event time + one second
-    adc_seed: int = DEFAULT_ADC_SEED
+class ReplayConfig(Record):
+    __slots__ = ("prng_mode", "intuitive_tilt", "duration_us", "adc_seed")
+
+    def __init__(self, prng_mode: str = STATELESS, intuitive_tilt: bool = False, duration_us: int | None = None,
+                 adc_seed: int = DEFAULT_ADC_SEED) -> None:
+        self.prng_mode = prng_mode
+        self.intuitive_tilt = intuitive_tilt
+        self.duration_us = duration_us  # None: last event time + one second
+        self.adc_seed = adc_seed
 
 
-@dataclass
-class RunLog:
+class RunLog(Record):
     """Everything a replay records, each list in time order. The UART is kept
     as runs: (t_us, byte) in uart_runs opens a run of back-to-back frames of
     byte, the first starting at t_us, that lasts until the next entry or
@@ -227,12 +229,17 @@ class RunLog:
     _frame_text. tests/reference_board.py expands the runs a record at a
     time, for the tests of the writers."""
 
-    settled_rolls: list = field(default_factory=list)   # (t_us, diceval, out)
-    display_words: list = field(default_factory=list)   # (t_us, word)
-    onpin_edges: list = field(default_factory=list)     # (t_us, level)
-    uart_runs: list = field(default_factory=list)       # (START t_us, byte), or (t_us, None) at RESET 1
-    end_us: int = 0
-    final_state: dict = field(default_factory=dict)
+    __slots__ = ("settled_rolls", "display_words", "onpin_edges", "uart_runs", "end_us", "final_state")
+
+    def __init__(self, settled_rolls: list | None = None, display_words: list | None = None,
+                 onpin_edges: list | None = None, uart_runs: list | None = None, end_us: int = 0,
+                 final_state: dict | None = None) -> None:
+        self.settled_rolls = [] if settled_rolls is None else settled_rolls  # (t_us, diceval, out)
+        self.display_words = [] if display_words is None else display_words  # (t_us, word)
+        self.onpin_edges = [] if onpin_edges is None else onpin_edges        # (t_us, level)
+        self.uart_runs = [] if uart_runs is None else uart_runs  # (START t_us, byte), or (t_us, None) at RESET 1
+        self.end_us = end_us
+        self.final_state = {} if final_state is None else final_state
 
     def _runs(self):
         """(START t_us, byte, last us sent, cut by RESET 1) of each run."""

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+
+from .record import Record
 
 IDLE = "IDLE"
 START = "START"
@@ -31,16 +32,19 @@ def payload_pack(huns: int, tens: int) -> int:
     return ((huns & 0xF) << 4) | (tens & 0xF)
 
 
-@dataclass(frozen=True)
-class UartTxState:
+class UartTxState(Record):
     """Transmitter state after an HZ1000 edge; tx_level is the bit driven for
     the following bit period."""
 
-    fsm: str = IDLE
-    bit_index: int = 0
-    shift_data: int = 0
-    ap_valid: bool = False
-    tx_level: int = 1
+    __slots__ = ("fsm", "bit_index", "shift_data", "ap_valid", "tx_level")
+
+    def __init__(self, fsm: str = IDLE, bit_index: int = 0, shift_data: int = 0, ap_valid: bool = False,
+                 tx_level: int = 1) -> None:
+        self.fsm = fsm
+        self.bit_index = bit_index
+        self.shift_data = shift_data
+        self.ap_valid = ap_valid
+        self.tx_level = tx_level
 
 
 def tx_step(state: UartTxState, ap_ready: bool, data: int) -> UartTxState:
@@ -84,17 +88,21 @@ def encode_frame(byte: int) -> list[int]:
     return [0] + [(byte >> k) & 1 for k in range(8)] + [1]
 
 
-@dataclass(frozen=True)
-class DecodedFrame:
-    offset: int
-    byte: int
+class DecodedFrame(Record):
+    __slots__ = ("offset", "byte")
+
+    def __init__(self, offset: int, byte: int) -> None:
+        self.offset = offset
+        self.byte = byte
 
 
-@dataclass(frozen=True)
-class FramingError:
-    offset: int
-    kind: str
-    message: str
+class FramingError(Record):
+    __slots__ = ("offset", "kind", "message")
+
+    def __init__(self, offset: int, kind: str, message: str) -> None:
+        self.offset = offset
+        self.kind = kind
+        self.message = message
 
 
 def decode_stream(bits: str) -> tuple[list[DecodedFrame], list[FramingError]]:

@@ -28,6 +28,7 @@ _REFERENCE_BOARD = "tests/reference_board.py steps it edge by edge"
 ALLOWED = {
     "timing.Scheduler.__init__": f"{_REFERENCE_BOARD}; criterion 08",
     "timing.Scheduler.advance": f"{_REFERENCE_BOARD}; criterion 08",
+    "timing.TickEvent.__init__": f"{_REFERENCE_BOARD}, through Scheduler.advance; criterion 08",
     "uart.UartChannel.__init__": f"{_REFERENCE_BOARD}; criterion 07",
     "uart.UartChannel.edge": f"{_REFERENCE_BOARD}; criterion 07",
     "display.DisplayMux.__init__": _REFERENCE_BOARD,
@@ -35,6 +36,7 @@ ALLOWED = {
     "prng.xorshift_inverse": "criterion 02",
     "prng._unshift_left": "criterion 02, through xorshift_inverse",
     "prng._unshift_right": "criterion 02, through xorshift_inverse",
+    "record.Record.__repr__": "tests/test_record.py pins the Name(field=value, ...) form",
 }
 
 

@@ -143,14 +143,15 @@ def test_rolls_rejects_feedback_zero_seed(capsys):
 
 
 def test_rolls_rejects_unsupported_die(capsys):
-    code, out, err = _run(capsys, "rolls", "--sides", "7", "--count", "1")
-    assert code == 2
-    assert "d7" in err
+    code, out, err = _run(capsys, "rolls", "--sides", "7", "--count", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: unsupported die d7 (supported: 2, 4, 6, 8, 10, 12, 20, 100)\n"
 
 
 def test_rolls_rejects_bad_count(capsys):
-    code, _, err = _run(capsys, "rolls", "--sides", "6", "--count", "0")
-    assert code == 2
+    code, out, err = _run(capsys, "rolls", "--sides", "6", "--count", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: count must be positive: 0\n"
 
 
 # ----------------------------------------------------------------------

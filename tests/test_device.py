@@ -1,7 +1,11 @@
 """Tilt debounce, selection FSM, roll pipeline, keep-awake, composite device."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -279,7 +283,34 @@ def test_tick_jump_is_the_columns_of_the_bit_matrix_oracle():
 
 @given(st.integers(0, MASK32))
 def test_tick_tables_jump_any_word_one_tick(x):
-    assert apply_tables(device._tick_tables(), x) == xorshift_jump(x, TICK_STEPS)
+    assert apply_tables(device._tick_tables(0), x) == xorshift_jump(x, TICK_STEPS)
+
+
+@given(st.integers(1, MASK32), st.integers(2, 1 << 20))
+@example(0xDEADBEEF, (1 << 20) - 1)  # every one of the 20 low levels
+@example(1, 1 << 20)
+def test_steady_ticks_jump_the_register_by_squared_tick_tables(x, steps):
+    dev = Device(prng_mode=FEEDBACK)
+    dev.rand_reg = x
+    dev.steady_ticks(steps, (0x1234, 0x5678))
+    assert dev.rand == dev.rand_reg == xorshift_jump(x, steps * TICK_STEPS)
+    assert dev.seed == 0x12345678
+
+
+def test_fresh_upright_feedback_replay_builds_no_power_tables():
+    # a minute upright is one steady span, jumped by the squared tick tables
+    # alone: a one-shot replay builds none of the xorshift_jump levels
+    code = (
+        "from dicesim import prng\n"
+        "from dicesim.trace import ReplayConfig, parse_trace, replay\n"
+        "events = parse_trace('0 RESET 1\\n1000 RESET 0\\n1000 TILT 1\\n')\n"
+        "log = replay(events, ReplayConfig(prng_mode='feedback', duration_us=60_000_000))\n"
+        "print(log.final_state['tilt']['upright'], prng.power_tables.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(device.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "True 0\n"
 
 
 def test_feedback_replay_without_a_steady_span_builds_no_jump_levels():
