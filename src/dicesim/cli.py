@@ -17,6 +17,7 @@ import errno
 import functools
 import operator
 import os
+import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
@@ -54,19 +55,46 @@ BIAS_FACES_PER_WRITE = 4_000  # a multiple of 100, so a write splits no block of
 TEMP_NAME_TRIES = 100  # random temp names tried in a directory before giving up
 
 
-def _create_temp(path: Path) -> tuple[int, str]:
-    """A new file under a random name beside path, created the way a plain
-    open() creates one: the kernel applies the umask to mode 0o666. It is
-    opened in binary mode, so its bytes are written as given (O_BINARY is
-    Windows' flag for that, which POSIX systems neither have nor need)."""
+def _error_naming(exc: OSError, *path: str) -> OSError:
+    """exc naming the user's path, path's parts as pathlib joins them,
+    instead of the name the failed call was given."""
+    return OSError(exc.errno, exc.strerror, str(Path(*path)))
+
+
+def _open_dir(out: str, name: str, make_dir: bool) -> int:
+    """A descriptor of the directory out, opened for reading. Without
+    make_dir, a failed open raises naming the file name in out, as a temp
+    file's failure there did. With make_dir, a failed open is followed by
+    the step simulate always began with, pathlib's mkdir with parents and
+    exist_ok: it makes a missing directory and its parents, or raises the
+    error, naming the directory, that simulate always raised."""
+    flags = os.O_RDONLY | os.O_DIRECTORY
+    try:
+        return os.open(out, flags)
+    except OSError as exc:
+        if not make_dir:
+            raise _error_naming(exc, out, name) from None
+    Path(out).mkdir(parents=True, exist_ok=True)
+    try:
+        return os.open(out, flags)
+    except OSError as exc:  # a directory that can be written but not read
+        raise _error_naming(exc, out) from None
+
+
+def _create_temp(name: str, dir_fd: int) -> tuple[int, str]:
+    """A new file under a random name beside name in the directory dir_fd,
+    created the way a plain open() creates one: the kernel applies the umask
+    to mode 0o666. It is opened in binary mode, so its bytes are written as
+    given (O_BINARY is Windows' flag for that, which POSIX systems neither
+    have nor need)."""
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     for _ in range(TEMP_NAME_TRIES):
-        tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
+        tmp = f".{name}.{os.urandom(6).hex()}.tmp"
         try:
-            return os.open(tmp, flags, 0o666), tmp
+            return os.open(tmp, flags, 0o666, dir_fd=dir_fd), tmp
         except FileExistsError:
             continue
-    raise FileExistsError(errno.EEXIST, "no unused temp file name", str(path))
+    raise FileExistsError(errno.EEXIST, "no unused temp file name", name)
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -76,21 +104,33 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
-    """Write each path's text, made by its function, as one set: each to a
-    temp file of its own in the path's directory, so concurrent writers
-    never share one, then, once every one is whole and no path is a
-    directory, a rename of each over its path. Each chunk of text is
-    written as its UTF-8 bytes, so a LF is a LF on every platform. On any
-    failure before the renames, a chunk source's too, every temp file is
-    closed and removed. Only one text is made at a time. An error that
-    names a file, the temp file made or renamed, is raised again naming the
-    path, so its message holds no random temp name."""
-    written: list[tuple[str, Path]] = []
+def _is_dir(name: str, dir_fd: int) -> bool:
+    """Whether name in the directory dir_fd is a directory itself, not a
+    symbolic link to one, which a rename replaces."""
     try:
-        for path, make_text in files.items():
-            fd, tmp = _create_temp(path)
-            written.append((tmp, path))
+        return stat.S_ISDIR(os.lstat(name, dir_fd=dir_fd).st_mode)
+    except FileNotFoundError:
+        return False
+
+
+def _write_atomic(out: str, files: dict[str, Callable[[], str | Iterable[str]]], make_dir: bool = False) -> None:
+    """Write each file name's text, made by its function, into the directory
+    out as one set, every step relative to one descriptor of out (see
+    _open_dir for make_dir): each text to a temp file of its own, so
+    concurrent writers never share one, then, once every one is whole and no
+    name is a directory, a rename of each over its name. Each chunk of text
+    is written as its UTF-8 bytes, so a LF is a LF on every platform. On any
+    failure before the renames, a chunk source's too, every temp file is
+    closed and removed; the directory's descriptor is closed on every path.
+    Only one text is made at a time. An error that names a file, the temp
+    file made or renamed, is raised again naming the user's path of the
+    file, so its message holds no random temp name."""
+    dir_fd = _open_dir(out, next(iter(files)), make_dir)
+    written: list[tuple[str, str]] = []
+    try:
+        for name, make_text in files.items():
+            fd, tmp = _create_temp(name, dir_fd)
+            written.append((tmp, name))
             try:
                 text = make_text()
                 for chunk in (text,) if isinstance(text, str) else text:
@@ -98,18 +138,28 @@ def _write_atomic(files: dict[Path, Callable[[], str | Iterable[str]]]) -> None:
                 del text  # before the next text is made
             finally:
                 os.close(fd)
-        for _, path in written:  # a rename over a directory would fail after the ones before it
-            if os.path.isdir(path) and not os.path.islink(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for tmp, path in written:
-            os.replace(tmp, path)
+        for _, name in written:  # a rename over a directory would fail after the ones before it
+            if _is_dir(name, dir_fd):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+        for tmp, name in written:
+            os.replace(tmp, name, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
     except BaseException as exc:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
+                os.unlink(tmp, dir_fd=dir_fd)
         if isinstance(exc, OSError) and exc.filename is not None:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+            raise _error_naming(exc, out, name) from None
         raise
+    finally:
+        os.close(dir_fd)
+
+
+def _file_in_dir(path: str) -> tuple[str, str]:
+    """The directory and the name of a file path as pathlib parts them, so
+    an error names the path as pathlib writes it; "." for a path that has
+    no name, such as "/", whose target is the directory itself."""
+    parts = Path(path)
+    return str(parts.parent), parts.name or "."
 
 
 def _fail(message: str, code: int) -> int:
@@ -138,18 +188,17 @@ def cmd_simulate(args) -> int:
         log = replay(events, config)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    out_dir = Path(args.out)
+    log_name = "log.csv" if args.format == "csv" else "log.jsonl"
+    outputs = {
+        log_name: lambda: emit_log(log, args.format),
+        "uart.csv": lambda: emit_uart_csv(log),
+        "state.json": lambda: emit_state_json(log),
+    }
+    if args.uart_bits:
+        outputs["uart_bits.csv"] = lambda: emit_uart_bits_csv(log)
+    out_dir = str(Path(args.out))  # as pathlib reads it, so "" is "."
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        log_name = "log.csv" if args.format == "csv" else "log.jsonl"
-        outputs = {
-            out_dir / log_name: lambda: emit_log(log, args.format),
-            out_dir / "uart.csv": lambda: emit_uart_csv(log),
-            out_dir / "state.json": lambda: emit_state_json(log),
-        }
-        if args.uart_bits:
-            outputs[out_dir / "uart_bits.csv"] = lambda: emit_uart_bits_csv(log)
-        _write_atomic(outputs)
+        _write_atomic(out_dir, outputs, make_dir=True)
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
     uart_bytes = sum(len(times) for _, times in log.uart_byte_runs())
@@ -189,8 +238,9 @@ def cmd_rolls(args) -> int:
         return _fail("feedback mode needs a nonzero seed (zero never leaves the zero orbit)", EXIT_USAGE)
     chunks = _roll_chunks(args.mode, seed, args.count, args.sides)
     if args.out:
+        out, name = _file_in_dir(args.out)
         try:
-            _write_atomic({Path(args.out): lambda: chunks})
+            _write_atomic(out, {name: lambda: chunks})
         except OSError as exc:
             return _fail(f"cannot write rolls: {exc}", EXIT_IO)
     else:
@@ -295,8 +345,9 @@ def cmd_stats(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     if args.out:
+        out, name = _file_in_dir(args.out)
         try:
-            _write_atomic({Path(args.out): lambda: stats.histogram_csv(hist)})
+            _write_atomic(out, {name: lambda: stats.histogram_csv(hist)})
         except OSError as exc:
             return _fail(f"cannot write histogram: {exc}", EXIT_IO)
     sys.stdout.write(stats.ascii_chart(hist))

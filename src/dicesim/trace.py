@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
+import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -191,11 +190,25 @@ def _parse_lines(text: str) -> list[TraceEvent]:
     return events
 
 
+TRACE_READ_BYTES = 65_536  # asked of each os.read of a trace file
+
+
 def load_trace(path) -> list[TraceEvent]:
     """Read and parse a trace file; bytes that are not UTF-8 are a parse
-    error on the line that holds them."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    error on the line that holds them. The file is read with os.read,
+    TRACE_READ_BYTES at a time until a read returns nothing, with none of
+    the buffered file object's calls; a read that fails, as one of a
+    directory does, names path as open() would."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, TRACE_READ_BYTES):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -574,19 +587,20 @@ def _frame_text(before, lines, starts) -> str:
     return "".join((head, *blocks, tail[:len(tail) - len(before)]))
 
 
-def _leaf_texts(node, out: list) -> list:
+def _leaf_texts(node, out: list, quote) -> list:
     """The JSON text of each leaf of a snapshot (an int, a str or a bool),
-    appended to out in the order json.dumps with sort_keys writes them."""
+    appended to out in the order json.dumps with sort_keys writes them; a
+    str's text is quote(str), json's own `encode_basestring_ascii`."""
     for value in map(node.__getitem__, sorted(node)) if type(node) is dict else node:
         kind = type(value)
         if kind is int:
             out.append(str(value))
         elif kind is str:
-            out.append(encode_basestring_ascii(value))
+            out.append(quote(value))
         elif kind is bool:
             out.append("true" if value else "false")
         else:  # a dict or a list
-            _leaf_texts(value, out)
+            _leaf_texts(value, out, quote)
     return out
 
 
@@ -603,6 +617,8 @@ def _blanked(node):
 def _state_template() -> str:
     """state.json as a % template with one %s per leaf: json.dumps's indented,
     key-sorted layout of the shape every snapshot has, a power-on board's."""
+    import json
+
     text = json.dumps(_blanked(Board(ReplayConfig()).snapshot()), indent=2, sort_keys=True)
     return text.replace("%", "%%").replace('"\\u0000"', "%s") + "\n"
 
@@ -611,4 +627,6 @@ def emit_state_json(log: RunLog) -> str:
     """Final device snapshot as stable-keyed JSON, as json.dumps writes it
     with indent=2 and sort_keys, and a LF: the leaves' JSON texts filled into
     the layout of `_state_template`."""
-    return _state_template() % tuple(_leaf_texts(log.final_state, []))
+    from json.encoder import encode_basestring_ascii  # json loads with the first state.json a process writes
+
+    return _state_template() % tuple(_leaf_texts(log.final_state, [], encode_basestring_ascii))

@@ -37,6 +37,7 @@ ALLOWED = {
     "prng._unshift_left": "criterion 02, through xorshift_inverse",
     "prng._unshift_right": "criterion 02, through xorshift_inverse",
     "record.Record.__repr__": "tests/test_record.py pins the Name(field=value, ...) form",
+    "cli._error_naming": "tests/test_cli.py::test_read_and_write_errors_print_one_whole_line pins each error line",
 }
 
 

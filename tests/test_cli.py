@@ -503,10 +503,11 @@ def test_simulate_jsonl_format(tmp_path, capsys):
 
 
 def test_simulate_missing_trace(tmp_path, capsys):
-    code, _, err = _run(capsys, "simulate", "--trace", str(tmp_path / "nope.trace"),
+    code, out, err = _run(capsys, "simulate", "--trace", str(tmp_path / "nope.trace"),
                         "--out", str(tmp_path / "run"))
-    assert code == 1
-    assert "cannot read trace" in err
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read trace: [Errno 2] No such file or directory: '{tmp_path / 'nope.trace'}'\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_malformed_trace(tmp_path, capsys):
@@ -715,7 +716,7 @@ def test_write_atomic_keeps_plain_file_mode(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("x\n", encoding="utf-8")
     target = tmp_path / "out.txt"
-    cli._write_atomic({target: lambda: "hello\n"})
+    cli._write_atomic(str(tmp_path), {"out.txt": lambda: "hello\n"})
     assert target.read_text(encoding="utf-8") == "hello\n"
     assert os.stat(target).st_mode == os.stat(plain).st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
@@ -741,12 +742,12 @@ def test_write_atomic_tries_another_temp_name_when_one_exists(tmp_path, monkeypa
     (tmp_path / f".out.txt.{taken.hex()}.tmp").write_text("someone else's\n", encoding="utf-8")
     draws = iter([taken, taken, b"\x01" * 6])
     monkeypatch.setattr(os, "urandom", lambda n: next(draws))
-    cli._write_atomic({target: lambda: "hello\n"})
+    cli._write_atomic(str(tmp_path), {"out.txt": lambda: "hello\n"})
     assert target.read_text(encoding="utf-8") == "hello\n"
     assert (tmp_path / f".out.txt.{taken.hex()}.tmp").read_text(encoding="utf-8") == "someone else's\n"
     monkeypatch.setattr(os, "urandom", lambda n: taken)
     with pytest.raises(FileExistsError) as info:
-        cli._write_atomic({target: lambda: "again\n"})
+        cli._write_atomic(str(tmp_path), {"out.txt": lambda: "again\n"})
     assert info.value.filename == str(target)
     assert target.read_text(encoding="utf-8") == "hello\n"
     assert len(list(tmp_path.iterdir())) == 2
@@ -761,7 +762,62 @@ def test_write_error_names_the_users_path(tmp_path, monkeypatch, capsys):
     assert "'nodir/x.csv'" in first[2] and ".tmp" not in first[2]
 
 
-def _fail_rename(src, dst):
+REPLAYED_BOOT = "replayed 3 events: 1 settled rolls, 99 uart bytes, 4 display words, 0 onpin edges -> "
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    pytest.param(("simulate", "--trace", "nope.trace", "--out", "run"), 1, "",
+                 "error: cannot read trace: [Errno 2] No such file or directory: 'nope.trace'\n", id="trace-missing"),
+    pytest.param(("simulate", "--trace", "tdir", "--out", "run"), 1, "",
+                 "error: cannot read trace: [Errno 21] Is a directory: 'tdir'\n", id="trace-is-a-directory"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", "afile"), 1, "",
+                 "error: cannot write outputs: [Errno 17] File exists: 'afile'\n", id="out-is-a-file"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", "./afile/"), 1, "",
+                 "error: cannot write outputs: [Errno 17] File exists: 'afile'\n", id="out-is-a-file-dot-slash"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", "afile/sub"), 1, "",
+                 "error: cannot write outputs: [Errno 20] Not a directory: 'afile/sub'\n", id="out-under-a-file"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", "a/b/c"), 0, REPLAYED_BOOT + "a/b/c\n", "",
+                 id="out-parents-made"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", "./out"), 0, REPLAYED_BOOT + "out\n", "",
+                 id="out-dot-slash"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", "out/"), 0, REPLAYED_BOOT + "out\n", "",
+                 id="out-trailing-slash"),
+    pytest.param(("simulate", "--trace", "boot.trace", "--out", ""), 0, REPLAYED_BOOT + ".\n", "", id="out-empty"),
+    pytest.param(("rolls", "--sides", "6", "--count", "3", "--out", "nodir/x.csv"), 1, "",
+                 "error: cannot write rolls: [Errno 2] No such file or directory: 'nodir/x.csv'\n", id="rolls-nodir"),
+    pytest.param(("rolls", "--sides", "6", "--count", "3", "--out", "afile/x.csv"), 1, "",
+                 "error: cannot write rolls: [Errno 20] Not a directory: 'afile/x.csv'\n", id="rolls-under-a-file"),
+    pytest.param(("rolls", "--sides", "6", "--count", "3", "--out", "tdir/"), 1, "",
+                 "error: cannot write rolls: [Errno 21] Is a directory: 'tdir'\n", id="rolls-over-a-directory"),
+    pytest.param(("rolls", "--sides", "6", "--count", "3", "--out", "."), 1, "",
+                 "error: cannot write rolls: [Errno 21] Is a directory: '.'\n", id="rolls-over-the-cwd"),
+    pytest.param(("stats", "--rolls", "r.csv", "--sides", "6", "--out", "nodir/h.csv"), 1, "",
+                 "error: cannot write histogram: [Errno 2] No such file or directory: 'nodir/h.csv'\n",
+                 id="stats-nodir"),
+    pytest.param(("stats", "--rolls", "r.csv", "--sides", "6", "--out", "tdir"), 1, "",
+                 "error: cannot write histogram: [Errno 21] Is a directory: 'tdir'\n", id="stats-over-a-directory"),
+])
+def test_read_and_write_errors_print_one_whole_line(tmp_path, monkeypatch, capsys, argv, code, out, err):
+    # every line in full, relative to a directory holding a trace, a
+    # directory, a regular file and 600 rolls; no case leaves a temp file
+    monkeypatch.chdir(tmp_path)
+    Path("boot.trace").write_text(BOOT)
+    Path("tdir").mkdir()
+    Path("afile").write_bytes(b"a file\n")
+    Path("r.csv").write_text("roll\n" + "1\n2\n3\n4\n5\n6\n" * 100)
+    before = sorted(str(p) for p in Path().rglob("*"))
+    assert _run(capsys, *argv) == (code, out, err)
+    after = sorted(str(p) for p in Path().rglob("*"))
+    assert not [p for p in after if p.endswith(".tmp")]
+    assert Path("afile").read_bytes() == b"a file\n" and not any(Path("tdir").iterdir())
+    if code:
+        assert after == before
+    elif argv[0] == "simulate":  # the set, and the directories it needed, are all that is new
+        new_files = [p for p in set(after) - set(before) if Path(p).is_file()]
+        assert sorted(new_files) == [str(Path(argv[4], name)) for name in ("log.csv", "state.json", "uart.csv")]
+
+
+def _fail_rename(src, dst, **dir_fds):
     raise OSError("rename refused")
 
 
@@ -784,29 +840,52 @@ def test_write_atomic_failure_leaves_no_temp_file(tmp_path, monkeypatch, text, p
     if patch is not None:
         monkeypatch.setattr(cli.os, "replace", patch)
     with pytest.raises((OSError, UnicodeEncodeError)):
-        cli._write_atomic({target: lambda: text})
+        cli._write_atomic(str(tmp_path), {"out.txt": lambda: text})
     assert [p.name for p in tmp_path.iterdir()] == before
     if before:
         assert target.read_text(encoding="utf-8") == "old\n"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
-def test_write_atomic_chunk_failure_closes_and_removes_every_temp_file(tmp_path):
-    # the first file is whole and the second has one chunk written when its
-    # source raises: neither temp file is left, nor its descriptor open
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    first.write_bytes(b"old a\n")
-    second.write_bytes(b"old b\n")
-
+def test_write_atomic_chunk_failure_closes_and_removes_every_temp_file(tmp_path, monkeypatch):
+    # a set of two files written, and failing at each stage after the first
+    # file is whole: its second temp file's creation (every name taken), its
+    # chunk source (after one chunk), the check for a directory target and
+    # the rename. The directory's descriptor and every temp file's are
+    # closed, no temp file is left, and a failed set leaves the old one
     def chunks():
         yield "roll\n"
         raise OSError("chunk source failed")
 
-    descriptors = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError, match="chunk source failed"):
-        cli._write_atomic({first: lambda: "new a\n", second: chunks})
-    assert len(os.listdir("/proc/self/fd")) == descriptors
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.csv": b"old a\n", "b.csv": b"old b\n"}
+    taken = bytes(6)
+    stages = [  # (stage, b.csv's text, patches of os, error, files after)
+        ("written", lambda: "new b\n", {}, None, {"a.csv": b"new a\n", "b.csv": b"new b\n"}),
+        ("temp-names-taken", lambda: "new b\n",
+         {"urandom": lambda n, draws=iter([b"\x01" * 6]): next(draws, taken)}, "no unused temp file name",
+         {"a.csv": b"old a\n", "b.csv": b"old b\n", f".b.csv.{taken.hex()}.tmp": b"someone else's\n"}),
+        ("chunk-source", chunks, {}, "chunk source failed", {"a.csv": b"old a\n", "b.csv": b"old b\n"}),
+        ("directory-check", lambda: "new b\n", {}, "Is a directory", {"a.csv": b"old a\n"}),
+        ("rename", lambda: "new b\n", {"replace": _fail_rename}, "rename refused",
+         {"a.csv": b"old a\n", "b.csv": b"old b\n"}),
+    ]
+    for stage, text_b, patches, error, after in stages:
+        out = tmp_path / stage
+        out.mkdir()
+        (out / "a.csv").write_bytes(b"old a\n")
+        if stage == "directory-check":
+            (out / "b.csv").mkdir()
+        else:
+            (out / "b.csv").write_bytes(b"old b\n")
+        if stage == "temp-names-taken":
+            (out / f".b.csv.{taken.hex()}.tmp").write_bytes(b"someone else's\n")
+        descriptors = len(os.listdir("/proc/self/fd"))
+        with monkeypatch.context() as patched:
+            for name, patch in patches.items():
+                patched.setattr(cli.os, name, patch)
+            with pytest.raises(OSError, match=error) if error else contextlib.nullcontext():
+                cli._write_atomic(str(out), {"a.csv": lambda: "new a\n", "b.csv": text_b})
+        assert len(os.listdir("/proc/self/fd")) == descriptors, stage
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == after, stage
 
 
 @pytest.mark.parametrize("failing", ["emit_state_json", "emit_uart_bits_csv"])

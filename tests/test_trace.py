@@ -96,6 +96,43 @@ def test_load_trace_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, li
     assert info.value.line_no == line_no
 
 
+def _short_reads(monkeypatch) -> list[int]:
+    """Patch os.read to give at most 7 bytes a call; the sizes it gave."""
+    read, sizes = os.read, []
+
+    def short_read(fd, n):
+        data = read(fd, min(n, 7))
+        sizes.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "read", short_read)
+    return sizes
+
+
+def test_load_trace_joins_reads_of_seven_bytes(tmp_path, monkeypatch):
+    # a read may give fewer bytes than asked, and only an empty one ends the file
+    text = "0 RESET 1\r\n1000 RESET 0\n# café été\n1000 TILT 1\n2000 ADC 513 # end"
+    path = tmp_path / "short.trace"
+    path.write_bytes(text.encode("utf-8"))
+    sizes = _short_reads(monkeypatch)
+    assert load_trace(path) == parse_trace(text)
+    assert sum(sizes) == len(text.encode("utf-8")) and sizes[-1] == 0 and len(sizes) > 8
+
+
+@pytest.mark.parametrize("data, line_no", [
+    (b"0 RESET 1\n1000 RESET 0\n\xff 0 TILT 1\n", 3),
+    (b"0 RESET 1\n# caf\xc3\xa9\n\n# \xc3", 4),  # a sequence cut by the end of the file
+    (b"0 RESET 1\n# ca\xc3\xa9\xc3\n", 2),  # a sequence cut by the LF, in the second read
+])
+def test_load_trace_names_the_line_of_a_bad_byte_across_reads(tmp_path, monkeypatch, data, line_no):
+    path = tmp_path / "bytes.trace"
+    path.write_bytes(data)
+    _short_reads(monkeypatch)
+    with pytest.raises(TraceParseError, match=f"^line {line_no}: byte 0x.. is not UTF-8 text$") as info:
+        load_trace(path)
+    assert info.value.line_no == line_no
+
+
 # the last seven are line ends or blanks to str.splitlines()/str.split(), not
 # to the trace grammar
 @pytest.mark.parametrize("text", ["1_000", "+2000", "\u0663\u0660\u0660\u0660", "1\x0c", "1\x0b", "1\x1c",
@@ -470,6 +507,29 @@ def test_replay_is_numpy_free(tmp_path):
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout.decode().endswith("0011010001\n16\n")
     assert (tmp_path / "feedback" / "uart_bits.csv").exists()
+
+
+def test_json_loads_with_the_first_state_json(tmp_path):
+    # uart and a replay's other files never need it; the state.json of a
+    # simulate call loads it, and its text is still json.dumps's
+    code = (
+        "import sys\n"
+        "from dicesim import cli, trace\n"
+        f"open('boot.trace', 'w').write({BOOT!r})\n"
+        "assert cli.main(['uart', 'encode', '16']) == 0 and cli.main(['uart', 'decode', '0011010001']) == 0\n"
+        "log = trace.replay(trace.load_trace('boot.trace'), trace.ReplayConfig(duration_us=3_000_000))\n"
+        "assert all((trace.emit_log(log, 'csv'), trace.emit_uart_csv(log), trace.emit_uart_bits_csv(log)))\n"
+        "print('json' in sys.modules)\n"
+        "assert cli.main(['simulate', '--trace', 'boot.trace', '--out', 'run']) == 0\n"
+        "import json\n"
+        "state = open('run/state.json').read()\n"
+        "print(state == json.dumps(json.loads(state), indent=2, sort_keys=True) + '\\n')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dicesim.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env, cwd=tmp_path, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()
+    lines = run.stdout.decode().splitlines()
+    assert (lines[2], lines[4]) == ("False", "True")
 
 
 def test_replay_validates():
