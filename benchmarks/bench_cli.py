@@ -11,6 +11,10 @@ argvs read from the parsers' option table (`cli._plain_args`, the path
 stdout caught. Both reads of each argv must give the same namespace, and
 the output of the last warm call must be the frame of 0x16, `0011010001`.
 
+Then `trace.parse_trace` of the event-dense session of the benchmark's
+`replay_busy` workload (the trace bench_emit.py reads), which must give the
+events of the per-line reader `trace._parse_lines`.
+
 Then the two file phases of a `simulate` call, in a temporary directory:
 `trace.load_trace` of the 3 s boot trace, which must give the events of
 `trace.parse_trace` of its text, and `cli._write_atomic` of one set of
@@ -27,6 +31,7 @@ import sys
 import tempfile
 import time
 
+from bench_emit import BUSY_TRACE
 from dicesim import cli, trace
 
 REPEAT = int(sys.argv[1]) if len(sys.argv) > 1 else 5
@@ -106,9 +111,12 @@ def main():
             ("plain rolls", best_of(cli._plain_args, ROLLS_ARGV)),
             ("main uart encode 16", best_of(warm_main, UART_ARGV, out))]
     assert out.getvalue() == UART_WANT, out.getvalue()
+    assert trace.parse_trace(BUSY_TRACE) == trace._parse_lines(BUSY_TRACE)
+    rows.append(("parse_trace busy", best_of(trace.parse_trace, BUSY_TRACE)))
     rows += file_rows()
     print("the option table reads each argv as parse_args does")
     print(f"a warm main call prints {UART_WANT.strip()}")
+    print("parse_trace reads the busy trace's events as the per-line reader does")
     print(f"load_trace reads the boot trace's events; every write leaves {sum(SET_SIZES.values())} bytes in 3 files")
     print(f"{'step':<24}  {'best (ms)':>9}")
     for step, seconds in rows:

@@ -46,6 +46,8 @@ DICE_TABLE = {
 }
 
 SUPPORTED_DICE = tuple(row[0] for row in DICE_TABLE.values())
+# (diceval, set digits) of each dselect, 0 to 7, as the selection FSM reads them
+_DICE_ROWS = tuple((DICE_TABLE[dselect][0], DICE_TABLE[dselect][1:]) for dselect in range(len(DICE_TABLE)))
 
 WINDOW_BITS = 10
 WINDOW_MASK = (1 << WINDOW_BITS) - 1
@@ -81,13 +83,6 @@ def _tick_tables(i: int):
     return _byte_tables(TICK_JUMP) if i == 0 else _squared(_tick_tables(i - 1))
 
 
-def dice_table(dselect: int) -> tuple[int, int, int, int, int]:
-    """(diceval, thou, huns, tens, ones) codes for a selector value."""
-    if dselect not in DICE_TABLE:
-        raise ValueError(f"dselect out of range 0..7: {dselect}")
-    return DICE_TABLE[dselect]
-
-
 # ======================================================================
 #  tilt debounce
 # ======================================================================
@@ -109,10 +104,14 @@ def tilt_update(state: TiltState, sample: int, intuitive: bool = False) -> TiltS
     Faithful mode counts the window as it was before this sample shifted in
     (the as-built blocking read), so a change of posture needs one extra tick
     to register. The intuitive flag counts the post-shift window instead.
+    A tick that changes neither the window nor the count returns the state
+    it was given.
     """
     window = ((state.window << 1) | (1 if sample else 0)) & WINDOW_MASK
     basis = window if intuitive else state.window
     total = basis.bit_count()
+    if window == state.window and total == state.sumtilt:
+        return state
     return TiltState(window, total, total >= UPRIGHT_THRESHOLD)
 
 
@@ -157,11 +156,11 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     elif btn_down:
         setmode = True
         dselect = 7 if dselect == 0 else dselect - 1
-    row = dice_table(dselect)
+    diceval, digits = _DICE_ROWS[dselect]
     if (setmode == state.setmode and dselect == state.dselect and keepon == state.keepon
-            and row[0] == state.diceval and row[1:] == state.set_digits):
+            and diceval == state.diceval and digits == state.set_digits):
         return state
-    return SelectionState(setmode, dselect, row[0], row[1:], keepon)
+    return SelectionState(setmode, dselect, diceval, digits, keepon)
 
 
 # ======================================================================

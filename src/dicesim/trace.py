@@ -6,7 +6,9 @@ it is dropped), and fields are parted by ASCII blanks and tabs only. Signals
 are TILT, BTNU, BTND, RESET (binary levels) and ADC (a one-shot 16-bit
 sample). Timestamps and values are ASCII decimal digits, at most 4 300 past
 the leading zeros. Timestamps must be non-decreasing; simultaneous events
-apply in file order.
+apply in file order. parse_trace checks a whole text against one pattern of
+this grammar and then reads all its fields at once; a text that fails is
+read line by line, so an error names its line and field.
 
 Replay semantics: switch levels hold between events and are sampled at tick
 boundaries, so pulses that fit between two polls of the same clock are
@@ -21,11 +23,10 @@ two runs produce byte-identical logs.
 from __future__ import annotations
 
 import functools
-import heapq
 import os
 import re
+import sys
 from bisect import bisect_left, bisect_right
-from collections import deque
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
@@ -128,35 +129,35 @@ def _parse_int(text: str, line_no: int, field_name: str) -> int:
     return value
 
 
-# A well-formed line: blanks, then optionally the three fields, a timestamp of
-# at most 18 digits and a value of at most 5, parted by blanks, then an
-# optional comment, and a LF after at most one CR, or the end of the text.
-_LINE = re.compile(r"[ \t]*(?:([0-9]{1,18})[ \t]+(%s)[ \t]+([0-9]{1,5})[ \t]*)?(?:#[^\n]*)?(?:\r?\n|\Z)"
-                   % "|".join(SIGNALS))
+# A well-formed text: lines of blanks, then optionally the three fields, a
+# timestamp of at most 18 digits and a level (0 or 1 after at most four zeros)
+# or an ADC value of at most 5 digits, parted by blanks, then an optional
+# comment; each line but the last ends at a LF, after at most one CR outside
+# a comment. Each line has one parse, and the quantifiers are possessive, so a
+# text that is not one fails without trying another split of the lines before.
+_FIELDS = (r"[ \t]*+(?:[0-9]{1,18}+[ \t]++(?:(?:%s)[ \t]++0{0,4}[01]|ADC[ \t]++[0-9]{1,5}+)[ \t]*+)?+"
+           % "|".join(LEVEL_SIGNALS + ("RESET",)))
+_TEXT = rf"(?:{_FIELDS}(?:#[^\n]*+|\r?)\n)*+{_FIELDS}(?:#[^\n]*+)?+"
+if sys.version_info < (3, 11):  # no possessive quantifiers: with one parse per line it still fails in linear time
+    _TEXT = re.sub(r"([*+?}])\+", r"\1", _TEXT)
+_TEXT = re.compile(_TEXT)
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
     """Parse trace text into an event list, enforcing order and ranges. A
-    text of well-formed lines in order and in range is read by _LINE's
-    matches, each starting where the one before ended; any other text goes
-    to _parse_lines, which alone names errors."""
-    events = []
-    pos = last_t = 0
-    for match in _LINE.finditer(text):
-        if match.start() != pos:
-            break
-        pos = match.end()
-        t_text, signal, v_text = match.groups()
-        if t_text is None:  # a blank or comment line
-            continue
-        t_us, value = int(t_text), int(v_text)
-        if t_us < last_t or value > (0xFFFF if signal == "ADC" else 1):
-            break
-        events.append(TraceEvent(t_us, signal, value))
-        last_t = t_us
-    else:
-        if pos == len(text):
-            return events
+    text that _TEXT matches whole is read from its fields: with comments cut
+    out, str.split() gives three per event line and none for any other,
+    since every blank outside a comment is a space, a tab, a CR or a LF.
+    Its order is checked once over all timestamps and its ADC bound once
+    over all values (levels are 0 or 1 by the pattern). Any other text, or
+    one out of order or range, goes to _parse_lines, which alone names
+    errors."""
+    if _TEXT.fullmatch(text) is not None:
+        fields = (_COMMENT.sub("", text) if "#" in text else text).split()
+        times, values = list(map(int, fields[0::3])), list(map(int, fields[2::3]))
+        if times == sorted(times) and max(values, default=0) <= 0xFFFF:
+            return list(map(TraceEvent._make, zip(times, fields[1::3], values)))
     return _parse_lines(text)
 
 
@@ -284,12 +285,13 @@ class RunLog(Record):
 
 class Board:
     """The whole board under replay: device, synthetic ADC source, held input
-    levels and run log. It steps only on the device grid: two counters, the
-    HZ10 and the S5 steps since the last reset release, place the next edge
-    of each domain arithmetically, and the earlier of the two is taken, so a
-    span split by a trace event is unchanged. The HZ10 steps of a steady
-    upright span (fact 4) of STEADY_MIN_STEPS or more are one jump, to the
-    last step before the next event. The UART is noted as runs of same-byte
+    levels and run log. It steps only on the device grid: it keeps the next
+    rising edge of each domain, one half period after the last reset release
+    and one period after the last step, and the earlier of the two, the due
+    edge, is taken, so a span split by a trace event is unchanged. A run_to
+    short of the due edge, or while reset is held, steps nothing. The HZ10
+    steps of a steady upright span (fact 4) of STEADY_MIN_STEPS or more are
+    one jump, to the last step before the next event. The UART is noted as runs of same-byte
     frames, the way display words are noted: a run opens at each release
     and at each HZ10 step that changes the live byte, and RESET 1 notes a
     cut. snapshot() derives the frame in flight and the HZ500 display
@@ -310,7 +312,9 @@ class Board:
     def _release(self, origin: int) -> None:
         self.reset = 0
         self.origin = origin  # absolute cycle of the last reset release
-        self.hz10_steps = self.s5_steps = 0  # since the release
+        # the next rising edge of each domain, and the earlier of the two
+        self.next_hz10, self.next_s5 = origin + HZ10_HALF, origin + S5_HALF
+        self.due = self.next_hz10
         self.note_uart(origin)
 
     def note_display(self, t_us: int) -> None:
@@ -343,18 +347,15 @@ class Board:
         if cycle < self.now:
             raise ValueError("replay cannot move backwards in time")
         self.now = cycle
-        if self.reset:
+        if cycle < self.due:  # no edge due yet, or held in reset (due is inf)
             return
-        dev, log, origin, levels = self.device, self.log, self.origin, self.levels
+        dev, log, levels = self.device, self.log, self.levels
+        hz10, s5 = self.next_hz10, self.next_s5
         while True:
-            # the next rising edges sit at odd multiples of each half period
-            hz10 = origin + HZ10_HALF * (2 * self.hz10_steps + 1)
-            s5 = origin + S5_HALF * (2 * self.s5_steps + 1)
-            edge = min(hz10, s5)
-            if edge > cycle:
-                return
-            t_us = edge // CYCLES_PER_US
-            if edge == hz10:  # never an S5 edge too (fact 1)
+            if hz10 < s5:  # never equal (fact 1)
+                if hz10 > cycle:
+                    break
+                t_us = hz10 // CYCLES_PER_US
                 sample = self.adc_pending
                 if sample is None:
                     sample = self.adc.next()
@@ -365,22 +366,26 @@ class Board:
                     log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
                 if dev.selection is not selection or dev.roll is not roll:  # the notes read only these two
                     self.note_display(t_us)
-                    self.note_uart(edge)  # no frame starts on this edge (fact 2)
-                self.hz10_steps += 1
+                    self.note_uart(hz10)  # no frame starts on this edge (fact 2)
                 # a steady span (fact 4) with STEADY_MIN_STEPS or more steps left by
-                # cycle: jump to the last (in FEEDBACK mode, once rand_reg has latched)
-                if (cycle - edge >= 2 * HZ10_HALF * STEADY_MIN_STEPS and dev.tilt.upright
-                        and (dev.rand_reg or dev.prng_mode == STATELESS)
-                        and (dev.tilt, dev.selection, dev.roll) == (tilt, selection, roll)):
-                    steps = (cycle - edge) // (2 * HZ10_HALF)
+                # cycle: jump to the last (in FEEDBACK mode, once rand_reg has latched);
+                # an update that changes nothing returns the state it was given
+                elif (cycle - hz10 >= 2 * HZ10_HALF * STEADY_MIN_STEPS and dev.tilt is tilt and tilt.upright
+                        and (dev.rand_reg or dev.prng_mode == STATELESS)):
+                    steps = (cycle - hz10) // (2 * HZ10_HALF)
                     dev.steady_ticks(steps, self.adc.skip(steps))
-                    self.hz10_steps += steps
+                    hz10 += 2 * HZ10_HALF * steps
+                hz10 += 2 * HZ10_HALF
             else:  # S5 leaves the digits alone (fact 3)
+                if s5 > cycle:
+                    break
                 before = dev.power.onsig
                 dev.s5_tick()
                 if dev.power.onsig != before:
-                    log.onpin_edges.append((t_us, dev.power.onsig))
-                self.s5_steps += 1
+                    log.onpin_edges.append((s5 // CYCLES_PER_US, dev.power.onsig))
+                s5 += 2 * S5_HALF
+        self.next_hz10, self.next_s5 = hz10, s5
+        self.due = min(hz10, s5)
 
     def apply(self, ev: TraceEvent) -> None:
         """Apply one trace event at the current time."""
@@ -390,7 +395,7 @@ class Board:
             if ev.value == 1 and not self.reset:
                 self.end_runs(ev.t_us)  # a frame starting on this very cycle still drives its START bit
                 self.log.uart_runs.append((ev.t_us, None))
-                self.reset = 1
+                self.reset, self.due = 1, inf
                 self.device.reset()
                 self.adc_pending = None
                 self.note_display(ev.t_us)
@@ -476,52 +481,71 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None) -> RunL
 LOG_COLUMNS = ("record", "t_us", "dice_sides", "roll", "byte", "word", "level")
 
 # One row per record kind, in the order simultaneous records are written:
-# the RunLog list (None for UART, whose frames log.uart_byte_runs gives a run
-# at a time), then its csv and jsonl line templates over (t_us, ...).
+# the RunLog list, then its csv and jsonl line templates over (t_us, ...);
+# for UART, whose frames log.uart_byte_runs gives a run at a time, the text
+# before t_us and a template over the byte of the text after it.
 _RECORD_KINDS = (
     ("settled_rolls", "ROLL,{0},{1},{2},,,\n", '{{"record":"ROLL","t_us":{0},"dice_sides":{1},"roll":{2}}}\n'),
-    (None, "UART,{0},,,{1:02x},,\n", '{{"record":"UART","t_us":{0},"byte":"{1:02x}"}}\n'),
+    (None, ("UART,", ",,,{0:02x},,\n"), ('{"record":"UART","t_us":', ',"byte":"{0:02x}"}}\n')),
     ("display_words", "DISPLAY,{0},,,,{1:04x},\n", '{{"record":"DISPLAY","t_us":{0},"word":"{1:04x}"}}\n'),
     ("onpin_edges", "ONPIN,{0},,,,,{1}\n", '{{"record":"ONPIN","t_us":{0},"level":{1}}}\n'),
 )
 _UART_ROW = 1  # the row log.uart_byte_runs fill, a run at a time
 _LOG_HEADERS = {"csv": ",".join(LOG_COLUMNS) + "\n", "jsonl": ""}
+_NO_RECORD = (inf, inf, "")  # past the last record: every UART line goes first
 
 
 def emit_log(log: RunLog, fmt: str = "csv") -> str:
     """Serialize the merged record stream; csv and jsonl carry identical
-    field values in identical order. Each RunLog list is already in time
-    order, and heapq.merge keeps simultaneous ROLL, DISPLAY and ONPIN
-    records in table order. Before each of them, the UART times that sort
-    before it (before its t_us for a ROLL, up to it for the others) are
-    written together, as _frame_text writes them; the % template of a short
-    run is built once for the run."""
+    field values in identical order. The ROLL, DISPLAY and ONPIN records are
+    sorted by time, stably, so simultaneous ones keep table order. Each UART
+    run is written as _frame_text writes it, whole when no record falls
+    inside it; else its text is built when the merge reaches its first
+    record and cut before each record at the offset of the first UART line
+    that sorts after it (at its t_us for a ROLL, past it for the others)."""
     if fmt not in _LOG_HEADERS:
         raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
     column = 1 if fmt == "csv" else 2
-    streams = []
+    records = []
     for row, kind in enumerate(_RECORD_KINDS):
         if row != _UART_ROW:  # (t_us, bound, line): the UART times below bound go first
-            after = int(row > _UART_ROW)
-            streams.append([(rec[0], rec[0] + after, kind[column].format(*rec)) for rec in getattr(log, kind[0])])
-    line = _RECORD_KINDS[_UART_ROW][column]
-    pending = deque((line.format("%d", byte), times) for byte, times in log.uart_byte_runs())
+            uart_ties_first = int(row > _UART_ROW)
+            records += [(rec[0], rec[0] + uart_ties_first, kind[column].format(*rec)) for rec in getattr(log, kind[0])]
+    records.sort(key=itemgetter(0))
+    records = iter(records)
+    before, after = _RECORD_KINDS[_UART_ROW][column]
     chunks = [_LOG_HEADERS[fmt]]
-    for _, bound, text in chain(heapq.merge(*streams, key=itemgetter(0)), [(None, inf, "")]):
-        while pending:
-            template, times = pending[0]
-            k = bisect_left(times, bound)
-            if k < BLOCK_MIN_FRAMES:
-                chunks.append((template * k) % tuple(times[:k]))
-            else:
-                before, after = template.split("%d")
-                chunks.append(_frame_text(before, [(0, after)], times[:k]))
-            if k < len(times):
-                pending[0] = template, times[k:]
-                break
-            pending.popleft()
-        chunks.append(text)
+    _, bound, line = next(records, _NO_RECORD)
+    for byte, times in log.uart_byte_runs():
+        tail = after.format(byte)
+        text = None  # the run's text, once a record falls inside it
+        while (k := bisect_left(times, bound)) < len(times):
+            if k:
+                if text is None:
+                    text, done = _frame_text(before, [(0, tail)], times), 0
+                cut = _line_offset(times, k, len(before) + len(tail))
+                chunks.append(text[done:cut])
+                done = cut
+            chunks.append(line)
+            _, bound, line = next(records, _NO_RECORD)
+        chunks.append(_frame_text(before, [(0, tail)], times) if text is None else text[done:])
+    chunks.append(line)
+    chunks += [line for _, _, line in records]
     return "".join(chunks)
+
+
+def _line_offset(times, k: int, width: int) -> int:
+    """Where line k, k >= 1, starts in the text of a run of lines of times,
+    each width characters and the digits of its time: past k lines of the
+    digits of the first time, and one more for each of them at or past each
+    power of ten above it."""
+    first, last = times[0], times[k - 1]
+    offset = k * (width + len(str(first)))
+    power = 10 ** len(str(first))
+    while power <= last:
+        offset += k - bisect_left(times, power)
+        power *= 10
+    return offset
 
 
 def emit_uart_csv(log: RunLog) -> str:
@@ -559,9 +583,11 @@ def _frame_text(before, lines, starts) -> str:
     below 10**5 us one by one."""
     n, m = len(starts), len(lines)
     if n < BLOCK_MIN_FRAMES:
+        if m == 1:  # a line per frame, as uart.csv and the log have: no template to join
+            (dt, after), = lines
+            return (f"{before}%d{after}" * n) % tuple(range(starts.start + dt, starts.stop + dt, US_PER_FRAME))
         ranges = [range(starts.start + dt, starts.stop + dt, US_PER_FRAME) for dt, _ in lines]
-        times = ranges[0] if m == 1 else chain.from_iterable(zip(*ranges))
-        return ("".join(f"{before}%d{after}" for _, after in lines) * n) % tuple(times)
+        return ("".join(f"{before}%d{after}" for _, after in lines) * n) % tuple(chain.from_iterable(zip(*ranges)))
     # Sorted by w, the lines are the m columns of rows v, those whose s + dt
     # passed a multiple of 10**4 (v one more) first. Row v, column c is place
     # m * v + c; the run fills places f0 to f1 - 1, from the first line that

@@ -37,6 +37,8 @@ ALLOWED = {
     "prng._unshift_left": "criterion 02, through xorshift_inverse",
     "prng._unshift_right": "criterion 02, through xorshift_inverse",
     "record.Record.__repr__": "tests/test_record.py pins the Name(field=value, ...) form",
+    "record.Record.__eq__": "tests compare records by value (tests/test_record.py, tests/test_device.py)",
+    "record.Record._fields": "tests compare records by value, through __eq__",
     "cli._error_naming": "tests/test_cli.py::test_read_and_write_errors_print_one_whole_line pins each error line",
 }
 

@@ -110,7 +110,8 @@ def test_rolls_into_a_closed_pipe_ends_quietly():
     rolls = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     head = subprocess.run(["head", "-1"], stdin=rolls.stdout, capture_output=True, timeout=60)
     rolls.stdout.close()
-    err = rolls.stderr.read()
+    with rolls.stderr:
+        err = rolls.stderr.read()
     assert rolls.wait(timeout=60) == cli.EXIT_IO
     assert (head.stdout, err) == (b"roll\n", b"")
 

@@ -27,7 +27,6 @@ from dicesim.device import (
     SelectionState,
     SyntheticAdc,
     TiltState,
-    dice_table,
     held_value,
     keepawake_update,
     roll_update,
@@ -45,18 +44,12 @@ from reference_board import gf2_power, shift_stage
 # ----------------------------------------------------------------------
 
 def test_dice_table_rows():
-    assert dice_table(0) == (2, 0xD, 0x2, 0xF, 0xF)
-    assert dice_table(4) == (10, 0xD, 0x1, 0x0, 0xF)
-    assert dice_table(6) == (20, 0xD, 0x2, 0x0, 0xF)
-    assert dice_table(7) == (100, 0xD, 0x1, 0x0, 0x0)
+    assert DICE_TABLE[0] == (2, 0xD, 0x2, 0xF, 0xF)
+    assert DICE_TABLE[4] == (10, 0xD, 0x1, 0x0, 0xF)
+    assert DICE_TABLE[6] == (20, 0xD, 0x2, 0x0, 0xF)
+    assert DICE_TABLE[7] == (100, 0xD, 0x1, 0x0, 0x0)
+    assert list(DICE_TABLE) == list(range(8))  # every selector value, in order
     assert SUPPORTED_DICE == (2, 4, 6, 8, 10, 12, 20, 100)  # the diceval column, in selector order
-
-
-def test_dice_table_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        dice_table(8)
-    with pytest.raises(ValueError):
-        dice_table(-1)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +145,7 @@ def test_selection_held_button_steps_every_tick():
 
 def test_selection_refreshes_row_same_tick():
     state = selection_update(SelectionState(), upright=True, btn_up=1, btn_down=0)
-    assert (state.diceval,) + state.set_digits == dice_table(1)
+    assert (state.diceval,) + state.set_digits == DICE_TABLE[1]
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +461,13 @@ def test_upright_roll_ticks_are_given_live_equal_to_held(mode, intuitive, steps)
 #  unchanged states: an update that changes nothing returns what it was given
 # ----------------------------------------------------------------------
 
+def _tilt_built(state, sample, intuitive):
+    """The state a tilt tick builds."""
+    window = ((state.window << 1) | sample) & WINDOW_MASK
+    total = (window if intuitive else state.window).bit_count()
+    return TiltState(window, total, total >= UPRIGHT_THRESHOLD)
+
+
 def _selection_built(state, upright, btn_up, btn_down):
     """The state a selection tick builds, as its branches construct it."""
     if not upright:
@@ -499,6 +499,29 @@ def _check_update(update, built, state, *args):
 
 BLANK = (0, 0, 0, 0)
 ROW3 = DICE_TABLE[3][1:]
+SETTLED = TiltState(WINDOW_MASK, WINDOW_BITS, True)  # upright, the window full and counted
+
+
+@pytest.mark.parametrize("state, args, same", [
+    (SETTLED, (1, False), True),                                          # upright and held there
+    (SETTLED, (1, True), True),
+    (TiltState(), (0, False), True),                                      # face down and held there
+    (TiltState(WINDOW_MASK, WINDOW_BITS - 1, True), (1, False), False),   # the window full, the count a tick behind
+    (TiltState(WINDOW_MASK, WINDOW_BITS - 1, True), (1, True), False),
+    (SETTLED, (0, False), False),                                         # a zero shifts in, counted a tick later
+])
+def test_tilt_update_returns_an_unchanged_state_itself(state, args, same):
+    assert _check_update(tilt_update, _tilt_built, state, *args) == same
+
+
+def test_tilt_update_returns_a_new_state_only_when_it_differs():
+    # replay jumps a steady span only when tilt is the same object after a step
+    for window in range(WINDOW_MASK + 1):
+        for sumtilt in range(WINDOW_BITS + 1):
+            state = TiltState(window, sumtilt, sumtilt >= UPRIGHT_THRESHOLD)
+            for sample in (0, 1):
+                for intuitive in (False, True):
+                    _check_update(tilt_update, _tilt_built, state, sample, intuitive)
 D6_ROLL = RollState(4, 6, (0, 0, 4, 0xF), (0, 0, 4, 0xF))  # out 4 of a d6
 
 

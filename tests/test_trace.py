@@ -207,7 +207,7 @@ def test_load_trace_reads_the_file_as_its_text(tmp_path):
 # fields the pattern of a well-formed line does not take: the per-line reader
 # accepts the long ones (19 digits, or leading zeros past 4 300) and names the rest
 ODD_FIELDS = ("+1", "-0", "1_0", "\u0663", "1\xa0", "", "9" * 18, "9" * 19, "0" * 4_400 + "5", "1" + "0" * 4_300)
-FLAWS = ("backwards", "out of range", "odd field", "odd blank", "unknown signal", "lone CR")
+FLAWS = ("backwards", "out of range", "odd field", "odd blank", "unknown signal", "lone CR", "split line")
 BLANKS = st.sampled_from((" ", "\t", " \t "))
 COMMENTS = st.text(st.sampled_from("a #\t\r\x85\u2028\xa0"), max_size=5).map(lambda text: "#" + text)
 
@@ -216,7 +216,10 @@ COMMENTS = st.text(st.sampled_from("a #\t\r\x85\u2028\xa0"), max_size=5).map(lam
 def trace_texts(draw):
     """Trace text of well-formed lines, events, blank lines and comments with
     LF or CRLF ends, one of them at times with a flaw, and any end to the
-    last line: none, LF, CRLF or a lone CR."""
+    last line: none, LF, CRLF or a lone CR. Fields may have up to five
+    leading zeros, one more than a well-formed level or ADC value keeps; a
+    split line breaks an event's line between its fields, so the text holds
+    three fields for each event but not on each line."""
     count = draw(st.integers(0, 8))
     flaw, at = draw(st.sampled_from((None,) * 3 + FLAWS)), draw(st.integers(0, max(count - 1, 0)))
     lines, t_us = [], 0
@@ -228,12 +231,14 @@ def trace_texts(draw):
             signal = "TLIT" if flawed == "unknown signal" else draw(st.sampled_from(SIGNALS))
             top = 0xFFFF if signal == "ADC" else 1
             value = top + draw(st.integers(1, 99)) if flawed == "out of range" else draw(st.integers(0, top))
-            fields = [draw(st.sampled_from(("", "0", "000"))) + str(n) for n in (t_us, value)]
+            fields = [draw(st.sampled_from(("", "0", "000", "0000", "00000"))) + str(n) for n in (t_us, value)]
             if flawed == "odd field":
                 fields[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_FIELDS))
             blanks = [draw(BLANKS), draw(BLANKS)]
             if flawed == "odd blank":
                 blanks[draw(st.integers(0, 1))] = draw(st.sampled_from(("\xa0", "\x0c", "\x0b")))
+            if flawed == "split line":
+                blanks[draw(st.integers(0, 1))] = draw(st.sampled_from(("\n", "\r\n", " \n\t")))
             line += fields[0] + blanks[0] + signal + blanks[1] + fields[1] + draw(st.sampled_from(("", " ", "\t")))
         if draw(st.booleans()):
             line += draw(COMMENTS)
@@ -244,11 +249,12 @@ def trace_texts(draw):
 
 
 def _parsed(parse, text):
-    """The events parse reads in text, or the message of its TraceParseError."""
+    """The events parse reads in text, or the type and message of the error
+    it raises."""
     try:
         events = parse(text)
-    except TraceParseError as exc:
-        return str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
     assert all(type(ev) is TraceEvent for ev in events)
     return events
 
@@ -261,6 +267,15 @@ def _parsed(parse, text):
 @example("5 TILT 1 # a\rb\r\n6 ADC 65535")
 @example("5 TILT 1\r\r\n")
 @example("10 TILT 1\n5 TILT 0\n")
+@example("1 ADC\n5 2 ADC 3\n")  # six fields over the text, two and four on its lines
+@example("5 TILT 2\n")
+@example("5 TILT 00001\n6 BTNU\t00000 # zeros\r\n")
+@example("5 TILT 000001\n")  # more zeros than the pattern takes: the line reader reads it
+@example("5 ADC 65536\n")
+@example("5 ADC 065535\n")
+@example("5\xa0TILT 1\n")
+@example("5 TILT\x0b1\n")
+@example("# a\r\n#\r\n5 TILT 1 #\x0b\xa0\r\n")
 def test_pattern_reads_what_the_line_reader_reads(text):
     # parse_trace gives the events of the per-line reader, or its error text
     assert _parsed(parse_trace, text) == _parsed(dicesim.trace._parse_lines, text)
@@ -816,6 +831,27 @@ def test_emit_log_orders_simultaneous_records_by_kind():
     )
     with pytest.raises(ValueError, match="unknown log format"):
         emit_log(log, "xml")
+
+
+@pytest.mark.parametrize("power", [10**5, 10**6, 10**7])
+@pytest.mark.parametrize("frames", [2, BLOCK_MIN_FRAMES - 1, 3 * BLOCK_MIN_FRAMES])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_emit_log_cuts_uart_runs_at_records_across_a_decade(power, frames, fmt):
+    # the UART run's lines gain a digit at `power`, the STOP of frame `middle`;
+    # records of each kind fall on the STOPs of its first, middle and last
+    # frames, on either side of the middle one and after the last, where the
+    # next run's first frame is in flight. At a STOP, a ROLL sorts before the
+    # UART line and a DISPLAY or an ONPIN after it.
+    middle = min(frames // 2, (power - STOP_US) // US_PER_FRAME)  # no frame before 0 us
+    first = power - STOP_US - middle * US_PER_FRAME  # START of the run's first frame
+    stops = [first + STOP_US + US_PER_FRAME * j for j in (0, middle, frames - 1)]
+    times = sorted(stops + [power - 1, power + 1, stops[-1] + 1, first, first + US_PER_FRAME * frames])
+    end = first + US_PER_FRAME * (frames + 2)
+    log = RunLog(uart_runs=[(first, 0x3C), (first + US_PER_FRAME * frames, 0xA5), (end + 4_321, None)],
+                 end_us=end + 5_000, settled_rolls=[(t, 6, 4) for t in times],
+                 display_words=[(t, t & 0xFFFF) for t in times], onpin_edges=[(t, t & 1) for t in times])
+    assert stops[1] == power
+    assert emit_log(log, fmt) == reference_board.log_files(log, fmt)[f"log.{fmt}"]
 
 
 # where RESET 1 or the end falls after the START of a release's last frame:
