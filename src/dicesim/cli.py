@@ -53,6 +53,8 @@ BIAS_FACES_PER_WRITE = 4_000  # a multiple of 100, so a write splits no block of
 
 
 TEMP_NAME_TRIES = 100  # random temp names tried in a directory before giving up
+# every file simulate may write into its --out directory
+SIMULATE_OUTPUTS = ("log.csv", "log.jsonl", "uart.csv", "state.json", "uart_bits.csv")
 
 
 def _error_naming(exc: OSError, *path: str) -> OSError:
@@ -113,12 +115,15 @@ def _is_dir(name: str, dir_fd: int) -> bool:
         return False
 
 
-def _write_atomic(out: str, files: dict[str, Callable[[], str | Iterable[str]]], make_dir: bool = False) -> None:
+def _write_atomic(out: str, files: dict[str, Callable[[], str | Iterable[str]]], make_dir: bool = False,
+                  stale: Iterable[str] = ()) -> None:
     """Write each file name's text, made by its function, into the directory
     out as one set, every step relative to one descriptor of out (see
     _open_dir for make_dir): each text to a temp file of its own, so
     concurrent writers never share one, then, once every one is whole and no
-    name is a directory, a rename of each over its name. Each chunk of text
+    name is a directory, a rename of each over its name, and last an unlink
+    of each name in stale, the names an earlier set may hold that this one
+    does not; one that is missing or a directory is left. Each chunk of text
     is written as its UTF-8 bytes, so a LF is a LF on every platform. On any
     failure before the renames, a chunk source's too, every temp file is
     closed and removed; the directory's descriptor is closed on every path.
@@ -143,6 +148,14 @@ def _write_atomic(out: str, files: dict[str, Callable[[], str | Iterable[str]]],
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
         for tmp, name in written:
             os.replace(tmp, name, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
+        for name in stale:
+            try:
+                os.unlink(name, dir_fd=dir_fd)
+            except FileNotFoundError:
+                pass
+            except OSError:  # Linux refuses a directory with EISDIR, POSIX allows EPERM
+                if not _is_dir(name, dir_fd):
+                    raise
     except BaseException as exc:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
@@ -198,7 +211,7 @@ def cmd_simulate(args) -> int:
         outputs["uart_bits.csv"] = lambda: emit_uart_bits_csv(log)
     out_dir = str(Path(args.out))  # as pathlib reads it, so "" is "."
     try:
-        _write_atomic(out_dir, outputs, make_dir=True)
+        _write_atomic(out_dir, outputs, make_dir=True, stale=[name for name in SIMULATE_OUTPUTS if name not in outputs])
     except OSError as exc:
         return _fail(f"cannot write outputs: {exc}", EXIT_IO)
     uart_bytes = sum(len(times) for _, times in log.uart_byte_runs())
@@ -382,8 +395,6 @@ def cmd_uart(args) -> int:
             values = _parse_hex_bytes(args.data)
         except ValueError as exc:
             return _fail(str(exc), EXIT_USAGE)
-        if not values:
-            return _fail("nothing to encode", EXIT_USAGE)
         bits = []
         for value in values:
             bits.extend(encode_frame(value))

@@ -299,8 +299,7 @@ class Device:
         self.roll = RollState(roll.out, roll.held_diceval, (0, 0, 0, 0), roll.held)
 
     def _rand_for_tick(self) -> int:
-        if self.prng_mode == STATELESS:
-            return xorshift_step(self.seed)
+        """The FEEDBACK register one tick on."""
         if self.rand_reg:
             self.rand_reg = apply_tables(_tick_tables(0), self.rand_reg)
         else:  # zero until the first nonzero seed, which it latches stepped once
@@ -309,11 +308,11 @@ class Device:
 
     def hz10_tick(self, tilt: int, btn_up: int, btn_down: int, adc: int) -> None:
         """One HZ10 rising edge: seed shift, PRNG, debounce, selection, roll."""
-        self.seed = seed_shift(self.seed, adc)
-        self.rand = self._rand_for_tick()
-        self.tilt = tilt_update(self.tilt, tilt, self.intuitive_tilt)
-        self.selection = selection_update(self.selection, self.tilt.upright, btn_up, btn_down)
-        self.roll = roll_update(self.roll, self.rand, self.selection.diceval, self.tilt.upright)
+        self.seed = seed = seed_shift(self.seed, adc)
+        self.rand = rand = xorshift_step(seed) if self.prng_mode == STATELESS else self._rand_for_tick()
+        self.tilt = tilt_state = tilt_update(self.tilt, tilt, self.intuitive_tilt)
+        self.selection = selection = selection_update(self.selection, tilt_state.upright, btn_up, btn_down)
+        self.roll = roll_update(self.roll, rand, selection.diceval, tilt_state.upright)
 
     def steady_ticks(self, steps: int, samples: tuple[int, int]) -> None:
         """steps >= 2 hz10_ticks that leave tilt, selection and roll as they

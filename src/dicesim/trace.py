@@ -26,7 +26,7 @@ import functools
 import os
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
@@ -72,11 +72,13 @@ STOP_US = (FRAME_BITS - 1) * US_PER_BIT  # the STOP-to-IDLE edge that completes 
 #    display word, UART run or settled roll is noted. Its S5 steps see a
 #    fixed keepon, and still step one by one.
 HZ10_HALF = HALF_PERIODS[HZ10]
+HZ10_PERIOD = 2 * HZ10_HALF
 # A steady span is jumped only when this many HZ10 steps, one simulated
 # second, remain before the target. Event-dense traces, whose gaps are
 # shorter, step every tick: at most 9 steps per gap, a few us each.
 STEADY_MIN_STEPS = 10
 S5_HALF = HALF_PERIODS[S5]
+S5_PERIOD = 2 * S5_HALF
 FIRST_FRAME_CYCLES = 3 * HALF_PERIODS[HZ1000]
 FRAME_CYCLES = FRAME_BITS * 2 * HALF_PERIODS[HZ1000]
 
@@ -157,7 +159,7 @@ def parse_trace(text: str) -> list[TraceEvent]:
         fields = (_COMMENT.sub("", text) if "#" in text else text).split()
         times, values = list(map(int, fields[0::3])), list(map(int, fields[2::3]))
         if times == sorted(times) and max(values, default=0) <= 0xFFFF:
-            return list(map(TraceEvent._make, zip(times, fields[1::3], values)))
+            return list(map(tuple.__new__, repeat(TraceEvent), zip(times, fields[1::3], values)))
     return _parse_lines(text)
 
 
@@ -355,7 +357,6 @@ class Board:
             if hz10 < s5:  # never equal (fact 1)
                 if hz10 > cycle:
                     break
-                t_us = hz10 // CYCLES_PER_US
                 sample = self.adc_pending
                 if sample is None:
                     sample = self.adc.next()
@@ -363,19 +364,22 @@ class Board:
                 tilt, selection, roll = dev.tilt, dev.selection, dev.roll
                 dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample)
                 if dev.tilt.upright and not tilt.upright:
-                    log.settled_rolls.append((t_us, dev.roll.held_diceval, held_value(dev.roll)))
-                if dev.selection is not selection or dev.roll is not roll:  # the notes read only these two
-                    self.note_display(t_us)
+                    log.settled_rolls.append((hz10 // CYCLES_PER_US, dev.roll.held_diceval, held_value(dev.roll)))
+                # the display word reads selection and roll, the UART byte roll.live alone
+                if dev.roll is not roll:
+                    self.note_display(hz10 // CYCLES_PER_US)
                     self.note_uart(hz10)  # no frame starts on this edge (fact 2)
+                elif dev.selection is not selection:
+                    self.note_display(hz10 // CYCLES_PER_US)
                 # a steady span (fact 4) with STEADY_MIN_STEPS or more steps left by
                 # cycle: jump to the last (in FEEDBACK mode, once rand_reg has latched);
                 # an update that changes nothing returns the state it was given
-                elif (cycle - hz10 >= 2 * HZ10_HALF * STEADY_MIN_STEPS and dev.tilt is tilt and tilt.upright
+                elif (cycle - hz10 >= HZ10_PERIOD * STEADY_MIN_STEPS and dev.tilt is tilt and tilt.upright
                         and (dev.rand_reg or dev.prng_mode == STATELESS)):
-                    steps = (cycle - hz10) // (2 * HZ10_HALF)
+                    steps = (cycle - hz10) // HZ10_PERIOD
                     dev.steady_ticks(steps, self.adc.skip(steps))
-                    hz10 += 2 * HZ10_HALF * steps
-                hz10 += 2 * HZ10_HALF
+                    hz10 += HZ10_PERIOD * steps
+                hz10 += HZ10_PERIOD
             else:  # S5 leaves the digits alone (fact 3)
                 if s5 > cycle:
                     break
@@ -383,9 +387,9 @@ class Board:
                 dev.s5_tick()
                 if dev.power.onsig != before:
                     log.onpin_edges.append((s5 // CYCLES_PER_US, dev.power.onsig))
-                s5 += 2 * S5_HALF
+                s5 += S5_PERIOD
         self.next_hz10, self.next_s5 = hz10, s5
-        self.due = min(hz10, s5)
+        self.due = hz10 if hz10 < s5 else s5
 
     def apply(self, ev: TraceEvent) -> None:
         """Apply one trace event at the current time."""
@@ -464,9 +468,10 @@ def replay(events: list[TraceEvent], config: ReplayConfig | None = None) -> RunL
         raise ValueError(f"duration {duration_us} us ends before the last trace event at {last_event_t} us")
 
     board = Board(cfg)
+    run_to, apply = board.run_to, board.apply
     for ev in events:
-        board.run_to(ev.t_us * CYCLES_PER_US)
-        board.apply(ev)
+        run_to(ev.t_us * CYCLES_PER_US)
+        apply(ev)
     board.run_to(duration_us * CYCLES_PER_US)
     board.end_runs(duration_us)
     board.log.end_us = duration_us
@@ -483,16 +488,16 @@ LOG_COLUMNS = ("record", "t_us", "dice_sides", "roll", "byte", "word", "level")
 # One row per record kind, in the order simultaneous records are written:
 # the RunLog list, then its csv and jsonl line templates over (t_us, ...);
 # for UART, whose frames log.uart_byte_runs gives a run at a time, the text
-# before t_us and a template over the byte of the text after it.
+# before t_us and a template over the byte of the text after it. The templates
+# are % templates over ints: %d writes a bool as 1, where str() wrote True.
 _RECORD_KINDS = (
-    ("settled_rolls", "ROLL,{0},{1},{2},,,\n", '{{"record":"ROLL","t_us":{0},"dice_sides":{1},"roll":{2}}}\n'),
-    (None, ("UART,", ",,,{0:02x},,\n"), ('{"record":"UART","t_us":', ',"byte":"{0:02x}"}}\n')),
-    ("display_words", "DISPLAY,{0},,,,{1:04x},\n", '{{"record":"DISPLAY","t_us":{0},"word":"{1:04x}"}}\n'),
-    ("onpin_edges", "ONPIN,{0},,,,,{1}\n", '{{"record":"ONPIN","t_us":{0},"level":{1}}}\n'),
+    ("settled_rolls", "ROLL,%d,%d,%d,,,\n", '{"record":"ROLL","t_us":%d,"dice_sides":%d,"roll":%d}\n'),
+    (None, ("UART,", ",,,%02x,,\n"), ('{"record":"UART","t_us":', ',"byte":"%02x"}\n')),
+    ("display_words", "DISPLAY,%d,,,,%04x,\n", '{"record":"DISPLAY","t_us":%d,"word":"%04x"}\n'),
+    ("onpin_edges", "ONPIN,%d,,,,,%d\n", '{"record":"ONPIN","t_us":%d,"level":%d}\n'),
 )
 _UART_ROW = 1  # the row log.uart_byte_runs fill, a run at a time
 _LOG_HEADERS = {"csv": ",".join(LOG_COLUMNS) + "\n", "jsonl": ""}
-_NO_RECORD = (inf, inf, "")  # past the last record: every UART line goes first
 
 
 def emit_log(log: RunLog, fmt: str = "csv") -> str:
@@ -510,24 +515,26 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
     for row, kind in enumerate(_RECORD_KINDS):
         if row != _UART_ROW:  # (t_us, bound, line): the UART times below bound go first
             uart_ties_first = int(row > _UART_ROW)
-            records += [(rec[0], rec[0] + uart_ties_first, kind[column].format(*rec)) for rec in getattr(log, kind[0])]
+            template = kind[column]
+            records += [(rec[0], rec[0] + uart_ties_first, template % rec) for rec in getattr(log, kind[0])]
     records.sort(key=itemgetter(0))
     records = iter(records)
     before, after = _RECORD_KINDS[_UART_ROW][column]
     chunks = [_LOG_HEADERS[fmt]]
-    _, bound, line = next(records, _NO_RECORD)
+    no_record = (None, log.end_us + 1, "")  # past every UART time, each at most end_us: every line goes first
+    _, bound, line = next(records, no_record)
     for byte, times in log.uart_byte_runs():
-        tail = after.format(byte)
+        tail = after % byte
         text = None  # the run's text, once a record falls inside it
-        while (k := bisect_left(times, bound)) < len(times):
-            if k:
+        while (k := _times_below(times, bound)) < len(times):  # the record goes before a line of the run
+            if k > 0:  # and after one
                 if text is None:
                     text, done = _frame_text(before, [(0, tail)], times), 0
                 cut = _line_offset(times, k, len(before) + len(tail))
                 chunks.append(text[done:cut])
                 done = cut
             chunks.append(line)
-            _, bound, line = next(records, _NO_RECORD)
+            _, bound, line = next(records, no_record)
         chunks.append(_frame_text(before, [(0, tail)], times) if text is None else text[done:])
     chunks.append(line)
     chunks += [line for _, _, line in records]
@@ -539,13 +546,21 @@ def _line_offset(times, k: int, width: int) -> int:
     each width characters and the digits of its time: past k lines of the
     digits of the first time, and one more for each of them at or past each
     power of ten above it."""
-    first, last = times[0], times[k - 1]
-    offset = k * (width + len(str(first)))
-    power = 10 ** len(str(first))
-    while power <= last:
-        offset += k - bisect_left(times, power)
+    digits = len(str(times.start))
+    offset = k * (width + digits)
+    power = 10 ** digits
+    while power <= times[k - 1]:
+        offset += k - _times_below(times, power)
         power *= 10
     return offset
+
+
+def _times_below(times: range, bound: int) -> int:
+    """bisect_left(times, bound) by arithmetic, times a range of step
+    US_PER_FRAME, unclipped: the ceiling of (bound - start) / US_PER_FRAME,
+    which is 0 or less for a bound at or before the first time, and len or
+    more for one past the last."""
+    return -((times.start - bound) // US_PER_FRAME)
 
 
 def emit_uart_csv(log: RunLog) -> str:

@@ -461,6 +461,13 @@ def test_uart_encode_rejects_garbage(capsys):
     assert code == 2
 
 
+def test_uart_encode_needs_a_byte(capsys):
+    # nargs="+": argparse itself refuses a line with no bytes, before cmd_uart
+    code, out, err = _run(capsys, "uart", "encode")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: data\n")
+
+
 def test_uart_decode_framing_error(capsys):
     bad = "0011010000"  # stop bit low
     code, out, err = _run(capsys, "uart", "decode", bad)
@@ -907,6 +914,40 @@ def test_simulate_failure_leaves_the_previous_set_whole(tmp_path, capsys, monkey
     code, _, err = _run(capsys, *argv, "--duration-us", "3000000")
     assert code == 1 and "cannot write outputs: disk full" in err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("first, second, written", [
+    (["--uart-bits"], ["--format", "jsonl"], ["log.jsonl", "state.json", "uart.csv"]),
+    (["--format", "jsonl", "--uart-bits"], [], ["log.csv", "state.json", "uart.csv"]),
+])
+def test_simulate_removes_the_outputs_an_earlier_run_left(tmp_path, capsys, first, second, written):
+    # the second run's set replaces the first: its log in the other format and
+    # the uart_bits.csv it does not write are gone; other files stay
+    trace = tmp_path / "boot.trace"
+    trace.write_text(BOOT)
+    out_dir = tmp_path / "st"
+    argv = ["simulate", "--trace", str(trace), "--out", str(out_dir), "--duration-us", "2000000"]
+    assert _run(capsys, *argv, *first)[0] == 0
+    (out_dir / "notes.txt").write_text("mine\n")
+    assert _run(capsys, *argv, *second)[0] == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(written + ["notes.txt"])
+    solo = tmp_path / "solo"
+    assert _run(capsys, *argv[:4], str(solo), *argv[5:], *second)[0] == 0
+    assert {name: (out_dir / name).read_bytes() for name in written} == {
+        name: (solo / name).read_bytes() for name in written}
+
+
+def test_simulate_leaves_a_stale_name_that_is_a_directory(tmp_path, capsys):
+    # a directory under a name the run does not write is not a stale output
+    trace = tmp_path / "boot.trace"
+    trace.write_text(BOOT)
+    out_dir = tmp_path / "st"
+    (out_dir / "uart_bits.csv").mkdir(parents=True)
+    (out_dir / "uart_bits.csv" / "kept").write_text("kept\n")
+    code, _, err = _run(capsys, "simulate", "--trace", str(trace), "--out", str(out_dir), "--duration-us", "2000000")
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["log.csv", "state.json", "uart.csv", "uart_bits.csv"]
+    assert (out_dir / "uart_bits.csv" / "kept").read_text() == "kept\n"
 
 
 def test_simulate_over_a_directory_renames_nothing(tmp_path, capsys):

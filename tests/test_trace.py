@@ -22,6 +22,7 @@ from dicesim.device import SyntheticAdc
 from dicesim.timing import HALF_PERIODS, HZ10
 from dicesim.trace import (
     _frame_text,
+    _times_below,
     BLOCK_MIN_FRAMES,
     LOG_COLUMNS,
     SIGNALS,
@@ -854,6 +855,44 @@ def test_emit_log_cuts_uart_runs_at_records_across_a_decade(power, frames, fmt):
     assert emit_log(log, fmt) == reference_board.log_files(log, fmt)[f"log.{fmt}"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_emit_log_places_records_at_run_edges(fmt):
+    # three runs back to back, the middle one a single frame, a cut inside the
+    # third; a release whose only frame RESET 1 cuts before its STOP, so its
+    # run has no byte; a last release whose run passes 10**6 us and which the
+    # end cuts. A record of each kind falls on each run's START, on the STOP
+    # of its first and last frames, one us either side of both, and at 0 us
+    # and the end.
+    runs = [(1_500, 0x11), (1_500 + 3 * US_PER_FRAME, 0x22), (1_500 + 4 * US_PER_FRAME, 0x33),
+            (1_500 + 7 * US_PER_FRAME + 123, None), (80_000, 0x44), (84_000, None),
+            (10**6 - STOP_US - US_PER_FRAME, 0x55)]
+    log = RunLog(uart_runs=runs, end_us=10**6 + US_PER_FRAME + 9_500)
+    byte_runs = list(log.uart_byte_runs())
+    assert [len(times) for _, times in byte_runs] == [3, 1, 3, 0, 3]
+    edges = [t for t, _ in runs] + [t for _, times in byte_runs for t in (*times[:1], *times[-1:])]
+    times = sorted({0, log.end_us} | {t + d for t in edges for d in (-1, 0, 1)})
+    log.settled_rolls = [(t, 20, t % 20 + 1) for t in times]
+    log.display_words = [(t, t & 0xFFFF) for t in times]
+    log.onpin_edges = [(t, t & 1) for t in times]
+    assert emit_log(log, fmt) == reference_board.log_files(log, fmt)[f"log.{fmt}"]
+
+
+@pytest.mark.parametrize("mode", ["stateless", "feedback"])
+def test_record_fields_are_ints_not_bools(monkeypatch, mode):
+    # the log's % templates write a bool as 1, where str.format wrote True; the
+    # busy session's rolls, button walks, disarm and resets make every kind of
+    # record many times
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import BUSY_DURATION_US, replay_busy
+
+    (_, text), = replay_busy(0).inputs
+    log = replay(parse_trace(text), ReplayConfig(prng_mode=mode, duration_us=BUSY_DURATION_US))
+    kinds = (log.settled_rolls, log.display_words, log.onpin_edges)
+    assert all(len(records) > 4 for records in kinds)
+    for records in kinds:
+        assert all(type(field) is int for record in records for field in record)
+
+
 # where RESET 1 or the end falls after the START of a release's last frame:
 # on that START edge, on its STOP edge or next to it, or anywhere in the frame
 CUT_OFFSETS = st.one_of(st.sampled_from((0, 1, STOP_US - 1, STOP_US, STOP_US + 1, US_PER_FRAME - 1)),
@@ -965,6 +1004,21 @@ def test_frame_text_equals_per_line_join(before, offsets, afters, first, frames)
     starts = range(first, first + frames * US_PER_FRAME, US_PER_FRAME)
     assert _frame_text(before, lines, starts) == "".join(f"{before}{s + dt}{after}" for s in starts
                                                          for dt, after in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIRST_STARTS, st.integers(0, 400 * US_PER_FRAME), st.data())
+@example(STOP_US, 0, None)  # an empty run: nothing is below any bound
+@example(10**6 - 3 * US_PER_FRAME, 7 * US_PER_FRAME - 1, None)
+def test_times_below_is_bisect_left(start, span, data):
+    # the runs of log.uart_byte_runs: a step of US_PER_FRAME and any stop
+    times = range(start, start + span, US_PER_FRAME)
+    near = [start, start + span, *(10**k for k in range(5, 11)), *times[:2], *times[-2:]]
+    bounds = [-1, 0, 10**30, *(t + d for t in near for d in (-1, 0, 1))]  # before, at and past each edge
+    if data is not None:
+        bounds.append(data.draw(st.integers(start - 2 * US_PER_FRAME, start + span + 2 * US_PER_FRAME)))
+    for bound in bounds:  # the count is unclipped: 0 or less before the run, len or more past it
+        assert min(max(0, _times_below(times, bound)), len(times)) == bisect_left(times, bound), bound
 
 
 @settings(max_examples=40, deadline=None)
