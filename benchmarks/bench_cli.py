@@ -3,13 +3,14 @@
     python benchmarks/bench_cli.py [REPEAT]
 
 Each step is timed, best of REPEAT calls, in one process: a build of the
-whole parser without its cache (`build_parser.__wrapped__()`, what every
-`main` call cost before the parser was reused), one `parse_args` of a
-`simulate` argv and of a `rolls` argv on the reused parser, the same two
-argvs read from the parsers' option table (`cli._plain_args`, the path
-`main` takes for them), and a warm `main(["uart", "encode", "16"])` with its
-stdout caught. Both reads of each argv must give the same namespace, and
-the output of the last warm call must be the frame of 0x16, `0011010001`.
+whole parser from `cli.COMMANDS` without its cache
+(`build_parser.__wrapped__()`, what the first line that argparse reads
+costs, such as `--help` or `uart`), one `parse_args` of a `simulate` argv
+and of a `rolls` argv on the reused parser, the same two argvs read from
+`cli.COMMANDS` without argparse (`cli._plain_args`, the path `main` takes
+for them), and a warm `main(["uart", "encode", "16"])` with its stdout
+caught. Both reads of each argv must give the same values, and the output
+of the last warm call must be the frame of 0x16, `0011010001`.
 
 Then `trace.parse_trace` of the event-dense session of the benchmark's
 `replay_busy` workload (the trace bench_emit.py reads), which must give the
@@ -114,7 +115,7 @@ def main():
     assert trace.parse_trace(BUSY_TRACE) == trace._parse_lines(BUSY_TRACE)
     rows.append(("parse_trace busy", best_of(trace.parse_trace, BUSY_TRACE)))
     rows += file_rows()
-    print("the option table reads each argv as parse_args does")
+    print("the plain reader reads each argv as parse_args does")
     print(f"a warm main call prints {UART_WANT.strip()}")
     print("parse_trace reads the busy trace's events as the per-line reader does")
     print(f"load_trace reads the boot trace's events; every write leaves {sum(SET_SIZES.values())} bytes in 3 files")

@@ -11,7 +11,6 @@ validation error, 3 analysis failure (uniformity rejected, framing errors).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import functools
@@ -21,6 +20,7 @@ import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, BinaryIO
 
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
@@ -417,116 +417,119 @@ def cmd_uart(args) -> int:
 #  parser and entry point
 # ======================================================================
 
+# each command -> (its help line, its arguments: (option string or positional
+# name, the keywords add_argument takes)), the one declaration that
+# build_parser and the plain reader both read
+COMMANDS = {
+    "simulate": ("replay a stimulus trace through the full device", (
+        ("--trace", {"required": True, "help": "trace file (t_us SIGNAL value lines)"}),
+        ("--out", {"required": True, "help": "output directory"}),
+        ("--duration-us", {"type": int, "help": "simulated length in us (default: last event + 1s)"}),
+        ("--prng-mode", {"choices": (STATELESS, FEEDBACK), "default": STATELESS,
+                         "help": "stateless is the as-built wiring (default)"}),
+        ("--intuitive-tilt", {"action": "store_true",
+                              "help": "count the debounce window after the new sample (not as built)"}),
+        ("--adc-seed", {"type": int, "default": DEFAULT_ADC_SEED,
+                        "help": "seed of the synthetic ADC source (default 12345)"}),
+        ("--format", {"choices": ("csv", "jsonl"), "default": "csv"}),
+        ("--uart-bits", {"action": "store_true", "help": "also write the tx waveform"}),
+    )),
+    "rolls": ("generate die rolls", (
+        ("--sides", {"type": int, "required": True,
+                     "help": f"die to roll, one of {', '.join(str(d) for d in SUPPORTED_DICE)}"}),
+        ("--count", {"type": int, "required": True, "help": "number of rolls"}),
+        ("--mode", {"choices": (FEEDBACK, STATELESS), "default": FEEDBACK,
+                    "help": "feedback: free-running generator from --seed (default); "
+                            "stateless: as-built pipeline fed by the synthetic ADC source, "
+                            "--seed seeds that source"}),
+        ("--seed", {"type": int, "default": DEFAULT_ROLL_SEED,
+                    "help": "generator seed (default 1; feedback mode rejects 0)"}),
+        ("--out", {"help": "output CSV (default stdout)"}),
+    )),
+    "stats": ("uniformity verdicts and exact bias reports", (
+        ("--rolls", {"help": "CSV of face values (one per line)"}),
+        ("--sides", {"type": int, "help": "die the rolls came from"}),
+        ("--alpha", {"choices": ("0.05", "0.01", "0.001"), "default": "0.05"}),
+        ("--out", {"help": "write the histogram CSV here"}),
+        ("--bias", {"type": int, "help": "print the exact modulo-bias report for this die instead"}),
+        ("--bits", {"type": int, "default": 32, "help": "input domain width for --bias (default 32)"}),
+    )),
+    "uart": ("encode bytes to frames or decode a bit stream", (
+        ("action", {"choices": ("encode", "decode")}),
+        ("data", {"nargs": "+", "help": "encode: hex bytes; decode: a 0/1 bit stream"}),
+    )),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and reused, so
-    callers must not change it. argparse looks up stdout, stderr and the
-    terminal width when it prints, not when it is built, and keeps nothing
-    of one parse_args for the next."""
+def build_parser():
+    """The parser of every command in COMMANDS, built on the first call and
+    reused, so callers must not change it. argparse looks up stdout, stderr
+    and the terminal width when it prints, not when it is built, and keeps
+    nothing of one parse_args for the next. Only this function imports
+    argparse, so a plain line never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dicesim",
         description="Bit-faithful simulator and statistics toolkit for the FPGA dice unit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="replay a stimulus trace through the full device")
-    p_sim.add_argument("--trace", required=True, help="trace file (t_us SIGNAL value lines)")
-    p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--duration-us", type=int, default=None,
-                       help="simulated length in us (default: last event + 1s)")
-    p_sim.add_argument("--prng-mode", choices=(STATELESS, FEEDBACK), default=STATELESS,
-                       help="stateless is the as-built wiring (default)")
-    p_sim.add_argument("--intuitive-tilt", action="store_true",
-                       help="count the debounce window after the new sample (not as built)")
-    p_sim.add_argument("--adc-seed", type=int, default=DEFAULT_ADC_SEED,
-                       help="seed of the synthetic ADC source (default 12345)")
-    p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sim.add_argument("--uart-bits", action="store_true", help="also write the tx waveform")
-
-    p_rolls = sub.add_parser("rolls", help="generate die rolls")
-    p_rolls.add_argument("--sides", type=int, required=True,
-                         help=f"die to roll, one of {', '.join(str(d) for d in SUPPORTED_DICE)}")
-    p_rolls.add_argument("--count", type=int, required=True, help="number of rolls")
-    p_rolls.add_argument("--mode", choices=(FEEDBACK, STATELESS), default=FEEDBACK,
-                         help="feedback: free-running generator from --seed (default); "
-                              "stateless: as-built pipeline fed by the synthetic ADC source, "
-                              "--seed seeds that source")
-    p_rolls.add_argument("--seed", type=int, default=DEFAULT_ROLL_SEED,
-                         help="generator seed (default 1; feedback mode rejects 0)")
-    p_rolls.add_argument("--out", default=None, help="output CSV (default stdout)")
-
-    p_stats = sub.add_parser("stats", help="uniformity verdicts and exact bias reports")
-    p_stats.add_argument("--rolls", default=None, help="CSV of face values (one per line)")
-    p_stats.add_argument("--sides", type=int, default=None, help="die the rolls came from")
-    p_stats.add_argument("--alpha", choices=("0.05", "0.01", "0.001"), default="0.05")
-    p_stats.add_argument("--out", default=None, help="write the histogram CSV here")
-    p_stats.add_argument("--bias", type=int, default=None,
-                         help="print the exact modulo-bias report for this die instead")
-    p_stats.add_argument("--bits", type=int, default=32,
-                         help="input domain width for --bias (default 32)")
-
-    p_uart = sub.add_parser("uart", help="encode bytes to frames or decode a bit stream")
-    p_uart.add_argument("action", choices=("encode", "decode"))
-    p_uart.add_argument("data", nargs="+",
-                        help="encode: hex bytes; decode: a 0/1 bit stream")
-
+    for command, (help_line, arguments) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for name, keywords in arguments:
+            command_parser.add_argument(name, **keywords)
     return parser
 
 
 @functools.cache
-def _plain_options() -> tuple[str, dict[str, tuple[dict[str, tuple[argparse.Action, bool]], tuple]]]:
-    """The option table of every command whose line is options alone, read
-    once from the parsers build_parser adds: (the command's dest, command ->
-    (option string -> (its action, whether it is a store_true flag), every
-    action)). A command with a positional, or with an action other than
-    help, store of one value and store_true, is left out. This function
-    alone reads argparse's private names."""
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    table = {}
-    for name, parser in commands.choices.items():
-        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-        flags = [type(a) is argparse._StoreTrueAction for a in actions]
-        if all(a.option_strings and (flag or (type(a) is argparse._StoreAction and a.nargs is None))
-               for a, flag in zip(actions, flags)):
-            options = {option: (a, flag) for a, flag in zip(actions, flags) for option in a.option_strings}
-            table[name] = (options, tuple(actions))
-    return commands.dest, table
-
-
-def _plain_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace parse_args gives a plain line, read without argparse's
-    general parse: a command of _plain_options, then only exact option
-    strings of its actions, each one that is not a flag followed by a value
-    that does not start with "-", converts with the action's type and is in
-    its choices, and every required option given. None for any other line:
-    help, abbreviations, --opt=value, negative values and every error are
-    argparse's to read, so it alone prints help, usage and errors."""
-    dest, table = _plain_options()
-    if not argv or argv[0] not in table:
+def _plain_options(command: str) -> dict[str, tuple[str, dict]] | None:
+    """Each option string of a command of COMMANDS -> (its dest, as argparse
+    derives it, and its keywords), when every argument of the command is an
+    option that stores one value or is a store_true flag; None for a command
+    with any other argument."""
+    arguments = COMMANDS[command][1]
+    if not all(name.startswith("--") and keywords.get("action") in (None, "store_true") and "nargs" not in keywords
+               for name, keywords in arguments):
         return None
-    options, actions = table[argv[0]]
+    return {name: (name[2:].replace("-", "_"), keywords) for name, keywords in arguments}
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The values parse_args gives a plain line, as a namespace, read from
+    COMMANDS without argparse: a command of _plain_options, then only its exact option
+    strings, each one that is not a flag followed by a value that does not
+    start with "-", converts with the option's type and is in its choices,
+    and every required option given. None for any other line: help,
+    abbreviations, --opt=value, negative values and every error are
+    argparse's to read, so it alone prints help, usage and errors."""
+    options = _plain_options(argv[0]) if argv and argv[0] in COMMANDS else None
+    if options is None:
+        return None
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        action, flag = options.get(token, (None, False))
-        if action is None:
+        if token not in options:
             return None
-        if flag:
-            given[action.dest] = True
+        dest, keywords = options[token]
+        if "action" in keywords:  # a store_true flag
+            given[dest] = True
             continue
         text = next(tokens, "-")  # a missing value declines as one that starts with "-"
         if text.startswith("-"):
             return None
         try:
-            value = text if action.type is None else action.type(text)
+            value = keywords.get("type", str)(text)
         except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if value not in keywords.get("choices", (value,)):
             return None
-        given[action.dest] = value
-    if any(a.required and a.dest not in given for a in actions):
+        given[dest] = value
+    if any(keywords.get("required") and dest not in given for dest, keywords in options.values()):
         return None
-    return argparse.Namespace(**{dest: argv[0], **{a.dest: given.get(a.dest, a.default) for a in actions}})
+    return SimpleNamespace(command=argv[0], **{
+        dest: given.get(dest, keywords.get("default", False if "action" in keywords else None))
+        for dest, keywords in options.values()})
 
 
 def main(argv=None) -> int:

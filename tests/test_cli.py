@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from dicesim import cli, kernels, stats
 from dicesim.cli import main
+import help_texts
 from reference_board import face_lines
 
 BOOT = "0 RESET 1\n1000 RESET 0\n1000 TILT 1\n"
@@ -575,6 +576,13 @@ def test_help_returns_zero(capsys):
     capsys.readouterr()
 
 
+def test_help_and_usage_texts_match_their_golden():
+    goldens = help_texts.load_goldens()
+    if help_texts.VERSION not in goldens:
+        pytest.skip(f"help_texts.json has no golden for Python {help_texts.VERSION}")
+    assert help_texts.read_texts() == goldens[help_texts.VERSION]
+
+
 def test_later_calls_build_no_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -592,6 +600,29 @@ def test_later_calls_build_no_parser(capsys, monkeypatch):
         main(argv)
     capsys.readouterr()
     assert built == []
+
+
+def test_plain_lines_load_no_argparse(tmp_path, capsys, monkeypatch):
+    # a plain simulate or rolls line is read from cli.COMMANDS alone; help
+    # and uart, which argparse reads, load it and print what they print in
+    # a process that had it already
+    code = (
+        "import sys\n"
+        "from dicesim import cli\n"
+        f"open('boot.trace', 'w').write({BOOT!r})\n"
+        "assert cli.main(['simulate', '--trace', 'boot.trace', '--out', 'run', '--duration-us', '3000000']) == 0\n"
+        "assert cli.main(['rolls', '--sides', '6', '--count', '3', '--out', 'rolls.csv']) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & sys.modules.keys()))\n"
+        "assert cli.main(['--help']) == 0 and cli.main(['uart', 'encode', '16']) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & sys.modules.keys()))\n"
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()
+    _, help_text, _ = _run(capsys, "--help")
+    _, rest = run.stdout.decode().split("\n", 1)  # after the replayed line
+    assert rest == f"[]\n{help_text}0011010001\n['argparse', 'gettext']\n"
 
 
 def _parse_args(argv):
@@ -616,16 +647,18 @@ def _mostly(usual, *others):
 def _own_pieces(options):
     """An option of the command, followed by a value its type and choices take, any value, or none."""
     def pieces(option):
-        action, flag = options[option]
-        fitting = (st.sampled_from(sorted(action.choices)) if action.choices
-                   else st.integers(0, 300).map(str) if action.type is int else st.just("p"))
-        given = st.just((option,)) if flag else fitting.map(lambda value: (option, value))
+        keywords = options[option]
+        fitting = (st.sampled_from(sorted(keywords["choices"])) if "choices" in keywords
+                   else st.integers(0, 300).map(str) if keywords.get("type") is int else st.just("p"))
+        given = st.just((option,)) if "action" in keywords else fitting.map(lambda value: (option, value))
         return _mostly(given, _VALUES.map(lambda value: (option, value)), st.just((option,)))
     return st.sampled_from(sorted(options)).flatmap(pieces)
 
 
-_OWN_PIECES = {command: _own_pieces(options) for command, (options, _) in cli._plain_options()[1].items()}
-_OPTIONS = sorted({"-h", "--help"}.union(*(options for options, _ in cli._plain_options()[1].values())))
+_OWN_PIECES = {command: _own_pieces(dict(arguments)) for command, (_, arguments) in cli.COMMANDS.items()
+               if cli._plain_options(command) is not None}
+_OPTIONS = sorted({"-h", "--help", *(name for _, arguments in cli.COMMANDS.values()
+                                     for name, _ in arguments if name.startswith("-"))})
 _TOKENS = st.one_of(
     st.sampled_from(_OPTIONS),
     st.sampled_from(_OPTIONS).map(lambda option: option[:-2]),  # abbreviations, and - or -- alone
