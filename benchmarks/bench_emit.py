@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
 
 from dicesim.trace import (  # noqa: E402
-    ReplayConfig,
     TraceEvent,
     emit_log,
     emit_uart_bits_csv,
@@ -47,7 +46,7 @@ BUSY_FORMAT = BUSY_OPTIONS[BUSY_OPTIONS.index("--format") + 1]
 
 def idle_replay(seconds):
     events = [TraceEvent(0, "RESET", 1), TraceEvent(1_000, "RESET", 0), TraceEvent(1_000, "TILT", 1)]
-    return replay(events, ReplayConfig(duration_us=seconds * 1_000_000))
+    return replay(events, duration_us=seconds * 1_000_000)
 
 
 def best_of(fn, *args):
@@ -60,7 +59,7 @@ def best_of(fn, *args):
 
 
 def main():
-    busy = replay(parse_trace(BUSY_TRACE), ReplayConfig(duration_us=BUSY_US))
+    busy = replay(parse_trace(BUSY_TRACE), duration_us=BUSY_US)
     cases = [(f"idle {IDLE_S} s", idle_replay(IDLE_S), "csv"), (f"idle {LONG_IDLE_S} s", idle_replay(LONG_IDLE_S), "csv"),
              (f"busy {BUSY_US / 1e6:g} s", busy, BUSY_FORMAT)]
     rows = []

@@ -35,7 +35,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from bench_emit import BUSY_FORMAT, BUSY_OPTIONS, BUSY_TRACE, BUSY_US, best_of  # noqa: E402
 from dicesim.trace import (  # noqa: E402
-    ReplayConfig,
     _parse_lines,
     emit_log,
     emit_state_json,
@@ -54,12 +53,13 @@ def main():
     rows = []
     for mode in MODES:
         for seconds in DURATIONS_S:
-            config = ReplayConfig(prng_mode=mode, duration_us=seconds * 1_000_000)
-            log = replay(EVENTS, config)
+            duration_us = seconds * 1_000_000
+            log = replay(EVENTS, prng_mode=mode, duration_us=duration_us)
             state = log.final_state
             got = state["seed"], state["rand"], state["prng"]["rand_reg"], len(log.onpin_edges)
-            assert got == upright_loop(mode, config.duration_us), (mode, seconds)
-            rows.append((mode, f"upright {seconds} s", "replay", best_of(lambda: replay(EVENTS, config))))
+            assert got == upright_loop(mode, duration_us), (mode, seconds)
+            rows.append((mode, f"upright {seconds} s", "replay",
+                         best_of(lambda: replay(EVENTS, prng_mode=mode, duration_us=duration_us))))
     print("every final state matches the loop of steps")
     events = parse_trace(BUSY_TRACE)
     for text in (BUSY_TRACE, BUSY_TRACE.replace("\n", "\r\n")):
@@ -67,13 +67,12 @@ def main():
     print("the pattern and the per-line reader read the same busy events, LF and CRLF")
     busy = f"busy {BUSY_US / 1e6:g} s"
     for mode in MODES:
-        config = ReplayConfig(prng_mode=mode, duration_us=BUSY_US)
-        log = replay(events, config)
+        log = replay(events, prng_mode=mode, duration_us=BUSY_US)
         files = {f"log.{BUSY_FORMAT}": emit_log(log, BUSY_FORMAT), "uart.csv": emit_uart_csv(log),
                  "state.json": emit_state_json(log)}
         reference = reference_files(BUSY_TRACE.encode("ascii"), BUSY_OPTIONS + ("--prng-mode", mode))
         assert {name: text.encode("utf-8") for name, text in files.items()} == reference, ("busy", mode)
-        rows.append((mode, busy, "replay", best_of(lambda: replay(events, config))))
+        rows.append((mode, busy, "replay", best_of(lambda: replay(events, prng_mode=mode, duration_us=BUSY_US))))
     rows += [("", busy, parse.__name__, best_of(parse, BUSY_TRACE)) for parse in (parse_trace, _parse_lines)]
     print("the busy session's files match the reference board in both modes")
     print(f"{'mode':<10}  {'trace':<16}  {'call':<12}  {'best (ms)':>9}")

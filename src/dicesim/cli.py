@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, BinaryIO
 from .device import DEFAULT_ADC_SEED, SUPPORTED_DICE
 from .prng import FEEDBACK, MASK32, STATELESS
 from .trace import (
-    ReplayConfig,
     TraceParseError,
     emit_log,
     emit_state_json,
@@ -86,10 +85,8 @@ def _open_dir(out: str, name: str, make_dir: bool) -> int:
 def _create_temp(name: str, dir_fd: int) -> tuple[int, str]:
     """A new file under a random name beside name in the directory dir_fd,
     created the way a plain open() creates one: the kernel applies the umask
-    to mode 0o666. It is opened in binary mode, so its bytes are written as
-    given (O_BINARY is Windows' flag for that, which POSIX systems neither
-    have nor need)."""
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    to mode 0o666."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     for _ in range(TEMP_NAME_TRIES):
         tmp = f".{name}.{os.urandom(6).hex()}.tmp"
         try:
@@ -191,14 +188,9 @@ def cmd_simulate(args) -> int:
         return _fail(f"cannot read trace: {exc}", EXIT_IO)
     except TraceParseError as exc:
         return _fail(f"malformed trace: {exc}", EXIT_USAGE)
-    config = ReplayConfig(
-        prng_mode=args.prng_mode,
-        intuitive_tilt=args.intuitive_tilt,
-        duration_us=args.duration_us,
-        adc_seed=args.adc_seed,
-    )
     try:
-        log = replay(events, config)
+        log = replay(events, prng_mode=args.prng_mode, intuitive_tilt=args.intuitive_tilt,
+                     duration_us=args.duration_us, adc_seed=args.adc_seed)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     log_name = "log.csv" if args.format == "csv" else "log.jsonl"

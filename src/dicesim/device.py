@@ -6,11 +6,11 @@ held digits) is one tuple of display codes ordered (thou, huns, tens, ones),
 the bus that the display multiplexer and the UART read.
 
 Per-tick semantics at an HZ10 rising edge: the seed register shifts in the
-ADC sample, the PRNG output for the tick is computed, the tilt window
-updates, the selection FSM acts on the fresh upright level, and the roll
-pipeline computes or holds the display digits. The debounce keeps the
-as-built one-tick lag: upright is judged from the window as it was before
-the new sample shifted in.
+ADC sample, the FEEDBACK register steps, the tilt window updates, the
+selection FSM acts on the fresh upright level, and the roll pipeline
+computes the display digits from the PRNG word, or holds them upright. The
+debounce keeps the as-built one-tick lag: upright is judged from the window
+as it was before the new sample shifted in.
 """
 
 from __future__ import annotations
@@ -272,7 +272,8 @@ class Device:
     Each hz10_tick is one HZ10 period after the one before. In FEEDBACK mode
     the rand register latches the xorshift of the first nonzero seed value it
     observes, then free-runs on the system clock: TICK_STEPS steps per tick,
-    one pass of the TICK_JUMP tables.
+    one pass of the TICK_JUMP tables. `rand`, the word a roll reads, is
+    derived from those registers, not stored.
     """
 
     def __init__(self, prng_mode: str = STATELESS, intuitive_tilt: bool = False) -> None:
@@ -289,7 +290,11 @@ class Device:
         self.rand_reg = 0  # the FEEDBACK register; idle in STATELESS
         self.tilt = TiltState()
         self.selection = SelectionState()
-        self.rand = 0
+
+    @property
+    def rand(self) -> int:
+        """The PRNG word: the xorshift of the seed (STATELESS), or rand_reg."""
+        return xorshift_step(self.seed) if self.prng_mode == STATELESS else self.rand_reg
 
     def reset(self) -> None:
         """Asynchronous reset: clears everything except keep-awake and the
@@ -298,35 +303,29 @@ class Device:
         self._clear_registers()
         self.roll = RollState(roll.out, roll.held_diceval, (0, 0, 0, 0), roll.held)
 
-    def _rand_for_tick(self) -> int:
-        """The FEEDBACK register one tick on."""
-        if self.rand_reg:
-            self.rand_reg = apply_tables(_tick_tables(0), self.rand_reg)
-        else:  # zero until the first nonzero seed, which it latches stepped once
-            self.rand_reg = xorshift_step(self.seed)
-        return self.rand_reg
-
     def hz10_tick(self, tilt: int, btn_up: int, btn_down: int, adc: int) -> None:
-        """One HZ10 rising edge: seed shift, PRNG, debounce, selection, roll."""
+        """One HZ10 rising edge: seed shift, FEEDBACK step, debounce,
+        selection, roll. Only a tick that is not upright reads the word, so
+        only such a tick derives it."""
         self.seed = seed = seed_shift(self.seed, adc)
-        self.rand = rand = xorshift_step(seed) if self.prng_mode == STATELESS else self._rand_for_tick()
+        if self.prng_mode != STATELESS:  # zero until the first nonzero seed, which it latches stepped once
+            self.rand_reg = apply_tables(_tick_tables(0), self.rand_reg) if self.rand_reg else xorshift_step(seed)
         self.tilt = tilt_state = tilt_update(self.tilt, tilt, self.intuitive_tilt)
-        self.selection = selection = selection_update(self.selection, tilt_state.upright, btn_up, btn_down)
-        self.roll = roll_update(self.roll, rand, selection.diceval, tilt_state.upright)
+        upright = tilt_state.upright
+        self.selection = selection = selection_update(self.selection, upright, btn_up, btn_down)
+        self.roll = roll_update(self.roll, 0 if upright else self.rand, selection.diceval, upright)
 
     def steady_ticks(self, steps: int, samples: tuple[int, int]) -> None:
         """steps >= 2 hz10_ticks that leave tilt, selection and roll as they
         are, with upright true, the last two fed the ADC samples `samples`.
-        Upright, those updates never read seed or rand, so only the two move:
-        the seed register holds the last two samples, and rand is their
-        transform in STATELESS, or in FEEDBACK the register jumped
-        steps * TICK_STEPS at once, one pass of the _tick_tables level of each
-        set bit of steps, which needs it latched (nonzero)."""
+        Upright, those updates never read the word, so only the registers it
+        derives from move: the seed register holds the last two samples, and
+        in FEEDBACK the rand register jumps steps * TICK_STEPS at once, one
+        pass of the _tick_tables level of each set bit of steps, which needs
+        it latched (nonzero)."""
         self.seed = seed_shift(samples[0], samples[1])  # a 16-bit seed: the older sample lands high
-        if self.prng_mode == STATELESS:
-            self.rand = xorshift_step(self.seed)
-        else:
-            self.rand = self.rand_reg = jump_tables(_tick_tables, self.rand_reg, steps)
+        if self.prng_mode != STATELESS:
+            self.rand_reg = jump_tables(_tick_tables, self.rand_reg, steps)
 
     def s5_tick(self) -> None:
         """One S5 rising edge: keep-awake toggler."""

@@ -16,7 +16,7 @@ invisible. Each HZ10 tick consumes the most recent ADC event since the
 previous tick, or draws from the synthetic LCG source when none arrived.
 RESET 1 asserts the asynchronous reset (clock dividers clear and hold, the
 device registers return to reset values); RESET 0 releases it and counting
-restarts from zero. Replay is a pure function of the trace and the config:
+restarts from zero. Replay is a pure function of the trace and its settings:
 two runs produce byte-identical logs.
 """
 
@@ -64,13 +64,13 @@ STOP_US = (FRAME_BITS - 1) * US_PER_BIT  # the STOP-to-IDLE edge that completes 
 #    keep-awake outputs. So the UART is a list of runs of same-byte frames:
 #    one opens at each release and at each HZ10 step that changes the byte,
 #    from the next frame START on, and RESET 1 cuts the frame in flight.
-# 4. Upright, the HZ10 updates of tilt, selection and roll read neither seed
-#    nor rand, and between two trace events the levels hold and no ADC event
-#    arrives. So once an HZ10 step leaves (tilt, selection, roll) as it was,
-#    upright, every later step up to the next event does the same: a steady
-#    span, in which only the synthetic ADC's LCG, seed and rand move, and no
-#    display word, UART run or settled roll is noted. Its S5 steps see a
-#    fixed keepon, and still step one by one.
+# 4. Upright, the HZ10 updates of tilt, selection and roll read neither the
+#    seed nor the PRNG word, and between two trace events the levels hold and
+#    no ADC event arrives. So once an HZ10 step leaves (tilt, selection, roll)
+#    as it was, upright, every later step up to the next event does the same:
+#    a steady span, in which only the synthetic ADC's LCG, the seed and the
+#    FEEDBACK register move, and no display word, UART run or settled roll is
+#    noted. Its S5 steps see a fixed keepon, and still step one by one.
 HZ10_HALF = HALF_PERIODS[HZ10]
 HZ10_PERIOD = 2 * HZ10_HALF
 # A steady span is jumped only when this many HZ10 steps, one simulated
@@ -224,17 +224,6 @@ def load_trace(path) -> list[TraceEvent]:
 #  replay
 # ======================================================================
 
-class ReplayConfig(Record):
-    __slots__ = ("prng_mode", "intuitive_tilt", "duration_us", "adc_seed")
-
-    def __init__(self, prng_mode: str = STATELESS, intuitive_tilt: bool = False, duration_us: int | None = None,
-                 adc_seed: int = DEFAULT_ADC_SEED) -> None:
-        self.prng_mode = prng_mode
-        self.intuitive_tilt = intuitive_tilt
-        self.duration_us = duration_us  # None: last event time + one second
-        self.adc_seed = adc_seed
-
-
 class RunLog(Record):
     """Everything a replay records, each list in time order. The UART is kept
     as runs: (t_us, byte) in uart_runs opens a run of back-to-back frames of
@@ -300,9 +289,9 @@ class Board:
     latch.
     """
 
-    def __init__(self, config: ReplayConfig) -> None:
-        self.device = Device(config.prng_mode, config.intuitive_tilt)
-        self.adc = SyntheticAdc(config.adc_seed)
+    def __init__(self, prng_mode: str, intuitive_tilt: bool, adc_seed: int) -> None:
+        self.device = Device(prng_mode, intuitive_tilt)
+        self.adc = SyntheticAdc(adc_seed)
         self.levels = {name: 0 for name in LEVEL_SIGNALS}
         self.log = RunLog()
         self.adc_pending = None
@@ -455,19 +444,20 @@ class Board:
         }
 
 
-def replay(events: list[TraceEvent], config: ReplayConfig | None = None) -> RunLog:
-    """Replay a trace through the full board and collect the run log.
+def replay(events: list[TraceEvent], *, prng_mode: str = STATELESS, intuitive_tilt: bool = False,
+           duration_us: int | None = None, adc_seed: int = DEFAULT_ADC_SEED) -> RunLog:
+    """Replay a trace through the full board up to duration_us (by default
+    one second past the last event) and collect the run log.
 
     A settled roll is recorded at each false-to-true upright transition,
     capturing the held digits and the diceval that computed them.
     """
-    cfg = config or ReplayConfig()
     last_event_t = events[-1].t_us if events else 0
-    duration_us = cfg.duration_us if cfg.duration_us is not None else last_event_t + US_PER_SECOND
+    duration_us = last_event_t + US_PER_SECOND if duration_us is None else duration_us
     if duration_us < last_event_t:
         raise ValueError(f"duration {duration_us} us ends before the last trace event at {last_event_t} us")
 
-    board = Board(cfg)
+    board = Board(prng_mode, intuitive_tilt, adc_seed)
     run_to, apply = board.run_to, board.apply
     for ev in events:
         run_to(ev.t_us * CYCLES_PER_US)
@@ -504,10 +494,10 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
     """Serialize the merged record stream; csv and jsonl carry identical
     field values in identical order. The ROLL, DISPLAY and ONPIN records are
     sorted by time, stably, so simultaneous ones keep table order. Each UART
-    run is written as _frame_text writes it, whole when no record falls
-    inside it; else its text is built when the merge reaches its first
-    record and cut before each record at the offset of the first UART line
-    that sorts after it (at its t_us for a ROLL, past it for the others)."""
+    run's text is built once by _frame_text, when the merge reaches the run,
+    and cut before each record that falls inside it at the offset of the
+    first UART line that sorts after the record (at its t_us for a ROLL, past
+    it for the others)."""
     if fmt not in _LOG_HEADERS:
         raise ValueError(f"unknown log format: {fmt!r} (expected csv or jsonl)")
     column = 1 if fmt == "csv" else 2
@@ -525,17 +515,15 @@ def emit_log(log: RunLog, fmt: str = "csv") -> str:
     _, bound, line = next(records, no_record)
     for byte, times in log.uart_byte_runs():
         tail = after % byte
-        text = None  # the run's text, once a record falls inside it
+        text, done = _frame_text(before, [(0, tail)], times), 0
         while (k := _times_below(times, bound)) < len(times):  # the record goes before a line of the run
             if k > 0:  # and after one
-                if text is None:
-                    text, done = _frame_text(before, [(0, tail)], times), 0
                 cut = _line_offset(times, k, len(before) + len(tail))
                 chunks.append(text[done:cut])
                 done = cut
             chunks.append(line)
             _, bound, line = next(records, no_record)
-        chunks.append(_frame_text(before, [(0, tail)], times) if text is None else text[done:])
+        chunks.append(text[done:])
     chunks.append(line)
     chunks += [line for _, _, line in records]
     return "".join(chunks)
@@ -660,7 +648,7 @@ def _state_template() -> str:
     key-sorted layout of the shape every snapshot has, a power-on board's."""
     import json
 
-    text = json.dumps(_blanked(Board(ReplayConfig()).snapshot()), indent=2, sort_keys=True)
+    text = json.dumps(_blanked(Board(STATELESS, False, DEFAULT_ADC_SEED).snapshot()), indent=2, sort_keys=True)
     return text.replace("%", "%%").replace('"\\u0000"', "%s") + "\n"
 
 

@@ -27,7 +27,7 @@ from dicesim.device import (
 )
 from dicesim.prng import xorshift_inverse, xorshift_step
 from dicesim.timing import FALLING, HZ10, HZ1000, HZ500, RISING, S5, Scheduler
-from dicesim.trace import ReplayConfig, parse_trace, replay
+from dicesim.trace import parse_trace, replay
 from dicesim.uart import UartChannel, decode_stream, payload_pack
 from reference_board import face_lines, shift_stage, stepper_oracle, uart_bytes
 
@@ -280,7 +280,7 @@ def test_criterion_09_full_session_replay():
     then disarm keep-awake: the log shows the boot settle plus exactly one
     d20 roll, four power-pin edges 5 000 200 us apart and none after the
     disarm, and the final wire byte and display text encode the held roll."""
-    log = replay(parse_trace(_session_trace()), ReplayConfig(duration_us=26_000_000))
+    log = replay(parse_trace(_session_trace()), duration_us=26_000_000)
 
     assert len(log.settled_rolls) == 2
     boot_t, boot_sides, boot_value = log.settled_rolls[0]

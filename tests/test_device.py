@@ -35,7 +35,7 @@ from dicesim.device import (
 )
 from dicesim.prng import FEEDBACK, MASK32, MODES, STATELESS, apply_tables, xorshift_jump, xorshift_step
 from dicesim.timing import HALF_PERIODS, HZ10
-from dicesim.trace import ReplayConfig, parse_trace, replay
+from dicesim.trace import parse_trace, replay
 from reference_board import gf2_power, shift_stage
 
 
@@ -295,9 +295,9 @@ def test_fresh_upright_feedback_replay_builds_no_power_tables():
     # alone: a one-shot replay builds none of the xorshift_jump levels
     code = (
         "from dicesim import prng\n"
-        "from dicesim.trace import ReplayConfig, parse_trace, replay\n"
+        "from dicesim.trace import parse_trace, replay\n"
         "events = parse_trace('0 RESET 1\\n1000 RESET 0\\n1000 TILT 1\\n')\n"
-        "log = replay(events, ReplayConfig(prng_mode='feedback', duration_us=60_000_000))\n"
+        "log = replay(events, prng_mode='feedback', duration_us=60_000_000)\n"
         "print(log.final_state['tilt']['upright'], prng.power_tables.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(device.__file__).parents[1]))
@@ -312,9 +312,34 @@ def test_feedback_replay_without_a_steady_span_builds_no_jump_levels():
     prng.power_tables.cache_clear()
     kernels._tables.cache_clear()
     events = parse_trace("0 RESET 1\n1000 RESET 0\n1000 ADC 4660\n")
-    log = replay(events, ReplayConfig(prng_mode=FEEDBACK, duration_us=3_000_000))
+    log = replay(events, prng_mode=FEEDBACK, duration_us=3_000_000)
     assert log.final_state["prng"]["rand_reg"] != 0 and not log.final_state["tilt"]["upright"]
     assert prng.power_tables.cache_info().currsize == 0
+
+
+def test_stateless_word_is_computed_only_on_face_down_ticks():
+    # upright, roll_update returns before it reads the word, so the device
+    # computes none: once the tilt window is full, an upright tick steps no
+    # xorshift, and the first face-down tick steps one
+    dev = Device()
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return xorshift_step(x)
+
+    with mock.patch.object(device, "xorshift_step", counting):
+        for k in range(WINDOW_BITS):
+            dev.hz10_tick(1, 0, 0, k)
+        assert dev.tilt.window == WINDOW_MASK and dev.tilt.upright
+        before = len(calls)
+        for k in range(5):
+            dev.hz10_tick(1, 0, 0, k)
+        assert len(calls) == before
+        while dev.tilt.upright:
+            dev.hz10_tick(0, 0, 0, 7)
+        assert len(calls) == before + 1
+        assert calls[-1] == dev.seed
 
 
 def test_device_feedback_zero_seed_stays_degenerate():
@@ -438,11 +463,16 @@ def test_upright_roll_ticks_are_given_live_equal_to_held(mode, intuitive, steps)
     # face-down ticks refresh live and held together before the unit reads
     # upright again: roll_update's upright branch that copies held into live
     # is never reached through Device (the branch stays, as the RTL has it)
+    # each face-down tick is given the word of the mode's registers, which
+    # the device derives and never stores
     given_upright = []
 
     def recording(state, rand_word, diceval, upright):
         if upright:
             given_upright.append(state.live == state.held)
+        else:
+            assert rand_word == (xorshift_step(dev.seed) if mode == STATELESS else dev.rand_reg)
+        assert "rand" not in vars(dev)
         return roll_update(state, rand_word, diceval, upright)
 
     dev = Device(mode, intuitive)

@@ -12,7 +12,7 @@ from dicesim.device import PowerState, RollState, TiltState
 from dicesim.record import Record
 from dicesim.stats import BiasReport
 from dicesim.timing import TickEvent
-from dicesim.trace import ReplayConfig, RunLog
+from dicesim.trace import RunLog
 from dicesim.uart import DecodedFrame, UartTxState
 
 
@@ -21,8 +21,7 @@ def test_records_show_their_fields_in_order():
     assert repr(RollState(4, 6, (0, 0, 4, 15), (0, 0, 4, 15))) == \
         "RollState(out=4, held_diceval=6, live=(0, 0, 4, 15), held=(0, 0, 4, 15))"
     assert repr(UartTxState()) == "UartTxState(fsm='IDLE', bit_index=0, shift_data=0, ap_valid=False, tx_level=1)"
-    assert repr(ReplayConfig(duration_us=5)) == \
-        "ReplayConfig(prng_mode='stateless', intuitive_tilt=False, duration_us=5, adc_seed=12345)"
+    assert repr(TickEvent(6_000, "HZ1000", "rising")) == "TickEvent(sysclk_index=6000, domain='HZ1000', edge='rising')"
     assert repr(DecodedFrame(0, 0x16)) == "DecodedFrame(offset=0, byte=22)"
 
 
@@ -49,7 +48,7 @@ def test_every_record_class_names_its_fields():
     classes = {cls for module in ("device", "stats", "timing", "trace", "uart")
                for cls in vars(getattr(dicesim, module)).values()
                if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record}
-    assert len(classes) == 13
+    assert len(classes) == 12
     for cls in classes:
         assert "__slots__" in vars(cls) and cls.__slots__ and "__dict__" not in vars(cls), cls
 

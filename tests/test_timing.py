@@ -20,7 +20,7 @@ from dicesim.timing import (
     S5,
     Scheduler,
 )
-from dicesim.trace import FIRST_FRAME_CYCLES, FRAME_CYCLES, ReplayConfig, TraceEvent, replay
+from dicesim.trace import FIRST_FRAME_CYCLES, FRAME_CYCLES, TraceEvent, replay
 from reference_board import stepper_oracle, uart_waveform
 
 # spans reaching past the first S5 toggle, so every domain takes part
@@ -111,7 +111,7 @@ def test_rising_edges_equal_scheduler_rising_events(release, skip, span):
     # HZ10 step shifts one synthetic sample into the seed, and a display word
     # changes only at an HZ10 step
     events = [TraceEvent(0, "RESET", 1), TraceEvent(release, "RESET", 0), TraceEvent(release + skip, "TILT", 0)]
-    log = replay(events, ReplayConfig(duration_us=release + skip + span))
+    log = replay(events, duration_us=release + skip + span)
     rising = [e for e in Scheduler().advance((skip + span) * 12) if e.edge == RISING]
     hz10 = [release + e.sysclk_index // 12 for e in rising if e.domain == HZ10]
     s5 = [release + e.sysclk_index // 12 for e in rising if e.domain == S5]
@@ -127,7 +127,7 @@ def test_rising_edges_tie_keeps_domain_order():
     # release) and S5 rising edge 7 (30 001 200 * 15) fall on one cycle; a run
     # cut there takes both: the frame drives its START bit, then S5 steps
     tie = 450_018_000
-    log = replay([TraceEvent(0, "RESET", 1), TraceEvent(7, "RESET", 0)], ReplayConfig(duration_us=7 + tie // 12))
+    log = replay([TraceEvent(0, "RESET", 1), TraceEvent(7, "RESET", 0)], duration_us=7 + tie // 12)
     assert uart_waveform(log)[-1] == (7 + tie // 12, 0)
     assert log.final_state["uart"]["fsm"] == "START"
     assert log.onpin_edges[-1] == (37_501_507, 0)  # the eighth toggle

@@ -29,7 +29,6 @@ from dicesim.trace import (
     STOP_US,
     US_PER_BIT,
     US_PER_FRAME,
-    ReplayConfig,
     RunLog,
     TraceEvent,
     TraceParseError,
@@ -316,7 +315,7 @@ def _final_states(text, times, **config):
     """final_state of a replay of text that ends at each of times: the events
     up to that time, replayed up to it."""
     events = parse_trace(text)
-    return [replay([ev for ev in events if ev.t_us <= t], ReplayConfig(duration_us=t, **config)).final_state
+    return [replay([ev for ev in events if ev.t_us <= t], duration_us=t, **config).final_state
             for t in times]
 
 
@@ -342,7 +341,7 @@ def test_replay_steps_the_device_on_hz10_and_s5_edges_only():
     # only the edges that step the device: UART frames are expanded from
     # runs when the log is written, and HZ500 is not scheduled at all; in 8 s
     # the 80 HZ10 steps draw 80 samples and the 2 S5 steps toggle the pin
-    log = replay([], ReplayConfig(duration_us=8_000_000))
+    log = replay([], duration_us=8_000_000)
     draws = _draws(80)
     assert log.final_state["seed"] == (draws[-2] << 16) | draws[-1]
     assert log.onpin_edges == [(2_500_100, 1), (7_500_300, 0)]
@@ -358,7 +357,7 @@ def test_replay_adc_last_wins_between_ticks():
 
 
 def test_replay_settled_roll_invariant():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=2_000_000))
+    log = replay(parse_trace(BOOT), duration_us=2_000_000)
     assert len(log.settled_rolls) == 1
     t_us, sides, value = log.settled_rolls[0]
     assert t_us == 751_030  # eighth tick after release
@@ -381,7 +380,7 @@ def test_replay_reset_restarts_counting():
 def test_replay_edge_at_event_time_acts_first():
     # the roll tick on the cycle where reset is asserted still happens: it
     # writes its word and the held digits, then reset blanks the live ones
-    log = replay(parse_trace(BOOT + "51002 RESET 1\n"), ReplayConfig(duration_us=200_000))
+    log = replay(parse_trace(BOOT + "51002 RESET 1\n"), duration_us=200_000)
     roll = log.final_state["roll"]
     assert roll["out"] in (1, 2)
     assert log.display_words == [(0, 0xFFFF), (51_002, 0xFF0F | roll["out"] << 4), (51_002, 0xFFFF)]
@@ -391,7 +390,7 @@ def test_replay_edge_at_event_time_acts_first():
 
 def test_replay_reset_preserves_held_digits():
     text = BOOT + "2000000 RESET 1\n2100000 RESET 0\n"
-    log = replay(parse_trace(text), ReplayConfig(duration_us=2_100_000))
+    log = replay(parse_trace(text), duration_us=2_100_000)
     held = log.final_state["roll"]["held"]
     assert held[2] in (1, 2)  # tens digit still carries the settled d2 roll
     assert log.final_state["roll"]["live"] == [0, 0, 0, 0]
@@ -399,15 +398,15 @@ def test_replay_reset_preserves_held_digits():
 
 
 def test_state_digit_codes_are_the_last_latched_word():
-    display = replay(parse_trace(BOOT), ReplayConfig(duration_us=2_000_000)).final_state["display"]
+    display = replay(parse_trace(BOOT), duration_us=2_000_000).final_state["display"]
     assert display["digit_codes"] == [(display["word"] >> shift) & 0xF for shift in (12, 8, 4, 0)]
     text = BOOT + "2000000 RESET 1\n2100000 RESET 0\n"
-    log = replay(parse_trace(text), ReplayConfig(duration_us=2_100_500))
+    log = replay(parse_trace(text), duration_us=2_100_500)
     assert log.final_state["display"]["digit_codes"] == [0xD] * 4  # no HZ500 edge since the release
 
 
 def test_replay_uart_bytes_track_live_digits():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=400_000))
+    log = replay(parse_trace(BOOT), duration_us=400_000)
     times = [t for t, _ in uart_bytes(log)]
     assert times[0] == 11_500
     assert all(b - a == 10_000 for a, b in zip(times, times[1:]))
@@ -419,12 +418,12 @@ def test_replay_uart_bytes_track_live_digits():
 
 
 def test_replay_onpin_edges():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=8_000_000))
+    log = replay(parse_trace(BOOT), duration_us=8_000_000)
     assert log.onpin_edges == [(2_501_100, 1), (7_501_300, 0)]
 
 
 def test_replay_waveform_starts_idle_high():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=100_000))
+    log = replay(parse_trace(BOOT), duration_us=100_000)
     assert uart_waveform(log)[0] == (0, 1)
     levels = [lv for _, lv in uart_waveform(log)]
     assert all(a != b for a, b in zip(levels, levels[1:]))
@@ -433,14 +432,14 @@ def test_replay_waveform_starts_idle_high():
 def test_uart_log_holds_runs_not_frames():
     # face up and idle, the board sends one byte for good: a run ten times
     # longer sends ten times the frames from the same number of UART runs
-    short, long = (replay(parse_trace(BOOT), ReplayConfig(duration_us=s * 1_000_000)) for s in (60, 600))
+    short, long = (replay(parse_trace(BOOT), duration_us=s * 1_000_000) for s in (60, 600))
     assert len(short.uart_runs) == len(long.uart_runs)
     assert len(uart_bytes(long)) // len(uart_bytes(short)) == 10
 
 
 def test_replay_is_deterministic():
-    a = replay(parse_trace(BOOT), ReplayConfig(duration_us=3_000_000))
-    b = replay(parse_trace(BOOT), ReplayConfig(duration_us=3_000_000))
+    a = replay(parse_trace(BOOT), duration_us=3_000_000)
+    b = replay(parse_trace(BOOT), duration_us=3_000_000)
     assert a.settled_rolls == b.settled_rolls
     assert uart_bytes(a) == uart_bytes(b)
     assert a.display_words == b.display_words
@@ -448,15 +447,13 @@ def test_replay_is_deterministic():
 
 
 def test_replay_adc_seed_changes_rolls():
-    cfg_a = ReplayConfig(duration_us=2_000_000, adc_seed=1)
-    cfg_b = ReplayConfig(duration_us=2_000_000, adc_seed=2)
-    a = replay(parse_trace(BOOT), cfg_a)
-    b = replay(parse_trace(BOOT), cfg_b)
+    a = replay(parse_trace(BOOT), duration_us=2_000_000, adc_seed=1)
+    b = replay(parse_trace(BOOT), duration_us=2_000_000, adc_seed=2)
     assert a.final_state["seed"] != b.final_state["seed"]
 
 
 def test_replay_feedback_mode_runs():
-    log = replay(parse_trace(BOOT), ReplayConfig(prng_mode="feedback", duration_us=500_000))
+    log = replay(parse_trace(BOOT), prng_mode="feedback", duration_us=500_000)
     reg = log.final_state["prng"]["rand_reg"]
     assert reg != 0  # a nonzero register can never reach the zero orbit
     assert log.final_state["prng"]["mode"] == "feedback"
@@ -495,7 +492,7 @@ def test_feedback_register_matches_bit_matrix_oracle():
         expected.append(reg)
     assert [state["rand"] for state in states] == expected
     assert [reg == 0 for reg in expected] == [True] * 3 + [False] * 4 + [True] + [False] * 5
-    log = replay(parse_trace(FEEDBACK_TRACE), ReplayConfig(prng_mode="feedback", duration_us=1_300_000))
+    log = replay(parse_trace(FEEDBACK_TRACE), prng_mode="feedback", duration_us=1_300_000)
     assert log.final_state["prng"] == {"mode": "feedback", "rand_reg": expected[-1]}
 
 
@@ -503,10 +500,10 @@ def test_replay_is_numpy_free(tmp_path):
     # the library calls, then the commands that replay or frame bytes, in one process
     code = (
         "import sys\n"
-        "from dicesim.trace import ReplayConfig, emit_log, emit_uart_bits_csv, emit_uart_csv, parse_trace, replay\n"
+        "from dicesim.trace import emit_log, emit_uart_bits_csv, emit_uart_csv, parse_trace, replay\n"
         f"events = parse_trace({BOOT!r})\n"
         "for mode in ('stateless', 'feedback'):\n"
-        "    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=3_000_000))\n"
+        "    log = replay(events, prng_mode=mode, duration_us=3_000_000)\n"
         "    assert all((emit_log(log, 'csv'), emit_log(log, 'jsonl'), emit_uart_csv(log), emit_uart_bits_csv(log)))\n"
         "assert log.final_state['prng']['rand_reg'] != 0\n"
         "from dicesim import cli\n"
@@ -533,7 +530,7 @@ def test_json_loads_with_the_first_state_json(tmp_path):
         "from dicesim import cli, trace\n"
         f"open('boot.trace', 'w').write({BOOT!r})\n"
         "assert cli.main(['uart', 'encode', '16']) == 0 and cli.main(['uart', 'decode', '0011010001']) == 0\n"
-        "log = trace.replay(trace.load_trace('boot.trace'), trace.ReplayConfig(duration_us=3_000_000))\n"
+        "log = trace.replay(trace.load_trace('boot.trace'), duration_us=3_000_000)\n"
         "assert all((trace.emit_log(log, 'csv'), trace.emit_uart_csv(log), trace.emit_uart_bits_csv(log)))\n"
         "print('json' in sys.modules)\n"
         "assert cli.main(['simulate', '--trace', 'boot.trace', '--out', 'run']) == 0\n"
@@ -550,15 +547,15 @@ def test_json_loads_with_the_first_state_json(tmp_path):
 
 def test_replay_validates():
     with pytest.raises(ValueError, match="unknown PRNG mode"):
-        replay([], ReplayConfig(prng_mode="turbo"))
+        replay([], prng_mode="turbo")
     with pytest.raises(ValueError, match="ends before"):
-        replay(parse_trace("5000 TILT 1"), ReplayConfig(duration_us=1_000))
+        replay(parse_trace("5000 TILT 1"), duration_us=1_000)
     with pytest.raises(ValueError, match="backwards"):
         replay([TraceEvent(900, "TILT", 1), TraceEvent(800, "TILT", 0)])
 
 
 def test_emit_log_csv_and_jsonl_agree():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=900_000))
+    log = replay(parse_trace(BOOT), duration_us=900_000)
     csv_text = emit_log(log, "csv")
     lines = csv_text.splitlines()
     assert lines[0] == "record,t_us,dice_sides,roll,byte,word,level"
@@ -573,21 +570,21 @@ def test_emit_log_csv_and_jsonl_agree():
 
 
 def test_emit_uart_csv_format():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=100_000))
+    log = replay(parse_trace(BOOT), duration_us=100_000)
     lines = emit_uart_csv(log).splitlines()
     assert lines[0] == "t_us,byte_hex"
     assert lines[1] == "11500,00"
 
 
 def test_emit_uart_bits_csv_format():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=100_000))
+    log = replay(parse_trace(BOOT), duration_us=100_000)
     lines = emit_uart_bits_csv(log).splitlines()
     assert lines[0] == "t_us,level"
     assert lines[1] == "0,1"
 
 
 def test_emit_state_json_is_stable():
-    log = replay(parse_trace(BOOT), ReplayConfig(duration_us=200_000))
+    log = replay(parse_trace(BOOT), duration_us=200_000)
     text = emit_state_json(log)
     state = json.loads(text)
     assert state["t_us"] == 200_000
@@ -613,7 +610,7 @@ def _events(raw):
 
 
 def _outputs(events, mode):
-    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=NOOP_DURATION_US))
+    log = replay(events, prng_mode=mode, duration_us=NOOP_DURATION_US)
     return emit_log(log), emit_uart_csv(log), emit_uart_bits_csv(log), emit_state_json(log)
 
 
@@ -746,7 +743,7 @@ def test_simulate_equals_reference_board(trace, mode, fmt, uart_bits, intuitive)
 @given(st.one_of(_reset_traces(), _upright_traces()), st.sampled_from(("stateless", "feedback")), st.booleans())
 def test_state_json_is_the_layout_of_json_dumps(trace, mode, intuitive):
     events, duration_us = trace
-    log = replay(events, ReplayConfig(prng_mode=mode, intuitive_tilt=intuitive, duration_us=duration_us))
+    log = replay(events, prng_mode=mode, intuitive_tilt=intuitive, duration_us=duration_us)
     assert emit_state_json(log) == json.dumps(log.final_state, indent=2, sort_keys=True) + "\n"
 
 
@@ -757,7 +754,7 @@ def test_hour_upright_equals_a_loop_of_steps(mode):
     # xorshift step per roll tick
     duration_us = 3_600_000_000
     events = parse_trace(reference_board.UPRIGHT_TRACE.decode("ascii"))
-    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us))
+    log = replay(events, prng_mode=mode, duration_us=duration_us)
     state = log.final_state
     assert (state["seed"], state["rand"], state["prng"]["rand_reg"], len(log.onpin_edges)) == \
         reference_board.upright_loop(mode, duration_us)
@@ -785,7 +782,7 @@ def test_trace_text_round_trips(events, data):
 @settings(max_examples=25, deadline=None)
 @given(RAW_EVENTS, st.sampled_from(("stateless", "feedback")))
 def test_emitted_log_parses_back_to_its_rows(raw, mode):
-    log = replay(_events(raw), ReplayConfig(prng_mode=mode, duration_us=NOOP_DURATION_US))
+    log = replay(_events(raw), prng_mode=mode, duration_us=NOOP_DURATION_US)
     from_csv = list(csv.DictReader(StringIO(emit_log(log, "csv"))))
     rows = [json.loads(line) for line in emit_log(log, "jsonl").splitlines()]
     # csv and jsonl carry the same fields in column order; jsonl leaves out the empty cells
@@ -886,7 +883,7 @@ def test_record_fields_are_ints_not_bools(monkeypatch, mode):
     from perfbench.workloads import BUSY_DURATION_US, replay_busy
 
     (_, text), = replay_busy(0).inputs
-    log = replay(parse_trace(text), ReplayConfig(prng_mode=mode, duration_us=BUSY_DURATION_US))
+    log = replay(parse_trace(text), prng_mode=mode, duration_us=BUSY_DURATION_US)
     kinds = (log.settled_rolls, log.display_words, log.onpin_edges)
     assert all(len(records) > 4 for records in kinds)
     for records in kinds:
@@ -1025,7 +1022,7 @@ def test_times_below_is_bisect_left(start, span, data):
 @given(_reset_traces(), st.sampled_from(("stateless", "feedback")))
 def test_uart_views_are_the_written_rows(trace, mode):
     events, duration_us = trace
-    log = replay(events, ReplayConfig(prng_mode=mode, duration_us=duration_us))
+    log = replay(events, prng_mode=mode, duration_us=duration_us)
     rows = list(csv.DictReader(StringIO(emit_uart_csv(log))))
     assert uart_bytes(log) == [(int(row["t_us"]), int(row["byte_hex"], 16)) for row in rows]
     rows = list(csv.DictReader(StringIO(emit_uart_bits_csv(log))))
