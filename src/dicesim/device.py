@@ -3,7 +3,8 @@ keep-awake toggler, and the composite Device register file.
 
 Each four-digit register (the selection's set digits, the roll's live and
 held digits) is one tuple of display codes ordered (thou, huns, tens, ones),
-the bus that the display multiplexer and the UART read.
+the bus that the display multiplexer and the UART read. A register that
+always equals another (diceval, out, clk5) is derived, not stored.
 
 Per-tick semantics at an HZ10 rising edge: the seed register shifts in the
 ADC sample, the FEEDBACK register steps, the tilt window updates, the
@@ -46,8 +47,8 @@ DICE_TABLE = {
 }
 
 SUPPORTED_DICE = tuple(row[0] for row in DICE_TABLE.values())
-# (diceval, set digits) of each dselect, 0 to 7, as the selection FSM reads them
-_DICE_ROWS = tuple((DICE_TABLE[dselect][0], DICE_TABLE[dselect][1:]) for dselect in range(len(DICE_TABLE)))
+# the set digits of each dselect, 0 to 7, as the selection FSM reads them
+_DICE_ROWS = tuple(DICE_TABLE[dselect][1:] for dselect in range(len(DICE_TABLE)))
 
 WINDOW_BITS = 10
 WINDOW_MASK = (1 << WINDOW_BITS) - 1
@@ -120,18 +121,22 @@ def tilt_update(state: TiltState, sample: int, intuitive: bool = False) -> TiltS
 # ======================================================================
 
 class SelectionState(Record):
-    """Selector, its dice table row (diceval and the four set digits), the
-    display mode, and the keep-awake arm."""
+    """Selector, its four set digits, the display mode, and the keep-awake
+    arm; diceval is derived from the selector."""
 
-    __slots__ = ("setmode", "dselect", "diceval", "set_digits", "keepon")
+    __slots__ = ("setmode", "dselect", "set_digits", "keepon")
 
-    def __init__(self, setmode: bool = False, dselect: int = 0, diceval: int = 2,
+    def __init__(self, setmode: bool = False, dselect: int = 0,
                  set_digits: tuple[int, int, int, int] = (0, 0, 0, 0), keepon: bool = True) -> None:
         self.setmode = setmode
         self.dselect = dselect
-        self.diceval = diceval
         self.set_digits = set_digits
         self.keepon = keepon
+
+    @property
+    def diceval(self) -> int:
+        """The sides of the selected die: the selector's dice table row."""
+        return DICE_TABLE[self.dselect][0]
 
 
 def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down: int) -> SelectionState:
@@ -146,7 +151,7 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     if not upright:
         if not state.setmode:
             return state
-        return SelectionState(False, state.dselect, state.diceval, state.set_digits, state.keepon)
+        return SelectionState(False, state.dselect, state.set_digits, state.keepon)
     setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
     if btn_up and btn_down:
         keepon = False
@@ -156,11 +161,11 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
     elif btn_down:
         setmode = True
         dselect = 7 if dselect == 0 else dselect - 1
-    diceval, digits = _DICE_ROWS[dselect]
+    digits = _DICE_ROWS[dselect]
     if (setmode == state.setmode and dselect == state.dselect and keepon == state.keepon
-            and diceval == state.diceval and digits == state.set_digits):
+            and digits == state.set_digits):
         return state
-    return SelectionState(setmode, dselect, diceval, digits, keepon)
+    return SelectionState(setmode, dselect, digits, keepon)
 
 
 # ======================================================================
@@ -168,16 +173,21 @@ def selection_update(state: SelectionState, upright: bool, btn_up: int, btn_down
 # ======================================================================
 
 class RollState(Record):
-    """The live display digits, and the held copy that freezes while upright."""
+    """The live display digits, the held copy that freezes while upright and
+    the diceval that computed it; out derives from the held digits."""
 
-    __slots__ = ("out", "held_diceval", "live", "held")
+    __slots__ = ("held_diceval", "live", "held")
 
-    def __init__(self, out: int = 0, held_diceval: int = 2, live: tuple[int, int, int, int] = (0, 0, 0, 0),
+    def __init__(self, held_diceval: int = 2, live: tuple[int, int, int, int] = (0, 0, 0, 0),
                  held: tuple[int, int, int, int] = (0, 0, 0, 0)) -> None:
-        self.out = out
         self.held_diceval = held_diceval
         self.live = live
         self.held = held
+
+    @property
+    def out(self) -> int:
+        """The roll value the held digits encode, 0 at power-on."""
+        return self.held[0] * 100 + self.held[1] * 10 + self.held[2]
 
 
 def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -> RollState:
@@ -192,46 +202,26 @@ def roll_update(state: RollState, rand_word: int, diceval: int, upright: bool) -
     if upright:
         if state.live == state.held:
             return state
-        return RollState(state.out, state.held_diceval, state.held, state.held)
+        return RollState(state.held_diceval, state.held, state.held)
     if diceval <= 0:
         raise ValueError(f"diceval must be positive: {diceval}")
     out = ((rand_word & MASK32) % diceval) + 1
     digits = (out // 100, out // 10 % 10, out % 10, 0xF)
-    if out == state.out and diceval == state.held_diceval and digits == state.live == state.held:
+    if diceval == state.held_diceval and digits == state.live == state.held:
         return state
-    return RollState(out, diceval, digits, digits)
-
-
-def held_value(state: RollState) -> int:
-    """Roll value encoded in the held digits."""
-    thou, huns, tens, _ = state.held
-    return thou * 100 + huns * 10 + tens
+    return RollState(diceval, digits, digits)
 
 
 # ======================================================================
 #  keep-awake
 # ======================================================================
 
-class PowerState(Record):
-    """Keep-awake outputs: onsig drives onpin, clk5 drives led0."""
-
-    __slots__ = ("onsig", "clk5")
-
-    def __init__(self, onsig: int = 0, clk5: int = 0) -> None:
-        self.onsig = onsig
-        self.clk5 = clk5
-
-
-def keepawake_update(state: PowerState, keepon: bool) -> PowerState:
-    """One S5 rising edge of the keep-awake block.
-
-    The block has no asynchronous reset. Armed, it toggles both outputs each
-    edge; disarmed it drives both low. S5 never rises while reset is held,
-    because the dividers are held in reset too.
-    """
-    if keepon:
-        return PowerState(state.onsig ^ 1, state.clk5 ^ 1)
-    return PowerState(0, 0)
+def keepawake_update(onsig: int, keepon: bool) -> int:
+    """One S5 rising edge of the keep-awake block: the next onsig, which
+    drives onpin; clk5 (led0) powers on and steps alike, so it equals onsig.
+    No asynchronous reset. Armed, it toggles each edge; disarmed it drives
+    low. S5 never rises while reset is held: the dividers are held too."""
+    return onsig ^ 1 if keepon else 0
 
 
 # ======================================================================
@@ -267,8 +257,8 @@ class Device:
     """Register file of the dice unit, stepped by hz10_tick and s5_tick, and
     built from its two settings: the PRNG mode and the intuitive tilt vote.
 
-    The keep-awake block and the held roll digits survive reset (no reset
-    wiring there); everything else returns to its documented reset value.
+    The keep-awake output onsig and the held roll digits survive reset (no
+    reset wiring there); everything else returns to its documented reset value.
     Each hz10_tick is one HZ10 period after the one before. In FEEDBACK mode
     the rand register latches the xorshift of the first nonzero seed value it
     observes, then free-runs on the system clock: TICK_STEPS steps per tick,
@@ -281,7 +271,7 @@ class Device:
             raise ValueError(f"unknown PRNG mode: {prng_mode!r}")
         self.prng_mode = prng_mode
         self.intuitive_tilt = intuitive_tilt
-        self.power = PowerState()
+        self.onsig = 0  # the keep-awake output; clk5 equals it
         self.roll = RollState()
         self._clear_registers()
 
@@ -301,19 +291,22 @@ class Device:
         held roll digits (neither has a reset branch)."""
         roll = self.roll
         self._clear_registers()
-        self.roll = RollState(roll.out, roll.held_diceval, (0, 0, 0, 0), roll.held)
+        self.roll = RollState(roll.held_diceval, (0, 0, 0, 0), roll.held)
 
     def hz10_tick(self, tilt: int, btn_up: int, btn_down: int, adc: int) -> None:
         """One HZ10 rising edge: seed shift, FEEDBACK step, debounce,
-        selection, roll. Only a tick that is not upright reads the word, so
-        only such a tick derives it."""
+        selection, roll. Only a tick that is not upright reads the word and
+        diceval, so only such a tick derives them."""
         self.seed = seed = seed_shift(self.seed, adc)
         if self.prng_mode != STATELESS:  # zero until the first nonzero seed, which it latches stepped once
             self.rand_reg = apply_tables(_tick_tables(0), self.rand_reg) if self.rand_reg else xorshift_step(seed)
         self.tilt = tilt_state = tilt_update(self.tilt, tilt, self.intuitive_tilt)
         upright = tilt_state.upright
         self.selection = selection = selection_update(self.selection, upright, btn_up, btn_down)
-        self.roll = roll_update(self.roll, 0 if upright else self.rand, selection.diceval, upright)
+        if upright:
+            self.roll = roll_update(self.roll, 0, 0, True)
+        else:
+            self.roll = roll_update(self.roll, self.rand, selection.diceval, False)
 
     def steady_ticks(self, steps: int, samples: tuple[int, int]) -> None:
         """steps >= 2 hz10_ticks that leave tilt, selection and roll as they
@@ -329,4 +322,4 @@ class Device:
 
     def s5_tick(self) -> None:
         """One S5 rising edge: keep-awake toggler."""
-        self.power = keepawake_update(self.power, self.selection.keepon)
+        self.onsig = keepawake_update(self.onsig, self.selection.keepon)

@@ -32,12 +32,12 @@ from math import inf
 from operator import itemgetter
 from typing import NamedTuple
 
-from .device import DEFAULT_ADC_SEED, Device, SyntheticAdc, held_value
+from .device import DEFAULT_ADC_SEED, Device, SyntheticAdc
 from .display import DCODE, bcd_select, render_word, unpack_word
 from .prng import STATELESS
 from .record import Record
 from .timing import HALF_PERIODS, HZ10, HZ1000, HZ500, S5
-from .uart import FRAME_BITS, UartTxState, payload_pack, uart_frame
+from .uart import FRAME_BITS, FRAME_STATES, IDLE, encode_frame, payload_pack
 
 SIGNALS = ("TILT", "BTNU", "BTND", "RESET", "ADC")
 LEVEL_SIGNALS = ("TILT", "BTNU", "BTND")
@@ -262,11 +262,12 @@ class RunLog(Record):
 
     def uart_wave_runs(self):
         """(changes, starts, tail) of each run: the (offset, tx level) changes
-        of one of its frames, the START times of its whole frames as a range,
-        and the (t_us, tx level) changes of its last frame, the only one cut,
-        up to the cut or the end, then the line going high at a cut."""
+        of its encode_frame from idle high, the START times of its whole frames
+        as a range, and the (t_us, tx level) changes of its last frame, the
+        only one cut, up to the cut or the end, then the line going high at a cut."""
         for t0, byte, last, cut in self._runs():
-            changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+            levels = [1] + encode_frame(byte)
+            changes = [(k * US_PER_BIT, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k]]
             t = last - (last - t0) % US_PER_FRAME  # the START of the run's last frame
             tail = [(t + dt, level) for dt, level in changes if dt <= last - t]
             if cut and tail[-1][1] != 1:  # tail holds at least the START edge
@@ -353,7 +354,7 @@ class Board:
                 tilt, selection, roll = dev.tilt, dev.selection, dev.roll
                 dev.hz10_tick(levels["TILT"], levels["BTNU"], levels["BTND"], sample)
                 if dev.tilt.upright and not tilt.upright:
-                    log.settled_rolls.append((hz10 // CYCLES_PER_US, dev.roll.held_diceval, held_value(dev.roll)))
+                    log.settled_rolls.append((hz10 // CYCLES_PER_US, dev.roll.held_diceval, dev.roll.out))
                 # the display word reads selection and roll, the UART byte roll.live alone
                 if dev.roll is not roll:
                     self.note_display(hz10 // CYCLES_PER_US)
@@ -372,10 +373,10 @@ class Board:
             else:  # S5 leaves the digits alone (fact 3)
                 if s5 > cycle:
                     break
-                before = dev.power.onsig
+                before = dev.onsig
                 dev.s5_tick()
-                if dev.power.onsig != before:
-                    log.onpin_edges.append((s5 // CYCLES_PER_US, dev.power.onsig))
+                if dev.onsig != before:
+                    log.onpin_edges.append((s5 // CYCLES_PER_US, dev.onsig))
                 s5 += S5_PERIOD
         self.next_hz10, self.next_s5 = hz10, s5
         self.due = hz10 if hz10 < s5 else s5
@@ -398,8 +399,9 @@ class Board:
             self.levels[ev.signal] = ev.value
 
     def snapshot(self) -> dict:
-        """Register snapshot at the current time, as state.json holds it."""
-        dev, tx, ready, latched = self.device, UartTxState(), 0, None  # idle until a frame starts
+        """Register snapshot at the current time, as state.json holds it: the
+        UART as after edge k of the frame in flight, else IDLE and high."""
+        dev, fsm, tx_level, ready, latched = self.device, IDLE, 1, 0, None  # idle until a frame starts
         if not self.reset:
             ready = (self.now - self.origin + HALF_PERIODS[HZ1000]) // (2 * HALF_PERIODS[HZ1000]) % 2
             since = self.now - self.origin - FIRST_FRAME_CYCLES  # cycles since the first frame started
@@ -407,7 +409,8 @@ class Board:
                 start = (self.now - since % FRAME_CYCLES) // CYCLES_PER_US
                 runs = self.log.uart_runs
                 byte = runs[bisect_right(runs, start, key=itemgetter(0)) - 1][1]
-                tx = uart_frame(byte)[0][min(self.now // CYCLES_PER_US - start, STOP_US) // US_PER_BIT]
+                k = min(self.now // CYCLES_PER_US - start, STOP_US) // US_PER_BIT
+                fsm, tx_level = FRAME_STATES[k], encode_frame(byte)[k]
             since = self.now - self.origin - HALF_PERIODS[HZ500]  # cycles since the first HZ500 edge
             if since >= 0:  # the word changes only on HZ10 edges, never on an HZ500 edge
                 t_latch = (self.now - since % (2 * HALF_PERIODS[HZ500])) // CYCLES_PER_US
@@ -432,8 +435,8 @@ class Board:
                 "live": list(dev.roll.live),
                 "held": list(dev.roll.held),
             },
-            "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
-            "uart": {"fsm": tx.fsm, "ready": ready, "tx_level": tx.tx_level},
+            "power": {"onsig": dev.onsig, "clk5": dev.onsig},
+            "uart": {"fsm": fsm, "ready": ready, "tx_level": tx_level},
             "display": {
                 "word": self.word,
                 "render": render_word(self.word),

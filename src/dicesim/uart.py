@@ -8,13 +8,12 @@ ready until it returns to IDLE.
 
 The payload is the two live rand digits packed as huns*16 + tens, which is
 why a transmitted roll of 16 reads as hex 0x16 on the wire. The replay log
-expands its runs of same-byte frames from uart_frame, a per-byte table built
-from tx_step; UartChannel steps the FSM edge by edge and is its reference.
+expands its runs of same-byte frames from encode_frame and FRAME_STATES;
+tx_step and UartChannel step the FSM edge by edge and are their reference.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 
 from .record import Record
@@ -25,6 +24,8 @@ TRANSFER = "TRANSFER"
 STOP = "STOP"
 
 FRAME_BITS = 10
+# the FSM state after edge k of a frame, which drives encode_frame's bit k
+FRAME_STATES = (START,) + (TRANSFER,) * 7 + (STOP, IDLE)
 
 
 def payload_pack(huns: int, tens: int) -> int:
@@ -67,18 +68,6 @@ def tx_step(state: UartTxState, ap_ready: bool, data: int) -> UartTxState:
     if state.fsm == STOP:
         return UartTxState(IDLE, 0, state.shift_data, True, 1)
     raise ValueError(f"unknown transmitter state: {state.fsm!r}")
-
-
-@functools.cache
-def uart_frame(byte: int) -> tuple[tuple[UartTxState, ...], tuple[tuple[int, int], ...]]:
-    """States after each edge of a frame of byte from IDLE, from START (offset
-    0) to the STOP-to-IDLE edge that raises ap_valid, and the (offset, level)
-    where the line changes from idle high. Built lazily, at most 256 entries."""
-    states = [tx_step(UartTxState(), True, byte)]
-    while len(states) < FRAME_BITS:
-        states.append(tx_step(states[-1], True, byte))
-    levels = [1] + [state.tx_level for state in states]
-    return tuple(states), tuple((k, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k])
 
 
 def encode_frame(byte: int) -> list[int]:

@@ -31,6 +31,8 @@ ALLOWED = {
     "timing.TickEvent.__init__": f"{_REFERENCE_BOARD}, through Scheduler.advance; criterion 08",
     "uart.UartChannel.__init__": f"{_REFERENCE_BOARD}; criterion 07",
     "uart.UartChannel.edge": f"{_REFERENCE_BOARD}; criterion 07",
+    "uart.UartTxState.__init__": f"{_REFERENCE_BOARD}, through UartChannel; criterion 07",
+    "uart.tx_step": f"{_REFERENCE_BOARD}, through UartChannel; criterion 07",
     "display.DisplayMux.__init__": _REFERENCE_BOARD,
     "display.DisplayMux.step": _REFERENCE_BOARD,
     "prng.xorshift_inverse": "criterion 02",

@@ -77,7 +77,7 @@ from dicesim.timing import (  # noqa: E402
     Scheduler,
 )
 from dicesim.trace import STOP_US, US_PER_BIT, US_PER_FRAME, TraceEvent, parse_trace  # noqa: E402
-from dicesim.uart import UartChannel, payload_pack, uart_frame  # noqa: E402
+from dicesim.uart import FRAME_BITS, UartChannel, encode_frame, payload_pack  # noqa: E402
 
 CYCLES_PER_US = 12
 DEFAULT_TAIL_US = 1_000_000       # with no --duration-us, a run ends one second after its last event
@@ -98,7 +98,7 @@ class ReferenceBoard:
         self.reset = 0
         self.records = []          # (t_us, kind, fields) in the order noted
         self.wave = [(0, 1)]       # (t_us, tx level) at each change; the line idles high
-        self.upright, self.word, self.onsig = False, None, self.device.power.onsig
+        self.upright, self.word, self.onsig = False, None, self.device.onsig
         self._hold()  # power-on: the blocks start clear, and the dividers count from cycle 0
         self._release(0)
         self.now = 0               # absolute cycles run so far
@@ -130,9 +130,9 @@ class ReferenceBoard:
         if word != self.word:
             self._record(t_us, "DISPLAY", word=f"{word:04x}")
             self.word = word
-        if dev.power.onsig != self.onsig:
-            self._record(t_us, "ONPIN", level=dev.power.onsig)
-            self.onsig = dev.power.onsig
+        if dev.onsig != self.onsig:
+            self._record(t_us, "ONPIN", level=dev.onsig)
+            self.onsig = dev.onsig
 
     def _edge(self, domain: str, cycle: int) -> None:
         """One rising edge of a domain at absolute cycle `cycle`."""
@@ -200,7 +200,7 @@ class ReferenceBoard:
                 "live": list(dev.roll.live),
                 "held": list(dev.roll.held),
             },
-            "power": {"onsig": dev.power.onsig, "clk5": dev.power.clk5},
+            "power": {"onsig": dev.onsig, "clk5": dev.onsig},
             "uart": {"fsm": tx.fsm, "ready": self.channel.ready, "tx_level": tx.tx_level},
             "display": {"word": self.word, "render": render_word(self.word), "digit_codes": list(self.mux.digit_codes)},
             "levels": dict(self.levels),
@@ -289,10 +289,12 @@ def uart_bytes(log) -> list:
 
 def uart_waveform(log) -> list:
     """(t_us, tx level) at every change of a RunLog's line, which idles high,
-    a frame at a time; RESET 1 cuts the frame in flight and drives it high."""
+    a frame at a time, each frame's changes taken from its encode_frame; RESET
+    1 cuts the frame in flight and drives it high."""
     wave = [(0, 1)]
     for t0, byte, last, cut in log._runs():
-        changes = [(k * US_PER_BIT, level) for k, level in uart_frame(byte)[1]]
+        levels = [1] + encode_frame(byte)
+        changes = [(k * US_PER_BIT, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k]]
         t = last - (last - t0) % US_PER_FRAME  # the START of the run's last frame
         wave += [(s + dt, level) for s in range(t0, t, US_PER_FRAME) for dt, level in changes]
         wave += [(t + dt, level) for dt, level in changes if dt <= last - t]

@@ -174,12 +174,11 @@ def test_criterion_06_selection_walk_covers_all_dice():
     down = selection_update(SelectionState(), upright=True, btn_up=0, btn_down=1)
     assert down.diceval == 100 and down.dselect == 7
 
-    both = selection_update(SelectionState(dselect=6, diceval=20), upright=True, btn_up=1, btn_down=1)
+    both = selection_update(SelectionState(dselect=6), upright=True, btn_up=1, btn_down=1)
     assert not both.keepon
     assert both.dselect == 6 and both.diceval == 20
 
-    flat = selection_update(SelectionState(setmode=True, dselect=6, diceval=20),
-                            upright=False, btn_up=1, btn_down=0)
+    flat = selection_update(SelectionState(setmode=True, dselect=6), upright=False, btn_up=1, btn_down=0)
     assert not flat.setmode and flat.dselect == 6 and flat.diceval == 20
 
 

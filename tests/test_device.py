@@ -22,12 +22,10 @@ from dicesim.device import (
     WINDOW_BITS,
     WINDOW_MASK,
     Device,
-    PowerState,
     RollState,
     SelectionState,
     SyntheticAdc,
     TiltState,
-    held_value,
     keepawake_update,
     roll_update,
     selection_update,
@@ -118,7 +116,7 @@ def test_selection_down_wraps_to_largest():
 
 
 def test_selection_both_buttons_only_disarm():
-    state = SelectionState(dselect=3, diceval=8)
+    state = SelectionState(dselect=3)
     after = selection_update(state, upright=True, btn_up=1, btn_down=1)
     assert not after.keepon
     assert after.dselect == 3
@@ -127,7 +125,7 @@ def test_selection_both_buttons_only_disarm():
 
 
 def test_selection_face_down_drops_setmode_only():
-    state = SelectionState(setmode=True, dselect=5, diceval=12, keepon=True)
+    state = SelectionState(setmode=True, dselect=5, keepon=True)
     after = selection_update(state, upright=False, btn_up=1, btn_down=0)
     assert not after.setmode
     assert after.dselect == 5
@@ -164,14 +162,14 @@ def test_roll_digits_shift_one_place_left():
     state = roll_update(RollState(), rand_word=115, diceval=100, upright=False)
     assert state.out == 16
     assert state.live == (0, 0x1, 0x6, 0xF)
-    assert held_value(state) == 16
+    assert state.held == (0, 0x1, 0x6, 0xF)
 
 
 def test_roll_three_digit_value():
     state = roll_update(RollState(), rand_word=99, diceval=100, upright=False)
     assert state.out == 100
     assert state.live == (1, 0, 0, 0xF)
-    assert held_value(state) == 100
+    assert state.held == (1, 0, 0, 0xF)
 
 
 def test_roll_upright_freezes_to_held():
@@ -180,9 +178,9 @@ def test_roll_upright_freezes_to_held():
     assert frozen.live == rolled.live
     assert frozen.out == rolled.out
     # held digits survive an upright tick untouched
-    assert held_value(frozen) == held_value(rolled)
+    assert frozen.held == rolled.held
     # the live digits load the held ones, also when a reset blanked them
-    blanked = RollState(rolled.out, rolled.held_diceval, (0, 0, 0, 0), rolled.held)
+    blanked = RollState(rolled.held_diceval, (0, 0, 0, 0), rolled.held)
     assert roll_update(blanked, rand_word=12345, diceval=6, upright=True).live == rolled.held
 
 
@@ -204,18 +202,17 @@ def test_roll_rejects_bad_diceval():
 # ----------------------------------------------------------------------
 
 def test_keepawake_toggles_while_armed():
-    state = PowerState()
+    onsig = Device().onsig
     seen = []
     for _ in range(4):
-        state = keepawake_update(state, keepon=True)
-        seen.append((state.onsig, state.clk5))
-    assert seen == [(1, 1), (0, 0), (1, 1), (0, 0)]
+        onsig = keepawake_update(onsig, keepon=True)
+        seen.append(onsig)
+    assert seen == [1, 0, 1, 0]
 
 
 def test_keepawake_disarmed_drives_low():
-    state = PowerState(onsig=1, clk5=0)
-    state = keepawake_update(state, keepon=False)
-    assert (state.onsig, state.clk5) == (0, 0)
+    assert keepawake_update(1, keepon=False) == 0
+    assert keepawake_update(0, keepon=False) == 0
 
 
 # ----------------------------------------------------------------------
@@ -372,19 +369,19 @@ def test_device_reset_keeps_power_and_held_digits():
         dev.hz10_tick(0, 0, 0, adc.next())
     dev.s5_tick()
     held = dev.roll.held
-    power = (dev.power.onsig, dev.power.clk5)
+    onsig = dev.onsig
     dev.reset()
     assert dev.seed == 0
     assert dev.rand == 0
     assert dev.selection.diceval == 2
     assert dev.roll.live == (0, 0, 0, 0)
     assert dev.roll.held == held
-    assert (dev.power.onsig, dev.power.clk5) == power
+    assert dev.onsig == onsig == 1
 
 
 def test_device_power_on_output_low():
     dev = Device()
-    assert dev.power.onsig == 0
+    assert dev.onsig == 0
 
 
 def test_device_tick_methods():
@@ -392,7 +389,7 @@ def test_device_tick_methods():
     dev.hz10_tick(0, 0, 0, 0xBEEF)
     assert dev.seed == 0xBEEF
     dev.s5_tick()
-    assert dev.power.onsig == 1
+    assert dev.onsig == 1
 
 
 BIT = st.integers(0, 1)
@@ -501,23 +498,22 @@ def _tilt_built(state, sample, intuitive):
 def _selection_built(state, upright, btn_up, btn_down):
     """The state a selection tick builds, as its branches construct it."""
     if not upright:
-        return SelectionState(False, state.dselect, state.diceval, state.set_digits, state.keepon)
+        return SelectionState(False, state.dselect, state.set_digits, state.keepon)
     setmode, dselect, keepon = state.setmode, state.dselect, state.keepon
     if btn_up and btn_down:
         keepon = False
     elif btn_up or btn_down:
         setmode, dselect = True, (dselect + (1 if btn_up else -1)) % 8
-    row = DICE_TABLE[dselect]
-    return SelectionState(setmode, dselect, row[0], row[1:], keepon)
+    return SelectionState(setmode, dselect, DICE_TABLE[dselect][1:], keepon)
 
 
 def _roll_built(state, rand_word, diceval, upright):
     """The state a roll tick builds, as its branches construct it."""
     if upright:
-        return RollState(state.out, state.held_diceval, state.held, state.held)
+        return RollState(state.held_diceval, state.held, state.held)
     out = rand_word % diceval + 1
     digits = (out // 100, out // 10 % 10, out % 10, 0xF)
-    return RollState(out, diceval, digits, digits)
+    return RollState(diceval, digits, digits)
 
 
 def _check_update(update, built, state, *args):
@@ -552,18 +548,18 @@ def test_tilt_update_returns_a_new_state_only_when_it_differs():
             for sample in (0, 1):
                 for intuitive in (False, True):
                     _check_update(tilt_update, _tilt_built, state, sample, intuitive)
-D6_ROLL = RollState(4, 6, (0, 0, 4, 0xF), (0, 0, 4, 0xF))  # out 4 of a d6
+D6_ROLL = RollState(6, (0, 0, 4, 0xF), (0, 0, 4, 0xF))  # out 4 of a d6
 
 
 @pytest.mark.parametrize("state, args, same", [
-    (SelectionState(False, 3, 8, ROW3, True), (False, 1, 0), True),       # face down, setmode off
-    (SelectionState(True, 3, 8, ROW3, True), (False, 0, 0), False),       # face down drops setmode
-    (SelectionState(True, 3, 8, ROW3, True), (True, 0, 0), True),         # upright, no button
+    (SelectionState(False, 3, ROW3, True), (False, 1, 0), True),          # face down, setmode off
+    (SelectionState(True, 3, ROW3, True), (False, 0, 0), False),          # face down drops setmode
+    (SelectionState(True, 3, ROW3, True), (True, 0, 0), True),            # upright, no button
     (SelectionState(), (True, 0, 0), False),                              # the first upright tick after reset
-    (SelectionState(False, 3, 8, ROW3, False), (True, 1, 1), True),       # both buttons, already disarmed
-    (SelectionState(False, 3, 8, ROW3, True), (True, 1, 1), False),       # both buttons disarm
-    (SelectionState(True, 3, 8, ROW3, True), (True, 1, 0), False),        # up steps the selector
-    (SelectionState(True, 0, 2, DICE_TABLE[0][1:], True), (True, 0, 1), False),  # down wraps to 7
+    (SelectionState(False, 3, ROW3, False), (True, 1, 1), True),          # both buttons, already disarmed
+    (SelectionState(False, 3, ROW3, True), (True, 1, 1), False),          # both buttons disarm
+    (SelectionState(True, 3, ROW3, True), (True, 1, 0), False),           # up steps the selector
+    (SelectionState(True, 0, DICE_TABLE[0][1:], True), (True, 0, 1), False),  # down wraps to 7
 ])
 def test_selection_update_returns_an_unchanged_state_itself(state, args, same):
     assert _check_update(selection_update, _selection_built, state, *args) == same
@@ -571,11 +567,11 @@ def test_selection_update_returns_an_unchanged_state_itself(state, args, same):
 
 @pytest.mark.parametrize("state, args, same", [
     (D6_ROLL, (77, 6, True), True),                                       # upright, live == held
-    (RollState(4, 6, BLANK, D6_ROLL.held), (77, 6, True), False),         # upright after a reset blanked live
+    (RollState(6, BLANK, D6_ROLL.held), (77, 6, True), False),            # upright after a reset blanked live
     (D6_ROLL, (3 + 6 * 1000, 6, False), True),                            # face down, the same roll again
     (D6_ROLL, (4, 6, False), False),                                      # face down, another roll
     (D6_ROLL, (3, 8, False), False),                                      # the same out of another die
-    (RollState(4, 6, BLANK, D6_ROLL.held), (3, 6, False), False),         # the same roll after a reset
+    (RollState(6, BLANK, D6_ROLL.held), (3, 6, False), False),            # the same roll after a reset
 ])
 def test_roll_update_returns_an_unchanged_state_itself(state, args, same):
     assert _check_update(roll_update, _roll_built, state, *args) == same
@@ -585,15 +581,14 @@ DIGITS = st.tuples(*[st.integers(0, 0xF)] * 4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.builds(SelectionState, st.booleans(), st.integers(0, 7), st.sampled_from(SUPPORTED_DICE),
+@given(st.builds(SelectionState, st.booleans(), st.integers(0, 7),
                  st.one_of(st.just(BLANK), st.sampled_from([row[1:] for row in DICE_TABLE.values()])),
                  st.booleans()),
-       st.builds(RollState, st.integers(1, 100), st.sampled_from(SUPPORTED_DICE),
-                 st.one_of(st.just(BLANK), DIGITS), DIGITS),
+       st.builds(RollState, st.sampled_from(SUPPORTED_DICE), st.one_of(st.just(BLANK), DIGITS), DIGITS),
        st.booleans(), BIT, BIT, st.one_of(st.integers(0, 199), WORD), st.sampled_from(SUPPORTED_DICE))
 def test_updates_return_a_new_state_only_when_it_differs(selection, roll, upright, btn_up, btn_down, word, sides):
     # the replay notes the display and the UART only when one of them is a new object
     _check_update(selection_update, _selection_built, selection, upright, btn_up, btn_down)
     _check_update(roll_update, _roll_built, roll, word, sides, upright)
-    same = RollState(roll.out, roll.held_diceval, roll.held, roll.held)
+    same = RollState(roll.held_diceval, roll.held, roll.held)
     assert roll_update(same, word, sides, True) is same

@@ -7,6 +7,7 @@ import pytest
 from dicesim.uart import (
     DecodedFrame,
     FRAME_BITS,
+    FRAME_STATES,
     IDLE,
     START,
     STOP,
@@ -17,7 +18,6 @@ from dicesim.uart import (
     encode_frame,
     payload_pack,
     tx_step,
-    uart_frame,
 )
 
 
@@ -110,14 +110,17 @@ def test_channel_emits_back_to_back_frames():
 
 
 def test_uart_frame_matches_channel_for_every_byte():
+    # replay reads a frame from FRAME_STATES and encode_frame: after edge k
+    # the FSM stepped edge by edge is in FRAME_STATES[k] and drives bit k
+    assert len(FRAME_STATES) == FRAME_BITS
     for byte in range(256):
         chan = UartChannel()
         chan.edge(byte)  # the idle priming edge
-        states, transitions = uart_frame(byte)
-        assert states == tuple(chan.edge(byte) for _ in range(FRAME_BITS))
-        assert states[-1].ap_valid and states[-1].shift_data == byte
-        levels = [1] + encode_frame(byte)
-        assert transitions == tuple((k, levels[k + 1]) for k in range(FRAME_BITS) if levels[k + 1] != levels[k])
+        states = [chan.edge(byte) for _ in range(FRAME_BITS)]
+        assert [state.fsm for state in states] == list(FRAME_STATES)
+        assert [state.tx_level for state in states] == encode_frame(byte)
+        assert [state.ap_valid for state in states] == [False] * (FRAME_BITS - 1) + [True]
+        assert states[-1].shift_data == byte
 
 
 def test_decode_round_trip_with_idle_gaps():
