@@ -8,10 +8,15 @@ the first CHECK words of every sequence, and a long `prng.xorshift_jump`,
 are compared with the scalar chains `feedback_reference` and
 `stateless_reference` of tests/reference_board.py; `prng.xorshift_step`
 and `prng.xorshift_inverse` of an array of CHECK words with the scalar step
-and inverse of each word; and each sequence made a chunk at a time, as
-`rolls` makes it, with one whole call. The array step and inverse are
-timed beside the kernels, the step on a copy, since it updates its
-argument in place.
+and inverse of each word; each sequence made a chunk at a time, as
+`rolls` makes it (each chunk continuing from the heads the chunk before
+left in a carry dict) and with each chunk jumped to from the seed, with
+one whole call; and the ROLL_FILE_LINES words of one perfbench `rolls`
+call, made both ways in both modes, with the scalar chains. The array
+step and inverse are timed beside the kernels, the step on a copy, since
+it updates its argument in place. ROLL_FILE_LINES words are timed both
+ways too: their ceil(ROLL_FILE_LINES / ROLLS_PER_CHUNK) chunk calls, the
+last one short.
 The text kernels are compared with the per-line references of
 tests/reference_board.py, `roll_lines` and `count_reference` on every
 supported die, and the bias report's face lines with `face_lines`; then
@@ -76,17 +81,28 @@ def check_against_scalar_chain():
     print(f"kernels match the scalar chain and the scalar inverse on the first {n} words")
 
 
-def chunked(sequence, seed, n):
-    """n words of sequence made ROLLS_PER_CHUNK at a time, each chunk continuing the last."""
-    return np.concatenate([sequence(seed, min(ROLLS_PER_CHUNK, n - start), start=start)
+def chunked(sequence, seed, n, carried=True):
+    """n words of sequence made ROLLS_PER_CHUNK at a time: each chunk
+    continuing from the heads the chunk before left in carry, as `rolls`
+    makes them, or, not carried, jumped to from the seed."""
+    carry = {} if carried else None
+    return np.concatenate([sequence(seed, min(ROLLS_PER_CHUNK, n - start), start=start, carry=carry)
                            for start in range(0, n, ROLLS_PER_CHUNK)])
 
 
 def check_chunked_continuation():
     n = max(N, 2 * ROLLS_PER_CHUNK + 1)
     for sequence, seed in ((kernels.feedback_sequence, 1), (kernels.stateless_sequence, 12345)):
-        assert np.array_equal(chunked(sequence, seed, n), sequence(seed, n))
-    print(f"sequences made {ROLLS_PER_CHUNK} words at a time equal one whole call over {n} words")
+        for carried in (True, False):
+            assert np.array_equal(chunked(sequence, seed, n, carried), sequence(seed, n))
+    print(f"sequences made {ROLLS_PER_CHUNK} words at a time, carried and from the seed, "
+          f"equal one whole call over {n} words")
+    feedback = feedback_reference(1, ROLL_FILE_LINES)
+    stateless = stateless_reference(12345, ROLL_FILE_LINES)
+    for carried in (True, False):
+        assert chunked(kernels.feedback_sequence, 1, ROLL_FILE_LINES, carried).tolist() == feedback
+        assert chunked(kernels.stateless_sequence, 12345, ROLL_FILE_LINES, carried).tolist() == stateless
+    print(f"{ROLL_FILE_LINES} words made a chunk at a time, carried and from the seed, match the scalar chain")
 
 
 def faces_reference(low, high, count):
@@ -108,8 +124,8 @@ def check_text_kernels():
     words = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)
     for sides in SUPPORTED_DICE:
         text = kernels.format_rolls(words, sides)
-        assert text == roll_lines(words, sides), sides
-        for block in reads(text.encode("ascii")):
+        assert text == roll_lines(words, sides).encode("ascii"), sides
+        for block in reads(text):
             assert kernels.count_rolls(block, sides) == count_reference(block, sides), sides
     for low, high, count in ((1, 20_000, 7), (95, 1_005, 2**64 // 3), (99_950, 100_250, 5), (999_000, 1_001_000, 0)):
         assert kernels.format_faces(low, high, count) == faces_reference(low, high, count)
@@ -134,12 +150,20 @@ def main():
         ("stateless_sequence", N, best_of(kernels.stateless_sequence, 12345, N)),
         ("feedback_sequence chunked", N, best_of(chunked, kernels.feedback_sequence, 1, N)),
         ("stateless_sequence chunked", N, best_of(chunked, kernels.stateless_sequence, 12345, N)),
+        (f"feedback {ROLL_FILE_LINES}, carried", ROLL_FILE_LINES,
+         best_of(chunked, kernels.feedback_sequence, 1, ROLL_FILE_LINES)),
+        ("  chunks from the seed", ROLL_FILE_LINES,
+         best_of(chunked, kernels.feedback_sequence, 1, ROLL_FILE_LINES, False)),
+        (f"stateless {ROLL_FILE_LINES}, carried", ROLL_FILE_LINES,
+         best_of(chunked, kernels.stateless_sequence, 12345, ROLL_FILE_LINES)),
+        ("  chunks from the seed", ROLL_FILE_LINES,
+         best_of(chunked, kernels.stateless_sequence, 12345, ROLL_FILE_LINES, False)),
         ("xorshift_step of an array copy", N, best_of(lambda: xorshift_step(words.copy()))),
         ("xorshift_inverse of an array", N, best_of(xorshift_inverse, words)),
         (f"xorshift_jump({TICK_STEPS}), one tick", 1, best_of(xorshift_jump, 1, TICK_STEPS)),
     ]
     chunk = kernels.feedback_sequence(1, ROLLS_PER_CHUNK)
-    block = next(reads(kernels.format_rolls(chunk, 20).encode("ascii")))
+    block = next(reads(kernels.format_rolls(chunk, 20)))
     lines = block.count(b"\n")
     rows += [
         ("format_rolls d20, one chunk", ROLLS_PER_CHUNK, best_of(kernels.format_rolls, chunk, 20)),

@@ -112,21 +112,22 @@ def _is_dir(name: str, dir_fd: int) -> bool:
         return False
 
 
-def _write_atomic(out: str, files: dict[str, Callable[[], str | Iterable[str]]], make_dir: bool = False,
-                  stale: Iterable[str] = ()) -> None:
+def _write_atomic(out: str, files: dict[str, Callable[[], str | bytes | Iterable[str | bytes]]],
+                  make_dir: bool = False, stale: Iterable[str] = ()) -> None:
     """Write each file name's text, made by its function, into the directory
     out as one set, every step relative to one descriptor of out (see
     _open_dir for make_dir): each text to a temp file of its own, so
     concurrent writers never share one, then, once every one is whole and no
     name is a directory, a rename of each over its name, and last an unlink
     of each name in stale, the names an earlier set may hold that this one
-    does not; one that is missing or a directory is left. Each chunk of text
-    is written as its UTF-8 bytes, so a LF is a LF on every platform. On any
-    failure before the renames, a chunk source's too, every temp file is
-    closed and removed; the directory's descriptor is closed on every path.
-    Only one text is made at a time. An error that names a file, the temp
-    file made or renamed, is raised again naming the user's path of the
-    file, so its message holds no random temp name."""
+    does not; one that is missing or a directory is left. A text is a str
+    or bytes, or an iterable of chunks of either; a bytes chunk is written
+    as it is, and a str chunk as its UTF-8 bytes, so a LF is a LF on every
+    platform. On any failure before the renames, a chunk source's too,
+    every temp file is closed and removed; the directory's descriptor is
+    closed on every path. Only one text is made at a time. An error that
+    names a file, the temp file made or renamed, is raised again naming the
+    user's path of the file, so its message holds no random temp name."""
     dir_fd = _open_dir(out, next(iter(files)), make_dir)
     written: list[tuple[str, str]] = []
     try:
@@ -135,8 +136,8 @@ def _write_atomic(out: str, files: dict[str, Callable[[], str | Iterable[str]]],
             written.append((tmp, name))
             try:
                 text = make_text()
-                for chunk in (text,) if isinstance(text, str) else text:
-                    _write_all(fd, chunk.encode("utf-8"))
+                for chunk in (text,) if isinstance(text, (str, bytes)) else text:
+                    _write_all(fd, chunk if isinstance(chunk, bytes) else chunk.encode("utf-8"))
                 del text  # before the next text is made
             finally:
                 os.close(fd)
@@ -219,17 +220,19 @@ def cmd_simulate(args) -> int:
 #  rolls
 # ======================================================================
 
-def _roll_chunks(mode: str, seed: int, count: int, sides: int) -> Iterator[str]:
-    """The rolls CSV, ROLLS_PER_CHUNK rolls at a time: each chunk of words
-    continues the sequence where the one before stopped, so neither the
-    words nor the text ever exist whole."""
+def _roll_chunks(mode: str, seed: int, count: int, sides: int) -> Iterator[bytes]:
+    """The rolls CSV as ASCII bytes, ROLLS_PER_CHUNK rolls at a time: each
+    chunk of words continues from the generator heads that the one before
+    left in carry, so neither the words nor the text ever exist whole."""
     from . import kernels  # numpy loads only for the commands that use it
 
     # as-built pipeline in stateless mode: the seed value seeds the synthetic ADC source
     sequence = kernels.feedback_sequence if mode == FEEDBACK else kernels.stateless_sequence
-    yield "roll\n"
+    carry: dict = {}
+    yield b"roll\n"
     for start in range(0, count, ROLLS_PER_CHUNK):
-        yield kernels.format_rolls(sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start), sides)
+        yield kernels.format_rolls(sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start, carry=carry),
+                                   sides)
 
 
 def cmd_rolls(args) -> int:
@@ -249,7 +252,7 @@ def cmd_rolls(args) -> int:
         except OSError as exc:
             return _fail(f"cannot write rolls: {exc}", EXIT_IO)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
     return EXIT_OK
 
 

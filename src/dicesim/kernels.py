@@ -25,18 +25,29 @@ T**(2**(i + m)), and each later word of a lane is one step of the word
 before, one `prng.xorshift_step` per row of lanes. The stateless sequence
 keeps plain doubling: its jump by 2**i, one multiply and one add, costs no
 more than a step, so lanes would add work there. A sequence may begin
-`start` words into the stream, so a long one is made a chunk at a time,
-each chunk continuing where the one before stopped.
+`start` words into the stream, so a long one is made a chunk at a time.
+A chunk after the first continues from the heads of the chunk before,
+which the caller hands it in a `carry` dict with the position where that
+chunk ends, not from the seed: the feedback lane heads, jumped once by that
+chunk's length at its stride, in place of the orbit; and the first (up to
+LANES) LCG states of the stateless sequence, advanced by that length with
+one multiply and one add (`_lcg_stride`), from which doubling goes on, in
+place of the first levels of doubling from the seed. Either is at most
+LANES words, 16 KiB, in an array of its own, so a chunk's words are freed
+with the chunk.
+A chunk that does not begin where the carried heads end starts from the
+seed, and no state outlives the caller's dict.
 
 The text of a rolls CSV is made and read here too, a block at a time with
 no Python step per roll: `format_rolls` gathers each face's line from a
-table of NUL-padded uint32 words, and `count_rolls` reads each line of a
-block of bare 1- to 3-digit lines as one window, the little-endian word of
-its last three bytes and its LF, whose digits' low nibbles make a 12-bit
-key; it counts the keys with one `bincount` and maps them to faces through
-a table. The face lines of a bias report are joins in plain Python:
-`format_faces` makes each block of 100 faces that share their leading
-digits with one `str.join` over 101 pieces fixed by the count.
+table of NUL-padded uint32 words into ASCII bytes, and `count_rolls` reads
+each line of a block of bare 1- to 3-digit lines as one window, the
+little-endian word of its last three bytes and its LF, whose digits' low
+nibbles make a 12-bit key; it counts the keys with one `bincount` and maps
+them to faces through a table. The face lines of a bias report are joins
+in plain Python: `format_faces` makes each block of 100 faces that share
+their leading digits with one `str.join` over 101 pieces fixed by the
+count.
 """
 
 from __future__ import annotations
@@ -45,7 +56,16 @@ import functools
 
 import numpy as np
 
-from .prng import MASK32, apply_tables, lcg_power, power_tables, xorshift_jump, xorshift_step
+from .prng import (
+    MASK32,
+    apply_tables,
+    jump_tables,
+    lcg_jump,
+    lcg_power,
+    power_tables,
+    xorshift_jump,
+    xorshift_step,
+)
 
 LANES = 4_096  # the fewest lanes a feedback sequence of 2 * LANES words or more is filled as
 
@@ -71,18 +91,24 @@ def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
     return x * np.uint32(mult) + np.uint32(inc)
 
 
-def _orbit(first: int, n: int, jump, start: int) -> np.ndarray:
-    """The n states f**start(first) .. f**(start+n-1)(first), as uint32.
+def _lcg_stride(steps: int) -> tuple[int, int]:
+    """(mult, inc) of the LCG applied steps times: the affine map's image
+    of 0 is inc, and of 1 is mult + inc."""
+    inc = lcg_jump(0, steps)
+    return (lcg_jump(1, steps) - inc) & MASK32, inc
 
-    jump(i, x) applies f**(2**i) to a uint32 array. Once the first 2**i
-    states are made, one jump by 2**i makes the next 2**i from them.
+
+def _orbit(head, n: int, jump) -> np.ndarray:
+    """The first n states of the orbit that head begins, as uint32.
+
+    head holds its first 2**k states (k >= 0), and jump(i, x) applies
+    f**(2**i) to a uint32 array: once the first 2**i states are made, one
+    jump by 2**i makes the next 2**i from them.
     """
     out = np.empty(n, dtype=np.uint32)
-    out[:1] = first & MASK32
-    for i in range(start.bit_length()):
-        if start >> i & 1:
-            out[:1] = jump(i, out[:1])
-    made, i = min(n, 1), 0
+    made = min(n, len(head))
+    out[:made] = head[:made]
+    i = made.bit_length() - 1
     while made < n:
         more = min(made, n - made)
         out[made:made + more] = jump(i, out[:more])
@@ -90,11 +116,16 @@ def _orbit(first: int, n: int, jump, start: int) -> np.ndarray:
     return out
 
 
+def _carried(carry: dict | None, start: int):
+    """The heads the chunk before left in carry, if it ended at start; else None."""
+    return carry["heads"] if carry and carry["end"] == start else None
+
+
 # ======================================================================
 #  public kernels
 # ======================================================================
 
-def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:
+def feedback_sequence(seed: int, n: int, start: int = 0, carry: dict | None = None) -> np.ndarray:
     """n successive outputs of the free-running xorshift from seed, after
     skipping its first start outputs.
 
@@ -103,28 +134,62 @@ def feedback_sequence(seed: int, n: int, start: int = 0) -> np.ndarray:
     the orbit of the jump by 2**m, and each row after it is one step of the
     row before. Below 2 * LANES outputs the stride is 1, so the orbit is the
     whole sequence.
+
+    carry, a dict the calls for the successive chunks of one sequence
+    share, hands each chunk a copy of the lane heads of the chunk before,
+    with its stride, its length and the position where it ends: when it
+    ends at start and has enough lanes for n outputs at its stride, row 0
+    is those heads jumped by its length, in place of the orbit from seed,
+    and the chunk keeps that stride. The call leaves its own heads there.
     """
-    n = int(n)
-    m = max(0, (n // LANES).bit_length() - 1)
-    stride = 1 << m
-    rows = np.empty((stride, -(-n // stride)), dtype=np.uint32)
-    row = rows[0] = _orbit(xorshift_jump(int(seed), int(start) + 1), rows.shape[1],
-                           lambda i, x: _xorshift_jump(i + m, x), 0)
+    n, start = int(n), int(start)
+    before = _carried(carry, start)
+    if before is not None and len(before[0]) * before[1] >= n:
+        heads, stride, steps = before
+        rows = np.empty((stride, -(-n // stride)), dtype=np.uint32)
+        row = rows[0] = jump_tables(_tables, heads[:rows.shape[1]], steps)
+    else:
+        m = max(0, (n // LANES).bit_length() - 1)
+        stride = 1 << m
+        rows = np.empty((stride, -(-n // stride)), dtype=np.uint32)
+        row = rows[0] = _orbit([xorshift_jump(int(seed), start + 1)], rows.shape[1],
+                               lambda i, x: _xorshift_jump(i + m, x))
+    if carry is not None:
+        carry.update(heads=(rows[0].copy(), stride, n), end=start + n)
     for t in range(1, stride):
         row = rows[t] = xorshift_step(row)  # it changes its argument, of which rows[t - 1] is a copy
     return rows.T.reshape(-1)[:n]
 
 
-def stateless_sequence(lcg_seed: int, n: int, start: int = 0) -> np.ndarray:
+def stateless_sequence(lcg_seed: int, n: int, start: int = 0, carry: dict | None = None) -> np.ndarray:
     """n outputs of the as-built pipeline fed by the synthetic LCG source,
     after skipping its first start outputs.
 
     Each step shifts the top 16 bits of the next LCG state into the seed
     register (which starts at 0) and outputs the xorshift of the register,
     so output k's register is the top halves of LCG states k and k + 1.
+
+    carry, a dict the calls for the successive chunks of one sequence
+    share, hands each chunk the first LCG states of the chunk before (a
+    power of two of them, at most LANES), with its length and the position
+    where it ends: when it ends at start, they are advanced in place by
+    that length to begin this chunk's states, in place of the first levels
+    of doubling from lcg_seed. The call leaves its own first states there.
+    They are made before the rest of the states, so the chunk's larger
+    arrays are freed around them, not under them.
     """
-    start = int(start)
-    states = _orbit(int(lcg_seed), int(n) + 1, _lcg_jump, start)
+    start, n = int(start), int(n)
+    before = _carried(carry, start)
+    if before is not None:
+        heads, steps = before
+        mult, inc = _lcg_stride(steps)
+        heads *= np.uint32(mult)
+        heads += np.uint32(inc)
+    else:
+        heads = _orbit([lcg_jump(int(lcg_seed), start)], min(LANES, 1 << (n + 1).bit_length() - 1), _lcg_jump)
+    states = _orbit(heads, n + 1, _lcg_jump)
+    if carry is not None:
+        carry.update(heads=(heads, n), end=start + n)
     if start == 0:
         states[0] = 0  # the register's first high half is its reset value
     register = states[:-1] & np.uint32(0xFFFF0000)
@@ -150,18 +215,20 @@ def _line_table(sides: int) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint32)  # read-only: it views the bytes
 
 
-def format_rolls(words, sides: int) -> str:
-    """The rolls CSV lines of words: face (word mod sides) + 1, one per line.
-    The remainder is taken as words - (words // sides) * sides: numpy's
-    floor_divide of uint32 by a scalar uses a precomputed divisor (libdivide),
-    and its remainder does not, so the three passes beat the one."""
+def format_rolls(words, sides: int) -> bytes:
+    """The rolls CSV lines of words as ASCII bytes: face (word mod sides)
+    + 1, one per line. The remainder is taken as words - (words // sides)
+    * sides: numpy's floor_divide of uint32 by a scalar uses a precomputed
+    divisor (libdivide), and its remainder does not, so the three passes
+    beat the one."""
     table = _line_table(sides)
     words = np.asarray(words, dtype=np.uint32)
     divisor = np.uint32(sides)
     faces = words // divisor
     faces *= divisor
     np.subtract(words, faces, out=faces)
-    return table.take(faces).tobytes().translate(None, b"\0").decode("ascii")
+    table.take(faces, out=faces, mode="clip")  # in place: every index is below sides, and "raise" would buffer
+    return faces.tobytes().translate(None, b"\0")
 
 
 @functools.cache

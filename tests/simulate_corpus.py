@@ -1,8 +1,9 @@
 """The `simulate` byte contract as a committed corpus of cases.
 
-Case i is a trace and a set of `simulate` options drawn from
-`random.Random(i)` alone, so it is the same case on every Python version and
-platform. `simulate_corpus.json` holds, per case, the sha256 of every file
+Case i below DRAWN_CASES is a trace and a set of `simulate` options drawn
+from `random.Random(i)` alone, so it is the same case on every Python version
+and platform; the cases after them are written out in FIXED_CASES, for what
+no drawn case reaches. `simulate_corpus.json` holds, per case, the sha256 of every file
 `simulate` writes, of its stdout and of its stderr, and its exit code.
 
 The cases cover both PRNG modes and the intuitive tilt, csv and jsonl logs,
@@ -37,7 +38,22 @@ if __name__ == "__main__":  # run as a script: use this checkout's src/
 from corpus_runner import check_every_case, sha  # noqa: E402
 from dicesim.cli import main  # noqa: E402
 
-CASES = 320
+DRAWN_CASES = 320
+# (options, trace) of each case after the drawn ones
+FIXED_CASES = (
+    # both buttons disarm keep-awake while onpin is high, before the S5 edge
+    # (7 501 300 us) that drives it low, where an armed toggler would drive
+    # it low too; the edge after that (12 501 500 us) keeps it low
+    (("--prng-mode", "stateless", "--format", "csv", "--duration-us", "13000000"),
+     "0 RESET 1\n1000 RESET 0\n2000 TILT 1\n3000000 BTNU 1\n3000000 BTND 1\n"
+     "3300000 BTNU 0\n3300000 BTND 0\n"),
+    # one BTND tick steps the selector from the d2 down to the d100, which
+    # settles on a roll of 100 when the die stands up again
+    (("--prng-mode", "feedback", "--format", "jsonl", "--duration-us", "8700188"),
+     "0 RESET 1\n1000 RESET 0\n2000 TILT 1\n1500000 BTND 1\n1600000 BTND 0\n2000000 TILT 0\n"
+     "6700188 TILT 1\n"),
+)
+CASES = DRAWN_CASES + len(FIXED_CASES)
 DIGESTS = Path(__file__).with_name("simulate_corpus.json")
 
 FRAME_US = 10_000          # one UART frame; frame m starts 1 500 + 10 000 m us after a release
@@ -123,6 +139,9 @@ _MALFORMED = (
 
 
 def make_case(index: int) -> Case:
+    if index >= DRAWN_CASES:
+        options, trace = FIXED_CASES[index - DRAWN_CASES]
+        return Case(index, options, trace.encode("ascii"))
     rng = random.Random(index)
     events = _events(rng)
     last = events[-1][0] if events else 0

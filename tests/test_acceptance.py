@@ -90,7 +90,7 @@ def test_criterion_02_inverse_round_trips_one_million_words():
 
 def _tally_as_stats_rolls(words, sides):
     # the rolls file `rolls` writes, counted as `stats --rolls` counts it
-    return _tally_rolls(io.BytesIO(("roll\n" + kernels.format_rolls(words, sides)).encode()), sides)
+    return _tally_rolls(io.BytesIO(b"roll\n" + kernels.format_rolls(words, sides)), sides)
 
 
 def test_criterion_03_feedback_stream_passes_uniformity():

@@ -763,6 +763,15 @@ def test_write_atomic_keeps_plain_file_mode(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
 
 
+def test_write_atomic_writes_bytes_as_they_are_and_str_as_utf8(tmp_path):
+    # a chunk source may mix bytes and str: bytes go to the file as they
+    # are, a str as its UTF-8 bytes, one after another in order
+    chunks = [b"roll\n", "4\n", b"17\n\xff", "caf\u00e9 \u2680\n", b"", "", b"2\n"]
+    cli._write_atomic(str(tmp_path), {"mixed.csv": lambda: iter(chunks), "one.bin": lambda: b"\x00\n"})
+    assert (tmp_path / "mixed.csv").read_bytes() == b"roll\n4\n17\n\xffcaf\xc3\xa9 \xe2\x9a\x80\n2\n"
+    assert (tmp_path / "one.bin").read_bytes() == b"\x00\n"
+
+
 def test_outputs_are_written_without_setting_the_umask(tmp_path, monkeypatch, capsys):
     # the umask is process-wide: setting it, even to read it, would race other threads' new files
     def umask(mask):

@@ -162,6 +162,90 @@ def test_feedback_sequence_start_equals_jump(seed, start, n):
         feedback_reference(xorshift_jump(seed, start), n)
 
 
+SEQUENCES = [kernels.feedback_sequence, kernels.stateless_sequence]
+
+
+def carried(sequence, seed: int, count: int, chunk: int) -> np.ndarray:
+    """count words of sequence made chunk at a time, as `rolls` makes them:
+    each chunk after the first continues from the heads the one before
+    left in carry."""
+    carry: dict = {}
+    return np.concatenate([sequence(seed, min(chunk, count - start), start=start, carry=carry)
+                           for start in range(0, count, chunk)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, kernels.MASK32), st.one_of(st.integers(2**4, 2**10), st.integers(2 * LANES, 5 * LANES)),
+       st.integers(3, 5), st.integers(0, 5 * LANES))
+@example(1, 2**4, 3, 0)
+@example(1, 2**10, 3, 2**10 - 2)
+@example(0xDEADBEEF, 4 * LANES, 3, 3 * LANES)  # lanes of stride 4, kept by a short chunk of 3 * LANES + 1
+def test_carried_chunks_equal_one_call(seed, chunk, seams, cut):
+    # at least three seams, then a short last chunk of 1 to chunk - 1 words;
+    # from 2 * LANES words on the feedback chunks are lanes, and the short
+    # one keeps the stride of the chunks before; below LANES words the
+    # stateless heads are fewer than LANES
+    count = seams * chunk + 1 + cut % (chunk - 1)
+    for sequence in SEQUENCES:
+        words = carried(sequence, seed, count, chunk)
+        assert words.dtype == np.uint32
+        assert np.array_equal(words, sequence(seed, count)), sequence.__name__
+
+
+def test_carried_chunks_build_only_the_first_orbit(monkeypatch):
+    # every feedback chunk after the first jumps the carried lane heads
+    orbits = []
+    orbit = kernels._orbit
+    monkeypatch.setattr(kernels, "_orbit", lambda *args: orbits.append(args[1]) or orbit(*args))
+    words = carried(kernels.feedback_sequence, 9, 8 * LANES + 5, 2 * LANES)
+    assert len(orbits) == 1
+    assert np.array_equal(words, kernels.feedback_sequence(9, 8 * LANES + 5))
+
+
+def test_carried_lcg_heads_are_doubled_from(monkeypatch):
+    # only the first stateless chunk doubles from one state; each chunk
+    # after it doubles from the LANES states carried from the chunk before
+    heads = []
+    orbit = kernels._orbit
+    monkeypatch.setattr(kernels, "_orbit", lambda *args: heads.append(len(args[0])) or orbit(*args))
+    words = carried(kernels.stateless_sequence, 9, 8 * LANES + 5, 2 * LANES)
+    assert heads == [1] + [LANES] * 5
+    assert np.array_equal(words, kernels.stateless_sequence(9, 8 * LANES + 5))
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+def test_carried_chunks_may_grow(sequence):
+    # a chunk longer than the one before goes on from fewer heads than it
+    # needs: doubling from them (stateless) or an orbit from the seed (feedback)
+    carry: dict = {}
+    lengths = [5, 100, 3_000, 3 * LANES, 9 * LANES]
+    starts = np.cumsum([0] + lengths).tolist()
+    words = np.concatenate([sequence(7, n, start=start, carry=carry) for start, n in zip(starts, lengths)])
+    assert np.array_equal(words, sequence(7, starts[-1]))
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+@pytest.mark.parametrize("starts", [(0, 0), (0, 3 * LANES), (2 * LANES, 0), (0, 2 * LANES, 5 * LANES)])
+def test_carried_heads_serve_only_the_chunk_that_follows(sequence, starts):
+    # a chunk asked for again, skipped ahead or back starts from the seed
+    carry: dict = {}
+    whole = sequence(9, 8 * LANES)
+    for start in starts:
+        words = sequence(9, 2 * LANES, start=start, carry=carry)
+        assert np.array_equal(words, whole[start:start + 2 * LANES]), start
+        assert carry["end"] == start + 2 * LANES
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+@pytest.mark.parametrize("n", [LANES, 2 * LANES])
+def test_carried_heads_are_not_the_returned_words(sequence, n):
+    # a caller may change the words it got in place; below 2 * LANES the
+    # feedback words are a view of the lanes
+    carry: dict = {}
+    sequence(3, n, carry=carry)[:] = 0
+    assert np.array_equal(sequence(3, n, start=n, carry=carry), sequence(3, n, start=n))
+
+
 def lcg_state(seed: int, k: int) -> int:
     """LCG state k from seed in closed form: a**k * seed + c * (a**k - 1) / (a - 1),
     the sum of the geometric series taken exactly mod 2**32."""
@@ -203,7 +287,7 @@ def test_lcg_power_of_two_jump_of_an_array_equals_stepping(x, i):
 def test_format_rolls_equals_per_roll_join(sides, seed, n):
     words = np.random.default_rng(seed).integers(0, 1 << 32, n, dtype=np.uint32)
     words[:3] = (0, kernels.MASK32, sides - 1)[:n]  # the extreme words and the widest face
-    assert kernels.format_rolls(words, sides) == roll_lines(words, sides)
+    assert kernels.format_rolls(words, sides) == roll_lines(words, sides).encode("ascii")
 
 
 @pytest.mark.parametrize("sides", [0, 1000])
