@@ -6,7 +6,8 @@ A user runs one command per process, so each command here is a new
 interpreter: `python -c pass` (the floor), `uart encode 16`, `simulate` of a
 3 s boot trace (`RESET 1` at 0, `RESET 0` and `TILT 1` at 1 000 us) in both
 PRNG modes, `simulate --prng-mode feedback` of the same trace for 60 s,
-which is one steady upright span, and `rolls --sides 6 --count 1`. Each
+which is one steady upright span, `rolls --sides 6 --count 1`, and
+`stats --bias 6`, which loads no numpy. Each
 SRC is a `src` directory to import the package from (default: this
 checkout's); with two or more, their runs alternate, so they can be
 compared on one host at one time. One untimed round writes the bytecode
@@ -40,6 +41,7 @@ COMMANDS = (  # (label, arguments after `python`, with {trace} and {out} filled 
     ("simulate 60 s feedback", ["-m", "dicesim", "simulate", "--trace", "{trace}", "--out", "{out}",
                                 "--duration-us", "60000000", "--prng-mode", "feedback"]),
     ("rolls --sides 6 --count 1", ["-m", "dicesim", "rolls", "--sides", "6", "--count", "1"]),
+    ("stats --bias 6", ["-m", "dicesim", "stats", "--bias", "6"]),
 )
 
 

@@ -48,7 +48,7 @@ EXIT_ANALYSIS = 3
 DEFAULT_ROLL_SEED = 1
 ROLLS_PER_CHUNK = 65_536
 ROLL_BYTES_PER_READ = 65_536
-BIAS_FACES_PER_WRITE = 4_000  # a multiple of 100, so a write splits no block of `kernels.format_faces`
+BIAS_FACES_PER_WRITE = 4_000  # a multiple of 100, so a write splits no block of `stats.format_faces`
 
 
 TEMP_NAME_TRIES = 100  # random temp names tried in a directory before giving up
@@ -222,17 +222,29 @@ def cmd_simulate(args) -> int:
 
 def _roll_chunks(mode: str, seed: int, count: int, sides: int) -> Iterator[bytes]:
     """The rolls CSV as ASCII bytes, ROLLS_PER_CHUNK rolls at a time: each
-    chunk of words continues from the generator heads that the one before
-    left in carry, so neither the words nor the text ever exist whole."""
+    chunk of words goes on from the generator heads that the one before left
+    in the command's cursor, so neither the words nor the text ever exist whole."""
     from . import kernels  # numpy loads only for the commands that use it
 
     # as-built pipeline in stateless mode: the seed value seeds the synthetic ADC source
     sequence = kernels.feedback_sequence if mode == FEEDBACK else kernels.stateless_sequence
-    carry: dict = {}
+    cursor = kernels.Cursor(mode, seed)
     yield b"roll\n"
     for start in range(0, count, ROLLS_PER_CHUNK):
-        yield kernels.format_rolls(sequence(seed, min(ROLLS_PER_CHUNK, count - start), start=start, carry=carry),
-                                   sides)
+        yield kernels.format_rolls(sequence(cursor, min(ROLLS_PER_CHUNK, count - start)), sides)
+
+
+def _write_stdout(chunks: Iterable[bytes]) -> None:
+    """ASCII bytes chunks to stdout: to its binary buffer, once the text
+    written before them is flushed, or, for a stdout that has none (such as
+    an io.StringIO), as text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        return
+    sys.stdout.flush()
+    for chunk in chunks:
+        buffer.write(chunk)
 
 
 def cmd_rolls(args) -> int:
@@ -252,7 +264,7 @@ def cmd_rolls(args) -> int:
         except OSError as exc:
             return _fail(f"cannot write rolls: {exc}", EXIT_IO)
     else:
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        _write_stdout(chunks)
     return EXIT_OK
 
 
@@ -315,13 +327,13 @@ def _bias_lines(report: stats.BiasReport) -> Iterator[str]:
     """The face lines of a bias report, a write of at most
     BIAS_FACES_PER_WRITE faces up to each multiple of it: faces
     1..remainder have one count and the rest the other."""
-    from . import kernels
+    from . import stats
 
     for low, end, count in ((1, report.remainder + 1, report.quotient + 1),
                             (report.remainder + 1, report.dice_sides + 1, report.quotient)):
         while low < end:
             high = min(end, (low // BIAS_FACES_PER_WRITE + 1) * BIAS_FACES_PER_WRITE)
-            yield kernels.format_faces(low, high, count)
+            yield stats.format_faces(low, high, count)
             low = high
 
 

@@ -17,37 +17,32 @@ applies to one word (Brown 1994, "Random number generation with arbitrary
 strides").
 
 A sequence is filled by doubling: its first word is reached by one jump per
-set bit of its offset in the stream, then the jump by 2**i maps the 2**i
+set bit of its position in the stream, then the jump by 2**i maps the 2**i
 words made so far onto the next 2**i. A long feedback sequence is filled
 as lanes of stride 2**m instead: the first word of each lane comes from
 the orbit of the jump by 2**m, whose levels are the cached tables of
 T**(2**(i + m)), and each later word of a lane is one step of the word
 before, one `prng.xorshift_step` per row of lanes. The stateless sequence
 keeps plain doubling: its jump by 2**i, one multiply and one add, costs no
-more than a step, so lanes would add work there. A sequence may begin
-`start` words into the stream, so a long one is made a chunk at a time.
-A chunk after the first continues from the heads of the chunk before,
-which the caller hands it in a `carry` dict with the position where that
-chunk ends, not from the seed: the feedback lane heads, jumped once by that
-chunk's length at its stride, in place of the orbit; and the first (up to
-LANES) LCG states of the stateless sequence, advanced by that length with
-one multiply and one add (`_lcg_stride`), from which doubling goes on, in
-place of the first levels of doubling from the seed. Either is at most
-LANES words, 16 KiB, in an array of its own, so a chunk's words are freed
-with the chunk.
-A chunk that does not begin where the carried heads end starts from the
-seed, and no state outlives the caller's dict.
+more than a step, so lanes would add work there.
+
+A `Cursor` says where a stream goes on, so a long sequence is made a chunk
+at a time: its position and its heads, the generator's states there (the
+feedback lane heads at their stride, or the first LCG states). Made at a
+position, it jumps its seed there once, to one head. Each call makes the
+next n words from the heads, doubling from them while they are too few,
+and leaves them to the next call, which first moves them on by those n
+words: the lane heads by one jump at their stride, the LCG states in place
+by one multiply and one add (`_lcg_move`). The heads are at most 2 * LANES
+words, 32 KiB, in an array of their own, so a chunk's words are freed with
+the chunk.
 
 The text of a rolls CSV is made and read here too, a block at a time with
 no Python step per roll: `format_rolls` gathers each face's line from a
-table of NUL-padded uint32 words into ASCII bytes, and `count_rolls` reads
-each line of a block of bare 1- to 3-digit lines as one window, the
-little-endian word of its last three bytes and its LF, whose digits' low
-nibbles make a 12-bit key; it counts the keys with one `bincount` and maps
-them to faces through a table. The face lines of a bias report are joins
-in plain Python: `format_faces` makes each block of 100 faces that share
-their leading digits with one `str.join` over 101 pieces fixed by the
-count.
+table of the die's lines, and `count_rolls` keys every byte of a block by
+the low nibbles of the three bytes before it, so that a LF's key is its
+line's last three bytes; one `bincount` counts the keys, and a table maps
+those of the LFs to faces.
 """
 
 from __future__ import annotations
@@ -57,7 +52,9 @@ import functools
 import numpy as np
 
 from .prng import (
+    FEEDBACK,
     MASK32,
+    STATELESS,
     apply_tables,
     jump_tables,
     lcg_jump,
@@ -91,11 +88,12 @@ def _lcg_jump(i: int, x: np.ndarray) -> np.ndarray:
     return x * np.uint32(mult) + np.uint32(inc)
 
 
-def _lcg_stride(steps: int) -> tuple[int, int]:
-    """(mult, inc) of the LCG applied steps times: the affine map's image
-    of 0 is inc, and of 1 is mult + inc."""
+def _lcg_move(states: np.ndarray, steps: int) -> None:
+    """Move LCG states on in place by steps steps, one multiply and one add:
+    the affine map's image of 0 is inc, and of 1 is mult + inc."""
     inc = lcg_jump(0, steps)
-    return (lcg_jump(1, steps) - inc) & MASK32, inc
+    states *= np.uint32(lcg_jump(1, steps) - inc & MASK32)
+    states += np.uint32(inc)
 
 
 def _orbit(head, n: int, jump) -> np.ndarray:
@@ -116,82 +114,89 @@ def _orbit(head, n: int, jump) -> np.ndarray:
     return out
 
 
-def _carried(carry: dict | None, start: int):
-    """The heads the chunk before left in carry, if it ended at start; else None."""
-    return carry["heads"] if carry and carry["end"] == start else None
+class Cursor:
+    """Where one generator's stream goes on: position, the index of its next
+    word, and heads, the generator's states behind words before it, from
+    which the call before made its words.
+
+    A feedback cursor's heads are xorshift outputs stride words apart, one
+    per lane; a stateless cursor's are consecutive LCG states. The next call
+    moves them on by behind words and makes its own words from them. A
+    cursor made at a position jumps its seed there once, to one head.
+    """
+
+    __slots__ = ("mode", "position", "heads", "stride", "behind")
+
+    def __init__(self, mode: str, seed: int, position: int = 0) -> None:
+        seed, position = int(seed), int(position)
+        head = xorshift_jump(seed, position + 1) if mode == FEEDBACK else lcg_jump(seed, position)
+        self.mode, self.position, self.stride, self.behind = mode, position, 1, 0
+        self.heads = np.array([head], dtype=np.uint32)
+
+
+def _check_mode(cursor: Cursor, mode: str) -> None:
+    if cursor.mode != mode:
+        raise ValueError(f"a {cursor.mode} cursor cannot make {mode} words")
 
 
 # ======================================================================
 #  public kernels
 # ======================================================================
 
-def feedback_sequence(seed: int, n: int, start: int = 0, carry: dict | None = None) -> np.ndarray:
-    """n successive outputs of the free-running xorshift from seed, after
-    skipping its first start outputs.
+def feedback_sequence(cursor: Cursor, n: int) -> np.ndarray:
+    """The next n outputs of the free-running xorshift from cursor, which
+    moves on past them.
 
-    The outputs are filled as lanes of stride 2**m, the largest stride that
-    leaves at least LANES lanes: row 0, the first output of each lane, is
-    the orbit of the jump by 2**m, and each row after it is one step of the
-    row before. Below 2 * LANES outputs the stride is 1, so the orbit is the
-    whole sequence.
-
-    carry, a dict the calls for the successive chunks of one sequence
-    share, hands each chunk a copy of the lane heads of the chunk before,
-    with its stride, its length and the position where it ends: when it
-    ends at start and has enough lanes for n outputs at its stride, row 0
-    is those heads jumped by its length, in place of the orbit from seed,
-    and the chunk keeps that stride. The call leaves its own heads there.
+    The outputs are filled as lanes: row 0, the first output of each lane,
+    is the cursor's heads jumped once to its position, and each row after it
+    is one step of the row before. When the heads have too few lanes for n
+    outputs, row 0 is made anew from the first head, at the largest stride
+    2**m that leaves at least LANES lanes, as the orbit of the jump by 2**m.
+    Below 2 * LANES outputs that stride is 1, so the orbit is the whole
+    sequence. The cursor keeps a copy of row 0.
     """
-    n, start = int(n), int(start)
-    before = _carried(carry, start)
-    if before is not None and len(before[0]) * before[1] >= n:
-        heads, stride, steps = before
-        rows = np.empty((stride, -(-n // stride)), dtype=np.uint32)
-        row = rows[0] = jump_tables(_tables, heads[:rows.shape[1]], steps)
-    else:
+    n = int(n)
+    _check_mode(cursor, FEEDBACK)
+    heads, stride, behind = cursor.heads, cursor.stride, cursor.behind
+    if len(heads) * stride < n:
         m = max(0, (n // LANES).bit_length() - 1)
         stride = 1 << m
-        rows = np.empty((stride, -(-n // stride)), dtype=np.uint32)
-        row = rows[0] = _orbit([xorshift_jump(int(seed), start + 1)], rows.shape[1],
-                               lambda i, x: _xorshift_jump(i + m, x))
-    if carry is not None:
-        carry.update(heads=(rows[0].copy(), stride, n), end=start + n)
+        first = jump_tables(_tables, heads[:1], behind)
+        heads, behind = _orbit(first, -(-n // stride), lambda i, x: _xorshift_jump(i + m, x)), 0
+    rows = np.empty((stride, max(1, -(-n // stride))), dtype=np.uint32)  # a lane at least: the cursor keeps row 0
+    row = rows[0] = jump_tables(_tables, heads[:rows.shape[1]], behind)
+    cursor.heads, cursor.stride, cursor.behind = rows[0].copy(), stride, n
+    cursor.position += n
     for t in range(1, stride):
         row = rows[t] = xorshift_step(row)  # it changes its argument, of which rows[t - 1] is a copy
     return rows.T.reshape(-1)[:n]
 
 
-def stateless_sequence(lcg_seed: int, n: int, start: int = 0, carry: dict | None = None) -> np.ndarray:
-    """n outputs of the as-built pipeline fed by the synthetic LCG source,
-    after skipping its first start outputs.
+def stateless_sequence(cursor: Cursor, n: int) -> np.ndarray:
+    """The next n outputs of the as-built pipeline fed by the synthetic LCG
+    source from cursor, which moves on past them.
 
     Each step shifts the top 16 bits of the next LCG state into the seed
     register (which starts at 0) and outputs the xorshift of the register,
     so output k's register is the top halves of LCG states k and k + 1.
-
-    carry, a dict the calls for the successive chunks of one sequence
-    share, hands each chunk the first LCG states of the chunk before (a
-    power of two of them, at most LANES), with its length and the position
-    where it ends: when it ends at start, they are advanced in place by
-    that length to begin this chunk's states, in place of the first levels
-    of doubling from lcg_seed. The call leaves its own first states there.
-    They are made before the rest of the states, so the chunk's larger
-    arrays are freed around them, not under them.
+    The states are doubled from the cursor's heads, moved on in place and,
+    while fewer than LANES, doubled first to as many as n + 1 states hold;
+    the cursor keeps them. They are made before the rest of the states, so
+    the chunk's larger arrays are freed around them, not under them.
     """
-    start, n = int(start), int(n)
-    before = _carried(carry, start)
-    if before is not None:
-        heads, steps = before
-        mult, inc = _lcg_stride(steps)
-        heads *= np.uint32(mult)
-        heads += np.uint32(inc)
-    else:
-        heads = _orbit([lcg_jump(int(lcg_seed), start)], min(LANES, 1 << (n + 1).bit_length() - 1), _lcg_jump)
+    n = int(n)
+    _check_mode(cursor, STATELESS)
+    heads = cursor.heads
+    if cursor.behind:
+        _lcg_move(heads, cursor.behind)
+    want = min(LANES, 1 << (n + 1).bit_length() - 1)
+    if len(heads) < want:
+        heads = cursor.heads = _orbit(heads, want, _lcg_jump)
     states = _orbit(heads, n + 1, _lcg_jump)
-    if carry is not None:
-        carry.update(heads=(heads, n), end=start + n)
-    if start == 0:
+    if cursor.position == 0:
         states[0] = 0  # the register's first high half is its reset value
+    cursor.behind = n
+    cursor.position += n
     register = states[:-1] & np.uint32(0xFFFF0000)
     register |= states[1:] >> np.uint32(16)
     del states  # free the states before the transform's temporaries
@@ -202,17 +207,18 @@ def stateless_sequence(lcg_seed: int, n: int, start: int = 0, carry: dict | None
 #  rolls CSV text
 # ======================================================================
 
-_LINE_BYTES = np.dtype(np.uint32).itemsize
-_DIGITS = b"0123456789"
+_MAX_LINE = 4  # bytes of the widest line, three digits and a LF
 
 
 @functools.cache
 def _line_table(sides: int) -> np.ndarray:
-    """The lines "1\n" .. f"{sides}\n", each NUL-padded to one uint32 word."""
-    if sides < 1 or len(f"{sides}\n") > _LINE_BYTES:
-        raise ValueError(f"no line table for a d{sides}: faces must fit {_LINE_BYTES - 1} digits")
-    text = b"".join(f"{face}\n".encode().ljust(_LINE_BYTES, b"\0") for face in range(1, sides + 1))
-    return np.frombuffer(text, dtype=np.uint32)  # read-only: it views the bytes
+    """The lines "1\n" .. f"{sides}\n", each one uint16 word when every
+    line is two bytes (d1 to d9), else NUL-padded to one uint32 word."""
+    if sides < 1 or len(f"{sides}\n") > _MAX_LINE:
+        raise ValueError(f"no line table for a d{sides}: faces must fit {_MAX_LINE - 1} digits")
+    width = 2 if sides < 10 else _MAX_LINE
+    text = b"".join(f"{face}\n".encode().ljust(width, b"\0") for face in range(1, sides + 1))
+    return np.frombuffer(text, dtype=np.uint16 if width == 2 else np.uint32)  # read-only: it views the bytes
 
 
 def format_rolls(words, sides: int) -> bytes:
@@ -220,13 +226,16 @@ def format_rolls(words, sides: int) -> bytes:
     + 1, one per line. The remainder is taken as words - (words // sides)
     * sides: numpy's floor_divide of uint32 by a scalar uses a precomputed
     divisor (libdivide), and its remainder does not, so the three passes
-    beat the one."""
+    beat the one. Two-byte lines are gathered whole; wider ones are
+    gathered NUL-padded in place, and the NULs stripped."""
     table = _line_table(sides)
     words = np.asarray(words, dtype=np.uint32)
     divisor = np.uint32(sides)
     faces = words // divisor
     faces *= divisor
     np.subtract(words, faces, out=faces)
+    if table.dtype == np.uint16:
+        return table.take(faces, mode="clip").tobytes()
     table.take(faces, out=faces, mode="clip")  # in place: every index is below sides, and "raise" would buffer
     return faces.tobytes().translate(None, b"\0")
 
@@ -246,54 +255,38 @@ def _window_faces() -> np.ndarray:
 
 def count_rolls(block: bytes, sides: int) -> list[int] | None:
     """Counts of faces 1..sides in block, when every line of it ends at a LF
-    and is 1 to 3 ASCII digits of a value in 1..sides; else None."""
-    if not block.endswith(b"\n") or block.translate(None, _DIGITS + b"\n"):
+    and is 1 to 3 ASCII digits of a value in 1..sides; else None.
+
+    No line end is looked for. Each byte gets a key: the low nibbles of the
+    three bytes before it (three LFs are put ahead) as 0xHTO, plus 16**3
+    when the byte is a digit. One bincount counts every key. A LF's key is
+    its line's window, which `_window_faces` maps to a face, or to 0 for a
+    line that is empty or is not a roll; a digit's key whose three nibbles
+    are digits too ends four digits in a row.
+    """
+    if not block.endswith(b"\n"):
         return None
-    # three LFs ahead: every line has three bytes before its LF, and a
-    # 1-digit line has a LF two bytes before its own
-    text = b"\n\n\n" + block
-    ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
-    width = np.diff(ends[2:])  # each line's length and its LF
-    if width.min() < 2 or width.max() > 4:
+    text = np.frombuffer(b"\n\n\n" + block, dtype=np.uint8)
+    digit = np.less(text - np.uint8(0x30), 10).view(np.uint8)
+    if np.count_nonzero(digit) + np.count_nonzero(text == 0x0A) != len(text):
+        return None  # a byte that is neither a digit nor a LF
+    # numpy shifts uint8 arrays with no SIMD loop, so nibbles are placed by
+    # multiplies: pairs[i] holds those of bytes i and i + 1, and high[i]
+    # that of byte i, plus 0x10 when byte i + 3 is a digit; the key of byte
+    # i + 3 is high[i] * 256 + pairs[i + 1]
+    nibbles = text & np.uint8(0x0F)
+    pairs = nibbles[:-1] * np.uint8(16)
+    pairs |= nibbles[1:]
+    high = digit[3:] * np.uint8(16)
+    high |= nibbles[:-3]
+    keys = high.astype(np.uint16)
+    keys *= np.uint16(256)
+    keys |= pairs[1:-1]
+    counts = np.bincount(keys, minlength=2 * 16 ** 3)
+    if counts[16 ** 3:].reshape(16, 16, 16)[:10, :10, :10].any():
         return None
-    # the little-endian word of each line's last three bytes and its LF;
-    # times 0x10010010 its three low nibbles land in the top 12 bits, with no
-    # two of the partial products sharing a bit
-    windows = np.ndarray(len(text) - 3, dtype="<u4", buffer=text, strides=(1,))
-    keys = windows.take(ends[3:] - 3) & np.uint32(0x0F0F0F)
-    keys *= np.uint32(0x10010010)
-    keys >>= np.uint32(20)
     faces = np.zeros(1_000, dtype=np.int64)  # every value of 1 to 3 digits
-    np.add.at(faces, _window_faces(), np.bincount(keys, minlength=16 ** 3))
+    np.add.at(faces, _window_faces(), counts[:16 ** 3])
     if faces[0] or faces[sides + 1:].any():
         return None
     return faces[1:sides + 1].tolist()
-
-
-# ======================================================================
-#  bias report text
-# ======================================================================
-
-@functools.lru_cache(maxsize=2)  # a bias report's two counts
-def _face_pieces(count: int) -> tuple[str, ...]:
-    """The 101 pieces that str(b).join makes the 100 lines of faces
-    100 * b .. 100 * b + 99 with count from, for b >= 1."""
-    return ("face ", *(f"{last:02d},{count}\nface " for last in range(99)), f"99,{count}\n")
-
-
-def format_faces(low: int, high: int, count: int) -> str:
-    """The bias report lines f"face {n},{count}\\n" for n in low..high-1,
-    low >= 0. Each whole block of 100 faces that share their leading digits
-    is one join; the faces of a part of a block, or below 100, are
-    formatted one by one."""
-    pieces = _face_pieces(count)
-    lines = []
-    while low < high:
-        block = low // 100
-        end = min(high, 100 * block + 100)
-        if block and low % 100 == 0 and end % 100 == 0:
-            lines.append(str(block).join(pieces))
-        else:
-            lines.append("".join([f"face {n},{count}\n" for n in range(low, end)]))
-        low = end
-    return "".join(lines)

@@ -10,6 +10,7 @@ and the package needs no statistics library.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .record import Record
@@ -73,6 +74,31 @@ class BiasReport(Record):
         if self.min_count == 0:
             return math.inf
         return self.max_count / self.min_count
+
+
+@functools.lru_cache(maxsize=2)  # a bias report's two counts
+def _face_pieces(count: int) -> tuple[str, ...]:
+    """The 101 pieces that str(b).join makes the 100 lines of faces
+    100 * b .. 100 * b + 99 with count from, for b >= 1."""
+    return ("face ", *(f"{last:02d},{count}\nface " for last in range(99)), f"99,{count}\n")
+
+
+def format_faces(low: int, high: int, count: int) -> str:
+    """The bias report lines f"face {n},{count}\\n" for n in low..high-1,
+    low >= 0. Each whole block of 100 faces that share their leading digits
+    is one join; the faces of a part of a block, or below 100, are
+    formatted one by one."""
+    pieces = _face_pieces(count)
+    lines = []
+    while low < high:
+        block = low // 100
+        end = min(high, 100 * block + 100)
+        if block and low % 100 == 0 and end % 100 == 0:
+            lines.append(str(block).join(pieces))
+        else:
+            lines.append("".join([f"face {n},{count}\n" for n in range(low, end)]))
+        low = end
+    return "".join(lines)
 
 
 def modulo_bias(dice_sides: int, domain_bits: int = 32) -> BiasReport:

@@ -25,7 +25,7 @@ from dicesim.device import (
     selection_update,
     tilt_update,
 )
-from dicesim.prng import xorshift_inverse, xorshift_step
+from dicesim.prng import FEEDBACK, xorshift_inverse, xorshift_step
 from dicesim.timing import FALLING, HZ10, HZ1000, HZ500, RISING, S5, Scheduler
 from dicesim.trace import parse_trace, replay
 from dicesim.uart import UartChannel, decode_stream, payload_pack
@@ -97,7 +97,7 @@ def test_criterion_03_feedback_stream_passes_uniformity():
     """200 000 rolls from seed 1 pass the alpha 0.001 uniformity verdict on
     the twenty-sided and six-sided dice without repeating a word, in 5 s."""
     start = time.perf_counter()
-    words = kernels.feedback_sequence(1, 200_000)
+    words = kernels.feedback_sequence(kernels.Cursor(FEEDBACK, 1), 200_000)
     d20 = _tally_as_stats_rolls(words, 20)
     d6 = _tally_as_stats_rolls(words, 6)
     rep20 = stats.uniformity_report(d20, alpha=0.001)

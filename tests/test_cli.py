@@ -44,6 +44,30 @@ def test_rolls_stdout(capsys):
     assert all(1 <= v <= 20 for v in values)
 
 
+ROLLS_ARGV = ("rolls", "--sides", "12", "--count", str(cli.ROLLS_PER_CHUNK + 5), "--mode", "stateless")
+
+
+def test_rolls_write_bytes_to_the_stdout_buffer(tmp_path):
+    # after the text written before them, flushed first
+    main([*ROLLS_ARGV, "--out", str(tmp_path / "rolls.csv")])
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="ascii", newline="")
+    stdout.write("before\n")
+    with contextlib.redirect_stdout(stdout):
+        assert main(list(ROLLS_ARGV)) == 0
+    assert raw.getvalue() == b"before\n" + (tmp_path / "rolls.csv").read_bytes()
+
+
+def test_rolls_write_text_to_a_stdout_without_a_buffer(tmp_path):
+    # such as the io.StringIO that contextlib.redirect_stdout is often given
+    main([*ROLLS_ARGV, "--out", str(tmp_path / "rolls.csv")])
+    stdout = io.StringIO()
+    assert not hasattr(stdout, "buffer")
+    with contextlib.redirect_stdout(stdout):
+        assert main(list(ROLLS_ARGV)) == 0
+    assert stdout.getvalue() == (tmp_path / "rolls.csv").read_text(encoding="ascii")
+
+
 def test_rolls_deterministic(capsys):
     a = _run(capsys, "rolls", "--sides", "6", "--count", "50")
     b = _run(capsys, "rolls", "--sides", "6", "--count", "50")
@@ -72,7 +96,7 @@ def test_rolls_across_chunks_matches_faces(tmp_path, capsys):
     chunk = cli.ROLLS_PER_CHUNK
     for mode, sequence in (("feedback", kernels.feedback_sequence), ("stateless", kernels.stateless_sequence)):
         for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            faces = sequence(0xC0FFEE, count) % 12 + 1
+            faces = sequence(kernels.Cursor(mode, 0xC0FFEE), count) % 12 + 1
             want = "roll\n" + "".join(f"{v}\n" for v in faces.tolist())
             argv = ("rolls", "--sides", "12", "--count", str(count), "--mode", mode, "--seed", str(0xC0FFEE))
             out_file = tmp_path / f"{mode}_{count}.csv"

@@ -7,35 +7,46 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dicesim import kernels, prng
+from dicesim import kernels, prng, stats
 from dicesim.cli import ROLLS_PER_CHUNK
 from dicesim.device import SUPPORTED_DICE
-from dicesim.prng import lcg_step, xorshift_inverse, xorshift_jump, xorshift_step
+from dicesim.prng import FEEDBACK, STATELESS, lcg_step, xorshift_inverse, xorshift_jump, xorshift_step
 from reference_board import count_reference, face_lines, feedback_reference, roll_lines, stateless_reference
 
 words32 = st.integers(min_value=0, max_value=kernels.MASK32)
+MODE = {kernels.feedback_sequence: FEEDBACK, kernels.stateless_sequence: STATELESS}
+
+
+def cursor(sequence, seed: int, position: int = 0) -> kernels.Cursor:
+    """A new cursor of sequence's mode at position."""
+    return kernels.Cursor(MODE[sequence], seed, position)
+
+
+def first(sequence, seed: int, n: int, position: int = 0) -> np.ndarray:
+    """n words of sequence from a new cursor at position."""
+    return sequence(cursor(sequence, seed, position), n)
 
 
 def test_feedback_sequence_matches_scalar_chain():
-    assert kernels.feedback_sequence(1, 512).tolist() == feedback_reference(1, 512)
+    assert first(kernels.feedback_sequence, 1, 512).tolist() == feedback_reference(1, 512)
 
 
 def test_feedback_sequence_empty():
-    assert kernels.feedback_sequence(1, 0).shape == (0,)
+    assert first(kernels.feedback_sequence, 1, 0).shape == (0,)
 
 
 # the xorshift_jump tests check the device register's scalar jump, which
 # shares its byte tables with the array jumps here
 
 def test_xorshift_jump_matches_feedback_sequence():
-    seq = kernels.feedback_sequence(0xDEADBEEF, 64)
+    seq = first(kernels.feedback_sequence, 0xDEADBEEF, 64)
     for k in (1, 2, 17, 64):
         assert xorshift_jump(0xDEADBEEF, k) == int(seq[k - 1])
     assert xorshift_jump(0x1234, 0) == 0x1234
 
 
 def test_stateless_sequence_matches_scalar_pipeline():
-    assert kernels.stateless_sequence(12345, 256).tolist() == stateless_reference(12345, 256)
+    assert first(kernels.stateless_sequence, 12345, 256).tolist() == stateless_reference(12345, 256)
 
 
 def test_xorshift_step_of_an_array_equals_the_scalar_step():
@@ -54,8 +65,8 @@ def test_xorshift_inverse_of_an_array_round_trips():
 
 
 def test_kernels_agree_with_scalar_references():
-    assert kernels.feedback_sequence(7, 1_000).tolist() == feedback_reference(7, 1_000)
-    assert kernels.stateless_sequence(7, 1_000).tolist() == stateless_reference(7, 1_000)
+    assert first(kernels.feedback_sequence, 7, 1_000).tolist() == feedback_reference(7, 1_000)
+    assert first(kernels.stateless_sequence, 7, 1_000).tolist() == stateless_reference(7, 1_000)
     assert xorshift_jump(7, 321) == feedback_reference(7, 321)[-1]
     words = np.arange(1, 2_049, dtype=np.uint32)
     assert xorshift_step(words.copy()).tolist() == [xorshift_step(int(x)) for x in words]
@@ -127,7 +138,7 @@ LANES = kernels.LANES
 @example(0xDEADBEEF, 2 * LANES)
 @example(0xDEADBEEF, 4 * LANES + 3)
 def test_feedback_sequence_equals_reference(seed, n):
-    out = kernels.feedback_sequence(seed, n)
+    out = first(kernels.feedback_sequence, seed, n)
     assert out.dtype == np.uint32 and out.shape == (n,)
     assert out.tolist() == feedback_reference(seed, n)
 
@@ -138,7 +149,7 @@ def test_feedback_sequence_equals_reference(seed, n):
 @example(0, 4_096)
 @example(0, 4_097)
 def test_stateless_sequence_equals_reference(seed, n):
-    out = kernels.stateless_sequence(seed, n)
+    out = first(kernels.stateless_sequence, seed, n)
     assert out.dtype == np.uint32 and out.shape == (n,)
     assert out.tolist() == stateless_reference(seed, n)
 
@@ -146,19 +157,23 @@ def test_stateless_sequence_equals_reference(seed, n):
 @settings(max_examples=40, deadline=None)
 @given(words32, st.integers(0, 5_000), st.data())
 def test_sequences_cut_and_continued_equal_the_whole(seed, n, data):
-    # a sequence continued at start from where the first part stopped, as
-    # `rolls` makes it a chunk at a time
+    # a sequence continued by the same cursor where the first part stopped,
+    # as `rolls` makes it a chunk at a time, or by a cursor made there
     cut = data.draw(st.integers(0, n))
     for sequence in (kernels.feedback_sequence, kernels.stateless_sequence):
-        parts = np.concatenate([sequence(seed, cut), sequence(seed, n - cut, start=cut)])
+        whole = first(sequence, seed, n)
+        moving = cursor(sequence, seed)
+        parts = np.concatenate([sequence(moving, cut), sequence(moving, n - cut)])
         assert parts.dtype == np.uint32
-        assert parts.tolist() == sequence(seed, n).tolist()
+        assert parts.tolist() == whole.tolist()
+        assert moving.position == n
+        assert first(sequence, seed, n - cut, cut).tolist() == whole[cut:].tolist()
 
 
 @settings(max_examples=40, deadline=None)
 @given(words32, st.integers(0, 1 << 62), st.one_of(st.integers(1, 300), st.integers(2 * LANES, 3 * LANES)))
 def test_feedback_sequence_start_equals_jump(seed, start, n):
-    assert kernels.feedback_sequence(seed, n, start=start).tolist() == \
+    assert first(kernels.feedback_sequence, seed, n, start).tolist() == \
         feedback_reference(xorshift_jump(seed, start), n)
 
 
@@ -167,11 +182,10 @@ SEQUENCES = [kernels.feedback_sequence, kernels.stateless_sequence]
 
 def carried(sequence, seed: int, count: int, chunk: int) -> np.ndarray:
     """count words of sequence made chunk at a time, as `rolls` makes them:
-    each chunk after the first continues from the heads the one before
-    left in carry."""
-    carry: dict = {}
-    return np.concatenate([sequence(seed, min(chunk, count - start), start=start, carry=carry)
-                           for start in range(0, count, chunk)])
+    each chunk after the first goes on from the heads the one before left
+    in the cursor."""
+    moving = cursor(sequence, seed)
+    return np.concatenate([sequence(moving, min(chunk, count - start)) for start in range(0, count, chunk)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,51 +203,54 @@ def test_carried_chunks_equal_one_call(seed, chunk, seams, cut):
     for sequence in SEQUENCES:
         words = carried(sequence, seed, count, chunk)
         assert words.dtype == np.uint32
-        assert np.array_equal(words, sequence(seed, count)), sequence.__name__
+        assert np.array_equal(words, first(sequence, seed, count)), sequence.__name__
 
 
 def test_carried_chunks_build_only_the_first_orbit(monkeypatch):
-    # every feedback chunk after the first jumps the carried lane heads
+    # every feedback chunk after the first jumps the lane heads the cursor holds
     orbits = []
     orbit = kernels._orbit
     monkeypatch.setattr(kernels, "_orbit", lambda *args: orbits.append(args[1]) or orbit(*args))
     words = carried(kernels.feedback_sequence, 9, 8 * LANES + 5, 2 * LANES)
     assert len(orbits) == 1
-    assert np.array_equal(words, kernels.feedback_sequence(9, 8 * LANES + 5))
+    assert np.array_equal(words, first(kernels.feedback_sequence, 9, 8 * LANES + 5))
 
 
 def test_carried_lcg_heads_are_doubled_from(monkeypatch):
     # only the first stateless chunk doubles from one state; each chunk
-    # after it doubles from the LANES states carried from the chunk before
+    # after it doubles from the LANES states the cursor moved on from the
+    # chunk before
     heads = []
     orbit = kernels._orbit
     monkeypatch.setattr(kernels, "_orbit", lambda *args: heads.append(len(args[0])) or orbit(*args))
     words = carried(kernels.stateless_sequence, 9, 8 * LANES + 5, 2 * LANES)
     assert heads == [1] + [LANES] * 5
-    assert np.array_equal(words, kernels.stateless_sequence(9, 8 * LANES + 5))
+    assert np.array_equal(words, first(kernels.stateless_sequence, 9, 8 * LANES + 5))
 
 
 @pytest.mark.parametrize("sequence", SEQUENCES)
 def test_carried_chunks_may_grow(sequence):
     # a chunk longer than the one before goes on from fewer heads than it
-    # needs: doubling from them (stateless) or an orbit from the seed (feedback)
-    carry: dict = {}
+    # needs: doubling from them (stateless) or an orbit from the first (feedback)
+    moving = cursor(sequence, 7)
     lengths = [5, 100, 3_000, 3 * LANES, 9 * LANES]
-    starts = np.cumsum([0] + lengths).tolist()
-    words = np.concatenate([sequence(7, n, start=start, carry=carry) for start, n in zip(starts, lengths)])
-    assert np.array_equal(words, sequence(7, starts[-1]))
+    words = np.concatenate([sequence(moving, n) for n in lengths])
+    assert np.array_equal(words, first(sequence, 7, sum(lengths)))
 
 
 @pytest.mark.parametrize("sequence", SEQUENCES)
 @pytest.mark.parametrize("starts", [(0, 0), (0, 3 * LANES), (2 * LANES, 0), (0, 2 * LANES, 5 * LANES)])
 def test_carried_heads_serve_only_the_chunk_that_follows(sequence, starts):
-    # a chunk asked for again, skipped ahead or back starts from the seed
-    carry: dict = {}
-    whole = sequence(9, 8 * LANES)
+    # a cursor goes on only where its last chunk ended; a chunk asked for
+    # again, skipped ahead or back comes from a cursor made at its start
+    whole = first(sequence, 9, 8 * LANES)
+    moving = None
     for start in starts:
-        words = sequence(9, 2 * LANES, start=start, carry=carry)
+        if moving is None or moving.position != start:
+            moving = cursor(sequence, 9, start)
+        words = sequence(moving, 2 * LANES)
         assert np.array_equal(words, whole[start:start + 2 * LANES]), start
-        assert carry["end"] == start + 2 * LANES
+        assert moving.position == start + 2 * LANES
 
 
 @pytest.mark.parametrize("sequence", SEQUENCES)
@@ -241,9 +258,18 @@ def test_carried_heads_serve_only_the_chunk_that_follows(sequence, starts):
 def test_carried_heads_are_not_the_returned_words(sequence, n):
     # a caller may change the words it got in place; below 2 * LANES the
     # feedback words are a view of the lanes
-    carry: dict = {}
-    sequence(3, n, carry=carry)[:] = 0
-    assert np.array_equal(sequence(3, n, start=n, carry=carry), sequence(3, n, start=n))
+    moving = cursor(sequence, 3)
+    sequence(moving, n)[:] = 0
+    assert np.array_equal(sequence(moving, n), first(sequence, 3, n, n))
+
+
+@pytest.mark.parametrize("sequence, other", [(kernels.feedback_sequence, STATELESS),
+                                             (kernels.stateless_sequence, FEEDBACK)])
+def test_cursor_of_the_other_mode_is_refused(sequence, other):
+    with pytest.raises(ValueError, match="cursor cannot make"):
+        sequence(kernels.Cursor(other, 5), 10)
+    with pytest.raises(ValueError, match="cursor cannot make"):
+        sequence(kernels.Cursor("lcg", 5), 10)
 
 
 def lcg_state(seed: int, k: int) -> int:
@@ -265,7 +291,7 @@ def test_stateless_sequence_start_equals_closed_form(seed, start, n):
     for m in range(start, start + n):
         high = lcg_state(seed, m) & 0xFFFF0000 if m else 0
         want.append(xorshift_step(high | lcg_state(seed, m + 1) >> 16))
-    assert kernels.stateless_sequence(seed, n, start=start).tolist() == want
+    assert first(kernels.stateless_sequence, seed, n, start).tolist() == want
 
 
 @given(words32, st.integers(0, 12))
@@ -299,24 +325,42 @@ def test_format_rolls_needs_faces_that_fit_a_word(sides):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((2, 6, 20, 100)), st.data())
 def test_count_rolls_equals_per_line_reference(sides, data):
-    odd = ["", "0", "00", "007", "0100", "1000", "12345", str(sides + 1), " 3", "4\r", "x", "-1", "+2"]
-    lines = data.draw(st.lists(st.integers(1, sides).map(str), max_size=200))
+    # a bare CR, a byte above 0x7F and a NUL have low nibbles that read as
+    # a digit (0xD, 0x9 of 0xE9 and 0x0), so only the byte check sees them
+    odd = [b"", b"0", b"00", b"007", b"0100", b"1000", b"12345", str(sides + 1).encode(), b" 3", b"4\r", b"x",
+           b"-1", b"+2", b"\r", b"1\r", b"\xe9", b"1\xe9", b"\x00", b"1\x00", b"\x001"]
+    lines = data.draw(st.lists(st.integers(1, sides).map(lambda v: str(v).encode()), max_size=200))
     for _ in range(data.draw(st.integers(0, 2))):
         lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(odd)))
-    block = "".join(f"{line}\n" for line in lines).encode()
+    block = b"".join(line + b"\n" for line in lines)
     if data.draw(st.booleans()):
         block = block.removesuffix(b"\n")  # no final LF
     assert kernels.count_rolls(block, sides) == count_reference(block, sides)
 
 
-@pytest.mark.parametrize("sides, line", [(20, "1001"), (20, "2012"), (20, "0006"), (100, "1100"), (100, "0100")])
+@pytest.mark.parametrize("sides, line", [(20, "1001"), (20, "2012"), (20, "0006"), (100, "1100"), (100, "0100"),
+                                         (100, "\x0012"), (20, "1\x00"), (20, "\x85"), (100, "\r"), (20, "1\r"),
+                                         (20, "1:5")])
 @pytest.mark.parametrize("where", ["{}\n", "{}\n5\n", "5\n{}\n", "5\n{}\n7\n"])
 def test_count_rolls_rejects_four_digits_that_end_in_a_roll(sides, line, where):
     # the window over a line's last three bytes sees an in-range roll, so
-    # only the length check rejects the line
+    # only the keys of the digits before its LF reject the line; a NUL, the
+    # UTF-8 of U+0085 (0xC2 0x85) and a colon have the low nibble of a digit
+    # or of a LF, so only the byte check rejects them, and a CR's is 0xD
     block = where.format(line).encode()
     assert count_reference(block, sides) is None
     assert kernels.count_rolls(block, sides) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(SUPPORTED_DICE), st.integers(1, 999)), st.data())
+def test_count_rolls_counts_every_block_of_bare_rolls(sides, data):
+    # every block of 1- to 3-digit lines of rolls in 1..sides, leading
+    # zeros included, is counted here: none falls to the per-line path
+    rolls = data.draw(st.lists(st.integers(1, sides), min_size=1, max_size=300))
+    widths = data.draw(st.lists(st.integers(0, 2), min_size=len(rolls), max_size=len(rolls)))
+    block = b"".join(b"%0*d\n" % (max(len(str(roll)), width + 1), roll) for roll, width in zip(rolls, widths))
+    assert kernels.count_rolls(block, sides) == [rolls.count(face) for face in range(1, sides + 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +370,7 @@ def test_count_rolls_rejects_four_digits_that_end_in_a_roll(sides, line, where):
 def test_format_faces_equals_per_face_format(low, length, count):
     # runs that cross the 9/10, 99/100 and 999 999/1 000 000 widths, and empty ones
     for high in (low + length, low - length):
-        assert kernels.format_faces(low, high, count) == face_lines((n, count) for n in range(low, high))
+        assert stats.format_faces(low, high, count) == face_lines((n, count) for n in range(low, high))
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,5 +381,5 @@ def test_format_faces_joins_whole_blocks_across_a_width(width_edge, length, data
     # block and cross a digit width, so whole blocks are joined on each side
     low = width_edge - data.draw(st.integers(1, length - 1))
     assume(low % 100 and (low + length) % 100)
-    assert kernels.format_faces(low, low + length, count) == \
+    assert stats.format_faces(low, low + length, count) == \
         face_lines((n, count) for n in range(low, low + length))
