@@ -179,10 +179,11 @@ def stateless_sequence(cursor: Cursor, n: int) -> np.ndarray:
     Each step shifts the top 16 bits of the next LCG state into the seed
     register (which starts at 0) and outputs the xorshift of the register,
     so output k's register is the top halves of LCG states k and k + 1.
-    The states are doubled from the cursor's heads, moved on in place and,
-    while fewer than LANES, doubled first to as many as n + 1 states hold;
-    the cursor keeps them. They are made before the rest of the states, so
-    the chunk's larger arrays are freed around them, not under them.
+    The states are doubled from the cursor's heads, moved on in place, and
+    first doubled to the largest power of two up to n + 1 and LANES if
+    fewer; the cursor keeps them. They are made before the rest of the
+    states, so the chunk's larger arrays are freed around them, not under
+    them.
     """
     n = int(n)
     _check_mode(cursor, STATELESS)
